@@ -3,16 +3,19 @@
 Subcommands:
   run              execute check suites over parameter grids from a config
   eval             evaluate one expression on one representation
-  list-identities  print the identity catalog
+  list-identities  print every report id ``run`` can emit, and the provisos
+
+The check registry ``SUITES`` says what each suite runs on each family,
+which families it skips and why, and which report ids it emits; config
+validation, ``run_suite``, skip rows and ``list-identities`` all read it.
 
 Config files are INI: one ``[scenario NAME]`` section per scenario with a
 ``family`` key, comma-separated parameter value lists (grids expand as the
 Cartesian product), ``dim``, ``suites`` and optional per-suite tolerance
-overrides (``tol.rmatrix = 1e-8``).  Points violating a structural proviso
-(alpha = 0, sigma = 0, delta = 0, nu = 0, or a non-integer grade shift for
-the graded R-matrix) are reported as skipped, never as failures; numerical
-residual breaches are failures.  Exit codes: 0 all passed or skipped, 1 at
-least one failed check, 2 usage or config error.
+overrides (``tol.rmatrix = 1e-8``).  Skips are reported with their reason,
+never as failures; numerical residual breaches are failures.  Exit codes:
+0 all passed or skipped, 1 at least one failed check, 2 usage or config
+error.
 """
 
 from __future__ import annotations
@@ -32,26 +35,174 @@ import numpy as np
 from . import __version__
 from .expr import (EvalContext, EvalError, GRAMMAR_VERSION, ParseError,
                    evaluate, parse)
-from .fock import (PARAM_NAMES, AlgebraSpec, SpecError, build_rep,
-                   check_defining_relations, validity_window, windowed_norm)
+from .fock import (FAMILIES, PARAM_NAMES, AlgebraSpec, SpecError, build_rep,
+                   check_defining_relations)
 from .hopf import build_tables
-from .report import IDENTITY_CATALOG, CheckReport, skipped_report
-from .rmatrix import (build_r, build_r0, check_r_axioms, check_trivial_r,
-                      check_ybe, run_r_checks)
+from .report import check_report, skipped_report
+from .rmatrix import (YBE_DIM, build_r, build_r0, check_r_axioms,
+                      check_trivial_r, check_ybe, run_r_checks)
 from . import structure as structure_mod
+from .tensor import total_window_projector, windowed_norm
 
 REPORT_SCHEMA_VERSION = "1.0"
-SUITES = ("relations", "hopf", "delta-hom", "rmatrix", "ybe", "casimir",
-          "structure", "iso")
 
-PROVISO_SKIPS = {
-    "B": [("alpha", "provided that alpha != 0")],
-    "Bq": [("alpha", "provided that alpha != 0")],
-    "Bbar": [("sigma", "provided that sigma != 0")],
-    "Bbarq": [("sigma", "provided that sigma != 0")],
-    "H": [("delta", "such an element does not exist if delta = 0"),
-          ("nu", "the reflection operator normalization requires nu != 0")],
+
+# -- the check registry -------------------------------------------------------
+
+# A grid point at which a family's parameter is zero is skipped by every
+# suite: family -> ((parameter, reason), ...).
+FAMILY_PROVISOS = {
+    "B": (("alpha", "provided that alpha != 0"),),
+    "Bq": (("alpha", "provided that alpha != 0"),),
+    "Bbar": (("sigma", "provided that sigma != 0"),),
+    "Bbarq": (("sigma", "provided that sigma != 0"),),
+    "H": (("delta", "such an element does not exist if delta = 0"),
+          ("nu", "the reflection operator normalization requires nu != 0")),
 }
+
+# The graded R-matrices carry the parity head R0, which needs the grade
+# element to square to I.
+PARITY_HEAD_FAMILIES = ("B", "Bq")
+PARITY_HEAD_SKIP = ("(-1)^(2*Ntilde) = I requires beta/alpha to be an "
+                    "integer")
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One check suite: a runner per family and the report ids it emits.
+
+    A runner maps (scenario, spec, tol) to a list of reports; it looks the
+    check functions up by name when it runs.  Families without a runner are
+    skipped with ``skip_reason``.  With ``parity_head``, the graded families
+    are skipped where beta/alpha is not an integer.  ``ids`` maps each
+    report id prefix to the identity it names.
+    """
+
+    name: str
+    ids: dict
+    runners: dict
+    skip_reason: str = ""
+    parity_head: bool = False
+
+    def reason_to_skip(self, spec: AlgebraSpec) -> str:
+        if spec.family not in self.runners:
+            return self.skip_reason
+        if self.parity_head and spec.family in PARITY_HEAD_FAMILIES:
+            shift = spec.grade_shift
+            if shift is None or not float(shift).is_integer():
+                return PARITY_HEAD_SKIP
+        return ""
+
+    def skipped(self, family: str, params: dict, dim: int, reason: str) -> list:
+        return [skipped_report(identity=f"{self.name}.skipped",
+                               reference=self.ids.get(self.name, self.name),
+                               family=family, params=params, dim=dim,
+                               reason=reason)]
+
+
+def _run_r_series(sc, spec, tol):
+    rep = build_rep(spec, sc.dim)
+    return run_r_checks(rep, build_tables(rep), tol)
+
+
+def _run_r0_axioms(sc, spec, tol):
+    rep = build_rep(spec, sc.dim)
+    return check_r_axioms(build_r0(rep), build_tables(rep), tol)
+
+
+def _run_ybe_series(sc, spec, tol):
+    return [check_ybe(build_r(build_rep(spec, min(sc.dim, YBE_DIM))), tol)]
+
+
+def _run_casimir(sc, spec, tol):
+    rep = build_rep(spec, sc.dim)
+    osp = structure_mod.build_realization(rep, "osp12")
+    sl2 = structure_mod.build_realization(rep, "sl2")
+    return [structure_mod.casimir_spectrum(osp, rep, "osp_i2", tol),
+            structure_mod.casimir_spectrum(sl2, rep, "sl2_c2", tol)]
+
+
+def _run_structure(sc, spec, tol):
+    rep = build_rep(spec, sc.dim)
+    tables = build_tables(rep) if spec.family == "B" else None
+    return structure_mod.run_structure_checks(
+        rep, tables, lam1=sc.lambda1, lam4=sc.lambda4, tol=tol)
+
+
+def _run_iso_phi(sc, spec, tol):
+    b_spec = AlgebraSpec("B", (2.0 * spec.delta, sc.iso_beta))
+    return structure_mod.iso_phi(b_spec, build_rep(spec, sc.dim),
+                                 lam1=sc.lambda1, tol=tol)
+
+
+def _run_iso_phi_prime(sc, spec, tol):
+    h_spec = AlgebraSpec("H", (spec.alpha / 2.0, sc.iso_nu, sc.iso_rho))
+    return structure_mod.iso_phi_prime(h_spec, build_rep(spec, sc.dim),
+                                       tol=tol)
+
+
+_YBE_IDS = {"rmatrix.ybe": "R12 R13 R23 = R23 R13 R12"}
+_CASIMIR_IDS = {
+    "structure.casimir-osp": "osp quadratic Casimir is the constant beta^2/(4 alpha^2) - beta/(4 alpha)",
+    "structure.casimir-sl2": "sl2 Casimir is constant on each parity sector, matching the closed form",
+}
+
+SUITES = {suite.name: suite for suite in (
+    Suite("relations",
+          {"relations": "defining relations of the family, including grade-element relations"},
+          dict.fromkeys(FAMILIES, lambda sc, spec, tol: check_defining_relations(
+              build_rep(spec, sc.dim), tol))),
+    Suite("hopf",
+          {"hopf.coassoc": "(Delta x id) Delta(g) = (id x Delta) Delta(g)",
+           "hopf.counit": "(eps x id) Delta(g) = g = (id x eps) Delta(g)",
+           "hopf.antipode": "m (S x id) Delta(g) = eps(g) I = m (id x S) Delta(g)",
+           "hopf.antipode-inverse": "m (id x S^-1) Delta^T(g) = eps(g) I (opposite-algebra antipode)"},
+          dict.fromkeys(FAMILIES, lambda sc, spec, tol: build_tables(
+              build_rep(spec, sc.dim)).run_axiom_checks(tol))),
+    Suite("delta-hom",
+          {"hopf.delta-hom": "defining relations survive g -> Delta(g) on the two-site space",
+           "hopf.s-antihom": "defining relations survive reversal + antipode images"},
+          dict.fromkeys(FAMILIES, lambda sc, spec, tol: build_tables(
+              build_rep(spec, sc.dim)).check_delta_homomorphism(tol))),
+    Suite("rmatrix",
+          {"rmatrix.quasitriangular": "Delta^T(g) R = R Delta(g) per generator",
+           "rmatrix.fusion-left": "(Delta x id) R = R13 R23",
+           "rmatrix.fusion-right": "(id x Delta) R = R13 R12",
+           "rmatrix.inverse": "((S x id) R) R = I x I",
+           **_YBE_IDS,
+           "rmatrix.trivial": "R = I x I intertwines the primitive coproducts (undeformed Bbar)"},
+          {"Bq": _run_r_series, "Bbarq": _run_r_series, "B": _run_r0_axioms,
+           "Bbar": lambda sc, spec, tol: [check_trivial_r(
+               build_tables(build_rep(spec, sc.dim)), tol)]},
+          "no universal R-matrix for this family", parity_head=True),
+    Suite("ybe", _YBE_IDS,
+          {"Bq": _run_ybe_series, "Bbarq": _run_ybe_series,
+           "B": lambda sc, spec, tol: [check_ybe(build_r0(
+               build_rep(spec, min(sc.dim, 4))), tol)]},
+          "no Yang-Baxter content for this family", parity_head=True),
+    Suite("casimir", _CASIMIR_IDS, {"B": _run_casimir},
+          "closed-form Casimir spectra are stated for the undeformed graded "
+          "family"),
+    Suite("structure",
+          {"structure.anticommute": "{L, a} = {L, ad} = 0 (grade-odd structure element)",
+           "structure.delta-closed-form": "homomorphic Delta(L+) matches its closed form",
+           "structure.antipode-fixed": "S(L+) = L+ and eps(L+) = lambda1*alpha/4 + lambda4",
+           "structure.characteristic": "C(C + (alpha/2 - beta)) + (alpha/4 - beta/2)^2 = eta/lambda1^2, C = ad*a - alpha*N/2",
+           "structure.bh-form": "[a, ad] = -(2/lambda1) L + alpha/2",
+           "structure.m-element": "[M, b] = -b and [M, bd] = bd for M = bd*b/delta + nu*K/(2 delta) + rho",
+           "structure.com": "{b, bd} = 2*delta*M + delta*(1 - 2*rho)",
+           "structure.realization": "target (super)algebra relations hold for the embedded generators",
+           **_CASIMIR_IDS},
+          dict.fromkeys(FAMILIES, _run_structure)),
+    Suite("iso",
+          {"iso.phi": "phi(a)=b, phi(ad)=bd, phi(N)=2/alpha bd b + nu/alpha K + (delta-beta)/alpha preserves the B relations iff alpha = 2 delta",
+           "iso.phi-prime": "phi'(b)=a, phi'(bd)=ad, phi'(K)=-2/nu ad a + alpha/nu N + (beta-delta)/nu preserves the H relations iff alpha = 2 delta",
+           "iso.roundtrip": "phi' after phi is the identity on generators",
+           "iso.phi-L": "phi(L) = -(lambda1 nu / 2) K",
+           "iso.phi-prime-M": "phi'(M) = N + (beta - delta)/(2 delta) + rho"},
+          {"H": _run_iso_phi, "B": _run_iso_phi_prime},
+          "the generator maps relate the graded and reflection families only"),
+)}
 
 
 class ConfigError(ValueError):
@@ -64,7 +215,7 @@ class Scenario:
     family: str
     param_grid: dict                  # name -> list of floats
     dim: int = 8
-    suites: tuple = SUITES
+    suites: tuple = tuple(SUITES)
     tol: float = 1e-10
     suite_tols: dict = field(default_factory=dict)
     lambda1: float = 1.0
@@ -116,7 +267,8 @@ def parse_config(path: str) -> ScenarioConfig:
             unknown = [s for s in suites if s not in SUITES]
             if unknown:
                 raise ConfigError(f"[{section}] has unknown suites "
-                                  f"{unknown}; expected subset of {SUITES}")
+                                  f"{unknown}; expected subset of "
+                                  f"{tuple(SUITES)}")
             scen.suites = suites
         for key, value in items.items():
             if key in _SCENARIO_SCALARS:
@@ -153,7 +305,7 @@ def grid_expand(scenario: Scenario) -> list:
     for combo in itertools.product(*(scenario.param_grid[n] for n in names)):
         params = dict(zip(names, combo))
         reason = ""
-        for pname, text in PROVISO_SKIPS[scenario.family]:
+        for pname, text in FAMILY_PROVISOS[scenario.family]:
             if params.get(pname) == 0:
                 reason = text
                 break
@@ -169,96 +321,14 @@ def grid_expand(scenario: Scenario) -> list:
 
 # -- suite execution ----------------------------------------------------------
 
-def _skip(suite: str, family: str, params: dict, dim: int, reason: str):
-    return [skipped_report(identity=f"{suite}.skipped",
-                           reference=IDENTITY_CATALOG.get(suite, suite),
-                           family=family, params=params, dim=dim,
-                           reason=reason)]
-
-
-def _integer_grade_shift(spec: AlgebraSpec) -> bool:
-    shift = spec.grade_shift
-    return shift is not None and float(shift).is_integer()
-
-
 def run_suite(scenario: Scenario, spec: AlgebraSpec, suite: str) -> list:
-    tol = scenario.tol_for(suite)
-    dim = scenario.dim
-    fam = spec.family
-    params = spec.param_dict
-    if suite == "relations":
-        return check_defining_relations(build_rep(spec, dim), tol)
-    if suite == "hopf":
-        return build_tables(build_rep(spec, dim)).run_axiom_checks(tol)
-    if suite == "delta-hom":
-        return build_tables(build_rep(spec, dim)).check_delta_homomorphism(tol)
-    if suite == "rmatrix":
-        rep = build_rep(spec, dim)
-        tables = build_tables(rep)
-        if fam == "Bq":
-            if not _integer_grade_shift(spec):
-                return _skip(suite, fam, params, dim,
-                             "(-1)^(2*Ntilde) = I requires beta/alpha "
-                             "to be an integer")
-            return run_r_checks(rep, tables, tol)
-        if fam == "Bbarq":
-            return run_r_checks(rep, tables, tol)
-        if fam == "B":
-            if not _integer_grade_shift(spec):
-                return _skip(suite, fam, params, dim,
-                             "(-1)^(2*Ntilde) = I requires beta/alpha "
-                             "to be an integer")
-            return check_r_axioms(build_r0(rep), tables, tol)
-        if fam == "Bbar":
-            return [check_trivial_r(tables, tol)]
-        return _skip(suite, fam, params, dim,
-                     "no universal R-matrix for this family")
-    if suite == "ybe":
-        ybe_dim = min(dim, 6)
-        if fam in ("Bq", "Bbarq"):
-            if fam == "Bq" and not _integer_grade_shift(spec):
-                return _skip(suite, fam, params, dim,
-                             "(-1)^(2*Ntilde) = I requires beta/alpha "
-                             "to be an integer")
-            return [check_ybe(build_r(build_rep(spec, ybe_dim)), tol)]
-        if fam == "B":
-            if not _integer_grade_shift(spec):
-                return _skip(suite, fam, params, dim,
-                             "(-1)^(2*Ntilde) = I requires beta/alpha "
-                             "to be an integer")
-            return [check_ybe(build_r0(build_rep(spec, min(dim, 4))), tol)]
-        return _skip(suite, fam, params, dim,
-                     "no Yang-Baxter content for this family")
-    if suite == "casimir":
-        if fam != "B":
-            return _skip(suite, fam, params, dim,
-                         "closed-form Casimir spectra are stated for the "
-                         "undeformed graded family")
-        rep = build_rep(spec, dim)
-        osp = structure_mod.build_realization(rep, "osp12")
-        sl2 = structure_mod.build_realization(rep, "sl2")
-        return [structure_mod.casimir_spectrum(osp, rep, "osp_i2", tol),
-                structure_mod.casimir_spectrum(sl2, rep, "sl2_c2", tol)]
-    if suite == "structure":
-        rep = build_rep(spec, dim)
-        tables = build_tables(rep) if fam == "B" else None
-        return structure_mod.run_structure_checks(
-            rep, tables, lam1=scenario.lambda1, lam4=scenario.lambda4,
-            tol=tol)
-    if suite == "iso":
-        if fam == "H":
-            b_spec = AlgebraSpec("B", (2.0 * spec.delta, scenario.iso_beta))
-            return structure_mod.iso_phi(b_spec, build_rep(spec, dim),
-                                         lam1=scenario.lambda1, tol=tol)
-        if fam == "B":
-            h_spec = AlgebraSpec("H", (spec.alpha / 2.0, scenario.iso_nu,
-                                       scenario.iso_rho))
-            return structure_mod.iso_phi_prime(h_spec, build_rep(spec, dim),
-                                              tol=tol)
-        return _skip(suite, fam, params, dim,
-                     "the generator maps relate the graded and reflection "
-                     "families only")
-    raise ConfigError(f"unknown suite {suite!r}")
+    entry = SUITES.get(suite)
+    if entry is None:
+        raise ConfigError(f"unknown suite {suite!r}")
+    reason = entry.reason_to_skip(spec)
+    if reason:
+        return entry.skipped(spec.family, spec.param_dict, scenario.dim, reason)
+    return entry.runners[spec.family](scenario, spec, scenario.tol_for(suite))
 
 
 def _run_job(job) -> list:
@@ -266,17 +336,15 @@ def _run_job(job) -> list:
     scenario, params, spec, skip_reason, suite = job
     start = time.perf_counter()
     if skip_reason:
-        reports = _skip(suite, scenario.family, params, scenario.dim,
-                        skip_reason)
+        reports = SUITES[suite].skipped(scenario.family, params, scenario.dim,
+                                        skip_reason)
     else:
         try:
             reports = run_suite(scenario, spec, suite)
         except Exception as exc:   # per-check errors must not abort the run
-            reports = [CheckReport(
-                identity=f"{suite}.error", reference=str(exc),
-                family=scenario.family, params=params, dim=scenario.dim,
-                window_degree=0, residual=float("inf"),
-                tol=scenario.tol_for(suite), passed=False,
+            reports = [check_report(
+                spec, scenario.dim, f"{suite}.error", str(exc), float("inf"),
+                scenario.tol_for(suite),
                 branch_note={"error": f"{type(exc).__name__}: {exc}"})]
     elapsed = time.perf_counter() - start
     rows = []
@@ -393,7 +461,6 @@ def _cmd_eval(args) -> int:
         return 2
     sites = round(np.log(mat.shape[0]) / np.log(rep.dim)) if rep.dim > 1 else 1
     if args.degree:
-        from .tensor import total_window_projector
         proj = total_window_projector(rep.dim, sites, args.degree)
     else:
         proj = np.eye(mat.shape[0])
@@ -410,9 +477,25 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_list_identities(args) -> int:
-    width = max(len(k) for k in IDENTITY_CATALOG)
-    for key in sorted(IDENTITY_CATALOG):
-        print(f"{key:<{width}}  {IDENTITY_CATALOG[key]}")
+    catalog = {}
+    for suite in SUITES.values():
+        catalog.update(suite.ids)
+        notes = []
+        others = [f for f in FAMILIES if f not in suite.runners]
+        if others:
+            notes.append(f"{', '.join(others)}: {suite.skip_reason}")
+        if suite.parity_head:
+            notes.append(f"{', '.join(PARITY_HEAD_FAMILIES)}: "
+                         f"{PARITY_HEAD_SKIP}")
+        notes.append("any family: a point that violates a family proviso")
+        catalog[f"{suite.name}.skipped"] = "; ".join(notes)
+    width = max(len(k) for k in catalog)
+    for key in sorted(catalog):
+        print(f"{key:<{width}}  {catalog[key]}")
+    print("\nfamily provisos (every suite skips a point that violates one):")
+    for family, provisos in FAMILY_PROVISOS.items():
+        for param, reason in provisos:
+            print(f"  {family:<5}  {param} = 0: {reason}")
     return 0
 
 
@@ -448,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     evalp.set_defaults(func=_cmd_eval)
 
     listp = sub.add_parser("list-identities",
-                           help="print the identity catalog")
+                           help="print every report id run can emit")
     listp.set_defaults(func=_cmd_list_identities)
     return ap
 

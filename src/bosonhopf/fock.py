@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .report import check_report
 from .scalars import check_q, phase_pow, q_bracket
+from .tensor import windowed_norm
 
 FAMILIES = ("B", "Bbar", "Bq", "Bbarq", "H")
 
@@ -292,11 +294,6 @@ def validity_window(rep: FockRep, raise_degree: int) -> ValidityWindow:
     return ValidityWindow(raise_degree=raise_degree, projector=np.diag(diag.astype(complex)))
 
 
-def windowed_norm(mat: np.ndarray, projector: np.ndarray) -> float:
-    """Spectral norm of mat restricted to window states (right multiplication)."""
-    return float(np.linalg.norm(mat @ projector, 2))
-
-
 def comm(x, y):
     return x @ y - y @ x
 
@@ -394,22 +391,11 @@ def rep_generator_images(rep: FockRep) -> dict:
 
 def check_defining_relations(rep: FockRep, tol: float = DEFAULT_TOL):
     """Windowed residual of every defining relation; failures are reported, not raised."""
-    from .report import CheckReport  # local import to avoid a cycle
-
     reports = []
     for ident_id, ref, residual_mat, degree, scale in relation_residuals(
             rep.spec, rep_generator_images(rep)):
         window = validity_window(rep, degree)
         res = windowed_norm(residual_mat, window.projector) / scale
-        reports.append(CheckReport(
-            identity=f"relations.{ident_id}",
-            reference=ref,
-            family=rep.spec.family,
-            params=rep.spec.param_dict,
-            dim=rep.dim,
-            window_degree=degree,
-            residual=res,
-            tol=tol,
-            passed=bool(res < tol),
-        ))
+        reports.append(check_report(rep.spec, rep.dim, f"relations.{ident_id}",
+                                    ref, res, tol, degree))
     return reports

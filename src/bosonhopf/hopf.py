@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import AlgebraSpec, FockRep, SpecError, relation_residuals
-from .report import CheckReport
+from .report import check_report
 from .tensor import kron_all, total_window_projector, windowed_norm
 
 DEFAULT_TOL = 1e-10
@@ -264,26 +264,6 @@ class HopfTables:
     def antipode_inv(self, name: str) -> np.ndarray:
         return self.atom(name).s_inv
 
-    def coproduct_terms(self, name: str, n: int) -> list:
-        """Sweedler terms of the (n+1)-site iterated coproduct (first-slot recursion)."""
-        if n < 0:
-            raise ValueError("need n >= 0")
-        if n == 0:
-            return [Term(1.0, ((self.atom(name),),))]
-        terms = self.delta_terms(name)
-        for _ in range(n - 1):
-            terms = expand_slot(terms, 0)
-        return terms
-
-    # -- generic report helper ----------------------------------------------
-    def _report(self, identity: str, reference: str, residual: float,
-                degree: int, tol: float, **extra) -> CheckReport:
-        return CheckReport(identity=identity, reference=reference,
-                           family=self.spec.family, params=self.spec.param_dict,
-                           dim=self.rep.dim, window_degree=degree,
-                           residual=residual, tol=tol, passed=bool(residual < tol),
-                           **extra)
-
     # -- axiom checks --------------------------------------------------------
     def check_coassociativity(self, tol: float = DEFAULT_TOL) -> list:
         dim = self.rep.dim
@@ -294,9 +274,9 @@ class HopfTables:
             deg = _RAISE_DEGREE.get(name, 0) + 1
             proj = total_window_projector(dim, 3, deg)
             res = windowed_norm(lhs - rhs, proj)
-            out.append(self._report(f"hopf.coassoc.{name}",
+            out.append(check_report(self.spec, dim, f"hopf.coassoc.{name}",
                                     "(Delta x id) Delta = (id x Delta) Delta",
-                                    res, deg, tol))
+                                    res, tol, deg))
         return out
 
     def check_counit(self, tol: float = DEFAULT_TOL) -> list:
@@ -311,9 +291,9 @@ class HopfTables:
             deg = _RAISE_DEGREE.get(name, 0)
             proj = total_window_projector(dim, 1, deg)
             res = max(windowed_norm(left - gen, proj), windowed_norm(right - gen, proj))
-            out.append(self._report(f"hopf.counit.{name}",
+            out.append(check_report(self.spec, dim, f"hopf.counit.{name}",
                                     "(eps x id) Delta(g) = g = (id x eps) Delta(g)",
-                                    res, deg, tol))
+                                    res, tol, deg))
         return out
 
     def check_antipode(self, tol: float = DEFAULT_TOL) -> list:
@@ -329,9 +309,9 @@ class HopfTables:
             deg = max(_RAISE_DEGREE.get(name, 0), 1)
             proj = total_window_projector(dim, 1, deg)
             res = max(windowed_norm(left - target, proj), windowed_norm(right - target, proj))
-            out.append(self._report(f"hopf.antipode.{name}",
+            out.append(check_report(self.spec, dim, f"hopf.antipode.{name}",
                                     "m (S x id) Delta(g) = eps(g) I = m (id x S) Delta(g)",
-                                    res, deg, tol))
+                                    res, tol, deg))
         return out
 
     def check_antipode_inverse(self, tol: float = DEFAULT_TOL) -> list:
@@ -350,9 +330,9 @@ class HopfTables:
             deg = max(_RAISE_DEGREE.get(name, 0), 1)
             proj = total_window_projector(dim, 1, deg)
             res = max(windowed_norm(left - target, proj), windowed_norm(right - target, proj))
-            out.append(self._report(f"hopf.antipode-inverse.{name}",
+            out.append(check_report(self.spec, dim, f"hopf.antipode-inverse.{name}",
                                     "m (S^-1 x id) Delta^T(g) = eps(g) I",
-                                    res, deg, tol))
+                                    res, tol, deg))
         return out
 
     def check_delta_homomorphism(self, tol: float = DEFAULT_TOL, degree: int = 2) -> list:
@@ -365,16 +345,16 @@ class HopfTables:
         proj2 = total_window_projector(dim, 2, degree)
         for ident, ref, residual, _, scale in relation_residuals(self.spec, delta_gens):
             res = windowed_norm(residual, proj2) / scale
-            out.append(self._report(f"hopf.delta-hom.{ident}", f"Delta images: {ref}",
-                                    res, degree, tol))
+            out.append(check_report(self.spec, dim, f"hopf.delta-hom.{ident}",
+                                    f"Delta images: {ref}", res, tol, degree))
 
         s_gens = {name: self.antipode(name) for name in self.generator_names()}
         s_gens["I"] = self.rep.identity
         proj1 = total_window_projector(dim, 1, degree)
         for ident, ref, residual, _, scale in relation_residuals(self.spec, s_gens, anti=True):
             res = windowed_norm(residual, proj1) / scale
-            out.append(self._report(f"hopf.s-antihom.{ident}", f"antipode images: {ref}",
-                                    res, degree, tol))
+            out.append(check_report(self.spec, dim, f"hopf.s-antihom.{ident}",
+                                    f"antipode images: {ref}", res, tol, degree))
         return out
 
     def run_axiom_checks(self, tol: float = DEFAULT_TOL) -> list:

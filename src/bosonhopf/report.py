@@ -1,4 +1,4 @@
-"""Structured check results and the identity catalog.
+"""Structured check results.
 
 Every numerical verification in the package produces a CheckReport; the CLI
 serializes them to JSON.  A report is self-contained: family, parameters,
@@ -35,46 +35,23 @@ class CheckReport:
         return f"[{status}] {self.identity} {self.family}{tuple(self.params.values())} D={self.dim}{extra}"
 
 
+def check_report(spec, dim: int, identity: str, reference: str,
+                 residual: float, tol: float, degree: int = 0,
+                 **fields) -> CheckReport:
+    """The report of one check on ``spec``: it passes when residual < tol.
+
+    ``fields`` sets the optional CheckReport fields; a ``family`` entry
+    overrides the spec's family tag (the parity R-matrix reports as B_r0).
+    """
+    fields.setdefault("family", spec.family)
+    return CheckReport(identity=identity, reference=reference,
+                       params=spec.param_dict, dim=dim, window_degree=degree,
+                       residual=residual, tol=tol, passed=bool(residual < tol),
+                       **fields)
+
+
 def skipped_report(identity: str, reference: str, family: str, params: dict,
                    dim: int, reason: str) -> CheckReport:
     return CheckReport(identity=identity, reference=reference, family=family,
                        params=params, dim=dim, window_degree=0, residual=float("nan"),
                        tol=float("nan"), passed=False, skipped=True, skip_reason=reason)
-
-
-# Catalog of identity families checked by the package, keyed by id prefix.
-# `list-identities` prints this; report ids are "<prefix>.<detail>".
-IDENTITY_CATALOG = {
-    "relations": "defining relations of the family, including grade-element relations",
-    "hopf.coassoc": "(Delta x id) Delta(g) = (id x Delta) Delta(g)",
-    "hopf.counit": "(eps x id) Delta(g) = g = (id x eps) Delta(g)",
-    "hopf.antipode": "m (S x id) Delta(g) = eps(g) I = m (id x S) Delta(g)",
-    "hopf.antipode-inverse": "m (id x S^-1) Delta^T(g) = eps(g) I (opposite-algebra antipode)",
-    "hopf.delta-hom": "defining relations survive g -> Delta(g) on the two-site space",
-    "hopf.s-antihom": "defining relations survive reversal + antipode images",
-    "rmatrix.quasitriangular": "Delta^T(g) R = R Delta(g) per generator",
-    "rmatrix.ybe": "R12 R13 R23 = R23 R13 R12",
-    "rmatrix.fusion-left": "(Delta x id) R = R13 R23",
-    "rmatrix.fusion-right": "(id x Delta) R = R13 R12",
-    "rmatrix.inverse": "((S x id) R) R = I x I",
-    "rmatrix.classical-limit": "R(q) -> R0 as q -> 1",
-    "rmatrix.r0-squared": "R0^2 = I x I (integer grade shift)",
-    "rmatrix.trivial": "R = I x I intertwines the primitive coproducts (undeformed Bbar)",
-    "structure.anticommute": "{L, a} = {L, ad} = 0 (grade-odd structure element)",
-    "structure.delta-closed-form": "homomorphic Delta(L+) matches its closed form",
-    "structure.antipode-fixed": "S(L+) = L+ and eps(L+) = lambda1*alpha/4 + lambda4",
-    "structure.characteristic": "C(C + (alpha/2 - beta)) + (alpha/4 - beta/2)^2 = eta/lambda1^2, C = ad*a - alpha*N/2",
-    "structure.bh-form": "[a, ad] = -(2/lambda1) L + alpha/2",
-    "structure.m-element": "[M, b] = -b and [M, bd] = bd for M = bd*b/delta + nu*K/(2 delta) + rho",
-    "structure.com": "{b, bd} = 2*delta*M + delta*(1 - 2*rho)",
-    "structure.realization": "target (super)algebra relations hold for the embedded generators",
-    "structure.casimir-osp": "osp quadratic Casimir is the constant beta^2/(4 alpha^2) - beta/(4 alpha)",
-    "structure.casimir-sl2": "sl2 Casimir is constant on each parity sector, matching the closed form",
-    "iso.phi": "phi(a)=b, phi(ad)=bd, phi(N)=2/alpha bd b + nu/alpha K + (delta-beta)/alpha preserves the B relations iff alpha = 2 delta",
-    "iso.phi-prime": "phi'(b)=a, phi'(bd)=ad, phi'(K)=-2/nu ad a + alpha/nu N + (beta-delta)/nu preserves the H relations iff alpha = 2 delta",
-    "iso.roundtrip": "phi' after phi is the identity on generators",
-    "iso.phi-L": "phi(L) = -(lambda1 nu / 2) K",
-    "iso.phi-prime-M": "phi'(M) = N + (beta - delta)/(2 delta) + rho",
-    "expr": "expression-language corpus of the defining relations evaluates to zero",
-    "weights.classical-limit": "deformed ladder weights approach the undeformed ones as q -> 1",
-}

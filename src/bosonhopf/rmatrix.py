@@ -24,13 +24,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import FockRep, RepresentationError, SpecError
+from .fock import FockRep, RepresentationError, SpecError, build_rep
 from .hopf import HopfTables
-from .report import CheckReport
+from .report import CheckReport, check_report
 from .scalars import bracket_factorial, phase_pow
-from .tensor import embed_two_site, kron, swap_matrix, total_window_projector
+from .tensor import (embed_two_site, kron, swap_matrix, total_window_projector,
+                     windowed_norm)
 
 DEFAULT_R_TOL = 1e-8
+
+# Site dimension of the Yang-Baxter check on the deformed R-matrices: its
+# triple products are dense D^3 x D^3 operators.
+YBE_DIM = 6
 
 
 @dataclass(frozen=True)
@@ -249,25 +254,13 @@ def build_r(rep: FockRep, branch: BranchChoice | None = None) -> RMatrix:
                    series_terms=dim, rep=rep, branch=branch)
 
 
-def _product_scale(*mats, projector=None) -> float:
-    """Norm of the product of entrywise absolute values: the rounding-noise
-    floor for a product that cancels to something small."""
+def _product_scale(projector, *mats) -> float:
+    """Windowed norm of the product of entrywise absolute values: the
+    rounding-noise floor for a product that cancels to something small."""
     out = np.abs(mats[0])
     for m in mats[1:]:
         out = out @ np.abs(m)
-    if projector is not None:
-        out = out @ projector
-    return max(1.0, float(np.linalg.norm(out, 2)))
-
-
-def _report(r: RMatrix, identity: str, reference: str, residual: float,
-            degree: int, tol: float, **extra) -> CheckReport:
-    rep = r.rep
-    return CheckReport(identity=identity, reference=reference,
-                       family=r.family, params=rep.spec.param_dict if rep else {},
-                       dim=r.dim, window_degree=degree, residual=residual,
-                       tol=tol, passed=bool(residual < tol),
-                       branch_note=dict(r.branch_note), **extra)
+    return max(1.0, windowed_norm(out, projector))
 
 
 def check_quasitriangularity(r: RMatrix, tables: HopfTables,
@@ -282,11 +275,11 @@ def check_quasitriangularity(r: RMatrix, tables: HopfTables,
     for name in tables.generator_names():
         dm = tables.delta_matrix(name)
         dmt = swap @ dm @ swap
-        res = (dmt @ r.matrix - r.matrix @ dm) @ proj
-        scale = max(1.0, float(np.linalg.norm(r.matrix @ dm @ proj, 2)))
-        residual = float(np.linalg.norm(res, 2)) / scale
-        out.append(_report(r, f"rmatrix.quasitriangular.{name}",
-                           "Delta^T(g) R = R Delta(g)", residual, 1, tol))
+        scale = max(1.0, windowed_norm(r.matrix @ dm, proj))
+        residual = windowed_norm(dmt @ r.matrix - r.matrix @ dm, proj) / scale
+        out.append(check_report(r.rep.spec, dim, f"rmatrix.quasitriangular.{name}",
+                                "Delta^T(g) R = R Delta(g)", residual, tol, 1,
+                                family=r.family, branch_note=dict(r.branch_note)))
     return out
 
 
@@ -302,10 +295,11 @@ def check_ybe(r: RMatrix, tol: float = DEFAULT_R_TOL) -> CheckReport:
     lhs = r12 @ r13 @ r23
     rhs = r23 @ r13 @ r12
     proj = total_window_projector(dim, 3, 0)
-    scale = _product_scale(r12, r13, r23, projector=proj)
-    residual = float(np.linalg.norm((lhs - rhs) @ proj, 2)) / scale
-    return _report(r, "rmatrix.ybe", "R12 R13 R23 = R23 R13 R12",
-                   residual, 0, tol)
+    scale = _product_scale(proj, r12, r13, r23)
+    residual = windowed_norm(lhs - rhs, proj) / scale
+    return check_report(r.rep.spec, dim, "rmatrix.ybe",
+                        "R12 R13 R23 = R23 R13 R12", residual, tol,
+                        family=r.family, branch_note=dict(r.branch_note))
 
 
 def _delta_slot_r(r: RMatrix, tables: HopfTables, slot: int) -> np.ndarray:
@@ -421,16 +415,18 @@ def check_r_axioms(r: RMatrix, tables: HopfTables,
     for slot, tgt, ident in ((0, r13 @ r23, "rmatrix.fusion-left"),
                              (1, r13 @ r12, "rmatrix.fusion-right")):
         got = _delta_slot_r(r, tables, slot)
-        scale = max(1.0, float(np.linalg.norm(tgt @ proj3, 2)))
-        residual = float(np.linalg.norm((got - tgt) @ proj3, 2)) / scale
+        scale = max(1.0, windowed_norm(tgt, proj3))
+        residual = windowed_norm(got - tgt, proj3) / scale
         ref = "(Delta x id) R = R13 R23" if slot == 0 else "(id x Delta) R = R13 R12"
-        out.append(_report(r, ident, ref, residual, 0, tol))
+        out.append(check_report(r.rep.spec, dim, ident, ref, residual, tol,
+                                family=r.family, branch_note=dict(r.branch_note)))
     sr = _s_slot1_r(r, tables)
     proj2 = total_window_projector(dim, 2, 0)
-    scale = _product_scale(sr, r.matrix, projector=proj2)
-    residual = float(np.linalg.norm((sr @ r.matrix - np.eye(dim * dim)) @ proj2, 2)) / scale
-    out.append(_report(r, "rmatrix.inverse", "((S x id) R) R = I x I",
-                       residual, 0, tol))
+    scale = _product_scale(proj2, sr, r.matrix)
+    residual = windowed_norm(sr @ r.matrix - np.eye(dim * dim), proj2) / scale
+    out.append(check_report(r.rep.spec, dim, "rmatrix.inverse",
+                            "((S x id) R) R = I x I", residual, tol,
+                            family=r.family, branch_note=dict(r.branch_note)))
     return out
 
 
@@ -453,15 +449,17 @@ def _r0_axioms(r: RMatrix, tables: HopfTables, tol: float) -> list:
     for got, tgt, ident, ref in (
             (got_left, r13 @ r23, "rmatrix.fusion-left", "(Delta x id) R = R13 R23"),
             (got_right, r13 @ r12, "rmatrix.fusion-right", "(id x Delta) R = R13 R12")):
-        scale = max(1.0, float(np.linalg.norm(tgt @ proj3, 2)))
-        residual = float(np.linalg.norm((got - tgt) @ proj3, 2)) / scale
-        out.append(_report(r, ident, ref, residual, 0, tol))
+        scale = max(1.0, windowed_norm(tgt, proj3))
+        residual = windowed_norm(got - tgt, proj3) / scale
+        out.append(check_report(rep.spec, dim, ident, ref, residual, tol,
+                                family=r.family, branch_note=dict(r.branch_note)))
     # (S x id) R0 replaces g by its antipode g^-1 slotwise
     ginv = rep.grade_minus
     sr = 0.5 * (kron(eye, eye) + kron(eye, g) + kron(ginv, eye) - kron(ginv, g))
     residual = float(np.linalg.norm(sr @ r.matrix - np.eye(dim * dim), 2))
-    out.append(_report(r, "rmatrix.inverse", "((S x id) R) R = I x I",
-                       residual, 0, tol))
+    out.append(check_report(rep.spec, dim, "rmatrix.inverse",
+                            "((S x id) R) R = I x I", residual, tol,
+                            family=r.family, branch_note=dict(r.branch_note)))
     return out
 
 
@@ -478,13 +476,9 @@ def check_classical_limit(rep_builder, dim: int = 6,
     gaps = [float(np.linalg.norm(build_r(rep).matrix - r0, 2)) for rep in reps]
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
     residual = gaps[-1] if monotone else float("inf")
-    rep = reps[-1]
-    return CheckReport(identity="rmatrix.classical-limit",
-                       reference="R(q) -> R0 as q -> 1",
-                       family=rep.spec.family, params=rep.spec.param_dict,
-                       dim=dim, window_degree=0, residual=residual,
-                       tol=final_bound, passed=monotone and gaps[-1] < final_bound,
-                       branch_note={"gaps": gaps, "q_values": list(q_values)})
+    return check_report(reps[-1].spec, dim, "rmatrix.classical-limit",
+                        "R(q) -> R0 as q -> 1", residual, final_bound,
+                        branch_note={"gaps": gaps, "q_values": list(q_values)})
 
 
 def check_trivial_r(tables: HopfTables, tol: float = 1e-12) -> CheckReport:
@@ -495,11 +489,9 @@ def check_trivial_r(tables: HopfTables, tol: float = 1e-12) -> CheckReport:
     for name in tables.generator_names():
         dm = tables.delta_matrix(name)
         worst = max(worst, float(np.linalg.norm(swap @ dm @ swap - dm, 2)))
-    return CheckReport(identity="rmatrix.trivial",
-                       reference="Delta^T = Delta, so R = I x I is quasitriangular",
-                       family=tables.spec.family, params=tables.spec.param_dict,
-                       dim=dim, window_degree=0, residual=worst, tol=tol,
-                       passed=bool(worst < tol))
+    return check_report(tables.spec, dim, "rmatrix.trivial",
+                        "Delta^T = Delta, so R = I x I is quasitriangular",
+                        worst, tol)
 
 
 def branch_lattice(family: str) -> list:
@@ -544,18 +536,17 @@ def diagnose_branches(rep: FockRep, tables: HopfTables,
 
 
 def run_r_checks(rep: FockRep, tables: HopfTables,
-                 tol: float = DEFAULT_R_TOL, ybe_dim: int = 6) -> list:
+                 tol: float = DEFAULT_R_TOL) -> list:
     """The full R-matrix suite for one deformed rep.
 
     Quasitriangularity and the fusion/inverse axioms at the rep's own
-    dimension, plus Yang-Baxter at ybe_dim.  On failure of every branch the
+    dimension, plus Yang-Baxter at YBE_DIM.  On failure of every branch the
     reports carry the diagnosis table in branch_note.
     """
-    from .fock import build_rep
     r = build_r(rep)
     out = check_quasitriangularity(r, tables, tol)
     out.extend(check_r_axioms(r, tables, tol))
-    ybe_rep = rep if rep.dim == ybe_dim else build_rep(rep.spec, ybe_dim)
+    ybe_rep = rep if rep.dim == YBE_DIM else build_rep(rep.spec, YBE_DIM)
     out.append(check_ybe(build_r(ybe_rep), tol))
     if any(not rp.passed for rp in out):
         _, table = diagnose_branches(rep, tables, tol)

@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import (AlgebraSpec, DEFAULT_TOL, FockRep, SpecError, acomm,
-                   build_rep, comm, diag_function, relation_residuals,
-                   validity_window, windowed_norm)
+                   comm, diag_function, relation_residuals, validity_window)
 from .hopf import HopfTables
-from .report import CheckReport
+from .report import CheckReport, check_report
 from .scalars import q_bracket
-from .tensor import kron, total_window_projector
+from .tensor import kron, total_window_projector, windowed_norm
 
 
 @dataclass(frozen=True)
@@ -38,14 +37,6 @@ class RealizationMap:
     target: str                   # "osp12", "sl2", "slq2", "ospq12"
     generator_images: dict = field(repr=False)
     normalization: float
-
-
-def _report(rep: FockRep, identity: str, reference: str, residual: float,
-            degree: int, tol: float, **extra) -> CheckReport:
-    return CheckReport(identity=identity, reference=reference,
-                       family=rep.spec.family, params=rep.spec.param_dict,
-                       dim=rep.dim, window_degree=degree, residual=residual,
-                       tol=tol, passed=bool(residual < tol), **extra)
 
 
 def _windowed(rep: FockRep, mat: np.ndarray, degree: int, scale: float = 1.0) -> float:
@@ -96,7 +87,8 @@ def check_L_properties(elem: StructureElement, rep: FockRep,
         gen = rep.generator(name)
         res = _windowed(rep, acomm(elem.matrix, gen), 1,
                         float(np.linalg.norm(elem.matrix @ gen, 2)))
-        out.append(_report(rep, ident, "{L,a} = {L,ad} = 0", res, 1, tol))
+        out.append(check_report(spec, rep.dim, ident, "{L,a} = {L,ad} = 0",
+                                res, tol, 1))
 
     # coproduct of the element, computed homomorphically from the generator
     # coproduct matrices, against its closed form
@@ -113,10 +105,11 @@ def check_L_properties(elem: StructureElement, rep: FockRep,
               - lam1 * (kron(rep.grade_plus @ rep.raising, rep.lowering)
                         - kron(rep.grade_minus @ rep.lowering, rep.raising)))
     proj = total_window_projector(rep.dim, 2, 1)
-    scale = max(1.0, float(np.linalg.norm(closed @ proj, 2)))
+    scale = max(1.0, windowed_norm(closed, proj))
     res = windowed_norm(hom - closed, proj) / scale
-    out.append(_report(rep, "structure.delta-closed-form",
-                       "homomorphic Delta(L+) matches its closed form", res, 1, tol))
+    out.append(check_report(spec, rep.dim, "structure.delta-closed-form",
+                            "homomorphic Delta(L+) matches its closed form",
+                            res, tol, 1))
 
     # S(L+) = L+ (anti-homomorphic image) and eps(L+) = lam1*alpha/4 + lam4
     s_img = (lam1 * tables.antipode("a") @ tables.antipode("ad")
@@ -128,9 +121,9 @@ def check_L_properties(elem: StructureElement, rep: FockRep,
            + lam2 * tables.counit("N") + lam3 + lam4 * tables.counit("g"))
     eps_expected = lam1 * alpha / 4.0 + lam4
     res_eps = abs(eps - eps_expected)
-    out.append(_report(rep, "structure.antipode-fixed",
-                       "S(L+) = L+ and eps(L+) = lam1*alpha/4 + lam4",
-                       max(res_s, res_eps), 1, tol))
+    out.append(check_report(spec, rep.dim, "structure.antipode-fixed",
+                            "S(L+) = L+ and eps(L+) = lam1*alpha/4 + lam4",
+                            max(res_s, res_eps), tol, 1))
     return out
 
 
@@ -152,9 +145,9 @@ def characteristic_identity_residual(rep: FockRep, lam1: float,
            + (alpha / 4.0 - beta / 2.0) ** 2 * rep.identity)
     res = _windowed(rep, lhs - eta_over * rep.identity, 1,
                     float(np.linalg.norm(lhs, 2)))
-    return _report(rep, "structure.characteristic",
-                   "C(C + (alpha/2-beta)) + (alpha/4-beta/2)^2 = eta/lam1^2",
-                   res, 1, tol, branch_note={"eta_over_lam1_sq": eta_over})
+    return check_report(spec, rep.dim, "structure.characteristic",
+                        "C(C + (alpha/2-beta)) + (alpha/4-beta/2)^2 = eta/lam1^2",
+                        res, tol, 1, branch_note={"eta_over_lam1_sq": eta_over})
 
 
 def bh_form_check(rep: FockRep, lam1: float, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -168,13 +161,14 @@ def bh_form_check(rep: FockRep, lam1: float, tol: float = DEFAULT_TOL) -> CheckR
     lhs = comm(rep.lowering, rep.raising)
     rhs = -(2.0 / lam1) * elem.matrix + (rep.spec.alpha / 2.0) * rep.identity
     res = _windowed(rep, lhs - rhs, 1, float(np.linalg.norm(rhs, 2)))
-    return _report(rep, "structure.bh-form",
-                   "[a,ad] = -(2/lam1) L + alpha/2", res, 1, tol)
+    return check_report(rep.spec, rep.dim, "structure.bh-form",
+                        "[a,ad] = -(2/lam1) L + alpha/2", res, tol, 1)
 
 
 # -- the reflection-family number element M -----------------------------------
 
-def build_M(rep: FockRep, rho: float | None = None) -> tuple:
+def build_M(rep: FockRep, rho: float | None = None,
+            tol: float = DEFAULT_TOL) -> tuple:
     """(1/delta) bd b + (nu/(2 delta)) K + rho I, with its ladder reports.
 
     Returns (StructureElement, [CheckReport, CheckReport]) for the two
@@ -200,8 +194,8 @@ def build_M(rep: FockRep, rho: float | None = None) -> tuple:
         res_mat = comm(mat, gen) + sign * gen
         deg = 1 if gen_name == "bd" else 0
         res = _windowed(rep, res_mat, deg, float(np.linalg.norm(mat @ gen, 2)))
-        reports.append(_report(rep, ident, "[M,b] = -b, [M,bd] = bd",
-                               res, deg, DEFAULT_TOL))
+        reports.append(check_report(spec, rep.dim, ident,
+                                    "[M,b] = -b, [M,bd] = bd", res, tol, deg))
     return elem, reports
 
 
@@ -213,8 +207,8 @@ def com_check(rep: FockRep, tol: float = DEFAULT_TOL) -> CheckReport:
     rhs = (2.0 * spec.delta * elem.matrix
            + spec.delta * (1.0 - 2.0 * spec.rho) * rep.identity)
     res = _windowed(rep, lhs - rhs, 1, float(np.linalg.norm(rhs, 2)))
-    return _report(rep, "structure.com",
-                   "{b,bd} = 2*delta*M + delta*(1-2*rho)", res, 1, tol)
+    return check_report(spec, rep.dim, "structure.com",
+                        "{b,bd} = 2*delta*M + delta*(1-2*rho)", res, tol, 1)
 
 
 # -- embedded realizations ----------------------------------------------------
@@ -332,8 +326,9 @@ def check_realization(realization: RealizationMap, rep: FockRep,
     for tag, ref, mat, deg in pairs:
         scale = max(float(np.linalg.norm(e @ f, 2)), float(np.linalg.norm(h, 2)))
         res = _windowed(rep, mat, deg, scale)
-        out.append(_report(rep, f"structure.realization.{target}.{tag}",
-                           ref, res, deg, tol))
+        out.append(check_report(spec, rep.dim,
+                                f"structure.realization.{target}.{tag}",
+                                ref, res, tol, deg))
     return out
 
 
@@ -388,7 +383,8 @@ def casimir_spectrum(realization: RealizationMap, rep: FockRep,
     ref = ("osp quadratic Casimir equals its constant closed form"
            if which == "osp_i2" else
            "sl2 Casimir is parity-sector constant, matching the closed forms")
-    return _report(rep, ident, ref, residual, degree, tol, branch_note=note)
+    return check_report(spec, rep.dim, ident, ref, residual, tol, degree,
+                        branch_note=note)
 
 
 # -- the boson <-> Heisenberg generator maps ----------------------------------
@@ -434,8 +430,8 @@ def iso_phi(b_spec: AlgebraSpec, h_rep: FockRep, lam1: float = 1.0,
     out = []
     for ident, ref, mat, deg, scale in relation_residuals(b_spec, gens):
         res = _windowed(h_rep, mat, deg, scale)
-        out.append(_report(h_rep, f"iso.phi.{ident}", f"phi preserves {ref}",
-                           res, deg, tol))
+        out.append(check_report(h_spec, h_rep.dim, f"iso.phi.{ident}",
+                                f"phi preserves {ref}", res, tol, deg))
     # the grade-odd element maps onto the reflection generator
     lam2, lam3 = solve_lambda_constraints(b_spec.alpha, b_spec.beta, lam1)
     l_img = (lam1 * gens["ad"] @ gens["a"] + lam2 * gens["N"]
@@ -443,8 +439,8 @@ def iso_phi(b_spec: AlgebraSpec, h_rep: FockRep, lam1: float = 1.0,
     target = -(lam1 * h_spec.nu / 2.0) * h_rep.k_op
     res = _windowed(h_rep, l_img - target, 1,
                     float(np.linalg.norm(target, 2)))
-    out.append(_report(h_rep, "iso.phi-L", "phi(L) = -(lam1*nu/2) K",
-                       res, 1, tol))
+    out.append(check_report(h_spec, h_rep.dim, "iso.phi-L",
+                            "phi(L) = -(lam1*nu/2) K", res, tol, 1))
     return out
 
 
@@ -457,15 +453,16 @@ def iso_phi_prime(h_spec: AlgebraSpec, b_rep: FockRep,
     out = []
     for ident, ref, mat, deg, scale in relation_residuals(h_spec, gens):
         res = _windowed(b_rep, mat, deg, scale)
-        out.append(_report(b_rep, f"iso.phi-prime.{ident}",
-                           f"phi' preserves {ref}", res, deg, tol))
+        out.append(check_report(b_spec, b_rep.dim, f"iso.phi-prime.{ident}",
+                                f"phi' preserves {ref}", res, tol, deg))
     # phi'(M) = N + (beta - delta)/(2 delta) + rho
     target = (b_rep.number + ((b_spec.beta - h_spec.delta)
                               / (2.0 * h_spec.delta) + h_spec.rho) * b_rep.identity)
     res = _windowed(b_rep, gens["M"] - target, 1,
                     float(np.linalg.norm(target, 2)))
-    out.append(_report(b_rep, "iso.phi-prime-M",
-                       "phi'(M) = N + (beta-delta)/(2 delta) + rho", res, 1, tol))
+    out.append(check_report(b_spec, b_rep.dim, "iso.phi-prime-M",
+                            "phi'(M) = N + (beta-delta)/(2 delta) + rho",
+                            res, tol, 1))
     # round trip: the forward number image evaluated on the inverse images
     # must reproduce the number operator
     alpha, beta = b_spec.alpha, b_spec.beta
@@ -474,8 +471,8 @@ def iso_phi_prime(h_spec: AlgebraSpec, b_rep: FockRep,
           + ((h_spec.delta - beta) / alpha) * b_rep.identity)
     res = _windowed(b_rep, rt - b_rep.number, 1,
                     float(np.linalg.norm(b_rep.number, 2)))
-    out.append(_report(b_rep, "iso.roundtrip",
-                       "phi' after phi fixes every generator", res, 1, tol))
+    out.append(check_report(b_spec, b_rep.dim, "iso.roundtrip",
+                            "phi' after phi fixes every generator", res, tol, 1))
     return out
 
 
@@ -504,7 +501,7 @@ def run_structure_checks(rep: FockRep, tables: HopfTables | None = None,
             out.append(casimir_spectrum(sl2, rep, "sl2_c2", tol))
     elif spec.family == "H":
         if spec.delta != 0:
-            _, reports = build_M(rep)
+            _, reports = build_M(rep, tol=tol)
             out.extend(reports)
             out.append(com_check(rep, tol))
             osp = build_realization(rep, "osp12")

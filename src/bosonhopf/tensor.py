@@ -1,31 +1,15 @@
-"""Tensor-space utilities: Kronecker products, twist, slot embeddings, windows.
+"""Tensor-space utilities: Kronecker products, slot swap and embeddings, windows.
 
 Slot convention: the FIRST Kronecker factor is the LEFTMOST tensor slot.
-Every index convention in the package (twist, R-matrix slot embeddings,
+Every index convention in the package (slot swap, R-matrix slot embeddings,
 multi-site windows) agrees with this ordering.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class TensorOperator:
-    sites: int
-    site_dim: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        expect = self.site_dim ** self.sites
-        if self.matrix.shape != (expect, expect):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match {self.sites} sites "
-                f"of dimension {self.site_dim}"
-            )
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -46,15 +30,6 @@ def swap_matrix(dim: int) -> np.ndarray:
     for i, j in product(range(dim), repeat=2):
         s[j * dim + i, i * dim + j] = 1.0
     return s
-
-
-def twist(x: np.ndarray, site_dim: int) -> np.ndarray:
-    """Conjugate a two-site operator by the slot swap: twist(A x B) = B x A."""
-    d2 = site_dim * site_dim
-    if x.shape != (d2, d2):
-        raise ValueError(f"twist needs a two-site operator of shape {(d2, d2)}, got {x.shape}")
-    s = swap_matrix(site_dim)
-    return s @ x @ s
 
 
 def embed_two_site(r: np.ndarray, slots: tuple, sites: int, site_dim: int) -> np.ndarray:
@@ -103,16 +78,5 @@ def total_window_projector(dim: int, sites: int, raise_degree: int) -> np.ndarra
 
 
 def windowed_norm(mat: np.ndarray, projector: np.ndarray) -> float:
+    """Spectral norm of mat restricted to window states (right multiplication)."""
     return float(np.linalg.norm(mat @ projector, 2))
-
-
-def coproduct_n(tables, name: str, n: int) -> TensorOperator:
-    """The (n+1)-site coproduct image of a generator, via Delta in the first slot.
-
-    ``tables`` is a HopfTables instance; n = 1 gives the ordinary two-site
-    Delta, n = 0 the single-site image.
-    """
-    d = tables.rep.dim
-    terms = tables.coproduct_terms(name, n)
-    mat = sum(t.matrix(d) for t in terms)
-    return TensorOperator(sites=n + 1, site_dim=d, matrix=mat)

@@ -19,7 +19,7 @@ from bosonhopf.rmatrix import (build_r, build_r0, check_classical_limit,
                                check_r_axioms, check_ybe, diagnose_branches,
                                run_r_checks)
 from bosonhopf import structure as structure_mod
-from conftest import (BBARQ_GRID, BBAR_GRID, BQ_GRID, BQ_INTEGER_GRID,
+from grids import (BBARQ_GRID, BBAR_GRID, BQ_GRID, BQ_INTEGER_GRID,
                       B_GRID, FULL_GRID, H_GRID)
 
 

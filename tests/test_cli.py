@@ -186,3 +186,67 @@ def test_list_identities(capsys):
     assert main(["list-identities"]) == 0
     out = capsys.readouterr().out
     assert "rmatrix.ybe" in out and "hopf.coassoc" in out
+
+
+def test_structure_tolerance_override_reaches_every_row(tmp_path):
+    path = tmp_path / "tight.ini"
+    path.write_text("[scenario tight]\nfamily = H\ndelta = 1\nnu = 0.5\n"
+                    "rho = 0\ndim = 8\nsuites = structure\n"
+                    "tol.structure = 1e-30\n")
+    out = tmp_path / "tight.json"
+    assert _run(path, out) == 1
+    rows = json.loads(out.read_text())["reports"]
+    assert any(r["identity"].startswith("structure.m-element") for r in rows)
+    assert all(not r["passed"] and r["tol"] == 1e-30 for r in rows)
+
+
+CATALOG_CONFIG = """
+[scenario graded]
+family = B
+alpha = 2, 0
+beta = 2
+
+[scenario ungraded]
+family = Bbar
+sigma = 1
+tau = 1
+
+[scenario graded-deformed]
+family = Bq
+alpha = 2
+beta = 2, 3
+q = 1.3
+
+[scenario ungraded-deformed]
+family = Bbarq
+sigma = 1
+tau = 1
+q = 1.3
+
+[scenario reflection]
+family = H
+delta = 1
+nu = 0.5
+rho = 0
+"""
+
+
+def test_list_identities_matches_emitted_ids(tmp_path, capsys):
+    """Every listed id is emitted by a run of every suite on every family,
+    and every emitted id is listed.  The config adds a non-integer
+    beta/alpha point and an alpha = 0 proviso point to reach the skips."""
+    assert main(["list-identities"]) == 0
+    table = capsys.readouterr().out.split("\n\n")[0]
+    listed = [line.split()[0] for line in table.splitlines()]
+    path = tmp_path / "catalog.ini"
+    path.write_text(CATALOG_CONFIG)
+    out = tmp_path / "catalog.json"
+    _run(path, out, ("--dim", "4"))
+    emitted = {r["identity"] for r in json.loads(out.read_text())["reports"]}
+
+    def covers(prefix, ident):
+        return ident == prefix or ident.startswith(prefix + ".")
+
+    assert [p for p in listed if not any(covers(p, i) for i in emitted)] == []
+    assert [i for i in emitted if not i.endswith(".error")
+            and not any(covers(p, i) for p in listed)] == []

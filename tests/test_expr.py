@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from bosonhopf import AlgebraSpec, build_rep, validity_window
 from bosonhopf.fock import windowed_norm
 from bosonhopf import expr as ex
-from conftest import FULL_GRID
+from grids import FULL_GRID
 
 
 # -- strategies for random well-formed trees ----------------------------------

@@ -6,7 +6,7 @@ from bosonhopf import (AlgebraSpec, build_rep, check_defining_relations,
                        validity_window, weight)
 from bosonhopf.fock import (RepresentationError, SpecError, acomm, comm,
                             rep_generator_images, windowed_norm)
-from conftest import (B_GRID, BBAR_GRID, BBARQ_GRID, BQ_GRID, FULL_GRID,
+from grids import (B_GRID, BBAR_GRID, BBARQ_GRID, BQ_GRID, FULL_GRID,
                       H_GRID)
 
 params_pos = st.floats(min_value=0.25, max_value=4.0)

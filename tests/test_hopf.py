@@ -4,7 +4,7 @@ import pytest
 from bosonhopf import AlgebraSpec, build_rep, build_tables, validity_window
 from bosonhopf.fock import windowed_norm
 from bosonhopf.tensor import kron
-from conftest import BBAR_GRID, BBARQ_GRID, BQ_GRID, B_GRID, FULL_GRID, H_GRID
+from grids import BBAR_GRID, BBARQ_GRID, BQ_GRID, B_GRID, FULL_GRID, H_GRID
 
 
 def _tables(family, params, dim=8):

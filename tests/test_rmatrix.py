@@ -8,7 +8,7 @@ from bosonhopf.rmatrix import (BBARQ_DEFAULT, BBARQ_PRINTED, BQ_DEFAULT,
                                build_r0, check_classical_limit, check_r_axioms,
                                check_quasitriangularity, check_trivial_r,
                                check_ybe, diagnose_branches, run_r_checks)
-from conftest import BBARQ_GRID, BBAR_GRID, BQ_INTEGER_GRID
+from grids import BBARQ_GRID, BBAR_GRID, BQ_INTEGER_GRID
 
 
 def _setup(family, params, dim=8):

@@ -11,7 +11,7 @@ from bosonhopf.structure import (build_L, build_M, build_realization,
                                  phi_images, phi_prime_images,
                                  run_structure_checks,
                                  solve_lambda_constraints)
-from conftest import (B_GRID, BBARQ_GRID, BBAR_GRID, BQ_GRID, H_GRID)
+from grids import (B_GRID, BBARQ_GRID, BBAR_GRID, BQ_GRID, H_GRID)
 
 
 def _rep(family, params, dim=12):

@@ -2,21 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bosonhopf import AlgebraSpec, build_rep, build_tables
-from bosonhopf.tensor import (TensorOperator, coproduct_n, embed_two_site,
-                              kron, kron_all, swap_matrix,
-                              total_window_projector, twist, windowed_norm)
+from bosonhopf.tensor import (embed_two_site, kron, kron_all, swap_matrix,
+                              total_window_projector, windowed_norm)
 
 
 def _rand(dim, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-
-
-def test_tensor_operator_shape_check():
-    TensorOperator(sites=2, site_dim=3, matrix=np.eye(9))
-    with pytest.raises(ValueError):
-        TensorOperator(sites=2, site_dim=3, matrix=np.eye(8))
 
 
 def test_kron_ordering():
@@ -29,19 +21,12 @@ def test_kron_ordering():
 
 @given(seed=st.integers(0, 100))
 @settings(max_examples=20, deadline=None)
-def test_twist_swaps_factors(seed):
+def test_swap_is_involution(seed):
+    s = swap_matrix(3)
+    assert np.allclose(s @ s, np.eye(9))
+    # conjugating by the swap exchanges the tensor factors
     a, b = _rand(3, seed), _rand(3, seed + 1000)
-    assert np.allclose(twist(kron(a, b), 3), kron(b, a))
-
-
-def test_swap_is_involution():
-    s = swap_matrix(4)
-    assert np.allclose(s @ s, np.eye(16))
-
-
-def test_twist_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        twist(np.eye(8), 3)
+    assert np.allclose(s @ kron(a, b) @ s, kron(b, a))
 
 
 @given(seed=st.integers(0, 50))
@@ -78,19 +63,3 @@ def test_windowed_norm_masks_excluded_columns():
     mat[:, 3] = 100.0
     proj = np.diag([1.0, 1.0, 1.0, 0.0])
     assert windowed_norm(mat, proj) == 0.0
-
-
-def test_coproduct_n_sites_and_consistency():
-    rep = build_rep(AlgebraSpec("B", (2, 1)), 5)
-    tables = build_tables(rep)
-    one = coproduct_n(tables, "a", 0)
-    assert one.sites == 1
-    assert np.allclose(one.matrix, rep.lowering)
-    two = coproduct_n(tables, "a", 1)
-    assert two.sites == 2
-    assert np.allclose(two.matrix, tables.delta_matrix("a"))
-    three = coproduct_n(tables, "N", 2)
-    assert three.matrix.shape == (125, 125)
-    # iterated coproduct of the number generator stays diagonal
-    off = three.matrix - np.diag(np.diag(three.matrix))
-    assert np.abs(off).max() < 1e-12
