@@ -21,12 +21,16 @@ def test_kron_ordering():
 
 @given(seed=st.integers(0, 100))
 @settings(max_examples=20, deadline=None)
-def test_swap_is_involution(seed):
-    s = swap_matrix(3)
-    assert np.allclose(s @ s, np.eye(9))
+def test_twist_swaps_factors(seed):
     # conjugating by the swap exchanges the tensor factors
+    s = swap_matrix(3)
     a, b = _rand(3, seed), _rand(3, seed + 1000)
     assert np.allclose(s @ kron(a, b) @ s, kron(b, a))
+
+
+def test_swap_is_involution():
+    s = swap_matrix(4)
+    assert np.allclose(s @ s, np.eye(16))
 
 
 @given(seed=st.integers(0, 50))
