@@ -3,6 +3,10 @@
 Slot convention: the FIRST Kronecker factor is the LEFTMOST tensor slot.
 Every index convention in the package (slot swap, R-matrix slot embeddings,
 multi-site windows) agrees with this ordering.
+
+Windowed norms select the window columns by mask rather than multiplying
+by the dense projector, and take the SVD of the nonzero rows and columns
+only; an exactly-zero residual reports 0.0 without an SVD.
 """
 
 from __future__ import annotations
@@ -60,8 +64,8 @@ def embed_two_site(r: np.ndarray, slots: tuple, sites: int, site_dim: int) -> np
     return tens.reshape(d ** sites, d ** sites)
 
 
-def total_window_projector(dim: int, sites: int, raise_degree: int) -> np.ndarray:
-    """Diagonal 0/1 projector keeping multi-indices with total level <= dim-1-raise_degree.
+def window_mask(dim: int, sites: int, raise_degree: int) -> np.ndarray:
+    """Boolean vector over multi-indices: True where total level <= dim-1-raise_degree.
 
     Identities built from total-level-conserving R-matrix summands, or from
     coproduct images raising the total level by at most raise_degree, are
@@ -69,14 +73,37 @@ def total_window_projector(dim: int, sites: int, raise_degree: int) -> np.ndarra
     """
     if not 0 <= raise_degree < dim:
         raise ValueError(f"raise_degree must lie in [0, {dim}), got {raise_degree}")
-    cut = dim - 1 - raise_degree
     levels = np.arange(dim)
     total = levels.copy()
     for _ in range(sites - 1):
         total = (total[:, None] + levels[None, :]).reshape(-1)
-    return np.diag((total <= cut).astype(complex))
+    return total <= dim - 1 - raise_degree
+
+
+def total_window_projector(dim: int, sites: int, raise_degree: int) -> np.ndarray:
+    """Diagonal 0/1 projector onto the states of :func:`window_mask`."""
+    return np.diag(window_mask(dim, sites, raise_degree).astype(complex))
+
+
+def spectral_norm(mat: np.ndarray) -> float:
+    """Spectral norm, taken by SVD of the nonzero rows and columns only.
+
+    All-zero rows and columns carry no singular value, so dropping them is
+    exact; a matrix without a nonzero entry reports 0.0 without an SVD.
+    """
+    nonzero = mat != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    if rows.size == 0:
+        return 0.0
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    return float(np.linalg.norm(mat[np.ix_(rows, cols)], 2))
 
 
 def windowed_norm(mat: np.ndarray, projector: np.ndarray) -> float:
-    """Spectral norm of mat restricted to window states (right multiplication)."""
-    return float(np.linalg.norm(mat @ projector, 2))
+    """Spectral norm of mat restricted to window states (right multiplication).
+
+    The window columns are selected by the projector's nonzero diagonal, the
+    same as ``mat @ projector`` for a 0/1 diagonal projector, and the norm is
+    taken by :func:`spectral_norm`.
+    """
+    return spectral_norm(mat[:, projector.diagonal() != 0])

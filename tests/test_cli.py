@@ -200,6 +200,20 @@ def test_structure_tolerance_override_reaches_every_row(tmp_path):
     assert all(not r["passed"] and r["tol"] == 1e-30 for r in rows)
 
 
+def test_r_suite_builds_ybe_at_the_ybe_suite_dimension(tmp_path):
+    """Below YBE_DIM the rmatrix suite's Yang-Baxter row uses the
+    scenario's own dimension, as the ybe suite does."""
+    path = tmp_path / "small.ini"
+    path.write_text("[scenario small]\nfamily = Bbarq\nsigma = 1\ntau = 2\n"
+                    "q = 1.3\ndim = 4\nsuites = rmatrix, ybe\n")
+    out = tmp_path / "small.json"
+    assert _run(path, out) == 0
+    rows = [r for r in json.loads(out.read_text())["reports"]
+            if r["identity"] == "rmatrix.ybe"]
+    assert sorted(r["suite"] for r in rows) == ["rmatrix", "ybe"]
+    assert {r["dim"] for r in rows} == {4}
+
+
 CATALOG_CONFIG = """
 [scenario graded]
 family = B

@@ -3,7 +3,8 @@ import pytest
 
 from bosonhopf import AlgebraSpec, build_rep, build_tables, validity_window
 from bosonhopf.fock import windowed_norm
-from bosonhopf.tensor import kron
+from bosonhopf.hopf import Term, expand_slot, terms_matrix, word_matrix
+from bosonhopf.tensor import kron, kron_all, total_window_projector
 from grids import BBAR_GRID, BBARQ_GRID, BQ_GRID, B_GRID, FULL_GRID, H_GRID
 
 
@@ -117,3 +118,47 @@ def test_adjoint_action_grade_conjugates():
     x = rep.raising + rep.lowering
     out = tb.adjoint_action("g", x)
     assert np.abs(out - g @ x @ np.linalg.inv(g)).max() < 1e-12
+
+
+@pytest.mark.parametrize("family, params", [("Bq", (2.0, 2.0, 1.3)),
+                                            ("H", (1.0, 0.5, -0.25))])
+def test_term_matrix_on_columns_is_bit_identical(family, params):
+    """Term.matrix(dim, cols) equals the same columns of the full product."""
+    dim = 5
+    tb = _tables(family, params, dim)
+    rng = np.random.default_rng(7)
+    raising = "bd" if family == "H" else "ad"
+    two = tb.delta_terms(raising)
+    three = expand_slot(two, 0) + expand_slot(two, 1)
+    for term in two + three:
+        cols = np.sort(rng.choice(dim ** term.slots, size=dim ** 2, replace=False))
+        full = term.coeff * kron_all(*(word_matrix(w, dim) for w in term.words))
+        assert np.array_equal(term.matrix(dim, cols), full[:, cols])
+        assert np.array_equal(term.matrix(dim), full)
+    cols = np.arange(0, dim ** 3, 3)
+    assert np.array_equal(terms_matrix(three[:4], dim, cols),
+                          terms_matrix(three[:4], dim)[:, cols])
+
+
+@pytest.mark.parametrize("family, params, raising", [
+    ("B", (2.0, 1.0), "ad"), ("Bq", (2.0, 2.0, 1.3), "ad"),
+    ("H", (1.0, 0.5, -0.25), "bd")])
+def test_coassociativity_sees_a_perturbed_coefficient(family, params, raising):
+    """Negative control: one Sweedler coefficient of Delta(raising) off by
+    1e-3 breaches the bound, and the column-assembled residual matches the
+    dense (L - R) @ projector reference.  H has no ad; its raising
+    generator is bd."""
+    dim = 10
+    tb = _tables(family, params, dim)
+    atom = tb.atom(raising)
+    head = atom.delta[0]
+    atom.delta = [Term(head.coeff * (1 + 1e-3), head.words)] + atom.delta[1:]
+    report = next(r for r in tb.check_coassociativity(1e-10)
+                  if r.identity == f"hopf.coassoc.{raising}")
+    assert not report.passed
+    lhs = terms_matrix(expand_slot(atom.delta, 0), dim)
+    rhs = terms_matrix(expand_slot(atom.delta, 1), dim)
+    proj = total_window_projector(dim, 3, 2)
+    ref = float(np.linalg.norm((lhs - rhs) @ proj, 2))
+    assert ref > 1e-10
+    assert abs(report.residual - ref) <= 1e-12 * ref

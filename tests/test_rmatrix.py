@@ -107,6 +107,31 @@ def test_r0_axioms_and_ybe():
     assert ybe.passed, ybe.summary()
 
 
+def test_r0_axioms_see_a_flipped_phase(monkeypatch):
+    """Negative controls: one flipped diagonal phase of Delta(g) breaches
+    both fusion rows; one flipped phase of S(g) breaches the inverse row.
+    The inverse row does not involve Delta, so Delta(g) cannot reach it."""
+    rep, tables = _setup("B", (2, 2), dim=6)
+    r0 = build_r0(rep)
+    delta = tables.delta_matrix
+    flipped_dg = delta("g").copy()
+    flipped_dg[0, 0] *= -1
+    monkeypatch.setattr(tables, "delta_matrix",
+                        lambda name: flipped_dg if name == "g" else delta(name))
+    rows = {rp.identity: rp for rp in check_r_axioms(r0, tables, 1e-12)}
+    assert not rows["rmatrix.fusion-left"].passed
+    assert not rows["rmatrix.fusion-right"].passed
+    assert rows["rmatrix.inverse"].passed
+    monkeypatch.undo()
+    g = tables.atom("g")
+    flipped_s = g.s.copy()
+    flipped_s[1, 1] *= -1
+    monkeypatch.setattr(g, "s", flipped_s)
+    rows = {rp.identity: rp for rp in check_r_axioms(r0, tables, 1e-12)}
+    assert not rows["rmatrix.inverse"].passed
+    assert rows["rmatrix.fusion-left"].passed and rows["rmatrix.fusion-right"].passed
+
+
 def test_trivial_r_for_ungraded_family():
     for params in BBAR_GRID:
         if params[0] == 0:

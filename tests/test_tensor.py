@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bosonhopf.tensor import (embed_two_site, kron, kron_all, swap_matrix,
-                              total_window_projector, windowed_norm)
+from bosonhopf.tensor import (embed_two_site, kron, kron_all, spectral_norm,
+                              swap_matrix, total_window_projector, windowed_norm)
 
 
 def _rand(dim, seed):
@@ -67,3 +67,30 @@ def test_windowed_norm_masks_excluded_columns():
     mat[:, 3] = 100.0
     proj = np.diag([1.0, 1.0, 1.0, 0.0])
     assert windowed_norm(mat, proj) == 0.0
+    # an all-zero residual reports exactly 0.0, windowed or not
+    zero = np.zeros((4, 4), dtype=complex)
+    assert windowed_norm(zero, proj) == 0.0
+    assert windowed_norm(zero, np.eye(4)) == 0.0
+    assert spectral_norm(zero) == 0.0
+
+
+@given(dim=st.integers(2, 5), sites=st.integers(1, 3), shift=st.integers(-1, 2),
+       density=st.floats(0.05, 1.0), seed=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_windowed_norm_matches_dense_on_level_graded_matrices(
+        dim, sites, shift, density, seed):
+    """A matrix mapping total level L to L + shift, under a random window,
+    has the same windowed norm as the dense mat @ projector reference."""
+    rng = np.random.default_rng(seed)
+    levels = np.arange(dim)
+    total = levels.copy()
+    for _ in range(sites - 1):
+        total = (total[:, None] + levels[None, :]).reshape(-1)
+    size = total.size
+    support = (total[:, None] == total[None, :] + shift) & (rng.random((size, size)) < density)
+    mat = np.where(support, rng.normal(size=(size, size))
+                   + 1j * rng.normal(size=(size, size)), 0.0)
+    proj = np.diag((rng.random(size) < 0.6).astype(complex))
+    ref = float(np.linalg.norm(mat @ proj, 2))
+    got = windowed_norm(mat, proj)
+    assert abs(got - ref) <= 1e-13 * ref
