@@ -85,25 +85,29 @@ def total_window_projector(dim: int, sites: int, raise_degree: int) -> np.ndarra
     return np.diag(window_mask(dim, sites, raise_degree).astype(complex))
 
 
-def spectral_norm(mat: np.ndarray) -> float:
-    """Spectral norm, taken by SVD of the nonzero rows and columns only.
+def spectral_norm(mat: np.ndarray, cols=None) -> float:
+    """Spectral norm of mat, or of its columns ``cols``, by SVD of the nonzero
+    rows and columns only.
 
     All-zero rows and columns carry no singular value, so dropping them is
-    exact; a matrix without a nonzero entry reports 0.0 without an SVD.
+    exact; a matrix without a nonzero entry reports 0.0 without an SVD.  The
+    zero pattern is read before anything is copied, so the SVD input is the
+    only copy of the matrix made.
     """
-    nonzero = mat != 0
+    cols = np.arange(mat.shape[1]) if cols is None else np.asarray(cols)
+    nonzero = (mat != 0)[:, cols]
     rows = np.flatnonzero(nonzero.any(axis=1))
     if rows.size == 0:
         return 0.0
-    cols = np.flatnonzero(nonzero.any(axis=0))
-    return float(np.linalg.norm(mat[np.ix_(rows, cols)], 2))
+    return float(np.linalg.norm(mat[np.ix_(rows, cols[nonzero.any(axis=0)])], 2))
 
 
 def windowed_norm(mat: np.ndarray, projector: np.ndarray) -> float:
     """Spectral norm of mat restricted to window states (right multiplication).
 
-    The window columns are selected by the projector's nonzero diagonal, the
+    The window columns are the projector's nonzero diagonal entries, the
     same as ``mat @ projector`` for a 0/1 diagonal projector, and the norm is
-    taken by :func:`spectral_norm`.
+    taken by :func:`spectral_norm` on those columns without forming the
+    product.
     """
-    return spectral_norm(mat[:, projector.diagonal() != 0])
+    return spectral_norm(mat, np.flatnonzero(projector.diagonal()))
