@@ -7,7 +7,9 @@ Usage:
 Rows are matched by identity, family, params, dim and suite; rows sharing
 that key are paired in report order.  The script prints the row counts, the
 rows present in only one report, every verdict flip (passed or skipped
-changed) and the largest absolute and relative residual change.  It exits 1
+changed) and the largest absolute and the largest relative residual change,
+each with its row key and the two residuals, so that a large relative
+change on a rounding-level residual shows as such.  It exits 1
 on any flip, any unmatched row or any residual change above RESIDUAL_TOL,
 and 0 otherwise.  Residuals are already normalised, so the bound is absolute.
 """
@@ -45,9 +47,12 @@ def residual_change(a, b) -> float:
 
 
 def compare(base: dict, new: dict) -> tuple:
-    """(unmatched keys with their side, flips, max abs change, max rel change)."""
+    """(unmatched keys with their side, flips, largest absolute change,
+    largest relative change); each largest change is a tuple
+    (change, key, base residual, new residual), or None when no residual moved.
+    """
     unmatched, flips = [], []
-    max_abs = max_rel = 0.0
+    largest_abs = largest_rel = None
     for key in sorted(set(base) | set(new)):
         rows_a, rows_b = base.get(key, []), new.get(key, [])
         for side, extra in (("base", rows_a[len(rows_b):]), ("new", rows_b[len(rows_a):])):
@@ -59,10 +64,13 @@ def compare(base: dict, new: dict) -> tuple:
             change = residual_change(a["residual"], b["residual"])
             if change:
                 scale = abs(float(a["residual"]))
-                max_abs = max(max_abs, change)
-                max_rel = max(max_rel, change / scale
-                              if 0 < scale < math.inf else math.inf)
-    return unmatched, flips, max_abs, max_rel
+                rel = change / scale if 0 < scale < math.inf else math.inf
+                row = (key, a["residual"], b["residual"])
+                if largest_abs is None or change > largest_abs[0]:
+                    largest_abs = (change, *row)
+                if largest_rel is None or rel > largest_rel[0]:
+                    largest_rel = (rel, *row)
+    return unmatched, flips, largest_abs, largest_rel
 
 
 def main(argv=None) -> int:
@@ -71,7 +79,7 @@ def main(argv=None) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     base, new = keyed_rows(argv[0]), keyed_rows(argv[1])
-    unmatched, flips, max_abs, max_rel = compare(base, new)
+    unmatched, flips, largest_abs, largest_rel = compare(base, new)
     print(f"rows: base {sum(map(len, base.values()))}, "
           f"new {sum(map(len, new.values()))}")
     for side, key in unmatched:
@@ -79,7 +87,14 @@ def main(argv=None) -> int:
     for key, was, now in flips:
         print(f"verdict flip: {key} (passed, skipped) {was} -> {now}")
     print(f"verdict flips: {len(flips)}, unmatched rows: {len(unmatched)}")
-    print(f"largest residual change: {max_abs:.3e} absolute, {max_rel:.3e} relative")
+    for kind, largest in (("absolute", largest_abs), ("relative", largest_rel)):
+        if largest is None:
+            print(f"largest {kind} residual change: 0")
+        else:
+            change, key, was, now = largest
+            print(f"largest {kind} residual change: {change:.3e} at {key} "
+                  f"({was!r} -> {now!r})")
+    max_abs = largest_abs[0] if largest_abs else 0.0
     return 1 if unmatched or flips or max_abs > RESIDUAL_TOL else 0
 
 

@@ -303,11 +303,17 @@ def acomm(x, y):
 
 
 def diag_function(values_fn, diag_source: np.ndarray) -> np.ndarray:
-    """Entrywise functional calculus on a diagonal matrix; rejects non-diagonal input."""
-    off = diag_source - np.diag(np.diag(diag_source))
-    if np.abs(off).max() > 1e-12:
+    """Entrywise functional calculus on a diagonal matrix; rejects non-diagonal input.
+
+    An off-diagonal entry above 1e-12 * max(1, largest |diagonal entry|)
+    rejects the input: weights reach 1e7 at large dimension, and rounding
+    noise off the diagonal scales with them.
+    """
+    diag = np.diag(diag_source)
+    off = diag_source - np.diag(diag)
+    if np.abs(off).max() > 1e-12 * max(1.0, np.abs(diag).max()):
         raise ValueError("functional calculus requires a diagonal operator")
-    return np.diag(np.array([values_fn(v) for v in np.diag(diag_source)], dtype=complex))
+    return np.diag(np.array([values_fn(v) for v in diag], dtype=complex))
 
 
 def relation_residuals(spec: AlgebraSpec, gens: dict, anti: bool = False) -> list:

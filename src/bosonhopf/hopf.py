@@ -20,8 +20,8 @@ import numpy as np
 
 from .fock import AlgebraSpec, FockRep, SpecError, relation_residuals
 from .report import check_report
-from .tensor import (kron_all, spectral_norm, total_window_projector, window_mask,
-                     windowed_norm)
+from .tensor import (kron_all, kron_columns, spectral_norm, total_window_projector,
+                     window_mask, windowed_norm)
 
 DEFAULT_TOL = 1e-10
 
@@ -61,21 +61,13 @@ class Term:
         return len(self.words)
 
     def matrix(self, dim: int, cols=None) -> np.ndarray:
-        """The Kronecker product of the slot words, or only its columns ``cols``.
-
-        Column ``(i, j, ...)`` is ``w1[:, i] x w2[:, j] x ...``, multiplied
-        in the order of :func:`kron_all`, so each entry is bit-identical to
-        the full product's.
+        """The Kronecker product of the slot words, or only its columns ``cols``
+        (:func:`kron_columns`: each entry bit-identical to the full product's).
         """
         mats = [word_matrix(w, dim) for w in self.words]
         if cols is None:
             return self.coeff * kron_all(*mats)
-        idx = np.unravel_index(cols, (dim,) * len(mats))
-        out = mats[0][:, idx[0]]
-        for m, i in zip(mats[1:], idx[1:]):
-            out = (out[:, None, :] * m[:, i][None, :, :]).reshape(
-                out.shape[0] * m.shape[0], len(cols))
-        return self.coeff * out
+        return self.coeff * kron_columns(mats, cols)
 
 
 def word_matrix(word: tuple, dim: int) -> np.ndarray:

@@ -15,6 +15,11 @@ Printed sources for such series are notoriously convention-sensitive; every
 sign and root choice is captured in a BranchChoice and recorded in the
 result, and diagnose_branches() scans the whole branch lattice so a failing
 configuration produces a diagnosis table instead of a silent number.
+
+The three-site checks (fusion identities, Yang-Baxter) build only the
+columns their total-level window keeps: the Kronecker products through
+tensor.kron_columns, and each matrix product over the nonzero rows of its
+right factor only, which is exact.
 """
 
 from __future__ import annotations
@@ -28,13 +33,14 @@ from .fock import FockRep, RepresentationError, SpecError, build_rep
 from .hopf import HopfTables
 from .report import CheckReport, check_report
 from .scalars import bracket_factorial, phase_pow
-from .tensor import (embed_two_site, kron, swap_matrix, total_window_projector,
-                     window_mask, windowed_norm)
+from .tensor import (embed_two_site, kron, kron_columns, spectral_norm, swap_matrix,
+                     total_window_projector, window_mask, windowed_norm)
 
 DEFAULT_R_TOL = 1e-8
 
-# Site dimension of the Yang-Baxter check on the deformed R-matrices: its
-# triple products are dense D^3 x D^3 operators.
+# Site dimension at which the rmatrix and ybe suites run the Yang-Baxter
+# check, min(dim, YBE_DIM).  check_ybe itself takes any dimension: it builds
+# its triple products on the three-site window columns only.
 YBE_DIM = 6
 
 
@@ -265,15 +271,6 @@ def build_r(rep: FockRep, branch: BranchChoice | None = None) -> RMatrix:
                    series_terms=dim, rep=rep, branch=branch)
 
 
-def _product_scale(projector, *mats) -> float:
-    """Windowed norm of the product of entrywise absolute values: the
-    rounding-noise floor for a product that cancels to something small."""
-    out = np.abs(mats[0])
-    for m in mats[1:]:
-        out = out @ np.abs(m)
-    return max(1.0, windowed_norm(out, projector))
-
-
 def check_quasitriangularity(r: RMatrix, tables: HopfTables,
                              tol: float = DEFAULT_R_TOL) -> list:
     """Per generator: windowed residual of Delta^T(g) R - R Delta(g)."""
@@ -294,32 +291,51 @@ def check_quasitriangularity(r: RMatrix, tables: HopfTables,
     return out
 
 
+def _left_multiply(mats: list, right: np.ndarray) -> np.ndarray:
+    """mats[0] @ ... @ mats[-1] @ right, associated right to left.
+
+    Each product sums over the nonzero rows of its right factor only, which
+    is exact: a zero row adds nothing to any entry.  With ``right`` cut to
+    the window columns, so is every partial product.
+    """
+    out = right
+    for m in reversed(mats):
+        rows = np.flatnonzero((out != 0).any(axis=1))
+        out = m[:, rows] @ out[rows]
+    return out
+
+
 def check_ybe(r: RMatrix, tol: float = DEFAULT_R_TOL) -> CheckReport:
-    """R12 R13 R23 = R23 R13 R12 on the three-site total-level window."""
+    """R12 R13 R23 = R23 R13 R12 on the three-site total-level window.
+
+    Both triple products and the backward-error scale |R12||R13||R23| are
+    built on the window columns only, right to left.
+    """
     dim = r.dim
-    if dim > 8:
-        raise RepresentationError(f"three-site check needs dim <= 8, got {dim}")
     eye = np.eye(dim)
+    cols = np.flatnonzero(window_mask(dim, 3, 0))
     r12 = kron(r.matrix, eye)
     r23 = kron(eye, r.matrix)
     r13 = embed_two_site(r.matrix, (0, 2), 3, dim)
-    lhs = r12 @ r13 @ r23
-    rhs = r23 @ r13 @ r12
-    proj = total_window_projector(dim, 3, 0)
-    scale = _product_scale(proj, r12, r13, r23)
-    residual = windowed_norm(lhs - rhs, proj) / scale
+    lhs = _left_multiply([r12, r13], r23[:, cols])
+    rhs = _left_multiply([r23, r13], r12[:, cols])
+    scale = max(1.0, spectral_norm(
+        _left_multiply([np.abs(r12), np.abs(r13)], np.abs(r23[:, cols]))))
+    residual = spectral_norm(lhs - rhs) / scale
     return check_report(r.rep.spec, dim, "rmatrix.ybe",
                         "R12 R13 R23 = R23 R13 R12", residual, tol,
                         family=r.family, branch_note=dict(r.branch_note))
 
 
-def _delta_slot_r(r: RMatrix, tables: HopfTables, slot: int) -> np.ndarray:
-    """(Delta x id) R (slot=0) or (id x Delta) R (slot=1) as a three-site matrix.
+def _delta_slot_r(r: RMatrix, tables: HopfTables, slot: int, cols) -> np.ndarray:
+    """(Delta x id) R (slot=0) or (id x Delta) R (slot=1) on the three-site
+    columns ``cols``.
 
     Built layer by layer: the diagonal head maps grouplike
     (q^{c Nt x Nt} -> q^{c (Nt+Nt) x Nt}), dressings map grouplike
     per factor, ladder powers map through powers of the Delta matrix.
-    The head stays a vector of diagonal entries and scales the rows.
+    Each ladder term builds only the columns ``cols`` of its Kronecker
+    product; the head stays a vector of diagonal entries and scales the rows.
     """
     rep = r.rep
     dim = rep.dim
@@ -347,7 +363,7 @@ def _delta_slot_r(r: RMatrix, tables: HopfTables, slot: int) -> np.ndarray:
         else:
             head = _r0_diagonal(ones, g, ones2, np.kron(g, g)) * head
 
-    total = np.zeros((dim ** 3, dim ** 3), dtype=complex)
+    total = np.zeros((dim ** 3, len(cols)), dtype=complex)
     for l in range(dim):
         coeff = _ladder_coeff(rep, l, r.branch)
         dplus = _dress(rep, l, +1, r.branch)
@@ -358,7 +374,7 @@ def _delta_slot_r(r: RMatrix, tables: HopfTables, slot: int) -> np.ndarray:
         else:
             left = dplus @ np.linalg.matrix_power(rep.raising, l)
             right = kron(dminus, dminus) @ np.linalg.matrix_power(d_lower, l)
-        total += coeff * kron(left, right)
+        total += coeff * kron_columns([left, right], cols)
     return head[:, None] * total
 
 
@@ -408,6 +424,9 @@ def check_r_axioms(r: RMatrix, tables: HopfTables,
 
     (Delta x id) R = R13 R23, (id x Delta) R = R13 R12,
     ((S x id) R) . R = I x I.
+
+    Both sides of the fusion identities are built on the three-site window
+    columns only.
     """
     if not r.has_sweedler_form:
         raise RepresentationError(
@@ -416,22 +435,22 @@ def check_r_axioms(r: RMatrix, tables: HopfTables,
         return _r0_axioms(r, tables, tol)
     dim = r.dim
     eye = np.eye(dim)
-    r12 = kron(r.matrix, eye)
-    r23 = kron(eye, r.matrix)
+    cols = np.flatnonzero(window_mask(dim, 3, 0))
     r13 = embed_two_site(r.matrix, (0, 2), 3, dim)
-    proj3 = total_window_projector(dim, 3, 0)
     out = []
-    for slot, tgt, ident in ((0, r13 @ r23, "rmatrix.fusion-left"),
-                             (1, r13 @ r12, "rmatrix.fusion-right")):
-        got = _delta_slot_r(r, tables, slot)
-        scale = max(1.0, windowed_norm(tgt, proj3))
-        residual = windowed_norm(got - tgt, proj3) / scale
-        ref = "(Delta x id) R = R13 R23" if slot == 0 else "(id x Delta) R = R13 R12"
+    for slot, right, ident, ref in (
+            (0, [eye, r.matrix], "rmatrix.fusion-left", "(Delta x id) R = R13 R23"),
+            (1, [r.matrix, eye], "rmatrix.fusion-right", "(id x Delta) R = R13 R12")):
+        tgt = _left_multiply([r13], kron_columns(right, cols))
+        got = _delta_slot_r(r, tables, slot, cols)
+        scale = max(1.0, spectral_norm(tgt))
+        residual = spectral_norm(got - tgt) / scale
         out.append(check_report(r.rep.spec, dim, ident, ref, residual, tol,
                                 family=r.family, branch_note=dict(r.branch_note)))
     sr = _s_slot1_r(r, tables)
     proj2 = total_window_projector(dim, 2, 0)
-    scale = _product_scale(proj2, sr, r.matrix)
+    # backward-error scale: the rounding floor of a product that cancels
+    scale = max(1.0, windowed_norm(np.abs(sr) @ np.abs(r.matrix), proj2))
     residual = windowed_norm(sr @ r.matrix - np.eye(dim * dim), proj2) / scale
     out.append(check_report(r.rep.spec, dim, "rmatrix.inverse",
                             "((S x id) R) R = I x I", residual, tol,

@@ -6,7 +6,10 @@ multi-site windows) agrees with this ordering.
 
 Windowed norms select the window columns by mask rather than multiplying
 by the dense projector, and take the SVD of the nonzero rows and columns
-only; an exactly-zero residual reports 0.0 without an SVD.
+only; an exactly-zero residual reports 0.0 without an SVD.  Multi-site
+checks whose window keeps only some columns build just those columns of a
+Kronecker product with kron_columns, entry for entry the same as the full
+product's.
 """
 
 from __future__ import annotations
@@ -25,6 +28,22 @@ def kron_all(*mats: np.ndarray) -> np.ndarray:
     out = mats[0]
     for m in mats[1:]:
         out = np.kron(out, m)
+    return out
+
+
+def kron_columns(mats, cols) -> np.ndarray:
+    """The columns ``cols`` of ``kron_all(*mats)``, without the other columns.
+
+    Column ``(i, j, ...)`` is ``mats[0][:, i] x mats[1][:, j] x ...``,
+    multiplied in the order of :func:`kron_all`, so each entry is
+    bit-identical to the full product's.  Each factor's column count comes
+    from its shape, so the factors may differ in size.
+    """
+    idx = np.unravel_index(cols, tuple(m.shape[1] for m in mats))
+    out = mats[0][:, idx[0]]
+    for m, i in zip(mats[1:], idx[1:]):
+        out = (out[:, None, :] * m[:, i][None, :, :]).reshape(
+            out.shape[0] * m.shape[0], len(cols))
     return out
 
 

@@ -41,6 +41,23 @@ def test_identical_reports_and_rounding_noise_pass(tmp_path, capsys):
     assert "rows: base 5, new 5" in capsys.readouterr().out
 
 
+def test_largest_changes_name_their_rows(tmp_path, capsys):
+    """The largest absolute and the largest relative change can sit on
+    different rows; each is printed with its row key and both residuals."""
+    new = copy.deepcopy(BASE)
+    new["reports"][1]["residual"] = 1.1e-14   # 1e-15 absolute, 0.1 relative
+    new["reports"][2]["residual"] = 2.5e-15   # 5e-16 absolute, 0.25 relative
+    assert _compare(tmp_path, new) == 0
+    lines = capsys.readouterr().out.splitlines()
+    absolute = next(l for l in lines if l.startswith("largest absolute"))
+    relative = next(l for l in lines if l.startswith("largest relative"))
+    assert "'hopf.counit.a'" in absolute and "(1e-14 -> 1.1e-14)" in absolute
+    assert "'rmatrix.ybe'" in relative and "'rmatrix')" in relative
+    assert "2.500e-01" in relative and "(2e-15 -> 2.5e-15)" in relative
+    assert _compare(tmp_path, copy.deepcopy(BASE)) == 0
+    assert "largest relative residual change: 0" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("change", ["flip", "missing", "extra", "residual", "inf"])
 def test_differences_are_caught(tmp_path, change):
     new = copy.deepcopy(BASE)

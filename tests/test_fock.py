@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from bosonhopf import (AlgebraSpec, build_rep, check_defining_relations,
                        validity_window, weight)
 from bosonhopf.fock import (RepresentationError, SpecError, acomm, comm,
-                            rep_generator_images, windowed_norm)
+                            diag_function, rep_generator_images, windowed_norm)
 from grids import (B_GRID, BBAR_GRID, BBARQ_GRID, BQ_GRID, FULL_GRID,
                       H_GRID)
 
@@ -180,3 +180,22 @@ def test_relative_residual_scaling():
     rep = build_rep(AlgebraSpec("Bq", (4, 1, 1.3)), 16)
     for report in check_defining_relations(rep, 1e-10):
         assert report.passed, report.summary()
+
+
+def test_diag_function_threshold_is_relative_to_the_diagonal():
+    """Rounding noise off a diagonal whose entries reach 1e7 is accepted; an
+    off-diagonal entry 1e-3 relative to the diagonal is rejected."""
+    mat = np.diag([0.5, 3.0e6, 1.0e7]).astype(complex)
+    noisy = mat.copy()
+    noisy[0, 2] = 1e-8
+    noisy[2, 1] = -1e-8j
+    assert np.array_equal(diag_function(lambda v: 2 * v, noisy), 2 * mat)
+    wrong = mat.copy()
+    wrong[1, 2] = 1e-3 * 1.0e7
+    with pytest.raises(ValueError):
+        diag_function(lambda v: 2 * v, wrong)
+    # below unit scale the bound stays 1e-12 absolute
+    small = np.diag([1e-3, 2e-3]).astype(complex)
+    small[0, 1] = 1e-11
+    with pytest.raises(ValueError):
+        diag_function(lambda v: v, small)

@@ -4,10 +4,12 @@ import pytest
 from bosonhopf import AlgebraSpec, build_rep, build_tables
 from bosonhopf.fock import SpecError
 from bosonhopf.rmatrix import (BBARQ_DEFAULT, BBARQ_PRINTED, BQ_DEFAULT,
-                               BranchChoice, branch_lattice, build_r,
-                               build_r0, check_classical_limit, check_r_axioms,
-                               check_quasitriangularity, check_trivial_r,
-                               check_ybe, diagnose_branches, run_r_checks)
+                               BranchChoice, _delta_slot_r, branch_lattice,
+                               build_r, build_r0, check_classical_limit,
+                               check_r_axioms, check_quasitriangularity,
+                               check_trivial_r, check_ybe, diagnose_branches,
+                               run_r_checks)
+from bosonhopf.tensor import embed_two_site, total_window_projector, windowed_norm
 from grids import BBARQ_GRID, BBAR_GRID, BQ_INTEGER_GRID
 
 
@@ -85,6 +87,70 @@ def test_diagnosis_table_attached_on_failure():
     failed = [rp for rp in reports if not rp.passed]
     assert failed
     assert all("diagnosis" in rp.branch_note for rp in failed)
+
+
+# -- window-column checks against the dense matrices -------------------------
+
+# (family, params, a wrong branch): the graded series with the quarter phase
+# reversed, the ungraded series with its printed factors
+DEFORMED_CASES = [("Bq", (2, 4, 1.3), BranchChoice(phase_sign=-1)),
+                  ("Bbarq", (1, 1, 0.7), BBARQ_PRINTED)]
+
+
+def _dense_residuals(r, tables):
+    """Fusion and Yang-Baxter residuals from the full dense D^3 x D^3
+    matrices, windowed by the dense projector."""
+    dim = r.dim
+    eye = np.eye(dim)
+    r12, r23 = np.kron(r.matrix, eye), np.kron(eye, r.matrix)
+    r13 = embed_two_site(r.matrix, (0, 2), 3, dim)
+    proj = total_window_projector(dim, 3, 0)
+    every = np.arange(dim ** 3)
+    out = {}
+    for slot, tgt, ident in ((0, r13 @ r23, "rmatrix.fusion-left"),
+                             (1, r13 @ r12, "rmatrix.fusion-right")):
+        full = _delta_slot_r(r, tables, slot, every)
+        out[ident] = windowed_norm(full - tgt, proj) / max(1.0, windowed_norm(tgt, proj))
+    lhs, rhs = r12 @ r13 @ r23, r23 @ r13 @ r12
+    scale = np.abs(r12) @ np.abs(r13) @ np.abs(r23)
+    out["rmatrix.ybe"] = windowed_norm(lhs - rhs, proj) / max(1.0, windowed_norm(scale, proj))
+    return out
+
+
+@pytest.mark.parametrize("dim", [6, 8])
+@pytest.mark.parametrize("family, params, wrong", DEFORMED_CASES)
+def test_window_column_residuals_match_the_dense_matrices(family, params, wrong, dim):
+    """The fusion and Yang-Baxter residuals built on the window columns equal
+    the dense ones to 1e-12 relative.  Residuals are normalised by a scale of
+    at least 1, and the dense triple products are associated left to right,
+    so rounding-level residuals (about 1e-16) get a 1e-15 absolute floor."""
+    rep, tables = _setup(family, params, dim)
+    for branch in (None, wrong):
+        r = build_r(rep, branch=branch)
+        rows = {rp.identity: rp.residual
+                for rp in check_r_axioms(r, tables) + [check_ybe(r)]}
+        for ident, ref in _dense_residuals(r, tables).items():
+            assert abs(rows[ident] - ref) <= max(1e-12 * ref, 1e-15), (ident, branch)
+
+
+@pytest.mark.parametrize("family, params, wrong", DEFORMED_CASES)
+def test_deformed_r_axioms_see_a_wrong_branch(family, params, wrong):
+    """Negative controls: under a wrong branch every fusion, inverse and
+    Yang-Baxter row breaches its bound, by more than 1e-2."""
+    rep, tables = _setup(family, params)
+    r = build_r(rep, branch=wrong)
+    rows = check_r_axioms(r, tables) + [check_ybe(r)]
+    assert [rp.identity for rp in rows] == [
+        "rmatrix.fusion-left", "rmatrix.fusion-right", "rmatrix.inverse", "rmatrix.ybe"]
+    for rp in rows:
+        assert not rp.passed and rp.residual > 1e-2, rp.summary()
+
+
+@pytest.mark.parametrize("family, params", [("Bq", (2, 4, 1.3)), ("Bbarq", (1, 1, 0.7))])
+def test_ybe_above_dim_8(family, params):
+    report = check_ybe(build_r(build_rep(AlgebraSpec(family, params), 10)))
+    assert report.dim == 10
+    assert report.passed, report.summary()
 
 
 # -- R0 and the trivial R -----------------------------------------------------

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bosonhopf.tensor import (embed_two_site, kron, kron_all, spectral_norm,
-                              swap_matrix, total_window_projector, windowed_norm)
+from bosonhopf.tensor import (embed_two_site, kron, kron_all, kron_columns,
+                              spectral_norm, swap_matrix, total_window_projector,
+                              windowed_norm)
 
 
 def _rand(dim, seed):
@@ -17,6 +18,20 @@ def test_kron_ordering():
     # first factor is the leftmost slot: entries (a_ii * b_jj) in row-major order
     assert np.allclose(np.diag(kron(a, b)), [1, 10, 2, 20])
     assert np.allclose(kron_all(a, b, np.eye(2)).shape, (8, 8))
+
+
+@pytest.mark.parametrize("sizes", [(3,), (9, 3), (3, 9), (2, 4, 3), (4, 1, 2)])
+def test_kron_columns_is_bit_identical(sizes):
+    """kron_columns equals the same columns of kron_all, entry for entry,
+    for factors of different sizes (a two-site factor next to a one-site one)."""
+    rng = np.random.default_rng(len(sizes) * 10 + sizes[0])
+    mats = [_rand(n, int(rng.integers(1000))) for n in sizes]
+    mats[-1] = mats[-1].real   # a real factor next to complex ones, as eye x R
+    full = kron_all(*mats)
+    for cols in (np.arange(full.shape[1]),
+                 np.sort(rng.choice(full.shape[1], size=full.shape[1] // 2, replace=False)),
+                 np.array([full.shape[1] - 1, 0])):
+        assert np.array_equal(kron_columns(mats, cols), full[:, cols])
 
 
 @given(seed=st.integers(0, 100))
