@@ -368,19 +368,13 @@ def run_config(config: ScenarioConfig, out_path: str, jobs: int) -> int:
         for params, spec, skip_reason in grid_expand(scenario):
             for suite in scenario.suites:
                 jobs_list.append((scenario, params, spec, skip_reason, suite))
-    # Yang-Baxter jobs allocate D^3-sized operators; cap their parallelism
-    ybe_jobs = [j for j in jobs_list if j[4] == "ybe"]
-    other_jobs = [j for j in jobs_list if j[4] != "ybe"]
     rows = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_run_job, other_jobs):
-                rows.extend(chunk)
-        with ProcessPoolExecutor(max_workers=min(jobs, 2)) as pool:
-            for chunk in pool.map(_run_job, ybe_jobs):
+            for chunk in pool.map(_run_job, jobs_list):
                 rows.extend(chunk)
     else:
-        for job in other_jobs + ybe_jobs:
+        for job in jobs_list:
             rows.extend(_run_job(job))
     rows.sort(key=_sort_key)
     doc = {

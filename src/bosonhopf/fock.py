@@ -24,7 +24,7 @@ import numpy as np
 
 from .report import check_report
 from .scalars import check_q, phase_pow, q_bracket
-from .tensor import windowed_norm
+from .tensor import total_window_projector, windowed_norm
 
 FAMILIES = ("B", "Bbar", "Bq", "Bbarq", "H")
 
@@ -287,11 +287,8 @@ def validity_window(rep: FockRep, raise_degree: int) -> ValidityWindow:
     An identity whose monomials contain at most raise_degree raising
     generators holds exactly on this subspace of the truncated rep.
     """
-    if not 0 <= raise_degree < rep.dim:
-        raise ValueError(f"raise_degree must lie in [0, {rep.dim}), got {raise_degree}")
-    diag = np.zeros(rep.dim)
-    diag[: rep.dim - raise_degree] = 1.0
-    return ValidityWindow(raise_degree=raise_degree, projector=np.diag(diag.astype(complex)))
+    return ValidityWindow(raise_degree=raise_degree,
+                          projector=total_window_projector(rep.dim, 1, raise_degree))
 
 
 def comm(x, y):

@@ -22,7 +22,7 @@ from .fock import (AlgebraSpec, DEFAULT_TOL, FockRep, SpecError, acomm,
 from .hopf import HopfTables
 from .report import CheckReport, check_report
 from .scalars import q_bracket
-from .tensor import kron, total_window_projector, windowed_norm
+from .tensor import kron, total_window_projector, window_mask, windowed_norm
 
 
 @dataclass(frozen=True)
@@ -366,7 +366,7 @@ def casimir_spectrum(realization: RealizationMap, rep: FockRep,
     else:
         raise SpecError(f"unknown Casimir selector {which!r}")
     proj = validity_window(rep, degree).projector
-    keep = np.diag(proj).real > 0.5
+    keep = window_mask(rep.dim, 1, degree)
     diag = np.diag(cas)
     dev_diag = float(np.max(np.abs(diag[keep] - target[keep])))
     off = cas - np.diag(diag)

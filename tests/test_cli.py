@@ -142,6 +142,49 @@ def test_run_determinism(mixed_config, tmp_path):
     assert d1 == d2
 
 
+PARALLEL_CONFIG = """
+[scenario graded]
+family = B
+alpha = 2
+beta = 2
+dim = 6
+suites = rmatrix, ybe, hopf
+
+[scenario graded-deformed]
+family = Bq
+alpha = 2
+beta = 4
+q = 1.3
+dim = 6
+suites = rmatrix, ybe, hopf
+
+[scenario ungraded-deformed]
+family = Bbarq
+sigma = 1
+tau = 1
+q = 0.7
+dim = 6
+suites = rmatrix, ybe, hopf
+"""
+
+
+def test_parallel_run_matches_serial_run(tmp_path):
+    """A --jobs 2 report equals the --jobs 1 report except for wall_time."""
+    path = tmp_path / "parallel.ini"
+    path.write_text(PARALLEL_CONFIG)
+    docs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.json"
+        assert main(["run", "--config", str(path), "--out", str(out),
+                     "--jobs", jobs]) == 0
+        doc = json.loads(out.read_text())
+        for row in doc["reports"]:
+            row.pop("wall_time")
+        docs.append(doc)
+    assert docs[0]["counts"]["passed"] > 0
+    assert docs[0] == docs[1]
+
+
 def test_run_all_green_exits_zero(tmp_path):
     path = tmp_path / "green.ini"
     path.write_text("[scenario ok]\nfamily = B\nalpha = 2\nbeta = 1\n"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from bosonhopf import AlgebraSpec, build_rep, build_tables
-from bosonhopf.fock import SpecError
+from bosonhopf.fock import RepresentationError, SpecError
 from bosonhopf.rmatrix import (BBARQ_DEFAULT, BBARQ_PRINTED, BQ_DEFAULT,
-                               BranchChoice, _delta_slot_r, branch_lattice,
+                               BranchChoice, _series_r, _slot, branch_lattice,
                                build_r, build_r0, check_classical_limit,
                                check_r_axioms, check_quasitriangularity,
                                check_trivial_r, check_ybe, diagnose_branches,
@@ -99,17 +99,19 @@ DEFORMED_CASES = [("Bq", (2, 4, 1.3), BranchChoice(phase_sign=-1)),
 
 def _dense_residuals(r, tables):
     """Fusion and Yang-Baxter residuals from the full dense D^3 x D^3
-    matrices, windowed by the dense projector."""
+    matrices, windowed by the dense projector.  (Delta x id) R and
+    (id x Delta) R are assembled on every column."""
     dim = r.dim
+    one, delta = _slot(r.rep, r.rep.generator), _slot(r.rep, tables.delta_matrix)
     eye = np.eye(dim)
     r12, r23 = np.kron(r.matrix, eye), np.kron(eye, r.matrix)
     r13 = embed_two_site(r.matrix, (0, 2), 3, dim)
     proj = total_window_projector(dim, 3, 0)
     every = np.arange(dim ** 3)
     out = {}
-    for slot, tgt, ident in ((0, r13 @ r23, "rmatrix.fusion-left"),
-                             (1, r13 @ r12, "rmatrix.fusion-right")):
-        full = _delta_slot_r(r, tables, slot, every)
+    for slots, tgt, ident in (((delta, one), r13 @ r23, "rmatrix.fusion-left"),
+                              ((one, delta), r13 @ r12, "rmatrix.fusion-right")):
+        full = _series_r(r.rep, r.branch, *slots, every)
         out[ident] = windowed_norm(full - tgt, proj) / max(1.0, windowed_norm(tgt, proj))
     lhs, rhs = r12 @ r13 @ r23, r23 @ r13 @ r12
     scale = np.abs(r12) @ np.abs(r13) @ np.abs(r23)
@@ -144,6 +146,55 @@ def test_deformed_r_axioms_see_a_wrong_branch(family, params, wrong):
         "rmatrix.fusion-left", "rmatrix.fusion-right", "rmatrix.inverse", "rmatrix.ybe"]
     for rp in rows:
         assert not rp.passed and rp.residual > 1e-2, rp.summary()
+
+
+FUSION_ROWS = {"rmatrix.fusion-left", "rmatrix.fusion-right"}
+
+
+def _shifted(mat):
+    return mat + 1e-3 * np.eye(len(mat))
+
+
+# (family, params, Hopf map, generator, wrong image, rows that must breach)
+TABLE_CONTROLS = [
+    ("Bq", (2, 4, 1.3), "delta", "N", _shifted, FUSION_ROWS),
+    ("Bbarq", (1, 1, 0.7), "delta", "N", _shifted, FUSION_ROWS),
+    ("Bq", (2, 4, 1.3), "antipode", "N", _shifted, {"rmatrix.inverse"}),
+    ("Bbarq", (1, 1, 0.7), "antipode", "N", _shifted, {"rmatrix.inverse"}),
+    ("Bq", (2, 4, 1.3), "delta", "g", np.negative, FUSION_ROWS),
+]
+
+
+@pytest.mark.parametrize("family, params, hopf_map, name, wrong, breached", TABLE_CONTROLS,
+                         ids=["Bq-delta-N", "Bbarq-delta-N", "Bq-antipode-N",
+                              "Bbarq-antipode-N", "Bq-delta-g"])
+def test_deformed_r_axioms_read_the_table_images(monkeypatch, family, params,
+                                                 hopf_map, name, wrong, breached):
+    """Negative controls: the Delta and S images of R are assembled from the
+    Hopf tables' images of N, g, a and ad, so a wrong Delta(N), S(N) or
+    Delta(g) breaches the rows that use that map, and only those."""
+    rep, tables = _setup(family, params)
+    if hopf_map == "delta":
+        delta = tables.delta_matrix
+        bad = wrong(delta(name))
+        monkeypatch.setattr(tables, "delta_matrix",
+                            lambda gen: bad if gen == name else delta(gen))
+    else:
+        atom = tables.atom(name)
+        monkeypatch.setattr(atom, "s", wrong(atom.s))
+    for rp in check_r_axioms(build_r(rep), tables):
+        assert rp.passed != (rp.identity in breached), rp.summary()
+
+
+def test_r_axioms_reject_a_non_diagonal_image(monkeypatch):
+    rep, tables = _setup("Bq", (2, 4, 1.3), dim=4)
+    delta = tables.delta_matrix
+    bad = delta("g").copy()
+    bad[0, 1] = 1e-3
+    monkeypatch.setattr(tables, "delta_matrix",
+                        lambda gen: bad if gen == "g" else delta(gen))
+    with pytest.raises(RepresentationError, match="diagonal image of g"):
+        check_r_axioms(build_r(rep), tables)
 
 
 @pytest.mark.parametrize("family, params", [("Bq", (2, 4, 1.3)), ("Bbarq", (1, 1, 0.7))])
@@ -230,10 +281,3 @@ def test_branch_lattice_sizes():
     assert len(branch_lattice("Bq")) == 32
     assert len(branch_lattice("Bbarq")) == 16   # no quarter phase
 
-
-def test_sweedler_terms_reassemble():
-    rep, _ = _setup("Bq", (2, 2, 1.3), dim=5)
-    r = build_r(rep)
-    total = sum(c * np.kron(left, right)
-                for c, left, right in r.sweedler_terms())
-    assert np.abs(total - r.matrix).max() < 1e-8 * np.abs(r.matrix).max()
