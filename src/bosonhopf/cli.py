@@ -442,23 +442,14 @@ def _cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rep = build_rep(spec, args.dim)
-    tables = None
-    try:
-        tables = build_tables(rep)
-    except Exception:
-        pass
-    ctx = EvalContext(rep, tables)
+    ctx = EvalContext(rep)
     try:
         mat = evaluate(parse(args.expression), ctx)
     except (ParseError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sites = round(np.log(mat.shape[0]) / np.log(rep.dim)) if rep.dim > 1 else 1
-    if args.degree:
-        proj = total_window_projector(rep.dim, sites, args.degree)
-    else:
-        proj = np.eye(mat.shape[0])
-    win = windowed_norm(mat, proj)
+    win = windowed_norm(mat, total_window_projector(rep.dim, sites, args.degree))
     full = float(np.linalg.norm(mat, 2))
     print(f"windowed norm (degree {args.degree}): {win:.6e}")
     print(f"unwindowed norm: {full:.6e}")
@@ -518,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated parameter values in family order")
     evalp.add_argument("--dim", type=int, default=8)
     evalp.add_argument("--degree", type=int, default=0,
-                       help="validity-window raise degree for the windowed norm")
+                       help="validity-window raise degree k: the windowed norm "
+                            "keeps the states of total level <= dim-1-k")
     evalp.add_argument("--dump-matrix", action="store_true",
                        help="print the full matrix as JSON")
     evalp.add_argument("expression")

@@ -306,7 +306,6 @@ def print_expr(e: Expr) -> str:
 @dataclass(frozen=True)
 class EvalContext:
     rep: FockRep
-    tables: object = None
     bindings: dict = field(default_factory=dict)
 
     def binding(self, name: str) -> complex:

@@ -64,33 +64,29 @@ class Term:
         """The Kronecker product of the slot words, or only its columns ``cols``
         (:func:`kron_columns`: each entry bit-identical to the full product's).
         """
-        mats = [word_matrix(w, dim) for w in self.words]
+        mats = [word_image(w, dim) for w in self.words]
         if cols is None:
             return self.coeff * kron_all(*mats)
         return self.coeff * kron_columns(mats, cols)
 
 
-def word_matrix(word: tuple, dim: int) -> np.ndarray:
+def word_image(word: tuple, dim: int, image: str = "matrix"):
+    """Image of a product of atoms under one slot map, named by its Atom field.
+
+    ``"matrix"`` is the algebra image and ``"eps"`` the scalar counit; the
+    anti-homomorphisms ``"s"`` and ``"s_inv"`` reverse the factors,
+    S(xy) = S(y) S(x).
+    """
+    if image == "eps":
+        out = 1.0 + 0j
+        for atom in word:
+            out *= atom.eps
+        return out
     out = np.eye(dim, dtype=complex)
-    for atom in word:
-        out = out @ atom.matrix
-    return out
-
-
-def word_eps(word: tuple) -> complex:
-    out = 1.0 + 0j
-    for atom in word:
-        out *= atom.eps
-    return out
-
-
-def word_antipode(word: tuple, dim: int, inverse: bool = False) -> np.ndarray:
-    """S (or S^-1) of a product, reversing factors: S(xy) = S(y) S(x)."""
-    out = np.eye(dim, dtype=complex)
-    for atom in reversed(word):
-        img = atom.s_inv if inverse else atom.s
+    for atom in (word if image == "matrix" else reversed(word)):
+        img = getattr(atom, image)
         if img is None:
-            raise ValueError(f"atom {atom.name!r} has no antipode image")
+            raise ValueError(f"atom {atom.name!r} has no {image} image")
         out = out @ img
     return out
 
@@ -273,9 +269,6 @@ class HopfTables:
     def antipode(self, name: str) -> np.ndarray:
         return self.atom(name).s
 
-    def antipode_inv(self, name: str) -> np.ndarray:
-        return self.atom(name).s_inv
-
     # -- axiom checks --------------------------------------------------------
     def check_coassociativity(self, tol: float = DEFAULT_TOL) -> list:
         """Both 3-site expansions, assembled on the validity-window columns only."""
@@ -292,61 +285,51 @@ class HopfTables:
                                     res, tol, deg))
         return out
 
-    def check_counit(self, tol: float = DEFAULT_TOL) -> list:
+    def contract(self, name: str, x: str, y: str, transpose: bool = False):
+        """m (X x Y) Delta(name) = sum c X(g1) Y(g2), or the same over Delta^T.
+
+        ``x`` and ``y`` name slot maps for :func:`word_image`.  S^-1 is the
+        antipode of the opposite Hopf algebra, whose coproduct is Delta^T.
+        """
+        dim = self.rep.dim
+        total = 0
+        for t in self.delta_terms(name):
+            w1, w2 = t.words[::-1] if transpose else t.words
+            left, right = t.coeff * word_image(w1, dim, x), word_image(w2, dim, y)
+            total = total + (left @ right if np.ndim(left) and np.ndim(right)
+                             else left * right)
+        return total
+
+    def _contraction_rows(self, check: str, ref: str, image: str, target,
+                          min_degree: int, tol: float, transpose: bool = False) -> list:
+        """One row per generator: the larger absolute windowed residual of
+        m (image x id) and m (id x image) over Delta (or Delta^T) against
+        ``target(name)``."""
         dim = self.rep.dim
         out = []
         for name in self.generator_names():
-            gen = self.atom(name).matrix
-            left = sum(t.coeff * word_eps(t.words[0]) * word_matrix(t.words[1], dim)
-                       for t in self.delta_terms(name))
-            right = sum(t.coeff * word_matrix(t.words[0], dim) * word_eps(t.words[1])
-                        for t in self.delta_terms(name))
-            deg = _RAISE_DEGREE.get(name, 0)
+            goal = target(name)
+            deg = max(_RAISE_DEGREE.get(name, 0), min_degree)
             proj = total_window_projector(dim, 1, deg)
-            res = max(windowed_norm(left - gen, proj), windowed_norm(right - gen, proj))
-            out.append(check_report(self.spec, dim, f"hopf.counit.{name}",
-                                    "(eps x id) Delta(g) = g = (id x eps) Delta(g)",
-                                    res, tol, deg))
+            res = max(windowed_norm(self.contract(name, image, "matrix", transpose) - goal, proj),
+                      windowed_norm(self.contract(name, "matrix", image, transpose) - goal, proj))
+            out.append(check_report(self.spec, dim, f"hopf.{check}.{name}", ref, res, tol, deg))
         return out
+
+    def check_counit(self, tol: float = DEFAULT_TOL) -> list:
+        return self._contraction_rows(
+            "counit", "(eps x id) Delta(g) = g = (id x eps) Delta(g)", "eps",
+            lambda name: self.atom(name).matrix, 0, tol)
 
     def check_antipode(self, tol: float = DEFAULT_TOL) -> list:
-        dim = self.rep.dim
-        eye = self.rep.identity
-        out = []
-        for name in self.generator_names():
-            target = self.counit(name) * eye
-            left = sum(t.coeff * word_antipode(t.words[0], dim) @ word_matrix(t.words[1], dim)
-                       for t in self.delta_terms(name))
-            right = sum(t.coeff * word_matrix(t.words[0], dim) @ word_antipode(t.words[1], dim)
-                        for t in self.delta_terms(name))
-            deg = max(_RAISE_DEGREE.get(name, 0), 1)
-            proj = total_window_projector(dim, 1, deg)
-            res = max(windowed_norm(left - target, proj), windowed_norm(right - target, proj))
-            out.append(check_report(self.spec, dim, f"hopf.antipode.{name}",
-                                    "m (S x id) Delta(g) = eps(g) I = m (id x S) Delta(g)",
-                                    res, tol, deg))
-        return out
+        return self._contraction_rows(
+            "antipode", "m (S x id) Delta(g) = eps(g) I = m (id x S) Delta(g)", "s",
+            lambda name: self.counit(name) * self.rep.identity, 1, tol)
 
     def check_antipode_inverse(self, tol: float = DEFAULT_TOL) -> list:
-        """S^-1 is the antipode of the opposite Hopf algebra (coproduct Delta^T)."""
-        dim = self.rep.dim
-        eye = self.rep.identity
-        out = []
-        for name in self.generator_names():
-            target = self.counit(name) * eye
-            left = sum(t.coeff * word_antipode(t.words[1], dim, inverse=True)
-                       @ word_matrix(t.words[0], dim)
-                       for t in self.delta_terms(name))
-            right = sum(t.coeff * word_matrix(t.words[1], dim)
-                        @ word_antipode(t.words[0], dim, inverse=True)
-                        for t in self.delta_terms(name))
-            deg = max(_RAISE_DEGREE.get(name, 0), 1)
-            proj = total_window_projector(dim, 1, deg)
-            res = max(windowed_norm(left - target, proj), windowed_norm(right - target, proj))
-            out.append(check_report(self.spec, dim, f"hopf.antipode-inverse.{name}",
-                                    "m (S^-1 x id) Delta^T(g) = eps(g) I",
-                                    res, tol, deg))
-        return out
+        return self._contraction_rows(
+            "antipode-inverse", "m (S^-1 x id) Delta^T(g) = eps(g) I", "s_inv",
+            lambda name: self.counit(name) * self.rep.identity, 1, tol, transpose=True)
 
     def check_delta_homomorphism(self, tol: float = DEFAULT_TOL, degree: int = 2) -> list:
         """Defining relations survive g -> Delta(g) (and, reversed, g -> S(g))."""
@@ -373,20 +356,6 @@ class HopfTables:
     def run_axiom_checks(self, tol: float = DEFAULT_TOL) -> list:
         return (self.check_coassociativity(tol) + self.check_counit(tol)
                 + self.check_antipode(tol) + self.check_antipode_inverse(tol))
-
-    # -- adjoint actions -----------------------------------------------------
-    def adjoint_action(self, name: str, x: np.ndarray, variant: str = "ad") -> np.ndarray:
-        """ad_g(x) = sum g1 x S(g2); ad'_g(x) = sum g2 x S^-1(g1)."""
-        dim = self.rep.dim
-        if variant == "ad":
-            return sum(t.coeff * word_matrix(t.words[0], dim) @ x
-                       @ word_antipode(t.words[1], dim)
-                       for t in self.delta_terms(name))
-        if variant == "ad_prime":
-            return sum(t.coeff * word_matrix(t.words[1], dim) @ x
-                       @ word_antipode(t.words[0], dim, inverse=True)
-                       for t in self.delta_terms(name))
-        raise ValueError(f"unknown adjoint variant {variant!r}")
 
 
 def build_tables(rep: FockRep) -> HopfTables:

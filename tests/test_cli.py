@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from bosonhopf.cli import (ConfigError, Scenario, grid_expand, main,
                            parse_config, run_suite)
-from bosonhopf.fock import AlgebraSpec
+from bosonhopf.fock import AlgebraSpec, build_rep
+from bosonhopf.tensor import kron, total_window_projector, windowed_norm
 
 PASS_SKIP_FAIL_CONFIG = """
 [scenario basics]
@@ -206,6 +208,21 @@ def test_eval_command(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "windowed norm" in out and "unwindowed norm" in out
+
+
+def test_eval_degree_zero_windows_multi_site_expressions(capsys):
+    """--degree 0 keeps the two-site states of total level <= D-1, not all
+    D^2 states: ad x ad on D = 4 has norm 3 unwindowed, sqrt(6) windowed."""
+    code = main(["eval", "--family", "B", "--params", "2,1", "--dim", "4",
+                 "--degree", "0", "tensor(ad,ad)"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    rep = build_rep(AlgebraSpec("B", (2, 1)), 4)
+    expect = windowed_norm(kron(rep.raising, rep.raising),
+                           total_window_projector(4, 2, 0))
+    assert expect == pytest.approx(np.sqrt(6.0))
+    assert lines[0] == f"windowed norm (degree 0): {expect:.6e}"
+    assert lines[1] == f"unwindowed norm: {3.0:.6e}"
 
 
 def test_eval_command_dump_matrix(capsys):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from bosonhopf import AlgebraSpec, build_rep, build_tables, validity_window
+from bosonhopf import AlgebraSpec, build_rep, build_tables
 from bosonhopf.fock import windowed_norm
-from bosonhopf.hopf import Term, expand_slot, terms_matrix, word_matrix
+from bosonhopf.hopf import Term, expand_slot, terms_matrix, word_image
 from bosonhopf.tensor import kron, kron_all, total_window_projector
 from grids import BBAR_GRID, BBARQ_GRID, BQ_GRID, B_GRID, FULL_GRID, H_GRID
 
@@ -84,40 +84,8 @@ def test_bq_antipode_inverse_closed_forms():
     ginv = np.linalg.inv(g)
     expect_a = q ** (alpha / 2.0) * ginv @ rep.lowering
     expect_ad = -q ** (-alpha / 2.0) * rep.raising @ g
-    assert np.abs(tb.antipode_inv("a") - expect_a).max() < 1e-12
-    assert np.abs(tb.antipode_inv("ad") - expect_ad).max() < 1e-12
-
-
-def test_adjoint_action_number_on_lowering():
-    """ad_N(a) = [N, a] - (beta/alpha) a = -(1 + beta/alpha) a."""
-    alpha, beta = 2.0, 1.0
-    rep = build_rep(AlgebraSpec("B", (alpha, beta)), 8)
-    tb = build_tables(rep)
-    out = tb.adjoint_action("N", rep.lowering)
-    expect = -(1.0 + beta / alpha) * rep.lowering
-    win = validity_window(rep, 1).projector
-    assert windowed_norm(out - expect, win) < 1e-10
-
-
-def test_adjoint_action_counit_on_identity():
-    """ad_x(1) = eps(x) 1 for every generator."""
-    rep = build_rep(AlgebraSpec("B", (2, 1)), 8)
-    tb = build_tables(rep)
-    win = validity_window(rep, 2).projector
-    for name in tb.generator_names():
-        out = tb.adjoint_action(name, rep.identity)
-        expect = tb.counit(name) * rep.identity
-        assert windowed_norm(out - expect, win) < 1e-10, name
-
-
-def test_adjoint_action_grade_conjugates():
-    """ad_g(x) = g x g^-1 for the grouplike grade element."""
-    rep = build_rep(AlgebraSpec("B", (2, 2)), 8)
-    tb = build_tables(rep)
-    g = rep.require_grade()
-    x = rep.raising + rep.lowering
-    out = tb.adjoint_action("g", x)
-    assert np.abs(out - g @ x @ np.linalg.inv(g)).max() < 1e-12
+    assert np.abs(tb.atom("a").s_inv - expect_a).max() < 1e-12
+    assert np.abs(tb.atom("ad").s_inv - expect_ad).max() < 1e-12
 
 
 @pytest.mark.parametrize("family, params", [("Bq", (2.0, 2.0, 1.3)),
@@ -132,7 +100,7 @@ def test_term_matrix_on_columns_is_bit_identical(family, params):
     three = expand_slot(two, 0) + expand_slot(two, 1)
     for term in two + three:
         cols = np.sort(rng.choice(dim ** term.slots, size=dim ** 2, replace=False))
-        full = term.coeff * kron_all(*(word_matrix(w, dim) for w in term.words))
+        full = term.coeff * kron_all(*(word_image(w, dim) for w in term.words))
         assert np.array_equal(term.matrix(dim, cols), full[:, cols])
         assert np.array_equal(term.matrix(dim), full)
     cols = np.arange(0, dim ** 3, 3)
@@ -162,3 +130,59 @@ def test_coassociativity_sees_a_perturbed_coefficient(family, params, raising):
     ref = float(np.linalg.norm((lhs - rhs) @ proj, 2))
     assert ref > 1e-10
     assert abs(report.residual - ref) <= 1e-12 * ref
+
+
+# One point per ladder shape: undeformed graded, deformed graded, reflection.
+CONTRACTION_CONTROLS = [("B", (2, 3)), ("Bq", (2, 4, 1.3)), ("H", (1, 2, 0.25))]
+
+
+@pytest.mark.parametrize("family, params", CONTRACTION_CONTROLS)
+@pytest.mark.parametrize("image, row, spared", [
+    ("eps", "counit", None),
+    ("s", "antipode", "antipode-inverse"),
+    ("s_inv", "antipode-inverse", "antipode")])
+def test_contraction_rows_see_a_perturbed_image(family, params, image, row, spared):
+    """Negative control: the eps image of N (M for H), or the S or S^-1 image
+    of the raising generator, scaled by 1 + 1e-6 breaches its own row.  S and
+    S^-1 enter separate contractions, so a wrong S leaves every S^-1 row
+    passing, and the other way round."""
+    tb = _tables(family, params)
+    name = ("M" if family == "H" else "N") if image == "eps" else (
+        "bd" if family == "H" else "ad")
+    atom = tb.atom(name)
+    setattr(atom, image, getattr(atom, image) * (1 + 1e-6))
+    rows = {r.identity: r for r in tb.run_axiom_checks(1e-10)}
+    assert rows[f"hopf.{row}.{name}"].residual > 1e-10
+    if spared:
+        kept = [r for ident, r in rows.items() if ident.startswith(f"hopf.{spared}.")]
+        assert kept and all(r.passed for r in kept), [r.summary() for r in kept]
+
+
+@pytest.mark.parametrize("family, params", CONTRACTION_CONTROLS)
+def test_antipode_inverse_needs_the_opposite_coproduct(family, params):
+    """Negative control: S^-1 is the antipode for Delta^T, not for Delta.
+    Contracted over Delta, each side leaves the ladder generators at
+    residuals of order one and more."""
+    tb = _tables(family, params)
+    proj = total_window_projector(tb.rep.dim, 1, 1)
+
+    def residuals(name, transpose):
+        target = tb.counit(name) * tb.rep.identity
+        return [windowed_norm(tb.contract(name, x, y, transpose) - target, proj)
+                for x, y in (("s_inv", "matrix"), ("matrix", "s_inv"))]
+
+    for name in (("b", "bd") if family == "H" else ("a", "ad")):
+        assert max(residuals(name, transpose=True)) < 1e-10, name
+        assert min(residuals(name, transpose=False)) >= 1.0, name
+
+
+@pytest.mark.xfail(strict=True, reason="absolute residual: ladder weights near 1e3 put "
+                   "rounding at 6.1e-9, above the 1e-10 bound, until the row is rescaled")
+def test_bq_large_weight_antipode_passes():
+    """Bq (4, 8, 0.7) at D = 10 holds the Hopf axioms, but its absolute
+    hopf.antipode.ad residual reads 6.1e-9 (antipode-inverse.ad 4.7e-10).
+    A backward-error scale of this row turns the test into an XPASS, which
+    fails until this marker is removed."""
+    tb = _tables("Bq", (4, 8, 0.7), 10)
+    report = next(r for r in tb.check_antipode(1e-10) if r.identity == "hopf.antipode.ad")
+    assert report.passed, report.summary()
