@@ -441,6 +441,10 @@ def _cmd_eval(args) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not 0 <= args.degree < args.dim:
+        print(f"error: --degree must lie in [0, {args.dim}) for --dim {args.dim}, "
+              f"got {args.degree}", file=sys.stderr)
+        return 2
     rep = build_rep(spec, args.dim)
     ctx = EvalContext(rep)
     try:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .report import check_report
 from .scalars import check_q, phase_pow, q_bracket
-from .tensor import total_window_projector, windowed_norm
+from .tensor import (LevelSectors, level_sectors, spectral_norm,
+                     total_window_projector, windowed_norm)
 
 FAMILIES = ("B", "Bbar", "Bq", "Bbarq", "H")
 
@@ -313,7 +314,15 @@ def diag_function(values_fn, diag_source: np.ndarray) -> np.ndarray:
     return np.diag(np.array([values_fn(v) for v in diag], dtype=complex))
 
 
-def relation_residuals(spec: AlgebraSpec, gens: dict, anti: bool = False) -> list:
+def _diagonal(x: np.ndarray):
+    """The diagonal of a square matrix without a nonzero entry off it, else None."""
+    n = x.shape[0]
+    off = x.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]   # row i: entries (i, i+1 .. i+n)
+    return None if off.any() else np.diagonal(x)
+
+
+def relation_residuals(spec: AlgebraSpec, gens: dict, anti: bool = False,
+                       sectors: LevelSectors | None = None) -> list:
     """Defining-relation residual matrices evaluated on arbitrary generator images.
 
     ``gens`` maps generator names to square matrices of a common size (any
@@ -324,20 +333,43 @@ def relation_residuals(spec: AlgebraSpec, gens: dict, anti: bool = False) -> lis
     scale); residual norms are reported relative to max(1, scale) because
     q-bracket entries grow exponentially with the level and double precision
     cannot deliver small absolute residuals against huge operands.
+
+    Each product is formed once, and a scale is the norm of a product its
+    residual already uses.  A diagonal image multiplies as a row or column
+    scaling, and its norm is its largest absolute entry.  ``sectors``, the
+    level-sector index of the images' space, lets the other scales be taken
+    on sector blocks (:func:`spectral_norm`).
     """
     eye = gens["I"]
+    diags = {name: d for name, x in gens.items() if (d := _diagonal(x)) is not None}
 
-    def nrm(x):
-        return float(np.linalg.norm(x, 2))
+    def nrm(x) -> float:
+        """Spectral norm of a matrix, or of the generator image named x."""
+        if isinstance(x, str):
+            if x in diags:
+                return float(np.abs(diags[x]).max())
+            x = gens[x]
+        return spectral_norm(x, sectors=sectors)
 
     def mul(x, y):
-        return y @ x if anti else x @ y
+        """x y of the images named x and y (y x with ``anti``)."""
+        if anti:
+            x, y = y, x
+        if x in diags:
+            return diags[x][:, None] * gens[y]
+        if y in diags:
+            return gens[x] * diags[y]
+        return gens[x] @ gens[y]
 
     def cm(x, y):
-        return mul(x, y) - mul(y, x)
+        """([x, y], x y): the commutator and its first product."""
+        xy, out = mul(x, y), mul(y, x)
+        return np.subtract(xy, out, out=out), xy
 
     def ac(x, y):
-        return mul(x, y) + mul(y, x)
+        """({x, y}, x y): the anticommutator and its first product."""
+        xy, out = mul(x, y), mul(y, x)
+        return np.add(xy, out, out=out), xy
 
     fam = spec.family
     out = []
@@ -346,15 +378,20 @@ def relation_residuals(spec: AlgebraSpec, gens: dict, anti: bool = False) -> lis
         out.append((ident, ref, mat, deg, max(1.0, scale)))
 
     if fam == "H":
-        b, bd, m, k = gens["b"], gens["bd"], gens["M"], gens["K"]
+        b, bd, k = gens["b"], gens["bd"], gens["K"]
         d, nu = spec.delta, spec.nu
-        add("H.ladder", "[b,bd] = delta + nu*K", cm(b, bd) - d * eye - nu * k,
-            1, nrm(mul(b, bd)))
-        add("H.reflection-low", "{K,b} = 0", ac(k, b), 0, nrm(mul(k, b)))
-        add("H.reflection-raise", "{K,bd} = 0", ac(k, bd), 1, nrm(mul(k, bd)))
-        add("H.number-low", "[M,b] = -b", cm(m, b) + b, 0, nrm(mul(m, b)))
-        add("H.number-raise", "[M,bd] = bd", cm(m, bd) - bd, 1, nrm(mul(m, bd)))
-        add("H.reflection-number", "[K,M] = 0", cm(k, m), 0, nrm(mul(k, m)))
+        res, p = cm("b", "bd")
+        add("H.ladder", "[b,bd] = delta + nu*K", res - d * eye - nu * k, 1, nrm(p))
+        res, p = ac("K", "b")
+        add("H.reflection-low", "{K,b} = 0", res, 0, nrm(p))
+        res, p = ac("K", "bd")
+        add("H.reflection-raise", "{K,bd} = 0", res, 1, nrm(p))
+        res, p = cm("M", "b")
+        add("H.number-low", "[M,b] = -b", res + b, 0, nrm(p))
+        res, p = cm("M", "bd")
+        add("H.number-raise", "[M,bd] = bd", res - bd, 1, nrm(p))
+        res, p = cm("K", "M")
+        add("H.reflection-number", "[K,M] = 0", res, 0, nrm(p))
     else:
         a, ad, n = gens["a"], gens["ad"], gens["N"]
         if fam in ("B", "Bq"):
@@ -369,20 +406,23 @@ def relation_residuals(spec: AlgebraSpec, gens: dict, anti: bool = False) -> lis
         else:
             rhs = c1 * n + c2 * eye
             ref = f"{label} = {c1:g}*N + {c2:g}"
-        add(f"{fam}.ladder", ref, bracket(a, ad) - rhs, 1, nrm(rhs))
-        add(f"{fam}.number-low", "[N,a] = -a", cm(n, a) + a, 0, nrm(mul(n, a)))
-        add(f"{fam}.number-raise", "[N,ad] = ad", cm(n, ad) - ad, 1, nrm(mul(n, ad)))
+        rhs_scale = (float(np.abs(np.diagonal(rhs)).max())
+                     if spec.is_deformed or "N" in diags else nrm(rhs))
+        add(f"{fam}.ladder", ref, bracket("a", "ad")[0] - rhs, 1, rhs_scale)
+        res, p = cm("N", "a")
+        add(f"{fam}.number-low", "[N,a] = -a", res + a, 0, nrm(p))
+        res, p = cm("N", "ad")
+        add(f"{fam}.number-raise", "[N,ad] = ad", res - ad, 1, nrm(p))
     if "g" in gens:
-        g = gens["g"]
         lo, ra = ("b", "bd") if fam == "H" else ("a", "ad")
-        add(f"{fam}.grade-low", f"{{g,{lo}}} = 0", ac(g, gens[lo]), 0, nrm(gens[lo]))
-        add(f"{fam}.grade-raise", f"{{g,{ra}}} = 0", ac(g, gens[ra]), 1, nrm(gens[ra]))
-        num = gens["M"] if fam == "H" else gens["N"]
-        add(f"{fam}.grade-number", "[g,N] = 0", cm(g, num), 0, nrm(num))
+        add(f"{fam}.grade-low", f"{{g,{lo}}} = 0", ac("g", lo)[0], 0, nrm(lo))
+        add(f"{fam}.grade-raise", f"{{g,{ra}}} = 0", ac("g", ra)[0], 1, nrm(ra))
+        num = "M" if fam == "H" else "N"
+        add(f"{fam}.grade-number", "[g,N] = 0", cm("g", num)[0], 0, nrm(num))
         if "ginv" in gens:
-            add(f"{fam}.grade-inverse", "g * g^-1 = I", mul(g, gens["ginv"]) - eye, 0)
+            add(f"{fam}.grade-inverse", "g * g^-1 = I", mul("g", "ginv") - eye, 0)
         if fam == "H":
-            add("H.grade-reflection", "[g,K] = 0", cm(g, gens["K"]), 0, nrm(gens["K"]))
+            add("H.grade-reflection", "[g,K] = 0", cm("g", "K")[0], 0, nrm("K"))
     return out
 
 
@@ -394,11 +434,12 @@ def rep_generator_images(rep: FockRep) -> dict:
 
 def check_defining_relations(rep: FockRep, tol: float = DEFAULT_TOL):
     """Windowed residual of every defining relation; failures are reported, not raised."""
+    sectors = level_sectors(rep.dim, 1)
     reports = []
     for ident_id, ref, residual_mat, degree, scale in relation_residuals(
-            rep.spec, rep_generator_images(rep)):
+            rep.spec, rep_generator_images(rep), sectors=sectors):
         window = validity_window(rep, degree)
-        res = windowed_norm(residual_mat, window.projector) / scale
+        res = windowed_norm(residual_mat, window.projector, sectors) / scale
         reports.append(check_report(rep.spec, rep.dim, f"relations.{ident_id}",
                                     ref, res, tol, degree))
     return reports

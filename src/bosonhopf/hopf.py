@@ -20,8 +20,8 @@ import numpy as np
 
 from .fock import AlgebraSpec, FockRep, SpecError, relation_residuals
 from .report import check_report
-from .tensor import (kron_all, kron_columns, spectral_norm, total_window_projector,
-                     window_mask, windowed_norm)
+from .tensor import (kron_all, kron_columns, level_sectors, spectral_norm,
+                     total_window_projector, window_mask, windowed_norm)
 
 DEFAULT_TOL = 1e-10
 
@@ -65,9 +65,9 @@ class Term:
         (:func:`kron_columns`: each entry bit-identical to the full product's).
         """
         mats = [word_image(w, dim) for w in self.words]
-        if cols is None:
-            return self.coeff * kron_all(*mats)
-        return self.coeff * kron_columns(mats, cols)
+        out = kron_all(*mats) if cols is None else kron_columns(mats, cols)
+        out *= self.coeff   # a new array: word_image and both builders allocate
+        return out
 
 
 def word_image(word: tuple, dim: int, image: str = "matrix"):
@@ -115,7 +115,10 @@ def expand_slot(terms: list, slot: int) -> list:
 
 def terms_matrix(terms: list, dim: int, cols=None) -> np.ndarray:
     """Sum of the terms' matrices, optionally only on the columns ``cols``."""
-    return sum(t.matrix(dim, cols) for t in terms)
+    total = terms[0].matrix(dim, cols)
+    for t in terms[1:]:
+        total += t.matrix(dim, cols)
+    return total
 
 
 # Raising-operator count of each generator's coproduct monomials; sets the
@@ -339,16 +342,20 @@ class HopfTables:
         delta_gens = {name: self.delta_matrix(name) for name in self.generator_names()}
         delta_gens["I"] = np.eye(dim * dim, dtype=complex)
         proj2 = total_window_projector(dim, 2, degree)
-        for ident, ref, residual, _, scale in relation_residuals(self.spec, delta_gens):
-            res = windowed_norm(residual, proj2) / scale
+        sectors2 = level_sectors(dim, 2)
+        for ident, ref, residual, _, scale in relation_residuals(
+                self.spec, delta_gens, sectors=sectors2):
+            res = windowed_norm(residual, proj2, sectors2) / scale
             out.append(check_report(self.spec, dim, f"hopf.delta-hom.{ident}",
                                     f"Delta images: {ref}", res, tol, degree))
 
         s_gens = {name: self.antipode(name) for name in self.generator_names()}
         s_gens["I"] = self.rep.identity
         proj1 = total_window_projector(dim, 1, degree)
-        for ident, ref, residual, _, scale in relation_residuals(self.spec, s_gens, anti=True):
-            res = windowed_norm(residual, proj1) / scale
+        sectors1 = level_sectors(dim, 1)
+        for ident, ref, residual, _, scale in relation_residuals(
+                self.spec, s_gens, anti=True, sectors=sectors1):
+            res = windowed_norm(residual, proj1, sectors1) / scale
             out.append(check_report(self.spec, dim, f"hopf.s-antihom.{ident}",
                                     f"antipode images: {ref}", res, tol, degree))
         return out

@@ -7,7 +7,7 @@ dimension and window degree are enough to re-run it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -27,12 +27,24 @@ class CheckReport:
     wall_time: float = 0.0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as a dict equal to ``dataclasses.asdict(self)``.
+
+        ``params`` and ``branch_note`` are copied one level deep, so the
+        caller may change the row's own dicts; values nested deeper are
+        shared with the report.
+        """
+        row = {name: getattr(self, name) for name in _FIELD_NAMES}
+        row["params"] = dict(self.params)
+        row["branch_note"] = dict(self.branch_note)
+        return row
 
     def summary(self) -> str:
         status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
         extra = f" ({self.skip_reason})" if self.skipped else f" residual={self.residual:.3e} tol={self.tol:.1e}"
         return f"[{status}] {self.identity} {self.family}{tuple(self.params.values())} D={self.dim}{extra}"
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(CheckReport))
 
 
 def check_report(spec, dim: int, identity: str, reference: str,

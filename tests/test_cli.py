@@ -1,11 +1,15 @@
 import json
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from bosonhopf import cli
 from bosonhopf.cli import (ConfigError, Scenario, grid_expand, main,
                            parse_config, run_suite)
 from bosonhopf.fock import AlgebraSpec, build_rep
+from bosonhopf.report import CheckReport, check_report
 from bosonhopf.tensor import kron, total_window_projector, windowed_norm
 
 PASS_SKIP_FAIL_CONFIG = """
@@ -144,6 +148,29 @@ def test_run_determinism(mixed_config, tmp_path):
     assert d1 == d2
 
 
+
+def test_report_to_dict_equals_asdict():
+    """to_dict gives asdict's value with new top-level dicts, without a deep
+    copy, on a report whose branch_note nests a dict and a list."""
+    rp = check_report(AlgebraSpec("Bq", (2, 4, 1.3)), 6, "rmatrix.ybe", "R12 R13 R23",
+                      2e-9, 1e-8, 0, branch_note={"gaps": {"q": [0.7, 1.3]},
+                                                  "diagnosis": "table"})
+    row = rp.to_dict()
+    assert row == asdict(rp)
+    assert row["params"] is not rp.params and row["branch_note"] is not rp.branch_note
+
+
+def test_report_json_is_unchanged_by_to_dict(mixed_config, tmp_path, monkeypatch):
+    """The report file written with to_dict is byte-identical to the one
+    written with dataclasses.asdict (job times pinned to 0)."""
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    fast, slow = tmp_path / "to_dict.json", tmp_path / "asdict.json"
+    _run(mixed_config, fast)
+    monkeypatch.setattr(CheckReport, "to_dict", asdict)
+    _run(mixed_config, slow)
+    assert fast.read_bytes() == slow.read_bytes()
+    assert any(r["branch_note"] for r in json.loads(fast.read_text())["reports"])
+
 PARALLEL_CONFIG = """
 [scenario graded]
 family = B
@@ -240,6 +267,17 @@ def test_eval_command_errors(capsys):
     assert "unknown identifier" in capsys.readouterr().err
     assert main(["eval", "--family", "B", "--params", "oops", "a"]) == 2
     assert main(["eval", "--family", "B", "--params", "2,1,9", "a"]) == 2
+
+
+@pytest.mark.parametrize("degree", ["4", "-1"])
+def test_eval_degree_outside_the_levels_is_a_usage_error(capsys, degree):
+    """--degree must lie in [0, dim): 4 on dim 4 and -1 exit 2 with a message."""
+    code = main(["eval", "--family", "B", "--params", "2,1", "--dim", "4",
+                 "--degree", degree, "a"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--degree must lie in [0, 4)" in captured.err
+    assert captured.out == ""
 
 
 def test_list_identities(capsys):

@@ -4,7 +4,7 @@ import pytest
 from bosonhopf import AlgebraSpec, build_rep, build_tables
 from bosonhopf.fock import windowed_norm
 from bosonhopf.hopf import Term, expand_slot, terms_matrix, word_image
-from bosonhopf.tensor import kron, kron_all, total_window_projector
+from bosonhopf.tensor import kron, kron_all, total_window_projector, window_mask
 from grids import BBAR_GRID, BBARQ_GRID, BQ_GRID, B_GRID, FULL_GRID, H_GRID
 
 
@@ -174,6 +174,43 @@ def test_antipode_inverse_needs_the_opposite_coproduct(family, params):
     for name in (("b", "bd") if family == "H" else ("a", "ad")):
         assert max(residuals(name, transpose=True)) < 1e-10, name
         assert min(residuals(name, transpose=False)) >= 1.0, name
+
+
+@pytest.mark.parametrize("family, params", CONTRACTION_CONTROLS)
+def test_delta_hom_rows_see_a_perturbed_coproduct(family, params):
+    """Negative control: one Sweedler coefficient of Delta of the raising
+    generator scaled by 1 + 1e-6 breaches a hopf.delta-hom row."""
+    tb = _tables(family, params)
+    name = "bd" if family == "H" else "ad"
+    assert all(r.passed for r in tb.check_delta_homomorphism(1e-10))
+    tb.atom(name).delta[0].coeff *= 1 + 1e-6
+    failed = [r.identity for r in tb.check_delta_homomorphism(1e-10) if not r.passed]
+    assert failed and all(i.startswith("hopf.delta-hom.") for i in failed), failed
+
+
+@pytest.mark.parametrize("family, params", CONTRACTION_CONTROLS)
+def test_delta_hom_rows_see_an_off_shift_entry(family, params, monkeypatch):
+    """Negative control: one entry of Delta of the raising generator on the
+    diagonal, where that image has no level shift of its own, breaches the
+    ladder and number-raise rows.  The entry sits on the last window column,
+    so in those residuals it follows rounding-level entries of the regular
+    shift: a norm that read only the blocks of one shift would miss it; the
+    nonzero-rows SVD, taken for residuals mixing two shifts, sees it."""
+    tb = _tables(family, params)
+    name = "bd" if family == "H" else "ad"
+    last = np.flatnonzero(window_mask(tb.rep.dim, 2, 2))[-1]
+    exact = tb.delta_matrix
+
+    def delta_matrix(gen):
+        mat = exact(gen)
+        if gen == name:
+            mat[last, last] = 1e-6 * np.abs(mat).max()
+        return mat
+
+    monkeypatch.setattr(tb, "delta_matrix", delta_matrix)
+    rows = {r.identity: r for r in tb.check_delta_homomorphism(1e-10)}
+    for rel in ("ladder", "number-raise"):
+        assert rows[f"hopf.delta-hom.{family}.{rel}"].residual > 1e-10, rel
 
 
 @pytest.mark.xfail(strict=True, reason="absolute residual: ladder weights near 1e3 put "

@@ -1,10 +1,14 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bosonhopf import AlgebraSpec, build_rep, build_tables, tensor
+from bosonhopf.hopf import expand_slot, word_image
 from bosonhopf.tensor import (embed_two_site, kron, kron_all, kron_columns,
-                              spectral_norm, swap_matrix, total_window_projector,
-                              windowed_norm)
+                              level_sectors, spectral_norm, swap_matrix,
+                              total_window_projector, window_mask, windowed_norm)
 
 
 def _rand(dim, seed):
@@ -32,6 +36,24 @@ def test_kron_columns_is_bit_identical(sizes):
                  np.sort(rng.choice(full.shape[1], size=full.shape[1] // 2, replace=False)),
                  np.array([full.shape[1] - 1, 0])):
         assert np.array_equal(kron_columns(mats, cols), full[:, cols])
+
+
+@pytest.mark.parametrize("family, params", [
+    ("B", (2, 3)), ("Bbar", (1, 2)), ("Bq", (2, 4, 1.3)), ("Bbarq", (1, 2, 0.7)),
+    ("H", (1, 2, 0.25))])
+def test_kron_all_is_bit_identical_to_numpy_kron(family, params):
+    """The broadcast Kronecker product equals np.kron entry for entry on every
+    two-slot Sweedler term of every generator, and on the three-slot terms of
+    the coassociativity expansion."""
+    tables = build_tables(build_rep(AlgebraSpec(family, params), 6))
+    for name in tables.generator_names():
+        terms = tables.delta_terms(name)
+        for term in terms + expand_slot(terms, 0):
+            mats = [word_image(w, 6) for w in term.words]
+            expect = mats[0]
+            for m in mats[1:]:
+                expect = np.kron(expect, m)
+            assert np.array_equal(kron_all(*mats), expect), (name, term)
 
 
 @given(seed=st.integers(0, 100))
@@ -109,3 +131,80 @@ def test_windowed_norm_matches_dense_on_level_graded_matrices(
     ref = float(np.linalg.norm(mat @ proj, 2))
     got = windowed_norm(mat, proj)
     assert abs(got - ref) <= 1e-13 * ref
+
+
+def test_level_sectors_group_the_basis_by_total_level():
+    sec = level_sectors(3, 2)
+    assert sec is level_sectors(3, 2)
+    assert sec.level.tolist() == [0, 1, 2, 1, 2, 3, 2, 3, 4]
+    assert sec.size.tolist() == [1, 2, 3, 2, 1]
+    assert [row[ok].tolist() for row, ok in zip(sec.index, sec.valid)] == [
+        [0], [1, 3], [2, 4, 6], [5, 7], [8]]
+    assert not sec.index.flags.writeable
+    assert np.array_equal(window_mask(3, 2, 1), sec.level <= 1)
+
+
+@contextmanager
+def _sector_calls():
+    """Record, per sector-path attempt, whether it gave the norm (True) or
+    found mixed level shifts and left it to the nonzero-rows SVD (False)."""
+    calls = []
+    kernel = tensor._sector_norm
+
+    def spy(*args):
+        norm = kernel(*args)
+        calls.append(norm is not None)
+        return norm
+
+    tensor._sector_norm = spy
+    try:
+        yield calls
+    finally:
+        tensor._sector_norm = kernel
+
+
+@given(dim=st.integers(2, 5), sites=st.integers(1, 3), shift=st.integers(-2, 2),
+       other=st.one_of(st.none(), st.integers(-2, 2)), degree_frac=st.floats(0, 1),
+       density=st.floats(0.05, 1.0), seed=st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_sector_norm_matches_dense_on_level_graded_matrices(
+        dim, sites, shift, other, degree_frac, density, seed):
+    """With the sector index, a matrix whose window-column nonzeros all shift
+    the total level by one amount takes the sector blocks; with a second
+    shift (``other``) it takes the nonzero-rows SVD.  Both match the dense
+    windowed norm to 1e-13 relative, and an all-zero window gives 0.0."""
+    rng = np.random.default_rng(seed)
+    sec = level_sectors(dim, sites)
+    size = sec.level.size
+    degree = min(dim - 1, int(degree_frac * dim))
+    diff = sec.level[:, None] - sec.level[None, :]
+    support = diff == shift
+    if other is not None:
+        support |= diff == other
+    support &= rng.random((size, size)) < density
+    mat = np.where(support, rng.normal(size=(size, size))
+                   + 1j * rng.normal(size=(size, size)), 0.0)
+    window = window_mask(dim, sites, degree)
+    cols = np.flatnonzero(window)
+    ref = float(np.linalg.norm(mat[:, window], 2))
+    with _sector_calls() as calls:
+        got = windowed_norm(mat, np.diag(window.astype(complex)), sec)
+    assert abs(got - ref) <= 1e-13 * ref
+    shifts = set(diff[:, cols][mat[:, cols] != 0].tolist())
+    if not shifts:
+        assert got == 0.0 and calls == []
+    else:
+        assert calls == [len(shifts) == 1]
+
+
+def test_sector_norm_of_zero_and_of_a_mixed_matrix():
+    sec = level_sectors(4, 2)
+    proj = total_window_projector(4, 2, 1)
+    with _sector_calls() as calls:
+        assert windowed_norm(np.zeros((16, 16), dtype=complex), proj, sec) == 0.0
+        assert spectral_norm(np.zeros((16, 16)), sectors=sec) == 0.0
+        mixed = np.zeros((16, 16))
+        mixed[0, 0] = 3.0       # level 0 -> 0
+        mixed[1, 0] = 4.0       # level 0 -> 1
+        assert windowed_norm(mixed, proj, sec) == pytest.approx(5.0, rel=1e-15)
+    assert calls == [False]
