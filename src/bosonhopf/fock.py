@@ -336,20 +336,16 @@ def relation_residuals(spec: AlgebraSpec, gens: dict, anti: bool = False,
 
     Each product is formed once, and a scale is the norm of a product its
     residual already uses.  A diagonal image multiplies as a row or column
-    scaling, and its norm is its largest absolute entry.  ``sectors``, the
-    level-sector index of the images' space, lets the other scales be taken
-    on sector blocks (:func:`spectral_norm`).
+    scaling, and a diagonal operand's norm is its largest absolute entry.
+    ``sectors``, the level-sector index of the images' space, lets the other
+    scales be taken on sector blocks (:func:`spectral_norm`).
     """
     eye = gens["I"]
     diags = {name: d for name, x in gens.items() if (d := _diagonal(x)) is not None}
 
     def nrm(x) -> float:
-        """Spectral norm of a matrix, or of the generator image named x."""
-        if isinstance(x, str):
-            if x in diags:
-                return float(np.abs(diags[x]).max())
-            x = gens[x]
-        return spectral_norm(x, sectors=sectors)
+        d = _diagonal(x)
+        return spectral_norm(x, sectors=sectors) if d is None else float(np.abs(d).max())
 
     def mul(x, y):
         """x y of the images named x and y (y x with ``anti``)."""
@@ -363,13 +359,13 @@ def relation_residuals(spec: AlgebraSpec, gens: dict, anti: bool = False,
 
     def cm(x, y):
         """([x, y], x y): the commutator and its first product."""
-        xy, out = mul(x, y), mul(y, x)
-        return np.subtract(xy, out, out=out), xy
+        xy, yx = mul(x, y), mul(y, x)
+        return np.subtract(xy, yx, out=yx), xy
 
     def ac(x, y):
         """({x, y}, x y): the anticommutator and its first product."""
-        xy, out = mul(x, y), mul(y, x)
-        return np.add(xy, out, out=out), xy
+        xy, yx = mul(x, y), mul(y, x)
+        return np.add(xy, yx, out=yx), xy
 
     fam = spec.family
     out = []
@@ -406,23 +402,21 @@ def relation_residuals(spec: AlgebraSpec, gens: dict, anti: bool = False,
         else:
             rhs = c1 * n + c2 * eye
             ref = f"{label} = {c1:g}*N + {c2:g}"
-        rhs_scale = (float(np.abs(np.diagonal(rhs)).max())
-                     if spec.is_deformed or "N" in diags else nrm(rhs))
-        add(f"{fam}.ladder", ref, bracket("a", "ad")[0] - rhs, 1, rhs_scale)
+        add(f"{fam}.ladder", ref, bracket("a", "ad")[0] - rhs, 1, nrm(rhs))
         res, p = cm("N", "a")
         add(f"{fam}.number-low", "[N,a] = -a", res + a, 0, nrm(p))
         res, p = cm("N", "ad")
         add(f"{fam}.number-raise", "[N,ad] = ad", res - ad, 1, nrm(p))
     if "g" in gens:
         lo, ra = ("b", "bd") if fam == "H" else ("a", "ad")
-        add(f"{fam}.grade-low", f"{{g,{lo}}} = 0", ac("g", lo)[0], 0, nrm(lo))
-        add(f"{fam}.grade-raise", f"{{g,{ra}}} = 0", ac("g", ra)[0], 1, nrm(ra))
+        add(f"{fam}.grade-low", f"{{g,{lo}}} = 0", ac("g", lo)[0], 0, nrm(gens[lo]))
+        add(f"{fam}.grade-raise", f"{{g,{ra}}} = 0", ac("g", ra)[0], 1, nrm(gens[ra]))
         num = "M" if fam == "H" else "N"
-        add(f"{fam}.grade-number", "[g,N] = 0", cm("g", num)[0], 0, nrm(num))
+        add(f"{fam}.grade-number", "[g,N] = 0", cm("g", num)[0], 0, nrm(gens[num]))
         if "ginv" in gens:
             add(f"{fam}.grade-inverse", "g * g^-1 = I", mul("g", "ginv") - eye, 0)
         if fam == "H":
-            add("H.grade-reflection", "[g,K] = 0", cm("g", "K")[0], 0, nrm("K"))
+            add("H.grade-reflection", "[g,K] = 0", cm("g", "K")[0], 0, nrm(k))
     return out
 
 

@@ -105,8 +105,6 @@ class LevelSectors:
     ``valid`` marks them.
     """
 
-    dim: int
-    sites: int
     level: np.ndarray
     index: np.ndarray
     size: np.ndarray
@@ -127,7 +125,7 @@ def level_sectors(dim: int, sites: int) -> LevelSectors:
     index[valid] = np.argsort(total, kind="stable")
     for arr in (total, index, size, valid):
         arr.flags.writeable = False
-    return LevelSectors(dim, sites, total, index, size, valid)
+    return LevelSectors(total, index, size, valid)
 
 
 def window_mask(dim: int, sites: int, raise_degree: int) -> np.ndarray:
@@ -190,14 +188,14 @@ def _sector_norm(mat: np.ndarray, cols: np.ndarray, sectors: LevelSectors,
     keep[cols] = True
     top = sectors.size.size - 1
     col_level = np.arange(max(0, -shift), min(top, top - shift) + 1)
-    col_level = col_level[(sectors.valid[col_level] & keep[sectors.index[col_level]]).any(axis=1)]
-    row_level = col_level + shift
+    col_ok = sectors.valid[col_level] & keep[sectors.index[col_level]]
+    live = col_ok.any(axis=1)
+    col_level, row_level = col_level[live], col_level[live] + shift
     width_in = sectors.size[col_level].max()
     width_out = sectors.size[row_level].max()
     col_idx = sectors.index[col_level, :width_in]
     row_idx = sectors.index[row_level, :width_out]
-    ok = (sectors.valid[row_level, :width_out, None]
-          & (sectors.valid[col_level, None, :width_in] & keep[col_idx][:, None, :]))
+    ok = sectors.valid[row_level, :width_out, None] & col_ok[live, None, :width_in]
     blocks = np.where(ok, mat[row_idx[:, :, None], col_idx[:, None, :]], 0)
     if np.count_nonzero(blocks) != np.count_nonzero(nonzero):
         return None

@@ -99,51 +99,6 @@ def test_total_window_projector_counts():
         total_window_projector(4, 2, 4)
 
 
-def test_windowed_norm_masks_excluded_columns():
-    mat = np.zeros((4, 4))
-    mat[:, 3] = 100.0
-    proj = np.diag([1.0, 1.0, 1.0, 0.0])
-    assert windowed_norm(mat, proj) == 0.0
-    # an all-zero residual reports exactly 0.0, windowed or not
-    zero = np.zeros((4, 4), dtype=complex)
-    assert windowed_norm(zero, proj) == 0.0
-    assert windowed_norm(zero, np.eye(4)) == 0.0
-    assert spectral_norm(zero) == 0.0
-
-
-@given(dim=st.integers(2, 5), sites=st.integers(1, 3), shift=st.integers(-1, 2),
-       density=st.floats(0.05, 1.0), seed=st.integers(0, 10 ** 6))
-@settings(max_examples=60, deadline=None)
-def test_windowed_norm_matches_dense_on_level_graded_matrices(
-        dim, sites, shift, density, seed):
-    """A matrix mapping total level L to L + shift, under a random window,
-    has the same windowed norm as the dense mat @ projector reference."""
-    rng = np.random.default_rng(seed)
-    levels = np.arange(dim)
-    total = levels.copy()
-    for _ in range(sites - 1):
-        total = (total[:, None] + levels[None, :]).reshape(-1)
-    size = total.size
-    support = (total[:, None] == total[None, :] + shift) & (rng.random((size, size)) < density)
-    mat = np.where(support, rng.normal(size=(size, size))
-                   + 1j * rng.normal(size=(size, size)), 0.0)
-    proj = np.diag((rng.random(size) < 0.6).astype(complex))
-    ref = float(np.linalg.norm(mat @ proj, 2))
-    got = windowed_norm(mat, proj)
-    assert abs(got - ref) <= 1e-13 * ref
-
-
-def test_level_sectors_group_the_basis_by_total_level():
-    sec = level_sectors(3, 2)
-    assert sec is level_sectors(3, 2)
-    assert sec.level.tolist() == [0, 1, 2, 1, 2, 3, 2, 3, 4]
-    assert sec.size.tolist() == [1, 2, 3, 2, 1]
-    assert [row[ok].tolist() for row, ok in zip(sec.index, sec.valid)] == [
-        [0], [1, 3], [2, 4, 6], [5, 7], [8]]
-    assert not sec.index.flags.writeable
-    assert np.array_equal(window_mask(3, 2, 1), sec.level <= 1)
-
-
 @contextmanager
 def _sector_calls():
     """Record, per sector-path attempt, whether it gave the norm (True) or
@@ -163,20 +118,50 @@ def _sector_calls():
         tensor._sector_norm = kernel
 
 
+def test_windowed_norm_masks_excluded_columns():
+    mat = np.zeros((4, 4))
+    mat[:, 3] = 100.0
+    proj = np.diag([1.0, 1.0, 1.0, 0.0])
+    assert windowed_norm(mat, proj) == 0.0
+    # an all-zero residual reports exactly 0.0, windowed or not, with or
+    # without the sector index, and takes no sector path
+    sec = level_sectors(4, 1)
+    zero = np.zeros((4, 4), dtype=complex)
+    with _sector_calls() as calls:
+        for sectors in (None, sec):
+            assert windowed_norm(mat, proj, sectors) == 0.0
+            assert windowed_norm(zero, proj, sectors) == 0.0
+            assert windowed_norm(zero, np.eye(4), sectors) == 0.0
+            assert spectral_norm(zero, sectors=sectors) == 0.0
+    assert calls == []
+
+
+def test_windowed_norm_of_a_mixed_shift_matrix_takes_the_nonzero_rows_svd():
+    mixed = np.zeros((16, 16))
+    mixed[0, 0] = 3.0       # level 0 -> 0
+    mixed[1, 0] = 4.0       # level 0 -> 1
+    with _sector_calls() as calls:
+        got = windowed_norm(mixed, total_window_projector(4, 2, 1), level_sectors(4, 2))
+    assert got == pytest.approx(5.0, rel=1e-15)
+    assert calls == [False]
+
+
 @given(dim=st.integers(2, 5), sites=st.integers(1, 3), shift=st.integers(-2, 2),
-       other=st.one_of(st.none(), st.integers(-2, 2)), degree_frac=st.floats(0, 1),
+       other=st.one_of(st.none(), st.integers(-2, 2)),
+       degree=st.one_of(st.none(), st.floats(0, 1)),
        density=st.floats(0.05, 1.0), seed=st.integers(0, 10 ** 6))
 @settings(max_examples=150, deadline=None)
-def test_sector_norm_matches_dense_on_level_graded_matrices(
-        dim, sites, shift, other, degree_frac, density, seed):
-    """With the sector index, a matrix whose window-column nonzeros all shift
-    the total level by one amount takes the sector blocks; with a second
-    shift (``other``) it takes the nonzero-rows SVD.  Both match the dense
-    windowed norm to 1e-13 relative, and an all-zero window gives 0.0."""
+def test_windowed_norm_matches_dense_on_level_graded_matrices(
+        dim, sites, shift, other, degree, density, seed):
+    """A matrix mapping total level L to L + shift (and, given ``other``, to
+    L + other as well), under the window of a random degree or a random
+    subset of states, has the dense ``mat @ projector`` norm to 1e-13
+    relative, with or without the sector index.  With it, the norm comes
+    from the sector blocks exactly when the window columns' nonzero entries
+    share one shift."""
     rng = np.random.default_rng(seed)
     sec = level_sectors(dim, sites)
     size = sec.level.size
-    degree = min(dim - 1, int(degree_frac * dim))
     diff = sec.level[:, None] - sec.level[None, :]
     support = diff == shift
     if other is not None:
@@ -184,27 +169,28 @@ def test_sector_norm_matches_dense_on_level_graded_matrices(
     support &= rng.random((size, size)) < density
     mat = np.where(support, rng.normal(size=(size, size))
                    + 1j * rng.normal(size=(size, size)), 0.0)
-    window = window_mask(dim, sites, degree)
-    cols = np.flatnonzero(window)
-    ref = float(np.linalg.norm(mat[:, window], 2))
-    with _sector_calls() as calls:
-        got = windowed_norm(mat, np.diag(window.astype(complex)), sec)
-    assert abs(got - ref) <= 1e-13 * ref
-    shifts = set(diff[:, cols][mat[:, cols] != 0].tolist())
-    if not shifts:
-        assert got == 0.0 and calls == []
+    if degree is None:
+        window = rng.random(size) < 0.6
     else:
-        assert calls == [len(shifts) == 1]
-
-
-def test_sector_norm_of_zero_and_of_a_mixed_matrix():
-    sec = level_sectors(4, 2)
-    proj = total_window_projector(4, 2, 1)
+        window = window_mask(dim, sites, min(dim - 1, int(degree * dim)))
+    proj = np.diag(window.astype(complex))
+    ref = float(np.linalg.norm(mat @ proj, 2))
+    assert abs(windowed_norm(mat, proj) - ref) <= 1e-13 * ref
     with _sector_calls() as calls:
-        assert windowed_norm(np.zeros((16, 16), dtype=complex), proj, sec) == 0.0
-        assert spectral_norm(np.zeros((16, 16)), sectors=sec) == 0.0
-        mixed = np.zeros((16, 16))
-        mixed[0, 0] = 3.0       # level 0 -> 0
-        mixed[1, 0] = 4.0       # level 0 -> 1
-        assert windowed_norm(mixed, proj, sec) == pytest.approx(5.0, rel=1e-15)
-    assert calls == [False]
+        got = windowed_norm(mat, proj, sec)
+    assert abs(got - ref) <= 1e-13 * ref
+    shifts = set(diff[:, window][mat[:, window] != 0].tolist())
+    assert calls == ([len(shifts) == 1] if shifts else [])
+    if not shifts:
+        assert got == 0.0
+
+
+def test_level_sectors_group_the_basis_by_total_level():
+    sec = level_sectors(3, 2)
+    assert sec is level_sectors(3, 2)
+    assert sec.level.tolist() == [0, 1, 2, 1, 2, 3, 2, 3, 4]
+    assert sec.size.tolist() == [1, 2, 3, 2, 1]
+    assert [row[ok].tolist() for row, ok in zip(sec.index, sec.valid)] == [
+        [0], [1, 3], [2, 4, 6], [5, 7], [8]]
+    assert not sec.index.flags.writeable
+    assert np.array_equal(window_mask(3, 2, 1), sec.level <= 1)
