@@ -392,12 +392,13 @@ def run_config(config: ScenarioConfig, out_path: str, jobs: int) -> int:
         },
         "reports": rows,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
     if out_path:
+        # streamed: the encoded chunks of a large report never sit in memory at once
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
+            fh.write("\n")
     else:
-        print(text)
+        print(json.dumps(doc, indent=2, sort_keys=True, default=_json_default))
     failed = doc["counts"]["failed"]
     summary = (f"{doc['counts']['passed']} passed, {failed} failed, "
                f"{doc['counts']['skipped']} skipped")

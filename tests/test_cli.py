@@ -148,7 +148,6 @@ def test_run_determinism(mixed_config, tmp_path):
     assert d1 == d2
 
 
-
 def test_report_to_dict_equals_asdict():
     """to_dict gives asdict's value with new top-level dicts, without a deep
     copy, on a report whose branch_note nests a dict and a list."""
@@ -170,6 +169,18 @@ def test_report_json_is_unchanged_by_to_dict(mixed_config, tmp_path, monkeypatch
     _run(mixed_config, slow)
     assert fast.read_bytes() == slow.read_bytes()
     assert any(r["branch_note"] for r in json.loads(fast.read_text())["reports"])
+
+
+
+def test_report_file_matches_the_printed_report(mixed_config, tmp_path, monkeypatch, capsys):
+    """The report streamed to --out has the bytes of the report printed
+    without it (job times pinned to 0)."""
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    out = tmp_path / "report.json"
+    _run(mixed_config, out)
+    capsys.readouterr()
+    main(["run", "--config", str(mixed_config), "--jobs", "1"])
+    assert out.read_text() == capsys.readouterr().out
 
 PARALLEL_CONFIG = """
 [scenario graded]
