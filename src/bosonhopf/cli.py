@@ -27,7 +27,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -370,6 +369,8 @@ def run_config(config: ScenarioConfig, out_path: str, jobs: int) -> int:
                 jobs_list.append((scenario, params, spec, skip_reason, suite))
     rows = []
     if jobs > 1:
+        # imported here: multiprocessing costs every --jobs 1 run its import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for chunk in pool.map(_run_job, jobs_list):
                 rows.extend(chunk)
@@ -393,17 +394,32 @@ def run_config(config: ScenarioConfig, out_path: str, jobs: int) -> int:
         "reports": rows,
     }
     if out_path:
-        # streamed: the encoded chunks of a large report never sit in memory at once
         with open(out_path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
+            write_report(doc, fh)
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True, default=_json_default))
+        write_report(doc, sys.stdout)
     failed = doc["counts"]["failed"]
     summary = (f"{doc['counts']['passed']} passed, {failed} failed, "
                f"{doc['counts']['skipped']} skipped")
     print(summary, file=sys.stderr)
     return 1 if failed else 0
+
+
+def write_report(doc: dict, fh) -> None:
+    """Write the report document as JSON: the header, then one row per line.
+
+    Each row is encoded by itself with ``json.dumps`` (the C encoder; an
+    indented dump takes the pure-Python one), so no string of the whole
+    document is built.  Keys are sorted, ``"reports"`` last.
+    """
+    head = {key: value for key, value in doc.items() if key != "reports"}
+    fh.write(json.dumps(head, sort_keys=True, default=_json_default)[:-1]
+             + ', "reports": [')
+    sep = "\n"
+    for row in doc["reports"]:
+        fh.write(sep + json.dumps(row, sort_keys=True, default=_json_default))
+        sep = ",\n"
+    fh.write("\n]}\n")
 
 
 def _json_default(obj):

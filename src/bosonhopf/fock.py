@@ -14,6 +14,11 @@ Operators live on span{|0>, ..., |D-1>} with a hard cutoff: raising maps the
 top level to zero.  Operator identities are therefore only asserted on
 validity windows, subspaces low enough that no monomial of the identity
 reaches the cutoff.
+
+Every generator image shifts the level by one fixed amount, so the relation
+residuals are formed and normed on level-sector operators
+(:class:`tensor.SectorOperator`), on one site or on the tensor power the
+images act on.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .report import check_report
 from .scalars import check_q, phase_pow, q_bracket
-from .tensor import (LevelSectors, level_sectors, spectral_norm,
+from .tensor import (LevelSectors, SectorOperator, level_sectors, spectral_norm,
                      total_window_projector, windowed_norm)
 
 FAMILIES = ("B", "Bbar", "Bq", "Bbarq", "H")
@@ -314,58 +319,55 @@ def diag_function(values_fn, diag_source: np.ndarray) -> np.ndarray:
     return np.diag(np.array([values_fn(v) for v in diag], dtype=complex))
 
 
-def _diagonal(x: np.ndarray):
-    """The diagonal of a square matrix without a nonzero entry off it, else None."""
-    n = x.shape[0]
-    off = x.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]   # row i: entries (i, i+1 .. i+n)
-    return None if off.any() else np.diagonal(x)
+def _sector_operator(x, sectors: LevelSectors):
+    """x as a sector operator of ``sectors``, or x itself when it is one or
+    its entries mix level shifts."""
+    if isinstance(x, SectorOperator):
+        return x
+    op = SectorOperator.from_dense(x, sectors)
+    return x if op is None else op
 
 
-def relation_residuals(spec: AlgebraSpec, gens: dict, anti: bool = False,
-                       sectors: LevelSectors | None = None) -> list:
-    """Defining-relation residual matrices evaluated on arbitrary generator images.
+def relation_residuals(spec: AlgebraSpec, gens: dict, sectors: LevelSectors,
+                       anti: bool = False) -> list:
+    """Defining-relation residual operators evaluated on arbitrary generator images.
 
-    ``gens`` maps generator names to square matrices of a common size (any
-    site count); "I" must be present.  With ``anti`` the products are
-    reversed, which is the form the relations take after an anti-homomorphism
-    such as the antipode.  Grade relations are included only when "g" is
-    present.  Returns (identity id, reference, residual matrix, raise degree,
-    scale); residual norms are reported relative to max(1, scale) because
-    q-bracket entries grow exponentially with the level and double precision
-    cannot deliver small absolute residuals against huge operands.
+    ``gens`` maps generator names to square matrices (or sector operators)
+    of a common size (any site count); "I" must be present.  With ``anti``
+    the products are reversed, which is the form the relations take after an
+    anti-homomorphism such as the antipode.  Grade relations are included
+    only when "g" is present.  Returns (identity id, reference, residual,
+    raise degree, scale); residual norms are reported relative to
+    max(1, scale) because q-bracket entries grow exponentially with the
+    level and double precision cannot deliver small absolute residuals
+    against huge operands.
 
-    Each product is formed once, and a scale is the norm of a product its
-    residual already uses.  A diagonal image multiplies as a row or column
-    scaling, and a diagonal operand's norm is its largest absolute entry.
-    ``sectors``, the level-sector index of the images' space, lets the other
-    scales be taken on sector blocks (:func:`spectral_norm`).
+    ``sectors`` is the level-sector index of the images' space.  Each image
+    is taken as its sector operator (:class:`tensor.SectorOperator`), so
+    products, sums and norms run on its sector blocks and a residual comes
+    back as one; an image whose entries mix level shifts stays dense, and
+    so does every expression it enters.  Each product is formed once, and a
+    scale is the norm of a product its residual already uses.
     """
-    eye = gens["I"]
-    diags = {name: d for name, x in gens.items() if (d := _diagonal(x)) is not None}
+    ops = {name: _sector_operator(x, sectors) for name, x in gens.items()}
+    eye = ops["I"]
 
     def nrm(x) -> float:
-        d = _diagonal(x)
-        return spectral_norm(x, sectors=sectors) if d is None else float(np.abs(d).max())
+        return spectral_norm(x, sectors=sectors)
 
     def mul(x, y):
         """x y of the images named x and y (y x with ``anti``)."""
-        if anti:
-            x, y = y, x
-        if x in diags:
-            return diags[x][:, None] * gens[y]
-        if y in diags:
-            return gens[x] * diags[y]
-        return gens[x] @ gens[y]
+        return ops[y] @ ops[x] if anti else ops[x] @ ops[y]
 
     def cm(x, y):
         """([x, y], x y): the commutator and its first product."""
-        xy, yx = mul(x, y), mul(y, x)
-        return np.subtract(xy, yx, out=yx), xy
+        xy = mul(x, y)
+        return xy - mul(y, x), xy
 
     def ac(x, y):
         """({x, y}, x y): the anticommutator and its first product."""
-        xy, yx = mul(x, y), mul(y, x)
-        return np.add(xy, yx, out=yx), xy
+        xy = mul(x, y)
+        return xy + mul(y, x), xy
 
     fam = spec.family
     out = []
@@ -374,7 +376,7 @@ def relation_residuals(spec: AlgebraSpec, gens: dict, anti: bool = False,
         out.append((ident, ref, mat, deg, max(1.0, scale)))
 
     if fam == "H":
-        b, bd, k = gens["b"], gens["bd"], gens["K"]
+        b, bd, k = ops["b"], ops["bd"], ops["K"]
         d, nu = spec.delta, spec.nu
         res, p = cm("b", "bd")
         add("H.ladder", "[b,bd] = delta + nu*K", res - d * eye - nu * k, 1, nrm(p))
@@ -389,7 +391,7 @@ def relation_residuals(spec: AlgebraSpec, gens: dict, anti: bool = False,
         res, p = cm("K", "M")
         add("H.reflection-number", "[K,M] = 0", res, 0, nrm(p))
     else:
-        a, ad, n = gens["a"], gens["ad"], gens["N"]
+        a, ad, n = ops["a"], ops["ad"], ops["N"]
         if fam in ("B", "Bq"):
             c1, c2 = spec.alpha, spec.beta
             bracket, label = ac, "{a,ad}"
@@ -397,7 +399,9 @@ def relation_residuals(spec: AlgebraSpec, gens: dict, anti: bool = False,
             c1, c2 = spec.sigma, spec.tau
             bracket, label = cm, "[a,ad]"
         if spec.is_deformed:
-            rhs = diag_function(lambda v: q_bracket(c1 * v + c2, spec.q), n)
+            if not isinstance(n, SectorOperator):
+                raise ValueError("functional calculus requires a diagonal operator")
+            rhs = n.diagonal_map(lambda v: q_bracket(c1 * v + c2, spec.q))
             ref = f"{label} = [{c1:g}*N + {c2:g}]_q"
         else:
             rhs = c1 * n + c2 * eye
@@ -409,10 +413,10 @@ def relation_residuals(spec: AlgebraSpec, gens: dict, anti: bool = False,
         add(f"{fam}.number-raise", "[N,ad] = ad", res - ad, 1, nrm(p))
     if "g" in gens:
         lo, ra = ("b", "bd") if fam == "H" else ("a", "ad")
-        add(f"{fam}.grade-low", f"{{g,{lo}}} = 0", ac("g", lo)[0], 0, nrm(gens[lo]))
-        add(f"{fam}.grade-raise", f"{{g,{ra}}} = 0", ac("g", ra)[0], 1, nrm(gens[ra]))
+        add(f"{fam}.grade-low", f"{{g,{lo}}} = 0", ac("g", lo)[0], 0, nrm(ops[lo]))
+        add(f"{fam}.grade-raise", f"{{g,{ra}}} = 0", ac("g", ra)[0], 1, nrm(ops[ra]))
         num = "M" if fam == "H" else "N"
-        add(f"{fam}.grade-number", "[g,N] = 0", cm("g", num)[0], 0, nrm(gens[num]))
+        add(f"{fam}.grade-number", "[g,N] = 0", cm("g", num)[0], 0, nrm(ops[num]))
         if "ginv" in gens:
             add(f"{fam}.grade-inverse", "g * g^-1 = I", mul("g", "ginv") - eye, 0)
         if fam == "H":
@@ -431,7 +435,7 @@ def check_defining_relations(rep: FockRep, tol: float = DEFAULT_TOL):
     sectors = level_sectors(rep.dim, 1)
     reports = []
     for ident_id, ref, residual_mat, degree, scale in relation_residuals(
-            rep.spec, rep_generator_images(rep), sectors=sectors):
+            rep.spec, rep_generator_images(rep), sectors):
         window = validity_window(rep, degree)
         res = windowed_norm(residual_mat, window.projector, sectors) / scale
         reports.append(check_report(rep.spec, rep.dim, f"relations.{ident_id}",

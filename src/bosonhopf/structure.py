@@ -22,7 +22,8 @@ from .fock import (AlgebraSpec, DEFAULT_TOL, FockRep, SpecError, acomm,
 from .hopf import HopfTables
 from .report import CheckReport, check_report
 from .scalars import q_bracket
-from .tensor import kron, total_window_projector, window_mask, windowed_norm
+from .tensor import (kron, level_sectors, total_window_projector, window_mask,
+                     windowed_norm)
 
 
 @dataclass(frozen=True)
@@ -428,7 +429,8 @@ def iso_phi(b_spec: AlgebraSpec, h_rep: FockRep, lam1: float = 1.0,
     h_spec = h_rep.spec
     gens = phi_images(b_spec, h_rep)
     out = []
-    for ident, ref, mat, deg, scale in relation_residuals(b_spec, gens):
+    for ident, ref, mat, deg, scale in relation_residuals(
+            b_spec, gens, level_sectors(h_rep.dim, 1)):
         res = _windowed(h_rep, mat, deg, scale)
         out.append(check_report(h_spec, h_rep.dim, f"iso.phi.{ident}",
                                 f"phi preserves {ref}", res, tol, deg))
@@ -451,7 +453,8 @@ def iso_phi_prime(h_spec: AlgebraSpec, b_rep: FockRep,
     b_spec = b_rep.spec
     gens = phi_prime_images(h_spec, b_rep)
     out = []
-    for ident, ref, mat, deg, scale in relation_residuals(h_spec, gens):
+    for ident, ref, mat, deg, scale in relation_residuals(
+            h_spec, gens, level_sectors(b_rep.dim, 1)):
         res = _windowed(b_rep, mat, deg, scale)
         out.append(check_report(b_spec, b_rep.dim, f"iso.phi-prime.{ident}",
                                 f"phi' preserves {ref}", res, tol, deg))

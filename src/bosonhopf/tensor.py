@@ -9,16 +9,19 @@ by the dense projector; an exactly-zero residual reports 0.0 without an
 SVD.  Given the level-sector index of its space (:func:`level_sectors`), an
 operator whose nonzero entries all shift the total level by one amount is
 block diagonal up to a permutation: column sector L maps into row sector
-L + shift only.  Its norm is then the largest singular value of a batch of
-sector blocks.  Any other operator, or a call without the index, takes the
-SVD of its nonzero rows and window columns.  Multi-site checks whose window
+L + shift only.  :class:`SectorOperator` keeps such an operator as those
+blocks, built from a dense matrix or straight from a two-site Sweedler term
+x (x) y; products, sums, functional calculus on a diagonal and the norm
+(the largest singular value of one batched SVD) then work on the blocks.
+Any other operator, or a dense one normed without the index, takes the SVD
+of its nonzero rows and window columns.  Multi-site checks whose window
 keeps only some columns build just those columns of a Kronecker product
 with kron_columns, entry for entry the same as the full product's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -105,10 +108,53 @@ class LevelSectors:
     ``valid`` marks them.
     """
 
+    dim: int
+    sites: int
     level: np.ndarray
     index: np.ndarray
     size: np.ndarray
     valid: np.ndarray
+    _plans: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def plan(self, shift: int) -> "_ShiftPlan":
+        """The gather pattern of the sector blocks of level shift ``shift``."""
+        plan = self._plans.get(shift)
+        if plan is None:
+            plan = self._plans[shift] = _ShiftPlan.build(self, shift)
+        return plan
+
+
+@dataclass(frozen=True)
+class _ShiftPlan:
+    """Where the blocks of one level shift sit in the dense matrix.
+
+    ``rows[L]`` is row sector ``L + shift`` (index row 0 when that is not a
+    level) and ``ok[L]`` marks the block entries that are real on both
+    sides; ``flat_rows``/``flat_cols`` are the dense positions of the
+    ``ok`` entries, in the order ``blocks[ok]`` lists them.  ``sites`` holds
+    the block entries' first-site and second-site row and column indices
+    (row i k, column j l as (i, k, j, l)), read on two-site spaces.
+    """
+
+    rows: np.ndarray
+    ok: np.ndarray
+    flat_rows: np.ndarray
+    flat_cols: np.ndarray
+    sites: tuple
+
+    @classmethod
+    def build(cls, sectors: LevelSectors, shift: int) -> "_ShiftPlan":
+        row_level = np.arange(sectors.size.size) + shift
+        inside = (row_level >= 0) & (row_level < sectors.size.size)
+        row_level = np.clip(row_level, 0, sectors.size.size - 1)
+        rows = sectors.index[row_level]
+        ok = ((sectors.valid[row_level] & inside[:, None])[:, :, None]
+              & sectors.valid[:, None, :])
+        flat_rows = np.broadcast_to(rows[:, :, None], ok.shape)[ok]
+        flat_cols = np.broadcast_to(sectors.index[:, None, :], ok.shape)[ok]
+        (i, k), (j, l) = (np.divmod(rows[:, :, None], sectors.dim),
+                          np.divmod(sectors.index[:, None, :], sectors.dim))
+        return cls(rows, ok, flat_rows, flat_cols, (i, k, j, l))
 
 
 @lru_cache(maxsize=32)
@@ -125,7 +171,190 @@ def level_sectors(dim: int, sites: int) -> LevelSectors:
     index[valid] = np.argsort(total, kind="stable")
     for arr in (total, index, size, valid):
         arr.flags.writeable = False
-    return LevelSectors(total, index, size, valid)
+    return LevelSectors(dim, sites, total, index, size, valid)
+
+
+def _one_site_shift(x: np.ndarray):
+    """The level shift of every nonzero entry of a one-site matrix (0 when it
+    has none), or None when they differ."""
+    rows, cols = np.nonzero(x)
+    shifts = rows - cols
+    if not shifts.size:
+        return 0
+    return int(shifts[0]) if (shifts == shifts[0]).all() else None
+
+
+@dataclass(eq=False)
+class SectorOperator:
+    """An operator that shifts the total level by the one amount ``shift``,
+    kept as its level-sector blocks.
+
+    ``blocks[L]`` maps column sector ``L`` into row sector ``L + shift`` of
+    ``sectors``, padded as in :class:`LevelSectors`; padding, and the blocks
+    whose row sector is not a level, are zero.  ``@``, ``+``, ``-`` and
+    scalar ``*`` work block by block; with a dense operand, or between
+    nonzero operators of different shifts, they return the dense result.
+    ``shape`` is the dense shape.
+    """
+
+    sectors: LevelSectors
+    shift: int
+    blocks: np.ndarray
+
+    __array_ufunc__ = None   # ndarray operands defer to the methods below
+
+    @property
+    def shape(self) -> tuple:
+        n = self.sectors.level.size
+        return (n, n)
+
+    @classmethod
+    def from_dense(cls, mat: np.ndarray, sectors: LevelSectors, cols=None):
+        """The sector operator of mat, or of its columns ``cols`` (the other
+        columns zeroed), or None when their nonzero entries shift the total
+        level by more than one amount.
+
+        The shift is read off the first nonzero entry; every entry of that
+        shift lands in exactly one block, so the blocks hold every nonzero
+        entry exactly when they hold as many as the matrix does.
+        """
+        nonzero = mat != 0
+        if cols is not None:
+            keep = np.zeros(mat.shape[1], dtype=bool)
+            keep[cols] = True
+            nonzero &= keep
+        count = np.count_nonzero(nonzero)
+        shift = 0
+        if count:
+            row, col = divmod(int(np.argmax(nonzero)), mat.shape[1])
+            shift = int(sectors.level[row] - sectors.level[col])
+        plan = sectors.plan(shift)
+        ok = plan.ok if cols is None else plan.ok & keep[sectors.index][:, None, :]
+        blocks = np.where(ok, mat[plan.rows[:, :, None], sectors.index[:, None, :]], 0)
+        if np.count_nonzero(blocks) != count:
+            return None
+        return cls(sectors, shift, blocks)
+
+    @classmethod
+    def from_term(cls, coeff, x: np.ndarray, y: np.ndarray, sectors: LevelSectors):
+        """The Sweedler term ``coeff * x (x) y`` of two one-site factors on the
+        two-site space of ``sectors``, gathered straight from the factors.
+
+        Entry ``(i k, j l)`` is ``x[i, j] * y[k, l]`` times ``coeff``, the
+        product :func:`kron` and ``Term.matrix`` form, so scattered back it
+        is bit-identical to them.  A factor whose entries mix level shifts
+        gives that dense product instead.
+        """
+        sx, sy = _one_site_shift(x), _one_site_shift(y)
+        if sx is None or sy is None:
+            out = kron(x, y)
+            out *= coeff
+            return out
+        plan = sectors.plan(sx + sy)
+        i, k, j, l = plan.sites
+        blocks = x[i, j] * y[k, l]
+        blocks *= coeff
+        blocks[~plan.ok] = 0
+        return cls(sectors, sx + sy, blocks)
+
+    def to_dense(self) -> np.ndarray:
+        plan = self.sectors.plan(self.shift)
+        out = np.zeros(self.shape, dtype=self.blocks.dtype)
+        out[plan.flat_rows, plan.flat_cols] = self.blocks[plan.ok]
+        return out
+
+    def _like(self, shift: int, blocks: np.ndarray) -> "SectorOperator":
+        return SectorOperator(self.sectors, shift, blocks)
+
+    def __matmul__(self, other):
+        if not isinstance(other, SectorOperator):
+            return self.to_dense() @ other
+        s, n = other.shift, self.blocks.shape[0]
+        lo, hi = max(0, -s), min(n, n - s)   # column levels L with L + s a level
+        out = np.zeros(other.blocks.shape, dtype=np.result_type(self.blocks, other.blocks))
+        if lo < hi:
+            np.matmul(self.blocks[lo + s:hi + s], other.blocks[lo:hi], out=out[lo:hi])
+        return self._like(self.shift + s, out)
+
+    def __rmatmul__(self, other):
+        return other @ self.to_dense()
+
+    def _combine(self, other, op):
+        if isinstance(other, SectorOperator):
+            # an all-zero operator has every shift
+            if other.shift == self.shift or not other.blocks.any():
+                return self._like(self.shift, op(self.blocks, other.blocks))
+            if not self.blocks.any():
+                return self._like(other.shift, op(self.blocks, other.blocks))
+            other = other.to_dense()
+        return op(self.to_dense(), other)
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract)
+
+    def __radd__(self, other):
+        return other + self.to_dense()
+
+    def __rsub__(self, other):
+        return other - self.to_dense()
+
+    def __mul__(self, scalar):
+        if not np.isscalar(scalar):
+            return NotImplemented
+        return self._like(self.shift, self.blocks * scalar)
+
+    __rmul__ = __mul__
+
+    def diagonal_map(self, fn) -> "SectorOperator":
+        """``fn`` applied at once to the array of diagonal entries of a
+        diagonal operator: functional calculus, as ``fock.diag_function``.
+
+        An off-diagonal entry above 1e-12 * max(1, largest |diagonal entry|)
+        rejects the operator, as there.
+        """
+        lev, i = np.nonzero(self.sectors.valid)
+        diag = self.blocks[lev, i, i] if self.shift == 0 else np.zeros(0)
+        off = self.blocks.copy()
+        if self.shift == 0:
+            off[lev, i, i] = 0
+        if np.abs(off).max() > 1e-12 * max(1.0, np.abs(diag).max(initial=0.0)):
+            raise ValueError("functional calculus requires a diagonal operator")
+        out = np.zeros(self.blocks.shape, dtype=complex)
+        out[lev, i, i] = fn(diag)
+        return self._like(0, out)
+
+    def norm(self, cols=None) -> float:
+        """Spectral norm, or that of the columns ``cols``: the largest
+        singular value of one batched SVD over the blocks of the column
+        sectors holding a kept column, each trimmed to the widest live row
+        and column sector.  Exactly 0.0 when those blocks are all zero; the
+        largest modulus when they are 1x1 (one site).
+        """
+        sec, s = self.sectors, self.shift
+        n = sec.size.size
+        col_level = np.arange(max(0, -s), min(n, n - s))
+        col_ok = sec.valid[col_level]
+        if cols is not None:
+            keep = np.zeros(sec.level.size, dtype=bool)
+            keep[cols] = True
+            col_ok = col_ok & keep[sec.index[col_level]]
+        live = col_ok.any(axis=1)
+        col_level, col_ok = col_level[live], col_ok[live]
+        if not col_level.size:
+            return 0.0
+        width_in = sec.size[col_level].max()
+        width_out = sec.size[col_level + s].max()
+        blocks = self.blocks[col_level, :width_out, :width_in]
+        if cols is not None and not np.array_equal(col_ok, sec.valid[col_level]):
+            blocks = blocks * col_ok[:, None, :width_in]
+        if not blocks.any():
+            return 0.0
+        if blocks.shape[1:] == (1, 1):   # one-site sectors: the modulus is the singular value
+            return float(np.abs(blocks).max())
+        return float(np.linalg.svd(blocks, compute_uv=False).max())
 
 
 def window_mask(dim: int, sites: int, raise_degree: int) -> np.ndarray:
@@ -145,72 +374,40 @@ def total_window_projector(dim: int, sites: int, raise_degree: int) -> np.ndarra
     return np.diag(window_mask(dim, sites, raise_degree).astype(complex))
 
 
-def spectral_norm(mat: np.ndarray, cols=None, sectors: LevelSectors | None = None) -> float:
+def spectral_norm(mat, cols=None, sectors: LevelSectors | None = None) -> float:
     """Spectral norm of mat, or of its columns ``cols``.
 
-    A matrix without a nonzero entry (on those columns) reports 0.0 without
-    an SVD.  With ``sectors``, the level-sector index of mat's space, and
-    every nonzero entry shifting the total level by the same amount, the
-    norm is the largest singular value over the sector blocks
-    (:func:`_sector_norm`).  Otherwise it is the SVD of the nonzero rows and
+    A :class:`SectorOperator` takes its own norm.  A dense matrix without a
+    nonzero entry (on those columns) reports 0.0 without an SVD.  With
+    ``sectors``, the level-sector index of mat's space, and every nonzero
+    entry shifting the total level by the same amount, the norm is taken on
+    its sector operator.  Otherwise it is the SVD of the nonzero rows and
     columns only: all-zero rows and columns carry no singular value, so
     dropping them is exact.  The zero pattern is read before anything is
     copied.
     """
+    if isinstance(mat, SectorOperator):
+        return mat.norm(cols)
     cols = np.arange(mat.shape[1]) if cols is None else np.asarray(cols)
     nonzero = (mat != 0)[:, cols]
     if not nonzero.any():
         return 0.0
     if sectors is not None:
-        norm = _sector_norm(mat, cols, sectors, nonzero)
-        if norm is not None:
-            return norm
+        op = SectorOperator.from_dense(mat, sectors, cols)
+        if op is not None:
+            return op.norm(cols)
     rows = np.flatnonzero(nonzero.any(axis=1))
     return float(np.linalg.norm(mat[np.ix_(rows, cols[nonzero.any(axis=0)])], 2))
 
 
-def _sector_norm(mat: np.ndarray, cols: np.ndarray, sectors: LevelSectors,
-                 nonzero: np.ndarray) -> float | None:
-    """Norm of the columns ``cols`` of mat by one batched SVD of its sector
-    blocks, or None when its nonzero entries there (``nonzero``, the zero
-    pattern of those columns) shift the total level by more than one amount.
-
-    The shift is read off the first nonzero entry.  Block L holds row sector
-    L + shift against column sector L, for each column sector with a kept
-    column; padding and columns outside ``cols`` are zeroed, which adds no
-    singular value.  Every entry of the kept columns with that shift lands in
-    exactly one block, so the blocks hold all nonzero entries exactly when
-    they hold as many as ``nonzero`` counts.
-    """
-    row, at = divmod(int(np.argmax(nonzero)), len(cols))
-    shift = int(sectors.level[row] - sectors.level[cols[at]])
-    keep = np.zeros(mat.shape[1], dtype=bool)
-    keep[cols] = True
-    top = sectors.size.size - 1
-    col_level = np.arange(max(0, -shift), min(top, top - shift) + 1)
-    col_ok = sectors.valid[col_level] & keep[sectors.index[col_level]]
-    live = col_ok.any(axis=1)
-    col_level, row_level = col_level[live], col_level[live] + shift
-    width_in = sectors.size[col_level].max()
-    width_out = sectors.size[row_level].max()
-    col_idx = sectors.index[col_level, :width_in]
-    row_idx = sectors.index[row_level, :width_out]
-    ok = sectors.valid[row_level, :width_out, None] & col_ok[live, None, :width_in]
-    blocks = np.where(ok, mat[row_idx[:, :, None], col_idx[:, None, :]], 0)
-    if np.count_nonzero(blocks) != np.count_nonzero(nonzero):
-        return None
-    if blocks.shape[1:] == (1, 1):   # one-site sectors: the modulus is the singular value
-        return float(np.abs(blocks).max())
-    return float(np.linalg.svd(blocks, compute_uv=False).max())
-
-
-def windowed_norm(mat: np.ndarray, projector: np.ndarray,
+def windowed_norm(mat, projector: np.ndarray,
                   sectors: LevelSectors | None = None) -> float:
     """Spectral norm of mat restricted to window states (right multiplication).
 
     The window columns are the projector's nonzero diagonal entries, the
     same as ``mat @ projector`` for a 0/1 diagonal projector, and the norm is
     taken by :func:`spectral_norm` on those columns without forming the
-    product, through the sector blocks when ``sectors`` is given.
+    product: on the sector blocks when mat is a :class:`SectorOperator` or
+    ``sectors`` is given.
     """
     return spectral_norm(mat, np.flatnonzero(projector.diagonal()), sectors)

@@ -1,4 +1,9 @@
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -181,6 +186,38 @@ def test_report_file_matches_the_printed_report(mixed_config, tmp_path, monkeypa
     capsys.readouterr()
     main(["run", "--config", str(mixed_config), "--jobs", "1"])
     assert out.read_text() == capsys.readouterr().out
+
+def test_report_file_parses_to_the_report_document(mixed_config, tmp_path, monkeypatch):
+    """The row-per-line report parses to the document run_config built, as
+    the same document dumped in one piece does."""
+    docs = []
+    write = cli.write_report
+
+    def keep(doc, fh):
+        docs.append(doc)
+        write(doc, fh)
+
+    monkeypatch.setattr(cli, "write_report", keep)
+    out = tmp_path / "report.json"
+    _run(mixed_config, out)
+    (doc,) = docs
+    assert doc["reports"] and doc["counts"]["skipped"] and doc["counts"]["failed"]
+    assert json.loads(out.read_text()) == json.loads(
+        json.dumps(doc, default=cli._json_default))
+    empty = io.StringIO()
+    write({"counts": {}, "metadata": {"v": 1.5 + 2j}, "reports": []}, empty)
+    assert json.loads(empty.getvalue()) == {
+        "counts": {}, "metadata": {"v": {"re": 1.5, "im": 2.0}}, "reports": []}
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    """The process pool is imported only for --jobs > 1."""
+    code = ("import sys, bosonhopf.cli; "
+            "sys.exit('multiprocessing' in sys.modules)")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
 
 PARALLEL_CONFIG = """
 [scenario graded]

@@ -3,7 +3,7 @@ import pytest
 
 from bosonhopf import AlgebraSpec, build_rep, build_tables
 from bosonhopf.fock import windowed_norm
-from bosonhopf.hopf import Term, expand_slot, terms_matrix, word_image
+from bosonhopf.hopf import Atom, Term, expand_slot, terms_matrix, word_image
 from bosonhopf.tensor import kron, kron_all, total_window_projector, window_mask
 from grids import BBAR_GRID, BBARQ_GRID, BQ_GRID, B_GRID, FULL_GRID, H_GRID
 
@@ -189,25 +189,27 @@ def test_delta_hom_rows_see_a_perturbed_coproduct(family, params):
 
 
 @pytest.mark.parametrize("family, params", CONTRACTION_CONTROLS)
-def test_delta_hom_rows_see_an_off_shift_entry(family, params, monkeypatch):
+def test_delta_hom_rows_see_an_off_shift_entry(family, params):
     """Negative control: one entry of Delta of the raising generator on the
     diagonal, where that image has no level shift of its own, breaches the
-    ladder and number-raise rows.  The entry sits on the last window column,
-    so in those residuals it follows rounding-level entries of the regular
-    shift: a norm that read only the blocks of one shift would miss it; the
-    nonzero-rows SVD, taken for residuals mixing two shifts, sees it."""
+    ladder and number-raise rows.  The entry is an extra Sweedler term
+    E x E' whose product is that one entry, of size 1e-6 times the image's
+    largest; it sits on the last window column, so in those residuals it
+    follows rounding-level entries of the regular shift: a norm that read
+    only the blocks of one shift would miss it; the image mixes two shifts,
+    so it stays dense and its residuals take the nonzero-rows SVD."""
     tb = _tables(family, params)
+    dim = tb.rep.dim
     name = "bd" if family == "H" else "ad"
-    last = np.flatnonzero(window_mask(tb.rep.dim, 2, 2))[-1]
-    exact = tb.delta_matrix
-
-    def delta_matrix(gen):
-        mat = exact(gen)
-        if gen == name:
-            mat[last, last] = 1e-6 * np.abs(mat).max()
-        return mat
-
-    monkeypatch.setattr(tb, "delta_matrix", delta_matrix)
+    last = np.flatnonzero(window_mask(dim, 2, 2))[-1]
+    units = []
+    for level in divmod(last, dim):
+        unit = np.zeros((dim, dim), dtype=complex)
+        unit[level, level] = 1.0
+        units.append(Atom(f"E{level}", unit))
+    size = 1e-6 * np.abs(tb.delta_matrix(name)).max()
+    tb.atom(name).delta.append(Term(size, ((units[0],), (units[1],))))
+    assert terms_matrix(tb.delta_terms(name), dim)[last, last] == size
     rows = {r.identity: r for r in tb.check_delta_homomorphism(1e-10)}
     for rel in ("ladder", "number-raise"):
         assert rows[f"hopf.delta-hom.{family}.{rel}"].residual > 1e-10, rel

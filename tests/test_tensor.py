@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosonhopf import AlgebraSpec, build_rep, build_tables, tensor
-from bosonhopf.hopf import expand_slot, word_image
-from bosonhopf.tensor import (embed_two_site, kron, kron_all, kron_columns,
-                              level_sectors, spectral_norm, swap_matrix,
+from bosonhopf.hopf import expand_slot, terms_operator, word_image
+from bosonhopf.tensor import (SectorOperator, embed_two_site, kron, kron_all,
+                              kron_columns, level_sectors, spectral_norm, swap_matrix,
                               total_window_projector, window_mask, windowed_norm)
 
 
@@ -104,18 +104,19 @@ def _sector_calls():
     """Record, per sector-path attempt, whether it gave the norm (True) or
     found mixed level shifts and left it to the nonzero-rows SVD (False)."""
     calls = []
-    kernel = tensor._sector_norm
+    cls = tensor.SectorOperator
+    kernel, bound = cls.__dict__["from_dense"], cls.from_dense
 
     def spy(*args):
-        norm = kernel(*args)
-        calls.append(norm is not None)
-        return norm
+        op = bound(*args)
+        calls.append(op is not None)
+        return op
 
-    tensor._sector_norm = spy
+    cls.from_dense = staticmethod(spy)
     try:
         yield calls
     finally:
-        tensor._sector_norm = kernel
+        cls.from_dense = kernel
 
 
 def test_windowed_norm_masks_excluded_columns():
@@ -194,3 +195,104 @@ def test_level_sectors_group_the_basis_by_total_level():
         [0], [1, 3], [2, 4, 6], [5, 7], [8]]
     assert not sec.index.flags.writeable
     assert np.array_equal(window_mask(3, 2, 1), sec.level <= 1)
+
+
+def _graded(rng, sec, shift, density):
+    """A random complex matrix of ``sec``'s space whose entries all shift the
+    total level by ``shift``."""
+    size = sec.level.size
+    support = (sec.level[:, None] - sec.level[None, :] == shift) & (
+        rng.random((size, size)) < density)
+    return np.where(support, rng.normal(size=(size, size))
+                    + 1j * rng.normal(size=(size, size)), 0.0)
+
+
+def _close(got, ref, scale):
+    return np.abs(got - ref).max(initial=0.0) <= 1e-13 * scale
+
+
+@given(dim=st.integers(2, 6), sites=st.integers(1, 3), shifts=st.tuples(
+           st.integers(-2, 2), st.integers(-2, 2)),
+       degree=st.one_of(st.none(), st.floats(0, 1)),
+       density=st.floats(0.05, 1.0), seed=st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_sector_operator_matches_dense(dim, sites, shifts, degree, density, seed):
+    """Products, sums, scalar multiples, the diagonal map and the windowed
+    norm (a window of a random degree or a random column subset) of sector
+    operators match the dense results to 1e-13 relative; an all-zero
+    operator has norm exactly 0.0."""
+    rng = np.random.default_rng(seed)
+    sec = level_sectors(dim, sites)
+    size = sec.level.size
+    a, c = (_graded(rng, sec, shifts[0], density) for _ in range(2))
+    b = _graded(rng, sec, shifts[1], density)
+    ops = [SectorOperator.from_dense(m, sec) for m in (a, b, c)]
+    assert all(op is not None and op.shape == (size, size) for op in ops)
+    op_a, op_b, op_c = ops
+    assert np.array_equal(op_a.to_dense(), a)
+    prod = op_a @ op_b
+    assert isinstance(prod, SectorOperator)
+    assert _close(prod.to_dense(), a @ b, (np.abs(a) @ np.abs(b)).max())
+    assert np.array_equal((op_a + op_c).to_dense(), a + c)
+    assert np.array_equal((op_a - op_c).to_dense(), a - c)
+    assert np.array_equal((2.5j * op_a).to_dense(), 2.5j * a)
+    assert np.array_equal((op_a * -3.0).to_dense(), -3.0 * a)
+    # dense operands, and sums of two nonzero shifts, give the dense result;
+    # an all-zero operator sums with any shift
+    assert _close(op_a @ b, a @ b, (np.abs(a) @ np.abs(b)).max())
+    assert _close(a @ op_b, a @ b, (np.abs(a) @ np.abs(b)).max())
+    mixed = op_a - op_b
+    if shifts[0] != shifts[1] and a.any() and b.any():
+        assert isinstance(mixed, np.ndarray) and np.array_equal(mixed, a - b)
+    else:
+        assert np.array_equal(mixed.to_dense(), a - b)
+    diag = np.diag(rng.normal(size=size) + 0j)
+    mapped = SectorOperator.from_dense(diag, sec).diagonal_map(np.exp)
+    assert _close(mapped.to_dense(), np.diag(np.exp(diag.diagonal())),
+                  np.exp(diag.diagonal().real).max())
+    if degree is None:
+        window = rng.random(size) < 0.6
+    else:
+        window = window_mask(dim, sites, min(dim - 1, int(degree * dim)))
+    proj = np.diag(window.astype(complex))
+    for op, mat in ((op_a, a), (prod, prod.to_dense())):
+        ref = float(np.linalg.norm(mat @ proj, 2))
+        assert abs(windowed_norm(op, proj) - ref) <= 1e-13 * ref
+        full = float(np.linalg.norm(mat, 2))
+        assert abs(spectral_norm(op) - full) <= 1e-13 * full
+    zero = op_a - op_a
+    assert spectral_norm(zero) == 0.0 and windowed_norm(zero, proj) == 0.0
+    assert SectorOperator.from_dense(np.zeros((size, size)), sec).norm() == 0.0
+
+
+def test_diagonal_map_rejects_an_off_diagonal_operator():
+    sec = level_sectors(4, 2)
+    diag = np.diag(np.arange(16.0) + 1)
+    off = diag.copy()
+    off[5, 5] += 1.0
+    off[4, 1] = 1e-3     # shift 0, inside a level sector, off the diagonal
+    with pytest.raises(ValueError):
+        SectorOperator.from_dense(off, sec).diagonal_map(np.exp)
+    raise_op = SectorOperator.from_dense(np.diag(np.ones(15), -1), level_sectors(16, 1))
+    with pytest.raises(ValueError):
+        raise_op.diagonal_map(np.exp)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("B", (2, 3)), ("Bbar", (1, 2)), ("Bq", (2, 4, 1.3)), ("Bbarq", (1, 2, 0.7)),
+    ("H", (1, 2, 0.25))])
+def test_sector_operator_of_a_sweedler_term_is_bit_identical_to_kron(family, params):
+    """from_term scattered back to dense equals coeff * np.kron(x, y) entry for
+    entry on every Delta term at D = 8, and the summed terms equal the dense
+    Delta image."""
+    dim = 8
+    tables = build_tables(build_rep(AlgebraSpec(family, params), dim))
+    sec = level_sectors(dim, 2)
+    for name in tables.generator_names():
+        for term in tables.delta_terms(name):
+            x, y = (word_image(w, dim) for w in term.words)
+            op = SectorOperator.from_term(term.coeff, x, y, sec)
+            assert isinstance(op, SectorOperator), (name, term)
+            assert np.array_equal(op.to_dense(), np.kron(x, y) * term.coeff), (name, term)
+        total = terms_operator(tables.delta_terms(name), dim)
+        assert np.array_equal(total.to_dense(), tables.delta_matrix(name)), name
