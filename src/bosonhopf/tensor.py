@@ -131,7 +131,9 @@ class _ShiftPlan:
     ``rows[L]`` is row sector ``L + shift`` (index row 0 when that is not a
     level) and ``ok[L]`` marks the block entries that are real on both
     sides; ``flat_rows``/``flat_cols`` are the dense positions of the
-    ``ok`` entries, in the order ``blocks[ok]`` lists them.  ``sites`` holds
+    ``ok`` entries, in the order ``blocks[ok]`` lists them, and ``kept[L]``
+    marks the real columns of column sector ``L`` when ``L + shift`` is a
+    level.  ``sites`` holds
     the block entries' first-site and second-site row and column indices
     (row i k, column j l as (i, k, j, l)), read on two-site spaces.
     """
@@ -140,6 +142,7 @@ class _ShiftPlan:
     ok: np.ndarray
     flat_rows: np.ndarray
     flat_cols: np.ndarray
+    kept: np.ndarray
     sites: tuple
 
     @classmethod
@@ -154,7 +157,8 @@ class _ShiftPlan:
         flat_cols = np.broadcast_to(sectors.index[:, None, :], ok.shape)[ok]
         (i, k), (j, l) = (np.divmod(rows[:, :, None], sectors.dim),
                           np.divmod(sectors.index[:, None, :], sectors.dim))
-        return cls(rows, ok, flat_rows, flat_cols, (i, k, j, l))
+        return cls(rows, ok, flat_rows, flat_cols, sectors.valid & inside[:, None],
+                   (i, k, j, l))
 
 
 @lru_cache(maxsize=32)
@@ -333,27 +337,24 @@ class SectorOperator:
         and column sector.  Exactly 0.0 when those blocks are all zero; the
         largest modulus when they are 1x1 (one site).
         """
-        sec, s = self.sectors, self.shift
-        n = sec.size.size
-        col_level = np.arange(max(0, -s), min(n, n - s))
-        col_ok = sec.valid[col_level]
+        sec = self.sectors
+        kept = sec.plan(self.shift).kept
         if cols is not None:
             keep = np.zeros(sec.level.size, dtype=bool)
             keep[cols] = True
-            col_ok = col_ok & keep[sec.index[col_level]]
-        live = col_ok.any(axis=1)
-        col_level, col_ok = col_level[live], col_ok[live]
-        if not col_level.size:
+            kept = kept & keep[sec.index]
+        if self.blocks.shape[1] == 1:   # one-site sectors: the modulus is the singular value
+            return float(np.abs(self.blocks[:, 0, 0][kept[:, 0]]).max(initial=0.0))
+        live = np.flatnonzero(kept.any(axis=1))
+        if not live.size:
             return 0.0
-        width_in = sec.size[col_level].max()
-        width_out = sec.size[col_level + s].max()
-        blocks = self.blocks[col_level, :width_out, :width_in]
-        if cols is not None and not np.array_equal(col_ok, sec.valid[col_level]):
-            blocks = blocks * col_ok[:, None, :width_in]
+        width_in = sec.size[live].max()
+        width_out = sec.size[live + self.shift].max()
+        blocks = self.blocks[live, :width_out, :width_in]
+        if cols is not None and not np.array_equal(kept[live], sec.valid[live]):
+            blocks = blocks * kept[live, None, :width_in]
         if not blocks.any():
             return 0.0
-        if blocks.shape[1:] == (1, 1):   # one-site sectors: the modulus is the singular value
-            return float(np.abs(blocks).max())
         return float(np.linalg.svd(blocks, compute_uv=False).max())
 
 
