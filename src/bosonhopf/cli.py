@@ -41,7 +41,7 @@ from .report import check_report, skipped_report
 from .rmatrix import (YBE_DIM, build_r, build_r0, check_r_axioms,
                       check_trivial_r, check_ybe, run_r_checks)
 from . import structure as structure_mod
-from .tensor import total_window_projector, windowed_norm
+from .tensor import spectral_norm, total_window_projector, windowed_norm
 
 REPORT_SCHEMA_VERSION = "1.0"
 
@@ -471,7 +471,7 @@ def _cmd_eval(args) -> int:
         return 2
     sites = round(np.log(mat.shape[0]) / np.log(rep.dim)) if rep.dim > 1 else 1
     win = windowed_norm(mat, total_window_projector(rep.dim, sites, args.degree))
-    full = float(np.linalg.norm(mat, 2))
+    full = spectral_norm(mat)
     print(f"windowed norm (degree {args.degree}): {win:.6e}")
     print(f"unwindowed norm: {full:.6e}")
     if args.dump_matrix:

@@ -3,9 +3,11 @@
 Coproduct images are stored as explicit Sweedler sums: lists of terms, each
 a scalar coefficient times a tuple of slot words, where a word is a product
 of atoms (generator images, grade elements, diagonal group-like factors).
-The matrix form of Delta(g) is derived from the terms; the term form is the
-source of truth because the counit and antipode contractions
-m(S x id)Delta(g) cannot be computed from a bare tensor matrix.
+The term form is the source of truth: the counit and antipode contractions
+m(S x id)Delta(g) cannot be computed from a bare tensor matrix.  Two-site
+images are gathered from the terms as level-sector operators, Delta^T from
+the same terms with their words exchanged (HopfTables.delta_terms); the
+dense form (delta_matrix) feeds only the R-matrix's three-site fusion slots.
 
 Terms can also be assembled on a subset of the tensor-space columns: the
 3-site coassociativity check builds only the columns its validity window
@@ -277,8 +279,11 @@ class HopfTables:
             raise KeyError(f"no Hopf image for generator {name!r} in family {self.spec.family}")
         return self.atoms[name]
 
-    def delta_terms(self, name: str) -> list:
-        return self.atom(name).delta
+    def delta_terms(self, name: str, transpose: bool = False) -> list:
+        """Sweedler terms of Delta(name), or of the opposite coproduct
+        Delta^T = tau Delta: each term with its two words exchanged."""
+        terms = self.atom(name).delta
+        return [Term(t.coeff, t.words[::-1]) for t in terms] if transpose else terms
 
     def delta_matrix(self, name: str) -> np.ndarray:
         return terms_matrix(self.delta_terms(name), self.rep.dim)
@@ -313,8 +318,8 @@ class HopfTables:
         """
         dim = self.rep.dim
         total = 0
-        for t in self.delta_terms(name):
-            w1, w2 = t.words[::-1] if transpose else t.words
+        for t in self.delta_terms(name, transpose):
+            w1, w2 = t.words
             left, right = t.coeff * word_image(w1, dim, x), word_image(w2, dim, y)
             total = total + (left @ right if np.ndim(left) and np.ndim(right)
                              else left * right)

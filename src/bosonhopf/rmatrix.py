@@ -20,7 +20,9 @@ is an algebra map); the antipode identity needs (S x id) R, which puts the
 tables' S images in the left slot and, since S reverses products, the
 diagonal images between S(a+)^l and the right factor.  A wrong Delta or S
 image in the tables therefore shows in these rows.  R0 and its images stay
-diagonals throughout.
+diagonals throughout.  Quasitriangularity and the trivial-R row gather
+Delta and Delta^T from the tables' Sweedler terms as level-sector
+operators; R conserves the total level, so it is one shift-0 sector operator.
 
 Printed sources for such series are notoriously convention-sensitive; every
 sign and root choice is captured in a BranchChoice and recorded in the
@@ -42,11 +44,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import FockRep, RepresentationError, SpecError, build_rep
-from .hopf import HopfTables
+from .hopf import HopfTables, terms_operator
 from .report import CheckReport, check_report
 from .scalars import bracket_factorial, phase_pow
-from .tensor import (embed_two_site, kron, kron_columns, spectral_norm, swap_matrix,
-                     total_window_projector, window_mask, windowed_norm)
+from .tensor import (SectorOperator, embed_two_site, kron, kron_columns, level_sectors,
+                     spectral_norm, total_window_projector, window_mask, windowed_norm)
 
 DEFAULT_R_TOL = 1e-8
 
@@ -309,14 +311,16 @@ def check_quasitriangularity(r: RMatrix, tables: HopfTables,
     dim = r.dim
     if tables.rep.dim != dim:
         raise SpecError("R-matrix and Hopf tables disagree on the dimension")
-    swap = swap_matrix(dim)
-    proj = total_window_projector(dim, 2, 1)
+    proj, sectors = total_window_projector(dim, 2, 1), level_sectors(dim, 2)
+    rop = SectorOperator.from_dense(r.matrix, sectors)
+    if rop is None:
+        raise RepresentationError("the R-matrix does not conserve the total level")
     out = []
     for name in tables.generator_names():
-        dm = tables.delta_matrix(name)
-        dmt = swap @ dm @ swap
-        scale = max(1.0, windowed_norm(r.matrix @ dm, proj))
-        residual = windowed_norm(dmt @ r.matrix - r.matrix @ dm, proj) / scale
+        r_delta = rop @ terms_operator(tables.delta_terms(name), dim)
+        delta_t = terms_operator(tables.delta_terms(name, transpose=True), dim)
+        scale = max(1.0, windowed_norm(r_delta, proj, sectors))
+        residual = windowed_norm(delta_t @ rop - r_delta, proj, sectors) / scale
         out.append(check_report(r.rep.spec, dim, f"rmatrix.quasitriangular.{name}",
                                 "Delta^T(g) R = R Delta(g)", residual, tol, 1,
                                 family=r.family, branch_note=dict(r.branch_note)))
@@ -442,7 +446,7 @@ def check_classical_limit(rep_builder, dim: int = 6,
     """
     reps = [rep_builder(q) for q in q_values]
     r0 = build_r0(reps[0]).matrix
-    gaps = [float(np.linalg.norm(build_r(rep).matrix - r0, 2)) for rep in reps]
+    gaps = [spectral_norm(build_r(rep).matrix - r0) for rep in reps]
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
     residual = gaps[-1] if monotone else float("inf")
     return check_report(reps[-1].spec, dim, "rmatrix.classical-limit",
@@ -451,13 +455,12 @@ def check_classical_limit(rep_builder, dim: int = 6,
 
 
 def check_trivial_r(tables: HopfTables, tol: float = 1e-12) -> CheckReport:
-    """R = I x I intertwines coproducts that are symmetric under the slot swap."""
+    """R = I x I intertwines coproducts that are symmetric under the slot swap:
+    the largest norm of Delta^T(g) - Delta(g)."""
     dim = tables.rep.dim
-    swap = swap_matrix(dim)
-    worst = 0.0
-    for name in tables.generator_names():
-        dm = tables.delta_matrix(name)
-        worst = max(worst, float(np.linalg.norm(swap @ dm @ swap - dm, 2)))
+    worst = max(spectral_norm(terms_operator(tables.delta_terms(name, transpose=True), dim)
+                              - terms_operator(tables.delta_terms(name), dim))
+                for name in tables.generator_names())
     return check_report(tables.spec, dim, "rmatrix.trivial",
                         "Delta^T = Delta, so R = I x I is quasitriangular",
                         worst, tol)

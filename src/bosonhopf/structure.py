@@ -7,7 +7,8 @@ number element M rebuilt from K.  Both give rise to closed coproduct forms,
 a characteristic polynomial identity, classical and deformed (super)algebra
 realizations with computable Casimir spectra, and a pair of mutually
 inverse generator maps between the two families that exist exactly when
-alpha = 2*delta.
+alpha = 2*delta.  Every norm is taken on level sectors by the tensor
+module's one kernel; the coproduct of L+ is a sum of Sweedler terms.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import numpy as np
 
 from .fock import (AlgebraSpec, DEFAULT_TOL, FockRep, SpecError, acomm,
                    comm, diag_function, relation_residuals, validity_window)
-from .hopf import HopfTables
+from .hopf import Atom, HopfTables, Term, terms_operator
 from .report import CheckReport, check_report
 from .scalars import q_bracket
-from .tensor import (kron, level_sectors, total_window_projector, window_mask,
+from .tensor import (level_sectors, spectral_norm, total_window_projector, window_mask,
                      windowed_norm)
 
 
@@ -40,9 +41,15 @@ class RealizationMap:
     normalization: float
 
 
-def _windowed(rep: FockRep, mat: np.ndarray, degree: int, scale: float = 1.0) -> float:
+def _norm(rep: FockRep, mat) -> float:
+    """Spectral norm of a one-site operator of ``rep``, on its level sectors."""
+    return spectral_norm(mat, sectors=level_sectors(rep.dim, 1))
+
+
+def _windowed(rep: FockRep, mat, degree: int, scale: float = 1.0) -> float:
+    """Windowed norm of a one-site residual, relative to max(1, scale)."""
     proj = validity_window(rep, degree).projector
-    return windowed_norm(mat, proj) / max(1.0, scale)
+    return windowed_norm(mat, proj, level_sectors(rep.dim, 1)) / max(1.0, scale)
 
 
 # -- the grade-odd element L --------------------------------------------------
@@ -86,29 +93,27 @@ def check_L_properties(elem: StructureElement, rep: FockRep,
     for name, ident in (("a", "structure.anticommute.low"),
                         ("ad", "structure.anticommute.raise")):
         gen = rep.generator(name)
-        res = _windowed(rep, acomm(elem.matrix, gen), 1,
-                        float(np.linalg.norm(elem.matrix @ gen, 2)))
+        res = _windowed(rep, acomm(elem.matrix, gen), 1, _norm(rep, elem.matrix @ gen))
         out.append(check_report(spec, rep.dim, ident, "{L,a} = {L,ad} = 0",
                                 res, tol, 1))
 
-    # coproduct of the element, computed homomorphically from the generator
-    # coproduct matrices, against its closed form
-    da = tables.delta_matrix("a")
-    dad = tables.delta_matrix("ad")
-    dn = tables.delta_matrix("N")
-    dg = tables.delta_matrix("g")
-    eye2 = np.eye(rep.dim ** 2)
-    hom = lam1 * dad @ da + lam2 * dn + lam3 * eye2 + lam4 * dg
-    lmat0 = elem.matrix - lam4 * rep.grade_plus   # the lam4-free part
-    closed = (kron(lmat0, rep.identity) + kron(rep.identity, lmat0)
-              - lam1 * (alpha / 4.0) * eye2
-              + lam4 * kron(rep.grade_plus, rep.grade_plus)
-              - lam1 * (kron(rep.grade_plus @ rep.raising, rep.lowering)
-                        - kron(rep.grade_minus @ rep.lowering, rep.raising)))
-    proj = total_window_projector(rep.dim, 2, 1)
-    scale = max(1.0, windowed_norm(closed, proj))
-    res = windowed_norm(hom - closed, proj) / scale
-    out.append(check_report(spec, rep.dim, "structure.delta-closed-form",
+    # Delta(L+) homomorphically from the generators' coproducts, against its
+    # closed form as a Sweedler sum: both are two-site sector operators
+    dim = rep.dim
+    delta = {name: terms_operator(tables.delta_terms(name), dim) for name in ("a", "ad", "N", "g")}
+    one = terms_operator([Term(1.0, ((), ()))], dim)
+    hom = (lam1 * delta["ad"] @ delta["a"] + lam2 * delta["N"] + lam3 * one
+           + lam4 * delta["g"])
+    g, ginv, a, ad = (tables.atom(name) for name in ("g", "ginv", "a", "ad"))
+    l0 = Atom("L0", elem.matrix - lam4 * rep.grade_plus)   # the lam4-free part
+    closed = terms_operator([
+        Term(1.0, ((l0,), ())), Term(1.0, ((), (l0,))), Term(-lam1 * alpha / 4.0, ((), ())),
+        Term(lam4, ((g,), (g,))), Term(-lam1, ((g, ad), (a,))), Term(lam1, ((ginv, a), (ad,)))],
+        dim)
+    proj, sectors2 = total_window_projector(dim, 2, 1), level_sectors(dim, 2)
+    scale = max(1.0, windowed_norm(closed, proj, sectors2))
+    res = windowed_norm(hom - closed, proj, sectors2) / scale
+    out.append(check_report(spec, dim, "structure.delta-closed-form",
                             "homomorphic Delta(L+) matches its closed form",
                             res, tol, 1))
 
@@ -116,8 +121,7 @@ def check_L_properties(elem: StructureElement, rep: FockRep,
     s_img = (lam1 * tables.antipode("a") @ tables.antipode("ad")
              + lam2 * tables.antipode("N") + lam3 * rep.identity
              + lam4 * tables.antipode("g"))
-    res_s = _windowed(rep, s_img - elem.matrix, 1,
-                      float(np.linalg.norm(elem.matrix, 2)))
+    res_s = _windowed(rep, s_img - elem.matrix, 1, _norm(rep, elem.matrix))
     eps = (lam1 * tables.counit("a") * tables.counit("ad")
            + lam2 * tables.counit("N") + lam3 + lam4 * tables.counit("g"))
     eps_expected = lam1 * alpha / 4.0 + lam4
@@ -144,8 +148,7 @@ def characteristic_identity_residual(rep: FockRep, lam1: float,
     eta_over = (alpha / 4.0 - beta / 2.0) ** 2
     lhs = (c_mat @ (c_mat + (alpha / 2.0 - beta) * rep.identity)
            + (alpha / 4.0 - beta / 2.0) ** 2 * rep.identity)
-    res = _windowed(rep, lhs - eta_over * rep.identity, 1,
-                    float(np.linalg.norm(lhs, 2)))
+    res = _windowed(rep, lhs - eta_over * rep.identity, 1, _norm(rep, lhs))
     return check_report(spec, rep.dim, "structure.characteristic",
                         "C(C + (alpha/2-beta)) + (alpha/4-beta/2)^2 = eta/lam1^2",
                         res, tol, 1, branch_note={"eta_over_lam1_sq": eta_over})
@@ -161,7 +164,7 @@ def bh_form_check(rep: FockRep, lam1: float, tol: float = DEFAULT_TOL) -> CheckR
     elem = build_L(rep, lam1, 0.0)
     lhs = comm(rep.lowering, rep.raising)
     rhs = -(2.0 / lam1) * elem.matrix + (rep.spec.alpha / 2.0) * rep.identity
-    res = _windowed(rep, lhs - rhs, 1, float(np.linalg.norm(rhs, 2)))
+    res = _windowed(rep, lhs - rhs, 1, _norm(rep, rhs))
     return check_report(rep.spec, rep.dim, "structure.bh-form",
                         "[a,ad] = -(2/lam1) L + alpha/2", res, tol, 1)
 
@@ -194,7 +197,7 @@ def build_M(rep: FockRep, rho: float | None = None,
         gen = rep.generator(gen_name)
         res_mat = comm(mat, gen) + sign * gen
         deg = 1 if gen_name == "bd" else 0
-        res = _windowed(rep, res_mat, deg, float(np.linalg.norm(mat @ gen, 2)))
+        res = _windowed(rep, res_mat, deg, _norm(rep, mat @ gen))
         reports.append(check_report(spec, rep.dim, ident,
                                     "[M,b] = -b, [M,bd] = bd", res, tol, deg))
     return elem, reports
@@ -207,7 +210,7 @@ def com_check(rep: FockRep, tol: float = DEFAULT_TOL) -> CheckReport:
     lhs = acomm(rep.lowering, rep.raising)
     rhs = (2.0 * spec.delta * elem.matrix
            + spec.delta * (1.0 - 2.0 * spec.rho) * rep.identity)
-    res = _windowed(rep, lhs - rhs, 1, float(np.linalg.norm(rhs, 2)))
+    res = _windowed(rep, lhs - rhs, 1, _norm(rep, rhs))
     return check_report(spec, rep.dim, "structure.com",
                         "{b,bd} = 2*delta*M + delta*(1-2*rho)", res, tol, 1)
 
@@ -323,14 +326,10 @@ def check_realization(realization: RealizationMap, rep: FockRep,
             pairs.append(("ef", "[e,f] = h", comm(e, f) - h, 2))
         pairs.append(("he", "[h,e] = 2e", comm(h, e) - 2.0 * e, 2))
         pairs.append(("hf", "[h,f] = -2f", comm(h, f) + 2.0 * f, 0))
-    out = []
-    for tag, ref, mat, deg in pairs:
-        scale = max(float(np.linalg.norm(e @ f, 2)), float(np.linalg.norm(h, 2)))
-        res = _windowed(rep, mat, deg, scale)
-        out.append(check_report(spec, rep.dim,
-                                f"structure.realization.{target}.{tag}",
-                                ref, res, tol, deg))
-    return out
+    scale = max(_norm(rep, e @ f), _norm(rep, h))
+    return [check_report(spec, rep.dim, f"structure.realization.{target}.{tag}", ref,
+                         _windowed(rep, mat, deg, scale), tol, deg)
+            for tag, ref, mat, deg in pairs]
 
 
 def casimir_spectrum(realization: RealizationMap, rep: FockRep,
@@ -366,12 +365,10 @@ def casimir_spectrum(realization: RealizationMap, rep: FockRep,
         note = {"c_even": c_even, "c_odd": c_odd}
     else:
         raise SpecError(f"unknown Casimir selector {which!r}")
-    proj = validity_window(rep, degree).projector
     keep = window_mask(rep.dim, 1, degree)
     diag = np.diag(cas)
     dev_diag = float(np.max(np.abs(diag[keep] - target[keep])))
-    off = cas - np.diag(diag)
-    dev_off = windowed_norm(off, proj)
+    dev_off = _windowed(rep, cas - np.diag(diag), degree)
     # closed-form parity formula must agree with the sector values
     formula = (0.5 - beta / (2.0 * alpha) - beta ** 2 / (4.0 * alpha ** 2)
                + (2.0 * beta - alpha) / (8.0 * alpha)
@@ -439,8 +436,7 @@ def iso_phi(b_spec: AlgebraSpec, h_rep: FockRep, lam1: float = 1.0,
     l_img = (lam1 * gens["ad"] @ gens["a"] + lam2 * gens["N"]
              + lam3 * gens["I"])
     target = -(lam1 * h_spec.nu / 2.0) * h_rep.k_op
-    res = _windowed(h_rep, l_img - target, 1,
-                    float(np.linalg.norm(target, 2)))
+    res = _windowed(h_rep, l_img - target, 1, _norm(h_rep, target))
     out.append(check_report(h_spec, h_rep.dim, "iso.phi-L",
                             "phi(L) = -(lam1*nu/2) K", res, tol, 1))
     return out
@@ -461,8 +457,7 @@ def iso_phi_prime(h_spec: AlgebraSpec, b_rep: FockRep,
     # phi'(M) = N + (beta - delta)/(2 delta) + rho
     target = (b_rep.number + ((b_spec.beta - h_spec.delta)
                               / (2.0 * h_spec.delta) + h_spec.rho) * b_rep.identity)
-    res = _windowed(b_rep, gens["M"] - target, 1,
-                    float(np.linalg.norm(target, 2)))
+    res = _windowed(b_rep, gens["M"] - target, 1, _norm(b_rep, target))
     out.append(check_report(b_spec, b_rep.dim, "iso.phi-prime-M",
                             "phi'(M) = N + (beta-delta)/(2 delta) + rho",
                             res, tol, 1))
@@ -472,8 +467,7 @@ def iso_phi_prime(h_spec: AlgebraSpec, b_rep: FockRep,
     rt = ((2.0 / alpha) * gens["bd"] @ gens["b"]
           + (h_spec.nu / alpha) * gens["K"]
           + ((h_spec.delta - beta) / alpha) * b_rep.identity)
-    res = _windowed(b_rep, rt - b_rep.number, 1,
-                    float(np.linalg.norm(b_rep.number, 2)))
+    res = _windowed(b_rep, rt - b_rep.number, 1, _norm(b_rep, b_rep.number))
     out.append(check_report(b_spec, b_rep.dim, "iso.roundtrip",
                             "phi' after phi fixes every generator", res, tol, 1))
     return out

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -63,10 +62,7 @@ def kron_columns(mats, cols) -> np.ndarray:
 
 def swap_matrix(dim: int) -> np.ndarray:
     """Permutation matrix exchanging the two slots of a dim x dim two-site space."""
-    s = np.zeros((dim * dim, dim * dim))
-    for i, j in product(range(dim), repeat=2):
-        s[j * dim + i, i * dim + j] = 1.0
-    return s
+    return np.eye(dim * dim)[np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)]
 
 
 def embed_two_site(r: np.ndarray, slots: tuple, sites: int, site_dim: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,45 @@ def test_r_axioms_reject_a_non_diagonal_image(monkeypatch):
 
 
 @pytest.mark.parametrize("family, params", [("Bq", (2, 4, 1.3)), ("Bbarq", (1, 1, 0.7))])
+def test_quasitriangularity_sees_a_perturbed_coproduct(family, params):
+    """Negative control: the first Sweedler coefficient of Delta(a) scaled by
+    1 + 1e-6 breaches rmatrix.quasitriangular.a and no other generator's row
+    (3.0e-5 on Bq, 2.1e-7 on Bbarq).  Delta and Delta^T are both gathered
+    from the tables' terms, so the perturbation reaches both sides."""
+    rep, tables = _setup(family, params)
+    r = build_r(rep)
+    assert all(rp.passed for rp in check_quasitriangularity(r, tables))
+    tables.atom("a").delta[0].coeff *= 1 + 1e-6
+    failed = [rp.identity for rp in check_quasitriangularity(r, tables) if not rp.passed]
+    assert failed == ["rmatrix.quasitriangular.a"]
+
+
+def test_quasitriangularity_rejects_an_r_that_moves_the_level():
+    """R is taken as one shift-0 sector operator; an entry that moves the
+    total level cannot be, and is reported instead of dropped."""
+    rep, tables = _setup("Bq", (2, 4, 1.3), dim=4)
+    r = build_r(rep)
+    bad = r.matrix.copy()
+    bad[0, 1] = 1e-3
+    with pytest.raises(RepresentationError, match="total level"):
+        check_quasitriangularity(dataclasses.replace(r, matrix=bad), tables)
+
+
+@pytest.mark.xfail(strict=True, reason="loose backward-error scale |S R| |R|: a negated "
+                   "S(g) reads 9.1e-9, under the 1e-8 bound, until the scale is tightened")
+def test_inverse_row_sees_a_negated_antipode_of_g(monkeypatch):
+    """Bq (2, 4, 1.3) at D = 8 with S(g) negated in the tables: the
+    rmatrix.inverse row moves from 5.4e-15 only to 9.14e-9, under its 1e-8
+    bound, so the wrong image passes.  A tighter scale turns this test into
+    an XPASS, which fails until the marker is removed."""
+    rep, tables = _setup("Bq", (2, 4, 1.3))
+    g = tables.atom("g")
+    monkeypatch.setattr(g, "s", -g.s)
+    rows = {rp.identity: rp for rp in check_r_axioms(build_r(rep), tables)}
+    assert not rows["rmatrix.inverse"].passed, rows["rmatrix.inverse"].summary()
+
+
+@pytest.mark.parametrize("family, params", [("Bq", (2, 4, 1.3)), ("Bbarq", (1, 1, 0.7))])
 def test_ybe_above_dim_8(family, params):
     report = check_ybe(build_r(build_rep(AlgebraSpec(family, params), 10)))
     assert report.dim == 10
@@ -256,6 +297,17 @@ def test_trivial_r_for_ungraded_family():
         rep, tables = _setup("Bbar", params, dim=6)
         report = check_trivial_r(tables)
         assert report.passed, report.summary()
+
+
+def test_trivial_r_sees_an_asymmetric_coproduct():
+    """Negative control: the first Sweedler coefficient of Delta(a) scaled by
+    1 + 1e-6 makes Delta^T(a) differ from Delta(a) by 9.9e-6 on Bbar (1, 2)
+    at D = 8, against the 1e-12 bound."""
+    rep, tables = _setup("Bbar", (1, 2))
+    assert check_trivial_r(tables).residual == 0.0
+    tables.atom("a").delta[0].coeff *= 1 + 1e-6
+    report = check_trivial_r(tables)
+    assert not report.passed and report.residual > 1e-6, report.summary()
 
 
 # -- classical limit ----------------------------------------------------------

@@ -57,6 +57,20 @@ def test_L_properties_grid():
             assert report.passed, report.summary()
 
 
+def test_delta_closed_form_sees_a_perturbed_coproduct():
+    """Negative control: the first Sweedler coefficient of Delta(ad) scaled by
+    1 + 1e-6 breaches structure.delta-closed-form on B (2, 3) at D = 8
+    (1.1e-6 against 1e-10) and leaves the one-site rows passing."""
+    rep = _rep("B", (2, 3), dim=8)
+    tables = build_tables(rep)
+    elem = build_L(rep, 1.0, 0.0)
+    assert all(r.passed for r in check_L_properties(elem, rep, tables, 1e-10))
+    tables.atom("ad").delta[0].coeff *= 1 + 1e-6
+    failed = [r.identity for r in check_L_properties(elem, rep, tables, 1e-10)
+              if not r.passed]
+    assert failed == ["structure.delta-closed-form"]
+
+
 def test_characteristic_identity_grid():
     for params in B_GRID:
         rep = _rep("B", params)

@@ -283,8 +283,10 @@ def test_diagonal_map_rejects_an_off_diagonal_operator():
     ("H", (1, 2, 0.25))])
 def test_sector_operator_of_a_sweedler_term_is_bit_identical_to_kron(family, params):
     """from_term scattered back to dense equals coeff * np.kron(x, y) entry for
-    entry on every Delta term at D = 8, and the summed terms equal the dense
-    Delta image."""
+    entry on every Delta term at D = 8, the summed terms equal the dense
+    Delta image, and the summed terms with their words exchanged equal the
+    slot-swap sandwich of that image, the reference construction of
+    Delta^T."""
     dim = 8
     tables = build_tables(build_rep(AlgebraSpec(family, params), dim))
     sec = level_sectors(dim, 2)
@@ -296,3 +298,7 @@ def test_sector_operator_of_a_sweedler_term_is_bit_identical_to_kron(family, par
             assert np.array_equal(op.to_dense(), np.kron(x, y) * term.coeff), (name, term)
         total = terms_operator(tables.delta_terms(name), dim)
         assert np.array_equal(total.to_dense(), tables.delta_matrix(name)), name
+        opposite = terms_operator(tables.delta_terms(name, transpose=True), dim)
+        swap = swap_matrix(dim)
+        assert np.array_equal(opposite.to_dense(),
+                              swap @ tables.delta_matrix(name) @ swap), name
