@@ -433,11 +433,13 @@ def rep_generator_images(rep: FockRep) -> dict:
 def check_defining_relations(rep: FockRep, tol: float = DEFAULT_TOL):
     """Windowed residual of every defining relation; failures are reported, not raised."""
     sectors = level_sectors(rep.dim, 1)
+    projectors = {}   # one validity-window projector per degree
     reports = []
     for ident_id, ref, residual_mat, degree, scale in relation_residuals(
             rep.spec, rep_generator_images(rep), sectors):
-        window = validity_window(rep, degree)
-        res = windowed_norm(residual_mat, window.projector, sectors) / scale
+        if degree not in projectors:
+            projectors[degree] = validity_window(rep, degree).projector
+        res = windowed_norm(residual_mat, projectors[degree], sectors) / scale
         reports.append(check_report(rep.spec, rep.dim, f"relations.{ident_id}",
                                     ref, res, tol, degree))
     return reports

@@ -4,14 +4,11 @@ Coproduct images are stored as explicit Sweedler sums: lists of terms, each
 a scalar coefficient times a tuple of slot words, where a word is a product
 of atoms (generator images, grade elements, diagonal group-like factors).
 The term form is the source of truth: the counit and antipode contractions
-m(S x id)Delta(g) cannot be computed from a bare tensor matrix.  Two-site
-images are gathered from the terms as level-sector operators, Delta^T from
-the same terms with their words exchanged (HopfTables.delta_terms); the
+m(S x id)Delta(g) cannot be computed from a bare tensor matrix.  Multi-site
+images are gathered from the terms as level-sector operators: Delta and
+Delta^T (the terms with their words exchanged, HopfTables.delta_terms), and
+both sides of coassociativity on its validity window's column sectors.  The
 dense form (delta_matrix) feeds only the R-matrix's three-site fusion slots.
-
-Terms can also be assembled on a subset of the tensor-space columns: the
-3-site coassociativity check builds only the columns its validity window
-keeps, entry for entry the same as the matching columns of the full matrix.
 """
 
 from __future__ import annotations
@@ -22,8 +19,8 @@ import numpy as np
 
 from .fock import AlgebraSpec, FockRep, SpecError, relation_residuals
 from .report import check_report
-from .tensor import (SectorOperator, kron_all, kron_columns, level_sectors,
-                     spectral_norm, total_window_projector, window_mask, windowed_norm)
+from .tensor import (SectorOperator, kron_all, level_sectors, spectral_norm,
+                     total_window_projector, window_mask, windowed_norm)
 
 DEFAULT_TOL = 1e-10
 
@@ -62,13 +59,10 @@ class Term:
     def slots(self) -> int:
         return len(self.words)
 
-    def matrix(self, dim: int, cols=None) -> np.ndarray:
-        """The Kronecker product of the slot words, or only its columns ``cols``
-        (:func:`kron_columns`: each entry bit-identical to the full product's).
-        """
-        mats = [word_image(w, dim) for w in self.words]
-        out = kron_all(*mats) if cols is None else kron_columns(mats, cols)
-        out *= self.coeff   # a new array: word_image and both builders allocate
+    def matrix(self, dim: int) -> np.ndarray:
+        """The dense Kronecker product of the slot words, times the coefficient."""
+        out = kron_all(*(word_image(w, dim) for w in self.words))
+        out *= self.coeff   # a new array: word_image and kron_all allocate
         return out
 
 
@@ -115,27 +109,30 @@ def expand_slot(terms: list, slot: int) -> list:
     return out
 
 
-def terms_matrix(terms: list, dim: int, cols=None) -> np.ndarray:
-    """Sum of the terms' matrices, optionally only on the columns ``cols``."""
-    total = terms[0].matrix(dim, cols)
+def terms_matrix(terms: list, dim: int) -> np.ndarray:
+    """Sum of the terms' dense matrices."""
+    total = terms[0].matrix(dim)
     for t in terms[1:]:
-        total += t.matrix(dim, cols)
+        total += t.matrix(dim)
     return total
 
 
-def terms_operator(terms: list, dim: int):
-    """Sum of two-slot terms as a sector operator on the two-site space.
+def terms_operator(terms: list, dim: int, top: int | None = None):
+    """Sum of terms as a sector operator on their multi-site space, on the
+    column sectors of total level up to ``top`` (every level by default).
 
-    Each term is gathered from its two slot images
-    (:meth:`SectorOperator.from_term`) and the terms are summed in the
-    order of :func:`terms_matrix`, so every entry is bit-identical to it.
-    Terms of different level shifts sum to the dense matrix.
+    Each term is gathered from its slot images
+    (:meth:`SectorOperator.gather`), scaled as ``Term.matrix`` scales it and
+    summed in the order of :func:`terms_matrix`, so every entry is
+    bit-identical to it.  Terms of different level shifts sum to the dense
+    matrix, whose window columns the norms then select.
     """
-    sectors = level_sectors(dim, 2)
+    sectors = level_sectors(dim, terms[0].slots)
     total = None
     for t in terms:
-        op = SectorOperator.from_term(t.coeff, *(word_image(w, dim) for w in t.words),
-                                      sectors)
+        op = SectorOperator.gather([(word_image(w, dim), (site,))
+                                    for site, w in enumerate(t.words)],
+                                   sectors, top) * t.coeff
         total = op if total is None else total + op
     return total
 
@@ -296,15 +293,16 @@ class HopfTables:
 
     # -- axiom checks --------------------------------------------------------
     def check_coassociativity(self, tol: float = DEFAULT_TOL) -> list:
-        """Both 3-site expansions, assembled on the validity-window columns only."""
+        """Both 3-site expansions as sector operators, gathered on the column
+        sectors of the validity window only (levels up to dim - 1 - degree)."""
         dim = self.rep.dim
         out = []
         for name in self.generator_names():
             deg = _RAISE_DEGREE.get(name, 0) + 1
-            cols = np.flatnonzero(window_mask(dim, 3, deg))
-            lhs = terms_matrix(expand_slot(self.delta_terms(name), 0), dim, cols)
-            rhs = terms_matrix(expand_slot(self.delta_terms(name), 1), dim, cols)
-            res = spectral_norm(lhs - rhs)
+            top = dim - 1 - deg
+            lhs = terms_operator(expand_slot(self.delta_terms(name), 0), dim, top)
+            rhs = terms_operator(expand_slot(self.delta_terms(name), 1), dim, top)
+            res = spectral_norm(lhs - rhs, np.flatnonzero(window_mask(dim, 3, deg)))
             out.append(check_report(self.spec, dim, f"hopf.coassoc.{name}",
                                     "(Delta x id) Delta = (id x Delta) Delta",
                                     res, tol, deg))

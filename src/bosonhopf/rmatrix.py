@@ -19,20 +19,20 @@ generators in both slots.  The fusion identities need (Delta x id) R and
 is an algebra map); the antipode identity needs (S x id) R, which puts the
 tables' S images in the left slot and, since S reverses products, the
 diagonal images between S(a+)^l and the right factor.  A wrong Delta or S
-image in the tables therefore shows in these rows.  R0 and its images stay
-diagonals throughout.  Quasitriangularity and the trivial-R row gather
-Delta and Delta^T from the tables' Sweedler terms as level-sector
-operators; R conserves the total level, so it is one shift-0 sector operator.
+image in the tables therefore shows in these rows.  The parity R0, its
+head alone, runs through the same fusion and inverse code.
+
+Every multi-site operator here is a level-sector operator gathered from
+its slot factors (tensor.SectorOperator.gather): Delta and Delta^T from the
+tables' Sweedler terms, R12, R13 and R23 straight from R's entries, each
+series term from its slot images.  R conserves the total level, so a
+product that starts on the window columns stays on them: the fusion,
+inverse and Yang-Baxter operators hold only the window's column sectors.
 
 Printed sources for such series are notoriously convention-sensitive; every
 sign and root choice is captured in a BranchChoice and recorded in the
 result, and diagnose_branches() scans the whole branch lattice so a failing
 configuration produces a diagnosis table instead of a silent number.
-
-The three-site checks (fusion identities, Yang-Baxter) build only the
-columns their total-level window keeps: the Kronecker products through
-tensor.kron_columns, and each matrix product over the nonzero rows of its
-right factor only, which is exact.
 """
 
 from __future__ import annotations
@@ -47,14 +47,14 @@ from .fock import FockRep, RepresentationError, SpecError, build_rep
 from .hopf import HopfTables, terms_operator
 from .report import CheckReport, check_report
 from .scalars import bracket_factorial, phase_pow
-from .tensor import (SectorOperator, embed_two_site, kron, kron_columns, level_sectors,
-                     spectral_norm, total_window_projector, window_mask, windowed_norm)
+from .tensor import (SectorOperator, level_sectors, spectral_norm,
+                     total_window_projector, windowed_norm)
 
 DEFAULT_R_TOL = 1e-8
 
 # Site dimension at which the rmatrix and ybe suites run the Yang-Baxter
 # check, min(dim, YBE_DIM).  check_ybe itself takes any dimension: it builds
-# its triple products on the three-site window columns only.
+# its triple products on the three-site window's column sectors only.
 YBE_DIM = 6
 
 
@@ -202,9 +202,9 @@ def _head(left: _Slot, right: _Slot, q: float | None = None,
     if q is not None:
         head = q ** np.multiply.outer(c * left.nt, right.nt).reshape(-1)
     if left.g is not None:
-        ones_l, ones_r = np.ones(len(left.g)), np.ones(len(right.g))
-        head = 0.5 * (np.kron(ones_l, ones_r) + np.kron(ones_l, right.g)
-                      + np.kron(left.g, ones_r) - np.kron(left.g, right.g)) * head
+        gl, gr = left.g[:, None], right.g[None, :]
+        parity = np.ones((len(left.g), len(right.g))) + gr + gl - gl * gr
+        head = 0.5 * parity.reshape(-1) * head
     return head
 
 
@@ -229,39 +229,56 @@ def _ladder_series(rep: FockRep, branch: BranchChoice, left: _Slot, right: _Slot
                np.linalg.matrix_power(raising, l), right_l)
 
 
-def _series_r(rep: FockRep, branch: BranchChoice, left: _Slot, right: _Slot,
-              cols=None) -> np.ndarray:
-    """R on the slots' images, or only its columns ``cols``.
+def _series(rep: FockRep, branch: BranchChoice | None, left: _Slot, right: _Slot):
+    """R's head diagonal and its series terms (c_l, d_l, raise_l, right_l) on
+    the slots' images.  Without a branch, R is the parity R0: its head
+    alone, times the one term 1 x 1."""
+    if branch is None:
+        return _head(left, right), [(1.0, np.ones(left.nt.size), np.eye(left.nt.size),
+                                     np.eye(right.nt.size))]
+    return (_head(left, right, rep.spec.q, _head_exponent(rep)),
+            _ladder_series(rep, branch, left, right))
+
+
+def _series_r(rep: FockRep, branch: BranchChoice | None, left: _Slot, right: _Slot,
+              sectors, top: int | None = None) -> SectorOperator:
+    """R on the slots' images, gathered on the column sectors of ``sectors``
+    up to ``top`` (every level by default).
 
     Each slot holds images under an algebra map (the rep itself, or Delta),
     so every term keeps its order: head . (d_l (ad)^l x right factor).
     """
-    head = _head(left, right, rep.spec.q, _head_exponent(rep))
-    if cols is None:
-        cols = np.arange(len(head))
-    total = np.zeros((len(head), len(cols)), dtype=complex)
-    for coeff, dress, raise_l, right_l in _ladder_series(rep, branch, left, right):
-        total += coeff * kron_columns([dress[:, None] * raise_l, right_l], cols)
-    total *= head[:, None]
-    return total
+    head, series = _series(rep, branch, left, right)
+    split = 1 + (left.nt.size > rep.dim)   # a Delta image spans two sites
+    left_sites, right_sites = tuple(range(split)), tuple(range(split, sectors.sites))
+    total = None
+    for coeff, dress, raise_l, right_l in series:
+        term = coeff * SectorOperator.gather([(dress[:, None] * raise_l, left_sites),
+                                              (right_l, right_sites)], sectors, top)
+        total = term if total is None else total + term
+    return total.scale_rows(head)
 
 
-def _antipode_r(rep: FockRep, branch: BranchChoice, left: _Slot,
-                right: _Slot) -> np.ndarray:
-    """(S x id) R, with the S images in the left slot.
+def _antipode_r(rep: FockRep, branch: BranchChoice | None, left: _Slot,
+                right: _Slot, sectors, top: int) -> SectorOperator:
+    """(S x id) R, with the S images in the left slot, on the column sectors
+    of ``sectors`` up to ``top``.
 
     S reverses products, so each left word h d_l (ad)^l becomes
     S(ad)^l S(d_l) S(h): the diagonal images of the dressing and the head
     stand between S(ad)^l and the right factor.
     """
+    head, series = _series(rep, branch, left, right)
     dim = rep.dim
-    head = _head(left, right, rep.spec.q, _head_exponent(rep)).reshape(dim, dim)
-    out = np.zeros((dim,) * 4, dtype=complex)
-    for coeff, dress, raise_l, right_l in _ladder_series(rep, branch, left, right):
-        # entry (ab, cd) of (S(ad)^l x 1) . diag(d_l h) . (1 x right factor)
-        out += coeff * np.einsum("ac,cb,bd->abcd", raise_l,
-                                 dress[:, None] * head, right_l)
-    return out.reshape(dim * dim, dim * dim)
+    eye = np.eye(dim)
+    total = None
+    for coeff, dress, raise_l, right_l in series:
+        middle = (dress[:, None] * head.reshape(dim, dim)).reshape(-1)
+        right_op = coeff * SectorOperator.gather([(eye, (0,)), (right_l, (1,))], sectors, top)
+        term = (SectorOperator.gather([(raise_l, (0,)), (eye, (1,))], sectors, top=top)
+                @ right_op.scale_rows(middle))
+        total = term if total is None else total + term
+    return total
 
 
 def build_r0(rep: FockRep) -> RMatrix:
@@ -300,14 +317,30 @@ def build_r(rep: FockRep, branch: BranchChoice | None = None) -> RMatrix:
         note["printed_factor_deviation"] = (
             "prefactor exponent sign and dressing rate corrected; the "
             "printed factors fail every branch (see diagnose_branches)")
-    return RMatrix(family=fam, matrix=_series_r(rep, branch, one, one),
+    matrix = _series_r(rep, branch, one, one, level_sectors(rep.dim, 2)).to_dense()
+    return RMatrix(family=fam, matrix=matrix,
                    q=rep.spec.q, branch_note=note, series_terms=rep.dim,
                    rep=rep, branch=branch)
+
+
+def _delta_images(tables: HopfTables) -> dict:
+    """Delta and Delta^T of each generator, gathered from the tables'
+    Sweedler terms as two-site sector operators."""
+    dim = tables.rep.dim
+    return {name: (terms_operator(tables.delta_terms(name), dim),
+                   terms_operator(tables.delta_terms(name, transpose=True), dim))
+            for name in tables.generator_names()}
 
 
 def check_quasitriangularity(r: RMatrix, tables: HopfTables,
                              tol: float = DEFAULT_R_TOL) -> list:
     """Per generator: windowed residual of Delta^T(g) R - R Delta(g)."""
+    return _quasitriangular_rows(r, tables, _delta_images(tables), tol)
+
+
+def _quasitriangular_rows(r: RMatrix, tables: HopfTables, images: dict,
+                          tol: float) -> list:
+    """The rows on given :func:`_delta_images`, which a branch scan gathers once."""
     dim = r.dim
     if tables.rep.dim != dim:
         raise SpecError("R-matrix and Hopf tables disagree on the dimension")
@@ -316,9 +349,8 @@ def check_quasitriangularity(r: RMatrix, tables: HopfTables,
     if rop is None:
         raise RepresentationError("the R-matrix does not conserve the total level")
     out = []
-    for name in tables.generator_names():
-        r_delta = rop @ terms_operator(tables.delta_terms(name), dim)
-        delta_t = terms_operator(tables.delta_terms(name, transpose=True), dim)
+    for name, (delta, delta_t) in images.items():
+        r_delta = rop @ delta
         scale = max(1.0, windowed_norm(r_delta, proj, sectors))
         residual = windowed_norm(delta_t @ rop - r_delta, proj, sectors) / scale
         out.append(check_report(r.rep.spec, dim, f"rmatrix.quasitriangular.{name}",
@@ -327,36 +359,27 @@ def check_quasitriangularity(r: RMatrix, tables: HopfTables,
     return out
 
 
-def _left_multiply(mats: list, right: np.ndarray) -> np.ndarray:
-    """mats[0] @ ... @ mats[-1] @ right, associated right to left.
-
-    Each product sums over the nonzero rows of its right factor only, which
-    is exact: a zero row adds nothing to any entry.  With ``right`` cut to
-    the window columns, so is every partial product.
-    """
-    out = right
-    for m in reversed(mats):
-        rows = np.flatnonzero((out != 0).any(axis=1))
-        out = m[:, rows] @ out[rows]
-    return out
+def _site_pairs(r: RMatrix, sectors, top: int) -> tuple:
+    """R12, R13 and R23 on the three sites of ``sectors``, gathered straight
+    from R's entries on the column sectors up to ``top``."""
+    eye = np.eye(r.dim)
+    return tuple(SectorOperator.gather(factors, sectors, top=top) for factors in (
+        [(r.matrix, (0, 1)), (eye, (2,))],
+        [(r.matrix, (0, 2)), (eye, (1,))],
+        [(eye, (0,)), (r.matrix, (1, 2))]))
 
 
 def check_ybe(r: RMatrix, tol: float = DEFAULT_R_TOL) -> CheckReport:
     """R12 R13 R23 = R23 R13 R12 on the three-site total-level window.
 
-    Both triple products and the backward-error scale |R12||R13||R23| are
-    built on the window columns only, right to left.
+    R12, R13 and R23 are gathered on the window's column sectors (total
+    level up to dim - 1) only; both triple products and the backward-error
+    scale |R12||R13||R23| are associated right to left.
     """
     dim = r.dim
-    eye = np.eye(dim)
-    cols = np.flatnonzero(window_mask(dim, 3, 0))
-    r12 = kron(r.matrix, eye)
-    r23 = kron(eye, r.matrix)
-    r13 = embed_two_site(r.matrix, (0, 2), 3, dim)
-    lhs = _left_multiply([r12, r13], r23[:, cols])
-    rhs = _left_multiply([r23, r13], r12[:, cols])
-    scale = max(1.0, spectral_norm(
-        _left_multiply([np.abs(r12), np.abs(r13)], np.abs(r23[:, cols]))))
+    r12, r13, r23 = _site_pairs(r, level_sectors(dim, 3), dim - 1)
+    lhs, rhs = r12 @ (r13 @ r23), r23 @ (r13 @ r12)
+    scale = max(1.0, spectral_norm(abs(r12) @ (abs(r13) @ abs(r23))))
     residual = spectral_norm(lhs - rhs) / scale
     return check_report(r.rep.spec, dim, "rmatrix.ybe",
                         "R12 R13 R23 = R23 R13 R12", residual, tol,
@@ -365,93 +388,39 @@ def check_ybe(r: RMatrix, tol: float = DEFAULT_R_TOL) -> CheckReport:
 
 def check_r_axioms(r: RMatrix, tables: HopfTables,
                    tol: float = DEFAULT_R_TOL) -> list:
-    """Fusion identities and the antipode inverse of R.
+    """Fusion identities and the antipode inverse of R (the series R or R0).
 
     (Delta x id) R = R13 R23, (id x Delta) R = R13 R12,
     ((S x id) R) . R = I x I.
 
     Each left side is R assembled with the tables' Delta or S images in one
-    slot.  Both sides of the fusion identities are built on the three-site
-    window columns only.
+    slot.  Every operator holds the window's column sectors (total level up
+    to dim - 1) only: on three sites for fusion, on two for the inverse.
     """
-    if r.family == "B_r0":
-        return _r0_axioms(r, tables, tol)
-    rep = r.rep
-    dim = r.dim
-    eye = np.eye(dim)
-    cols = np.flatnonzero(window_mask(dim, 3, 0))
-    r13 = embed_two_site(r.matrix, (0, 2), 3, dim)
+    rep, dim = r.rep, r.dim
+    top = dim - 1
+    sectors3, sectors2 = level_sectors(dim, 3), level_sectors(dim, 2)
+    r12, r13, r23 = _site_pairs(r, sectors3, top)
     one, delta = _slot(rep, rep.generator), _slot(rep, tables.delta_matrix)
     out = []
-    for slots, right, ident, ref in (
-            ((delta, one), [eye, r.matrix], "rmatrix.fusion-left", "(Delta x id) R = R13 R23"),
-            ((one, delta), [r.matrix, eye], "rmatrix.fusion-right", "(id x Delta) R = R13 R12")):
-        tgt = _left_multiply([r13], kron_columns(right, cols))
-        got = _series_r(rep, r.branch, *slots, cols)
+    for slots, tgt, ident, ref in (
+            ((delta, one), r13 @ r23, "rmatrix.fusion-left", "(Delta x id) R = R13 R23"),
+            ((one, delta), r13 @ r12, "rmatrix.fusion-right", "(id x Delta) R = R13 R12")):
+        got = _series_r(rep, r.branch, *slots, sectors3, top)
         scale = max(1.0, spectral_norm(tgt))
         residual = spectral_norm(got - tgt) / scale
         out.append(check_report(rep.spec, dim, ident, ref, residual, tol,
                                 family=r.family, branch_note=dict(r.branch_note)))
-    sr = _antipode_r(rep, r.branch, _slot(rep, tables.antipode), one)
-    proj2 = total_window_projector(dim, 2, 0)
+    sr = _antipode_r(rep, r.branch, _slot(rep, tables.antipode), one, sectors2, top)
+    rop = SectorOperator.gather([(r.matrix, (0, 1))], sectors2, top=top)
+    identity = SectorOperator.gather([(np.eye(dim * dim), (0, 1))], sectors2, top=top)
     # backward-error scale: the rounding floor of a product that cancels
-    scale = max(1.0, windowed_norm(np.abs(sr) @ np.abs(r.matrix), proj2))
-    residual = windowed_norm(sr @ r.matrix - np.eye(dim * dim), proj2) / scale
+    scale = max(1.0, spectral_norm(abs(sr) @ abs(rop)))
+    residual = spectral_norm(sr @ rop - identity) / scale
     out.append(check_report(rep.spec, dim, "rmatrix.inverse",
                             "((S x id) R) R = I x I", residual, tol,
                             family=r.family, branch_note=dict(r.branch_note)))
     return out
-
-
-def _max_abs(diag: np.ndarray, mask=None) -> float:
-    """Spectral norm of a diagonal operator (on the mask's states)."""
-    vals = np.abs(diag if mask is None else diag[mask])
-    return float(vals.max(initial=0.0))
-
-
-def _r0_axioms(r: RMatrix, tables: HopfTables, tol: float) -> list:
-    """R0 axioms on diagonals: R0 and its Delta and S images are all diagonal."""
-    rep = r.rep
-    dim = rep.dim
-    one, delta = _slot(rep, rep.generator), _slot(rep, tables.delta_matrix)
-    rd = r.matrix.diagonal()
-    ones = np.ones(dim)
-    r12 = np.kron(rd, ones)
-    r23 = np.kron(ones, rd)
-    r13 = np.broadcast_to(rd.reshape(dim, 1, dim), (dim,) * 3).reshape(-1)
-    window = window_mask(dim, 3, 0)
-    out = []
-    for got, tgt, ident, ref in (
-            (_head(delta, one), r13 * r23, "rmatrix.fusion-left", "(Delta x id) R = R13 R23"),
-            (_head(one, delta), r13 * r12, "rmatrix.fusion-right", "(id x Delta) R = R13 R12")):
-        scale = max(1.0, _max_abs(tgt, window))
-        residual = _max_abs(got - tgt, window) / scale
-        out.append(check_report(rep.spec, dim, ident, ref, residual, tol,
-                                family=r.family, branch_note=dict(r.branch_note)))
-    sr = _head(_slot(rep, tables.antipode), one)
-    residual = _max_abs(sr * rd - 1.0)
-    out.append(check_report(rep.spec, dim, "rmatrix.inverse",
-                            "((S x id) R) R = I x I", residual, tol,
-                            family=r.family, branch_note=dict(r.branch_note)))
-    return out
-
-
-def check_classical_limit(rep_builder, dim: int = 6,
-                          q_values=(1.1, 1.01, 1.001),
-                          final_bound: float = 0.05) -> CheckReport:
-    """|R(q) - R0| must decrease along q_values and end below final_bound.
-
-    ``rep_builder`` maps a q value to a deformed graded FockRep of the given
-    dimension (the undeformed limit of the family fixes R0).
-    """
-    reps = [rep_builder(q) for q in q_values]
-    r0 = build_r0(reps[0]).matrix
-    gaps = [spectral_norm(build_r(rep).matrix - r0) for rep in reps]
-    monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
-    residual = gaps[-1] if monotone else float("inf")
-    return check_report(reps[-1].spec, dim, "rmatrix.classical-limit",
-                        "R(q) -> R0 as q -> 1", residual, final_bound,
-                        branch_note={"gaps": gaps, "q_values": list(q_values)})
 
 
 def check_trivial_r(tables: HopfTables, tol: float = 1e-12) -> CheckReport:
@@ -487,11 +456,12 @@ def diagnose_branches(rep: FockRep, tables: HopfTables,
     """
     if branches is None:
         branches = branch_lattice(rep.spec.family)
+    images = _delta_images(tables)
     rows = []
     for branch in branches:
         try:
             r = build_r(rep, branch=branch)
-            reports = check_quasitriangularity(r, tables, tol)
+            reports = _quasitriangular_rows(r, tables, images, tol)
             worst = max(rep_.residual for rep_ in reports)
         except (SpecError, RepresentationError) as exc:
             worst = float("inf")

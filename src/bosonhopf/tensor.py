@@ -10,13 +10,15 @@ SVD.  Given the level-sector index of its space (:func:`level_sectors`), an
 operator whose nonzero entries all shift the total level by one amount is
 block diagonal up to a permutation: column sector L maps into row sector
 L + shift only.  :class:`SectorOperator` keeps such an operator as those
-blocks, built from a dense matrix or straight from a two-site Sweedler term
-x (x) y; products, sums, functional calculus on a diagonal and the norm
+blocks, built from a dense matrix or gathered straight from the factors of
+a tensor product on any number of sites (one factor may act on a slot
+pair, as R13 does), optionally on the column sectors up to a window's top
+level only; products, sums, functional calculus on a diagonal and the norm
 (the largest singular value of one batched SVD) then work on the blocks.
 Any other operator, or a dense one normed without the index, takes the SVD
-of its nonzero rows and window columns.  Multi-site checks whose window
-keeps only some columns build just those columns of a Kronecker product
-with kron_columns, entry for entry the same as the full product's.
+of its nonzero rows and window columns.  The dense products (kron,
+kron_all, embed_two_site) serve the tests' references and the R-matrix
+fusion slots' Delta images.
 """
 
 from __future__ import annotations
@@ -41,22 +43,6 @@ def kron_all(*mats: np.ndarray) -> np.ndarray:
     out = mats[0]
     for m in mats[1:]:
         out = kron(out, m)
-    return out
-
-
-def kron_columns(mats, cols) -> np.ndarray:
-    """The columns ``cols`` of ``kron_all(*mats)``, without the other columns.
-
-    Column ``(i, j, ...)`` is ``mats[0][:, i] x mats[1][:, j] x ...``,
-    multiplied in the order of :func:`kron_all`, so each entry is
-    bit-identical to the full product's.  Each factor's column count comes
-    from its shape, so the factors may differ in size.
-    """
-    idx = np.unravel_index(cols, tuple(m.shape[1] for m in mats))
-    out = mats[0][:, idx[0]]
-    for m, i in zip(mats[1:], idx[1:]):
-        out = (out[:, None, :] * m[:, i][None, :, :]).reshape(
-            out.shape[0] * m.shape[0], len(cols))
     return out
 
 
@@ -112,49 +98,57 @@ class LevelSectors:
     valid: np.ndarray
     _plans: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def plan(self, shift: int) -> "_ShiftPlan":
-        """The gather pattern of the sector blocks of level shift ``shift``."""
-        plan = self._plans.get(shift)
+    def plan(self, shift: int, levels: int | None = None) -> "_ShiftPlan":
+        """The gather pattern of level shift ``shift`` on column levels below ``levels``."""
+        levels = self.size.size if levels is None else min(levels, self.size.size)
+        plan = self._plans.get((shift, levels))
         if plan is None:
-            plan = self._plans[shift] = _ShiftPlan.build(self, shift)
+            plan = self._plans[shift, levels] = _ShiftPlan.build(self, shift, levels)
         return plan
 
 
 @dataclass(frozen=True)
 class _ShiftPlan:
-    """Where the blocks of one level shift sit in the dense matrix.
+    """Where the blocks of one level shift on column sectors ``0 .. levels-1``
+    sit in the dense matrix.
 
     ``rows[L]`` is row sector ``L + shift`` (index row 0 when that is not a
-    level) and ``ok[L]`` marks the block entries that are real on both
+    level) and ``cols[L]`` column sector ``L``, padded to the largest sector
+    either reaches; ``ok[L]`` marks the block entries that are real on both
     sides; ``flat_rows``/``flat_cols`` are the dense positions of the
     ``ok`` entries, in the order ``blocks[ok]`` lists them, and ``kept[L]``
     marks the real columns of column sector ``L`` when ``L + shift`` is a
-    level.  ``sites`` holds
-    the block entries' first-site and second-site row and column indices
-    (row i k, column j l as (i, k, j, l)), read on two-site spaces.
+    level.  ``row_sites[s]``/``col_sites[s]`` are the block entries' row
+    and column indices on site ``s``.
     """
 
     rows: np.ndarray
+    cols: np.ndarray
     ok: np.ndarray
     flat_rows: np.ndarray
     flat_cols: np.ndarray
     kept: np.ndarray
-    sites: tuple
+    row_sites: tuple
+    col_sites: tuple
 
     @classmethod
-    def build(cls, sectors: LevelSectors, shift: int) -> "_ShiftPlan":
-        row_level = np.arange(sectors.size.size) + shift
+    def build(cls, sectors: LevelSectors, shift: int, levels: int) -> "_ShiftPlan":
+        row_level = np.arange(levels) + shift
         inside = (row_level >= 0) & (row_level < sectors.size.size)
         row_level = np.clip(row_level, 0, sectors.size.size - 1)
-        rows = sectors.index[row_level]
-        ok = ((sectors.valid[row_level] & inside[:, None])[:, :, None]
-              & sectors.valid[:, None, :])
+        width = max(sectors.size[:levels].max(initial=1),
+                    sectors.size[row_level[inside]].max(initial=1))
+        rows = sectors.index[row_level, :width]
+        cols = sectors.index[:levels, :width]
+        kept = sectors.valid[:levels, :width] & inside[:, None]
+        ok = ((sectors.valid[row_level, :width] & inside[:, None])[:, :, None]
+              & sectors.valid[:levels, None, :width])
         flat_rows = np.broadcast_to(rows[:, :, None], ok.shape)[ok]
-        flat_cols = np.broadcast_to(sectors.index[:, None, :], ok.shape)[ok]
-        (i, k), (j, l) = (np.divmod(rows[:, :, None], sectors.dim),
-                          np.divmod(sectors.index[:, None, :], sectors.dim))
-        return cls(rows, ok, flat_rows, flat_cols, sectors.valid & inside[:, None],
-                   (i, k, j, l))
+        flat_cols = np.broadcast_to(cols[:, None, :], ok.shape)[ok]
+        site_shape = (sectors.dim,) * sectors.sites
+        return cls(rows, cols, ok, flat_rows, flat_cols, kept,
+                   np.unravel_index(rows[:, :, None], site_shape),
+                   np.unravel_index(cols[:, None, :], site_shape))
 
 
 @lru_cache(maxsize=32)
@@ -174,14 +168,16 @@ def level_sectors(dim: int, sites: int) -> LevelSectors:
     return LevelSectors(dim, sites, total, index, size, valid)
 
 
-def _one_site_shift(x: np.ndarray):
-    """The level shift of every nonzero entry of a one-site matrix (0 when it
-    has none), or None when they differ."""
-    rows, cols = np.nonzero(x)
-    shifts = rows - cols
-    if not shifts.size:
-        return 0
-    return int(shifts[0]) if (shifts == shifts[0]).all() else None
+def _level_shift(mat: np.ndarray, dim: int, sites: int):
+    """The level shift of every nonzero entry of a matrix on ``sites`` sites
+    (0 when it has none), or None when they differ: the shift of the first
+    nonzero entry, kept when its blocks hold every nonzero entry."""
+    sectors, nonzero = level_sectors(dim, sites), mat != 0
+    row, col = divmod(int(nonzero.argmax()), mat.shape[1])
+    shift = int(sectors.level[row] - sectors.level[col])
+    plan = sectors.plan(shift)
+    held = np.count_nonzero(nonzero[plan.flat_rows, plan.flat_cols])
+    return shift if held == np.count_nonzero(nonzero) else None
 
 
 @dataclass(eq=False)
@@ -191,10 +187,11 @@ class SectorOperator:
 
     ``blocks[L]`` maps column sector ``L`` into row sector ``L + shift`` of
     ``sectors``, padded as in :class:`LevelSectors`; padding, and the blocks
-    whose row sector is not a level, are zero.  ``@``, ``+``, ``-`` and
-    scalar ``*`` work block by block; with a dense operand, or between
-    nonzero operators of different shifts, they return the dense result.
-    ``shape`` is the dense shape.
+    whose row sector is not a level, are zero.  One gathered for a window
+    holds, and is known on, the column sectors up to its top level only.
+    ``@``, ``+``, ``-``, ``abs`` and scalar ``*`` work block by block; with a
+    dense operand, or between nonzero operators of different shifts, they
+    return the dense result.  ``shape`` is the dense shape.
     """
 
     sectors: LevelSectors
@@ -208,60 +205,69 @@ class SectorOperator:
         n = self.sectors.level.size
         return (n, n)
 
+    def _plan(self) -> _ShiftPlan:
+        return self.sectors.plan(self.shift, len(self.blocks))
+
     @classmethod
     def from_dense(cls, mat: np.ndarray, sectors: LevelSectors, cols=None):
         """The sector operator of mat, or of its columns ``cols`` (the other
-        columns zeroed), or None when their nonzero entries shift the total
-        level by more than one amount.
-
-        The shift is read off the first nonzero entry; every entry of that
-        shift lands in exactly one block, so the blocks hold every nonzero
-        entry exactly when they hold as many as the matrix does.
-        """
-        nonzero = mat != 0
+        columns zeroed): :meth:`gather` of mat as the one factor on every
+        site, or None when those nonzero entries shift the total level by
+        more than one amount."""
         if cols is not None:
             keep = np.zeros(mat.shape[1], dtype=bool)
             keep[cols] = True
-            nonzero &= keep
-        count = np.count_nonzero(nonzero)
-        shift = 0
-        if count:
-            row, col = divmod(int(np.argmax(nonzero)), mat.shape[1])
-            shift = int(sectors.level[row] - sectors.level[col])
-        plan = sectors.plan(shift)
-        ok = plan.ok if cols is None else plan.ok & keep[sectors.index][:, None, :]
-        blocks = np.where(ok, mat[plan.rows[:, :, None], sectors.index[:, None, :]], 0)
-        if np.count_nonzero(blocks) != count:
+            mat = np.where(keep, mat, 0)
+        shift = _level_shift(mat, sectors.dim, sectors.sites)
+        if shift is None:
             return None
-        return cls(sectors, shift, blocks)
+        return cls._gathered([(mat, tuple(range(sectors.sites)))], sectors, shift)
 
     @classmethod
-    def from_term(cls, coeff, x: np.ndarray, y: np.ndarray, sectors: LevelSectors):
-        """The Sweedler term ``coeff * x (x) y`` of two one-site factors on the
-        two-site space of ``sectors``, gathered straight from the factors.
+    def gather(cls, factors, sectors: LevelSectors, top: int | None = None):
+        """The tensor product of ``factors`` on the sites of ``sectors``,
+        gathered straight from the factors' entries on the column sectors of
+        total level up to ``top`` (every level by default).
 
-        Entry ``(i k, j l)`` is ``x[i, j] * y[k, l]`` times ``coeff``, the
-        product :func:`kron` and ``Term.matrix`` form, so scattered back it
-        is bit-identical to them.  A factor whose entries mix level shifts
-        gives that dense product instead.
+        ``factors`` lists ``(matrix, slots)`` pairs that cover each site
+        once: a one-site matrix on ``(s,)`` or a two-site one on a slot pair
+        ``(s, t)`` (R13 is R on ``(0, 2)`` beside the identity on ``(1,)``).
+        Each block entry is the product of the factors' entries at their
+        sites' row and column indices, in the order of ``factors``: the
+        product :func:`kron_all` forms, so scattered back it is
+        bit-identical to it.  Scale by a coefficient on the side the dense
+        sum did: complex products round through fused multiply-adds, so
+        ``c * x`` and ``x * c`` may differ in the last bit.  A factor whose
+        entries mix level shifts has no blocks and is refused.
         """
-        sx, sy = _one_site_shift(x), _one_site_shift(y)
-        if sx is None or sy is None:
-            out = kron(x, y)
-            out *= coeff
-            return out
-        plan = sectors.plan(sx + sy)
-        i, k, j, l = plan.sites
-        blocks = x[i, j] * y[k, l]
-        blocks *= coeff
+        shifts = [_level_shift(mat, sectors.dim, len(slots)) for mat, slots in factors]
+        if None in shifts:
+            raise ValueError("a gathered factor must shift the total level by one amount")
+        return cls._gathered(factors, sectors, sum(shifts), top)
+
+    @classmethod
+    def _gathered(cls, factors, sectors: LevelSectors, shift: int, top=None):
+        plan = sectors.plan(shift, None if top is None else top + 1)
+        blocks = None
+        for mat, (first, *rest) in factors:
+            row, col = plan.row_sites[first], plan.col_sites[first]
+            for site in rest:
+                row = row * sectors.dim + plan.row_sites[site]
+                col = col * sectors.dim + plan.col_sites[site]
+            blocks = mat[row, col] if blocks is None else blocks * mat[row, col]
         blocks[~plan.ok] = 0
-        return cls(sectors, sx + sy, blocks)
+        return cls(sectors, shift, blocks)
 
     def to_dense(self) -> np.ndarray:
-        plan = self.sectors.plan(self.shift)
+        plan = self._plan()
         out = np.zeros(self.shape, dtype=self.blocks.dtype)
         out[plan.flat_rows, plan.flat_cols] = self.blocks[plan.ok]
         return out
+
+    def scale_rows(self, diag: np.ndarray) -> "SectorOperator":
+        """``diag(diag) @ self`` for a diagonal of the dense space, formed
+        entry by entry: each entry times its row's value."""
+        return self._like(self.shift, self.blocks * diag[self._plan().rows][:, :, None])
 
     def _like(self, shift: int, blocks: np.ndarray) -> "SectorOperator":
         return SectorOperator(self.sectors, shift, blocks)
@@ -269,11 +275,21 @@ class SectorOperator:
     def __matmul__(self, other):
         if not isinstance(other, SectorOperator):
             return self.to_dense() @ other
-        s, n = other.shift, self.blocks.shape[0]
-        lo, hi = max(0, -s), min(n, n - s)   # column levels L with L + s a level
-        out = np.zeros(other.blocks.shape, dtype=np.result_type(self.blocks, other.blocks))
+        s, n = other.shift, self.sectors.size.size
+        # other's column sector L maps into sector L + s, whose columns self
+        # must hold; a window operator holds only its lowest ones
+        levels = len(other.blocks)
+        if len(self.blocks) < n:
+            levels = max(0, min(levels, len(self.blocks) - s))
+        out = np.zeros(self.sectors.plan(self.shift + s, levels).ok.shape,
+                       dtype=np.result_type(self.blocks, other.blocks))
+        lo, hi = max(0, -s), min(levels, n - s)
         if lo < hi:
-            np.matmul(self.blocks[lo + s:hi + s], other.blocks[lo:hi], out=out[lo:hi])
+            # the shared sectors fit the narrower width; the rest is padding
+            inner = min(self.blocks.shape[2], other.blocks.shape[1])
+            rows, cols = min(self.blocks.shape[1], out.shape[1]), min(other.blocks.shape[2], out.shape[2])
+            np.matmul(self.blocks[lo + s:hi + s, :rows, :inner],
+                      other.blocks[lo:hi, :inner, :cols], out=out[lo:hi, :rows, :cols])
         return self._like(self.shift + s, out)
 
     def __rmatmul__(self, other):
@@ -281,11 +297,13 @@ class SectorOperator:
 
     def _combine(self, other, op):
         if isinstance(other, SectorOperator):
-            # an all-zero operator has every shift
-            if other.shift == self.shift or not other.blocks.any():
+            if other.shift == self.shift:
                 return self._like(self.shift, op(self.blocks, other.blocks))
+            # an all-zero operator has every shift (and any padded width)
+            if not other.blocks.any():
+                return self._like(self.shift, op(self.blocks, 0))
             if not self.blocks.any():
-                return self._like(other.shift, op(self.blocks, other.blocks))
+                return self._like(other.shift, op(0, other.blocks))
             other = other.to_dense()
         return op(self.to_dense(), other)
 
@@ -301,12 +319,18 @@ class SectorOperator:
     def __rsub__(self, other):
         return other - self.to_dense()
 
+    def __abs__(self):
+        return self._like(self.shift, np.abs(self.blocks))
+
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
         return self._like(self.shift, self.blocks * scalar)
 
-    __rmul__ = __mul__
+    def __rmul__(self, scalar):
+        if not np.isscalar(scalar):
+            return NotImplemented
+        return self._like(self.shift, scalar * self.blocks)
 
     def diagonal_map(self, fn) -> "SectorOperator":
         """``fn`` applied at once to the array of diagonal entries of a
@@ -333,12 +357,12 @@ class SectorOperator:
         and column sector.  Exactly 0.0 when those blocks are all zero; the
         largest modulus when they are 1x1 (one site).
         """
-        sec = self.sectors
-        kept = sec.plan(self.shift).kept
+        sec, plan = self.sectors, self._plan()
+        kept = plan.kept
         if cols is not None:
             keep = np.zeros(sec.level.size, dtype=bool)
             keep[cols] = True
-            kept = kept & keep[sec.index]
+            kept = kept & keep[plan.cols]
         if self.blocks.shape[1] == 1:   # one-site sectors: the modulus is the singular value
             return float(np.abs(self.blocks[:, 0, 0][kept[:, 0]]).max(initial=0.0))
         live = np.flatnonzero(kept.any(axis=1))
@@ -347,7 +371,7 @@ class SectorOperator:
         width_in = sec.size[live].max()
         width_out = sec.size[live + self.shift].max()
         blocks = self.blocks[live, :width_out, :width_in]
-        if cols is not None and not np.array_equal(kept[live], sec.valid[live]):
+        if cols is not None and not np.array_equal(kept[live], plan.kept[live]):
             blocks = blocks * kept[live, None, :width_in]
         if not blocks.any():
             return 0.0

@@ -15,9 +15,9 @@ from bosonhopf import (AlgebraSpec, build_rep, build_tables,
 from bosonhopf import expr as ex
 from bosonhopf.cli import main as cli_main
 from bosonhopf.fock import windowed_norm
-from bosonhopf.rmatrix import (build_r, build_r0, check_classical_limit,
-                               check_r_axioms, check_ybe, diagnose_branches,
-                               run_r_checks)
+from bosonhopf.rmatrix import (build_r, build_r0, check_r_axioms, check_ybe,
+                               diagnose_branches, run_r_checks)
+from bosonhopf.tensor import spectral_norm
 from bosonhopf import structure as structure_mod
 from grids import (BBARQ_GRID, BBAR_GRID, BQ_GRID, BQ_INTEGER_GRID,
                       B_GRID, FULL_GRID, H_GRID)
@@ -92,15 +92,15 @@ def test_criterion_05_yang_baxter():
 
 
 def test_criterion_06_classical_limit():
-    report = check_classical_limit(
-        lambda q: build_rep(AlgebraSpec("Bq", (1, 1, q)), 6),
-        dim=6, q_values=(1.1, 1.01, 1.001), final_bound=0.05)
-    gaps = report.branch_note["gaps"]
+    """|R(q) - R0| at D = 6 falls along q = 1.1, 1.01, 1.001 and ends below 0.05."""
+    reps = [build_rep(AlgebraSpec("Bq", (1, 1, q)), 6) for q in (1.1, 1.01, 1.001)]
+    r0 = build_r0(reps[0]).matrix
+    gaps = [spectral_norm(build_r(rep).matrix - r0) for rep in reps]
     failures = []
     if not (gaps[0] > gaps[1] > gaps[2]):
         failures.append(f"gaps not monotone: {gaps}")
-    if not report.passed:
-        failures.append(report.summary())
+    if not gaps[-1] < 0.05:
+        failures.append(f"final gap {gaps[-1]:.3e} not below 0.05")
     _verdict(6, "classical limit R(q) -> R0, monotone, final < 0.05",
              failures)
 

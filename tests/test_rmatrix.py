@@ -3,15 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bosonhopf import AlgebraSpec, build_rep, build_tables
+from bosonhopf import AlgebraSpec, build_rep, build_tables, rmatrix
 from bosonhopf.fock import RepresentationError, SpecError
 from bosonhopf.rmatrix import (BBARQ_DEFAULT, BBARQ_PRINTED, BQ_DEFAULT,
-                               BranchChoice, _series_r, _slot, branch_lattice,
-                               build_r, build_r0, check_classical_limit,
+                               BranchChoice, _head, _head_exponent, _ladder_series,
+                               _site_pairs, _slot, branch_lattice, build_r, build_r0,
                                check_r_axioms, check_quasitriangularity,
                                check_trivial_r, check_ybe, diagnose_branches,
                                run_r_checks)
-from bosonhopf.tensor import embed_two_site, total_window_projector, windowed_norm
+from bosonhopf.tensor import (embed_two_site, level_sectors, spectral_norm,
+                              total_window_projector, windowed_norm)
 from grids import BBARQ_GRID, BBAR_GRID, BQ_INTEGER_GRID
 
 
@@ -83,6 +84,24 @@ def test_bbarq_default_branch_is_unique_passer():
     assert "branch diagnosis" in table
 
 
+def test_branch_scan_gathers_the_delta_images_once(monkeypatch):
+    """A branch scan gathers Delta and Delta^T of each generator once, not once
+    per branch: 10 terms_operator calls for the five generators of Bq, over
+    all 32 branches."""
+    rep, tables = _setup("Bq", (2, 4, 1.3))
+    calls = []
+    gather = rmatrix.terms_operator
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return gather(*args, **kwargs)
+
+    monkeypatch.setattr(rmatrix, "terms_operator", spy)
+    rows, _ = diagnose_branches(rep, tables)
+    assert len(rows) == 32
+    assert len(calls) == 10
+
+
 def test_diagnosis_table_attached_on_failure():
     rep, tables = _setup("Bbarq", (1, 2, 0.7), dim=6)
     reports = run_r_checks(rep, tables, tol=1e-30)   # force failures
@@ -99,21 +118,29 @@ DEFORMED_CASES = [("Bq", (2, 4, 1.3), BranchChoice(phase_sign=-1)),
                   ("Bbarq", (1, 1, 0.7), BBARQ_PRINTED)]
 
 
+def _dense_series_r(r, left, right):
+    """R on the slots' images as a dense Kronecker sum over the ladder series,
+    head . sum_l c_l (d_l (ad)^l) x right factor."""
+    total = sum(coeff * np.kron(dress[:, None] * raise_l, right_l)
+                for coeff, dress, raise_l, right_l in _ladder_series(r.rep, r.branch,
+                                                                     left, right))
+    return _head(left, right, r.rep.spec.q, _head_exponent(r.rep))[:, None] * total
+
+
 def _dense_residuals(r, tables):
     """Fusion and Yang-Baxter residuals from the full dense D^3 x D^3
     matrices, windowed by the dense projector.  (Delta x id) R and
-    (id x Delta) R are assembled on every column."""
+    (id x Delta) R are dense Kronecker sums on every column."""
     dim = r.dim
     one, delta = _slot(r.rep, r.rep.generator), _slot(r.rep, tables.delta_matrix)
     eye = np.eye(dim)
     r12, r23 = np.kron(r.matrix, eye), np.kron(eye, r.matrix)
     r13 = embed_two_site(r.matrix, (0, 2), 3, dim)
     proj = total_window_projector(dim, 3, 0)
-    every = np.arange(dim ** 3)
     out = {}
     for slots, tgt, ident in (((delta, one), r13 @ r23, "rmatrix.fusion-left"),
                               ((one, delta), r13 @ r12, "rmatrix.fusion-right")):
-        full = _series_r(r.rep, r.branch, *slots, every)
+        full = _dense_series_r(r, *slots)
         out[ident] = windowed_norm(full - tgt, proj) / max(1.0, windowed_norm(tgt, proj))
     lhs, rhs = r12 @ r13 @ r23, r23 @ r13 @ r12
     scale = np.abs(r12) @ np.abs(r13) @ np.abs(r23)
@@ -135,6 +162,27 @@ def test_window_column_residuals_match_the_dense_matrices(family, params, wrong,
                 for rp in check_r_axioms(r, tables) + [check_ybe(r)]}
         for ident, ref in _dense_residuals(r, tables).items():
             assert abs(rows[ident] - ref) <= max(1e-12 * ref, 1e-15), (ident, branch)
+
+
+@pytest.mark.parametrize("family, params", [("Bq", (2, 4, 1.3)), ("Bbarq", (1, 1, 0.7)),
+                                            ("B", (2, 2))])
+def test_r_site_pairs_match_the_dense_embeddings(family, params):
+    """R12, R13 and R23 gathered straight from R's entries on the Yang-Baxter
+    window's column sectors equal np.kron(R, I), np.kron(I, R) and
+    embed_two_site(R, (0, 2), 3, D) entry for entry on the window columns,
+    and hold nothing on the others (D = 6; R0 for B)."""
+    dim = 6
+    rep = build_rep(AlgebraSpec(family, params), dim)
+    r = build_r0(rep) if family == "B" else build_r(rep)
+    sectors = level_sectors(dim, 3)
+    kept = sectors.level <= dim - 1
+    eye = np.eye(dim)
+    dense = (np.kron(r.matrix, eye), embed_two_site(r.matrix, (0, 2), 3, dim),
+             np.kron(eye, r.matrix))
+    for op, ref in zip(_site_pairs(r, sectors, dim - 1), dense):
+        got = op.to_dense()
+        assert np.array_equal(got[:, kept], ref[:, kept])
+        assert not got[:, ~kept].any()
 
 
 @pytest.mark.parametrize("family, params, wrong", DEFORMED_CASES)
@@ -313,18 +361,12 @@ def test_trivial_r_sees_an_asymmetric_coproduct():
 # -- classical limit ----------------------------------------------------------
 
 def test_classical_limit_bq():
-    report = check_classical_limit(
-        lambda q: build_rep(AlgebraSpec("Bq", (1, 1, q)), 6))
-    gaps = report.branch_note["gaps"]
+    """|R(q) - R0| at D = 6 falls along q = 1.1, 1.01, 1.001 and ends below 0.05."""
+    reps = [build_rep(AlgebraSpec("Bq", (1, 1, q)), 6) for q in (1.1, 1.01, 1.001)]
+    r0 = build_r0(reps[0]).matrix
+    gaps = [spectral_norm(build_r(rep).matrix - r0) for rep in reps]
     assert gaps[0] > gaps[1] > gaps[2]
-    assert report.passed, report.summary()
-
-
-def test_classical_limit_detects_non_monotone():
-    report = check_classical_limit(
-        lambda q: build_rep(AlgebraSpec("Bq", (1, 1, q)), 6),
-        q_values=(1.001, 1.01, 1.1))
-    assert not report.passed
+    assert gaps[-1] < 0.05, gaps
 
 
 # -- branch lattice -----------------------------------------------------------

@@ -1,0 +1,60 @@
+"""One operator form for the multi-site checks: no dense Kronecker product.
+
+`rmatrix.py` and `HopfTables.check_coassociativity` build every multi-site
+operator as a level-sector operator gathered from its slot factors
+(`tensor.SectorOperator.gather`).  The dense builders stay in `tensor.py`
+and `hopf.py` for the tests' references and the fusion slots' Delta
+images; this guard keeps them out of those checks.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "bosonhopf"
+BANNED = {"kron", "kron_all", "kron_columns", "embed_two_site", "terms_matrix"}
+
+
+def dense_builders(tree) -> list:
+    """(line, name) of every reference to a dense builder under ``tree``:
+    a bare name, an attribute (``np.kron``, ``tensor.kron_all``) or an
+    imported name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in BANNED:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in BANNED:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in BANNED]
+    return sorted(found)
+
+
+def _method(tree, cls: str, name: str):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == name:
+                    return item
+    raise LookupError(f"{cls}.{name}")
+
+
+def test_the_guard_sees_every_spelling():
+    source = ("import numpy as np\n"
+              "from .tensor import kron_columns, spectral_norm\n"
+              "from numpy import kron\n"
+              "a = np.kron(x, y)\n"
+              "b = kron_all(x, y, z)\n"
+              "c = tensor.embed_two_site(r, (0, 2), 3, d)\n"
+              "d = hopf.terms_matrix(terms, dim)\n"
+              "e = kron\n"
+              "f = SectorOperator.gather(factors, sectors) @ np.krona\n")
+    assert [line for line, _ in dense_builders(ast.parse(source))] == [2, 3, 4, 5, 6, 7, 8]
+
+
+def test_the_r_checks_and_coassociativity_build_no_dense_product():
+    rmatrix = ast.parse((SRC / "rmatrix.py").read_text())
+    coassoc = _method(ast.parse((SRC / "hopf.py").read_text()),
+                      "HopfTables", "check_coassociativity")
+    offenders = ([f"rmatrix.py:{line}: {name}" for line, name in dense_builders(rmatrix)]
+                 + [f"hopf.py:{line}: {name}" for line, name in dense_builders(coassoc)])
+    assert not offenders, offenders

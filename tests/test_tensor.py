@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosonhopf import AlgebraSpec, build_rep, build_tables, tensor
-from bosonhopf.hopf import expand_slot, terms_operator, word_image
+from bosonhopf.hopf import expand_slot, terms_matrix, terms_operator, word_image
 from bosonhopf.tensor import (SectorOperator, embed_two_site, kron, kron_all,
-                              kron_columns, level_sectors, spectral_norm, swap_matrix,
+                              level_sectors, spectral_norm, swap_matrix,
                               total_window_projector, window_mask, windowed_norm)
 
 
@@ -24,23 +24,53 @@ def test_kron_ordering():
     assert np.allclose(kron_all(a, b, np.eye(2)).shape, (8, 8))
 
 
-@pytest.mark.parametrize("sizes", [(3,), (9, 3), (3, 9), (2, 4, 3), (4, 1, 2)])
-def test_kron_columns_is_bit_identical(sizes):
-    """kron_columns equals the same columns of kron_all, entry for entry,
-    for factors of different sizes (a two-site factor next to a one-site one)."""
-    rng = np.random.default_rng(len(sizes) * 10 + sizes[0])
-    mats = [_rand(n, int(rng.integers(1000))) for n in sizes]
-    mats[-1] = mats[-1].real   # a real factor next to complex ones, as eye x R
-    full = kron_all(*mats)
-    for cols in (np.arange(full.shape[1]),
-                 np.sort(rng.choice(full.shape[1], size=full.shape[1] // 2, replace=False)),
-                 np.array([full.shape[1] - 1, 0])):
-        assert np.array_equal(kron_columns(mats, cols), full[:, cols])
+FAMILY_POINTS = [("B", (2, 3)), ("Bbar", (1, 2)), ("Bq", (2, 4, 1.3)),
+                 ("Bbarq", (1, 2, 0.7)), ("H", (1, 2, 0.25))]
 
 
-@pytest.mark.parametrize("family, params", [
-    ("B", (2, 3)), ("Bbar", (1, 2)), ("Bq", (2, 4, 1.3)), ("Bbarq", (1, 2, 0.7)),
-    ("H", (1, 2, 0.25))])
+@pytest.mark.parametrize("family, params", FAMILY_POINTS)
+def test_gather_is_bit_identical_to_kron_on_sweedler_terms(family, params):
+    """The n-site gather, scattered back to dense, equals kron_all and
+    Term.matrix entry for entry on every two-slot Delta term and every
+    three-slot term of both coassociativity expansions at D = 6.  Gathered
+    on the column sectors up to a window's top level, it equals them on
+    the window columns and holds nothing on the others; terms_operator sums
+    the terms to terms_matrix."""
+    dim = 6
+    tables = build_tables(build_rep(AlgebraSpec(family, params), dim))
+    for name in tables.generator_names():
+        two = tables.delta_terms(name)
+        for terms in (two, expand_slot(two, 0), expand_slot(two, 1)):
+            sectors = level_sectors(dim, terms[0].slots)
+            kept = sectors.level <= dim - 3
+            for term in terms:
+                mats = [word_image(w, dim) for w in term.words]
+                factors = [(m, (site,)) for site, m in enumerate(mats)]
+                full = SectorOperator.gather(factors, sectors)
+                assert np.array_equal(full.to_dense(), kron_all(*mats)), (name, term)
+                assert np.array_equal((full * term.coeff).to_dense(), term.matrix(dim))
+                window = SectorOperator.gather(factors, sectors, dim - 3).to_dense()
+                assert np.array_equal(window[:, kept], kron_all(*mats)[:, kept])
+                assert not window[:, ~kept].any()
+            assert np.array_equal(terms_operator(terms, dim).to_dense(),
+                                  terms_matrix(terms, dim)), name
+
+
+def test_gather_refuses_a_mixed_shift_factor():
+    """A factor whose entries mix level shifts has no sector blocks: the
+    gather refuses it, on one site or on a slot pair, and from_dense of
+    such a matrix reports None."""
+    sectors = level_sectors(3, 3)
+    mixed = np.eye(3) + np.diag(np.ones(2), -1)
+    eye = np.eye(3)
+    for factors in ([(mixed, (0,)), (eye, (1,)), (eye, (2,))],
+                    [(kron(mixed, eye), (0, 2)), (eye, (1,))]):
+        with pytest.raises(ValueError, match="one amount"):
+            SectorOperator.gather(factors, sectors)
+    assert SectorOperator.from_dense(kron_all(mixed, eye, eye), sectors) is None
+
+
+@pytest.mark.parametrize("family, params", FAMILY_POINTS)
 def test_kron_all_is_bit_identical_to_numpy_kron(family, params):
     """The broadcast Kronecker product equals np.kron entry for entry on every
     two-slot Sweedler term of every generator, and on the three-slot terms of
@@ -265,6 +295,45 @@ def test_sector_operator_matches_dense(dim, sites, shifts, degree, density, seed
     assert SectorOperator.from_dense(np.zeros((size, size)), sec).norm() == 0.0
 
 
+def _on_window(mat, sec, shift, top):
+    """The sector operator of mat held on the column sectors up to ``top``."""
+    plan = sec.plan(shift, top + 1)
+    blocks = np.where(plan.ok, mat[plan.rows[:, :, None], plan.cols[:, None, :]], 0)
+    return SectorOperator(sec, shift, blocks)
+
+
+@given(dim=st.integers(2, 5), sites=st.integers(2, 3), shifts=st.tuples(
+           st.integers(-2, 2), st.integers(-2, 2)),
+       top=st.floats(0, 1), density=st.floats(0.05, 1.0), seed=st.integers(0, 10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_window_sector_operators_match_dense_on_their_columns(
+        dim, sites, shifts, top, density, seed):
+    """Operators held on the column sectors up to a top level only.  Their
+    product holds the column sectors whose image the left factor holds, and
+    there it, its norm, and its sum with an all-zero operator of another
+    shift (padded to another width) match the dense results to 1e-13
+    relative; it holds nothing on the other columns."""
+    rng = np.random.default_rng(seed)
+    sec = level_sectors(dim, sites)
+    levels = sec.size.size
+    top = int(top * (levels - 1))
+    a, b = (_graded(rng, sec, s, density) for s in shifts)
+    op_a, op_b = (_on_window(m, sec, s, top) for m, s in zip((a, b), shifts))
+    prod = op_a @ op_b
+    expect = top + 1 if top + 1 == levels else max(0, min(top + 1, top + 1 - shifts[1]))
+    assert len(prod.blocks) == expect
+    known = sec.level < expect
+    ref = (a @ b)[:, known]
+    got = prod.to_dense()
+    assert _close(got[:, known], ref, (np.abs(a) @ np.abs(b)).max())
+    assert not got[:, ~known].any()
+    norm = float(np.linalg.norm(ref, 2)) if ref.size else 0.0
+    assert abs(prod.norm() - norm) <= 1e-13 * norm
+    zero = op_b - op_b
+    assert np.array_equal((op_a + zero).to_dense(), op_a.to_dense())
+    assert np.array_equal((zero - op_a).to_dense(), -op_a.to_dense())
+
+
 def test_diagonal_map_rejects_an_off_diagonal_operator():
     sec = level_sectors(4, 2)
     diag = np.diag(np.arange(16.0) + 1)
@@ -282,8 +351,9 @@ def test_diagonal_map_rejects_an_off_diagonal_operator():
     ("B", (2, 3)), ("Bbar", (1, 2)), ("Bq", (2, 4, 1.3)), ("Bbarq", (1, 2, 0.7)),
     ("H", (1, 2, 0.25))])
 def test_sector_operator_of_a_sweedler_term_is_bit_identical_to_kron(family, params):
-    """from_term scattered back to dense equals coeff * np.kron(x, y) entry for
-    entry on every Delta term at D = 8, the summed terms equal the dense
+    """The gathered term times its coefficient, scattered back to dense, equals
+    np.kron(x, y) * coeff entry for entry on every Delta term at D = 8, the
+    summed terms equal the dense
     Delta image, and the summed terms with their words exchanged equal the
     slot-swap sandwich of that image, the reference construction of
     Delta^T."""
@@ -293,7 +363,7 @@ def test_sector_operator_of_a_sweedler_term_is_bit_identical_to_kron(family, par
     for name in tables.generator_names():
         for term in tables.delta_terms(name):
             x, y = (word_image(w, dim) for w in term.words)
-            op = SectorOperator.from_term(term.coeff, x, y, sec)
+            op = SectorOperator.gather([(x, (0,)), (y, (1,))], sec) * term.coeff
             assert isinstance(op, SectorOperator), (name, term)
             assert np.array_equal(op.to_dense(), np.kron(x, y) * term.coeff), (name, term)
         total = terms_operator(tables.delta_terms(name), dim)
