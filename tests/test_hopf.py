@@ -3,8 +3,9 @@ import pytest
 
 from bosonhopf import AlgebraSpec, build_rep, build_tables
 from bosonhopf.fock import windowed_norm
-from bosonhopf.hopf import Atom, Term, expand_slot, terms_matrix
-from bosonhopf.tensor import kron, total_window_projector, window_mask
+from bosonhopf.hopf import Atom, Term, expand_slot, terms_matrix, terms_operator, word_image
+from bosonhopf.tensor import (SectorOperator, kron, kron_all, level_sectors,
+                              total_window_projector, window_mask)
 from grids import BBAR_GRID, BBARQ_GRID, BQ_GRID, B_GRID, FULL_GRID, H_GRID
 
 
@@ -86,6 +87,34 @@ def test_bq_antipode_inverse_closed_forms():
     expect_ad = -q ** (-alpha / 2.0) * rep.raising @ g
     assert np.abs(tb.atom("a").s_inv - expect_a).max() < 1e-12
     assert np.abs(tb.atom("ad").s_inv - expect_ad).max() < 1e-12
+
+
+@pytest.mark.parametrize("family, params", [("Bq", (2.0, 2.0, 1.3)),
+                                            ("H", (1.0, 0.5, -0.25))])
+def test_term_matrix_on_columns_is_bit_identical(family, params):
+    """A term gathered on the column sectors up to a window's top level,
+    scaled as Term.matrix scales it, equals the same columns of
+    Term.matrix and holds nothing on the others; terms_operator does the
+    same for terms_matrix."""
+    dim = 5
+    top = dim - 2
+    tb = _tables(family, params, dim)
+    raising = "bd" if family == "H" else "ad"
+    two = tb.delta_terms(raising)
+    three = expand_slot(two, 0) + expand_slot(two, 1)
+    for term in two + three:
+        sectors = level_sectors(dim, term.slots)
+        kept = sectors.level <= top
+        factors = [(word_image(w, dim), (site,)) for site, w in enumerate(term.words)]
+        full = term.coeff * kron_all(*(m for m, _ in factors))
+        assert np.array_equal(term.matrix(dim), full)
+        window = (SectorOperator.gather(factors, sectors, top) * term.coeff).to_dense()
+        assert np.array_equal(window[:, kept], full[:, kept])
+        assert not window[:, ~kept].any()
+    kept = level_sectors(dim, 3).level <= top
+    window = terms_operator(three[:4], dim, top).to_dense()
+    assert np.array_equal(window[:, kept], terms_matrix(three[:4], dim)[:, kept])
+    assert not window[:, ~kept].any()
 
 
 @pytest.mark.parametrize("family, params, raising", [

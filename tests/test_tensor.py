@@ -24,6 +24,23 @@ def test_kron_ordering():
     assert np.allclose(kron_all(a, b, np.eye(2)).shape, (8, 8))
 
 
+@pytest.mark.parametrize("sizes", [(3,), (9, 3), (3, 9), (2, 4, 3), (4, 1, 2)])
+def test_kron_columns_is_bit_identical(sizes):
+    """Each column of kron_all is the Kronecker product of the factors'
+    columns at its unravelled index, entry for entry, for factors of
+    different sizes (a two-site factor next to a one-site one)."""
+    rng = np.random.default_rng(len(sizes) * 10 + sizes[0])
+    mats = [_rand(n, int(rng.integers(1000))) for n in sizes]
+    mats[-1] = mats[-1].real   # a real factor next to complex ones, as eye x R
+    full = kron_all(*mats)
+    for col in (0, full.shape[1] - 1, *rng.choice(full.shape[1], size=4)):
+        parts = np.unravel_index(col, sizes)
+        expect = mats[0][:, parts[0]]
+        for m, j in zip(mats[1:], parts[1:]):
+            expect = np.kron(expect, m[:, j])
+        assert np.array_equal(full[:, col], expect), col
+
+
 FAMILY_POINTS = [("B", (2, 3)), ("Bbar", (1, 2)), ("Bq", (2, 4, 1.3)),
                  ("Bbarq", (1, 2, 0.7)), ("H", (1, 2, 0.25))]
 
