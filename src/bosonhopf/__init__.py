@@ -7,7 +7,7 @@ Yang-Baxter equation, Casimir spectra and the B <-> H isomorphism.
 """
 
 from .expr import EvalContext, evaluate, evaluate_text, parse, print_expr
-from .fock import AlgebraSpec, FockRep, build_rep, check_defining_relations, validity_window, weight
+from .fock import AlgebraSpec, FockRep, build_rep, check_defining_relations, weight
 from .hopf import HopfTables, build_tables
 from .report import CheckReport
 from .rmatrix import BranchChoice, RMatrix, build_r, build_r0, run_r_checks
@@ -16,7 +16,7 @@ from .structure import StructureElement, build_L, build_M, build_realization
 
 __all__ = [
     "AlgebraSpec", "FockRep", "build_rep", "check_defining_relations",
-    "validity_window", "weight", "HopfTables", "build_tables", "CheckReport",
+    "weight", "HopfTables", "build_tables", "CheckReport",
     "bracket_factorial", "phase_pow", "q_bracket",
     "BranchChoice", "RMatrix", "build_r", "build_r0", "run_r_checks",
     "StructureElement", "build_L", "build_M", "build_realization",

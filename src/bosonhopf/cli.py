@@ -41,7 +41,7 @@ from .report import check_report, skipped_report
 from .rmatrix import (YBE_DIM, build_r, build_r0, check_r_axioms,
                       check_trivial_r, check_ybe, run_r_checks)
 from . import structure as structure_mod
-from .tensor import spectral_norm, total_window_projector, windowed_norm
+from .tensor import level_sectors, spectral_norm
 
 REPORT_SCHEMA_VERSION = "1.0"
 
@@ -124,18 +124,18 @@ def _run_casimir(sc, spec, tol):
 def _run_structure(sc, spec, tol):
     rep = build_rep(spec, sc.dim)
     tables = build_tables(rep) if spec.family == "B" else None
-    return structure_mod.run_structure_checks(
-        rep, tables, lam1=sc.lambda1, lam4=sc.lambda4, tol=tol)
+    return structure_mod.run_structure_checks(rep, tables, lam1=1.0, lam4=0.5, tol=tol)
 
 
+# The partner algebra of the generator maps: beta = 1 for B, nu = 1 and
+# rho = 0 for H; the structure element's lambda1 is 1.
 def _run_iso_phi(sc, spec, tol):
-    b_spec = AlgebraSpec("B", (2.0 * spec.delta, sc.iso_beta))
-    return structure_mod.iso_phi(b_spec, build_rep(spec, sc.dim),
-                                 lam1=sc.lambda1, tol=tol)
+    b_spec = AlgebraSpec("B", (2.0 * spec.delta, 1.0))
+    return structure_mod.iso_phi(b_spec, build_rep(spec, sc.dim), lam1=1.0, tol=tol)
 
 
 def _run_iso_phi_prime(sc, spec, tol):
-    h_spec = AlgebraSpec("H", (spec.alpha / 2.0, sc.iso_nu, sc.iso_rho))
+    h_spec = AlgebraSpec("H", (spec.alpha / 2.0, 1.0, 0.0))
     return structure_mod.iso_phi_prime(h_spec, build_rep(spec, sc.dim),
                                        tol=tol)
 
@@ -217,11 +217,6 @@ class Scenario:
     suites: tuple = tuple(SUITES)
     tol: float = 1e-10
     suite_tols: dict = field(default_factory=dict)
-    lambda1: float = 1.0
-    lambda4: float = 0.5
-    iso_beta: float = 1.0
-    iso_nu: float = 1.0
-    iso_rho: float = 0.0
 
     def tol_for(self, suite: str) -> float:
         return self.suite_tols.get(suite, self.tol)
@@ -233,9 +228,20 @@ class ScenarioConfig:
     out: str = ""
 
 
-_SCENARIO_SCALARS = {"dim": int, "tol": float, "lambda1": float,
-                     "lambda4": float, "iso_beta": float, "iso_nu": float,
-                     "iso_rho": float}
+_SCENARIO_SCALARS = {"dim": int, "tol": float}
+
+
+def _number(convert, text: str, where: str):
+    """``convert(text)``, or a ConfigError naming ``where`` when text is no such number."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigError(f"{where} = {text!r} is not a valid {convert.__name__}") from None
+
+
+def _check_dim(dim: int, where: str) -> None:
+    if dim < 2:
+        raise ConfigError(f"{where} must be at least 2 (a Fock space needs two levels), got {dim}")
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -271,16 +277,18 @@ def parse_config(path: str) -> ScenarioConfig:
             scen.suites = suites
         for key, value in items.items():
             if key in _SCENARIO_SCALARS:
-                setattr(scen, key, _SCENARIO_SCALARS[key](value))
+                setattr(scen, key, _number(_SCENARIO_SCALARS[key], value,
+                                           f"[{section}] {key}"))
             elif key.startswith("tol."):
                 suite = key[4:]
                 if suite not in SUITES:
                     raise ConfigError(f"[{section}]: tolerance override for "
                                       f"unknown suite {suite!r}")
-                scen.suite_tols[suite] = float(value)
+                scen.suite_tols[suite] = _number(float, value, f"[{section}] {key}")
             elif key in ("alpha", "beta", "sigma", "tau", "delta", "nu",
                          "rho", "q"):
-                values = [float(v) for v in value.split(",")]
+                values = [_number(float, v.strip(), f"[{section}] {key}")
+                          for v in value.split(",")]
                 if key not in PARAM_NAMES[family]:
                     print(f"warning: [{section}] parameter {key!r} is not "
                           f"used by family {family}; ignored", file=sys.stderr)
@@ -288,6 +296,7 @@ def parse_config(path: str) -> ScenarioConfig:
                 scen.param_grid[key] = values
             else:
                 raise ConfigError(f"[{section}] has unknown key {key!r}")
+        _check_dim(scen.dim, f"[{section}] dim")
         missing = [p for p in PARAM_NAMES[family] if p not in scen.param_grid]
         if missing:
             raise ConfigError(f"[{section}] is missing values for {missing}")
@@ -436,6 +445,8 @@ def _json_default(obj):
 
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
+    if args.dim:
+        _check_dim(args.dim, "--dim")
     for scenario in config.scenarios:
         if args.dim:
             scenario.dim = args.dim
@@ -447,6 +458,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_dim(args.dim, "--dim")
     try:
         params = tuple(float(v) for v in args.params.split(","))
     except ValueError:
@@ -470,7 +482,7 @@ def _cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sites = round(np.log(mat.shape[0]) / np.log(rep.dim)) if rep.dim > 1 else 1
-    win = windowed_norm(mat, total_window_projector(rep.dim, sites, args.degree))
+    win = spectral_norm(mat, level_sectors(rep.dim, sites), rep.dim - 1 - args.degree)
     full = spectral_norm(mat)
     print(f"windowed norm (degree {args.degree}): {win:.6e}")
     print(f"unwindowed norm: {full:.6e}")

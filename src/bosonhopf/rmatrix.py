@@ -47,8 +47,7 @@ from .fock import FockRep, RepresentationError, SpecError, build_rep
 from .hopf import HopfTables, terms_operator
 from .report import CheckReport, check_report
 from .scalars import bracket_factorial, phase_pow
-from .tensor import (SectorOperator, level_sectors, spectral_norm,
-                     total_window_projector, windowed_norm)
+from .tensor import SectorOperator, level_sectors, spectral_norm
 
 DEFAULT_R_TOL = 1e-8
 
@@ -344,15 +343,15 @@ def _quasitriangular_rows(r: RMatrix, tables: HopfTables, images: dict,
     dim = r.dim
     if tables.rep.dim != dim:
         raise SpecError("R-matrix and Hopf tables disagree on the dimension")
-    proj, sectors = total_window_projector(dim, 2, 1), level_sectors(dim, 2)
+    top, sectors = dim - 1 - 1, level_sectors(dim, 2)   # raise degree 1
     rop = SectorOperator.from_dense(r.matrix, sectors)
     if rop is None:
         raise RepresentationError("the R-matrix does not conserve the total level")
     out = []
     for name, (delta, delta_t) in images.items():
         r_delta = rop @ delta
-        scale = max(1.0, windowed_norm(r_delta, proj, sectors))
-        residual = windowed_norm(delta_t @ rop - r_delta, proj, sectors) / scale
+        scale = max(1.0, spectral_norm(r_delta, sectors, top))
+        residual = spectral_norm(delta_t @ rop - r_delta, sectors, top) / scale
         out.append(check_report(r.rep.spec, dim, f"rmatrix.quasitriangular.{name}",
                                 "Delta^T(g) R = R Delta(g)", residual, tol, 1,
                                 family=r.family, branch_note=dict(r.branch_note)))

@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import (AlgebraSpec, DEFAULT_TOL, FockRep, SpecError, acomm,
-                   comm, diag_function, relation_residuals, validity_window)
+                   comm, diag_function, relation_residuals)
 from .hopf import Atom, HopfTables, Term, terms_operator
 from .report import CheckReport, check_report
 from .scalars import q_bracket
-from .tensor import (level_sectors, spectral_norm, total_window_projector, window_mask,
-                     windowed_norm)
+from .tensor import level_sectors, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -47,9 +46,9 @@ def _norm(rep: FockRep, mat) -> float:
 
 
 def _windowed(rep: FockRep, mat, degree: int, scale: float = 1.0) -> float:
-    """Windowed norm of a one-site residual, relative to max(1, scale)."""
-    proj = validity_window(rep, degree).projector
-    return windowed_norm(mat, proj, level_sectors(rep.dim, 1)) / max(1.0, scale)
+    """Norm of a one-site residual on the levels up to dim - 1 - degree,
+    relative to max(1, scale)."""
+    return spectral_norm(mat, level_sectors(rep.dim, 1), rep.dim - 1 - degree) / max(1.0, scale)
 
 
 # -- the grade-odd element L --------------------------------------------------
@@ -110,9 +109,9 @@ def check_L_properties(elem: StructureElement, rep: FockRep,
         Term(1.0, ((l0,), ())), Term(1.0, ((), (l0,))), Term(-lam1 * alpha / 4.0, ((), ())),
         Term(lam4, ((g,), (g,))), Term(-lam1, ((g, ad), (a,))), Term(lam1, ((ginv, a), (ad,)))],
         dim)
-    proj, sectors2 = total_window_projector(dim, 2, 1), level_sectors(dim, 2)
-    scale = max(1.0, windowed_norm(closed, proj, sectors2))
-    res = windowed_norm(hom - closed, proj, sectors2) / scale
+    top, sectors2 = dim - 1 - 1, level_sectors(dim, 2)   # raise degree 1
+    scale = max(1.0, spectral_norm(closed, sectors2, top))
+    res = spectral_norm(hom - closed, sectors2, top) / scale
     out.append(check_report(spec, dim, "structure.delta-closed-form",
                             "homomorphic Delta(L+) matches its closed form",
                             res, tol, 1))
@@ -365,10 +364,10 @@ def casimir_spectrum(realization: RealizationMap, rep: FockRep,
         note = {"c_even": c_even, "c_odd": c_odd}
     else:
         raise SpecError(f"unknown Casimir selector {which!r}")
-    keep = window_mask(rep.dim, 1, degree)
     diag = np.diag(cas)
-    dev_diag = float(np.max(np.abs(diag[keep] - target[keep])))
     dev_off = _windowed(rep, cas - np.diag(diag), degree)
+    keep = rep.levels <= rep.dim - 1 - degree
+    dev_diag = float(np.max(np.abs(diag[keep] - target[keep])))
     # closed-form parity formula must agree with the sector values
     formula = (0.5 - beta / (2.0 * alpha) - beta ** 2 / (4.0 * alpha ** 2)
                + (2.0 * beta - alpha) / (8.0 * alpha)

@@ -4,21 +4,24 @@ Slot convention: the FIRST Kronecker factor is the LEFTMOST tensor slot.
 Every index convention in the package (slot swap, R-matrix slot embeddings,
 multi-site windows) agrees with this ordering.
 
-Windowed norms select the window columns by mask rather than multiplying
-by the dense projector; an exactly-zero residual reports 0.0 without an
-SVD.  Given the level-sector index of its space (:func:`level_sectors`), an
-operator whose nonzero entries all shift the total level by one amount is
-block diagonal up to a permutation: column sector L maps into row sector
-L + shift only.  :class:`SectorOperator` keeps such an operator as those
-blocks, built from a dense matrix or gathered straight from the factors of
-a tensor product on any number of sites (one factor may act on a slot
-pair, as R13 does), optionally on the column sectors up to a window's top
-level only; products, sums, functional calculus on a diagonal and the norm
-(the largest singular value of one batched SVD) then work on the blocks.
-Any other operator, or a dense one normed without the index, takes the SVD
-of its nonzero rows and window columns.  The dense products (kron,
-kron_all, embed_two_site) serve the tests' references and the R-matrix
-fusion slots' Delta images.
+A validity window is one number, its top level: an identity of raising
+degree k is exact on the states of total level up to ``dim - 1 - k``, and
+every windowed norm passes that top to :func:`spectral_norm`; an
+exactly-zero residual reports 0.0 without an SVD.  Given the level-sector
+index of its space (:func:`level_sectors`), an operator whose nonzero
+entries all shift the total level by one amount is block diagonal up to a
+permutation: column sector L maps into row sector L + shift only.
+:class:`SectorOperator` keeps such an operator as those blocks, built from a
+dense matrix or gathered straight from the factors of a tensor product on
+any number of sites (one factor may act on a slot pair, as R13 does),
+optionally on the column sectors up to a window's top level only; products,
+sums, functional calculus on a diagonal and the norm (the largest singular
+value of one batched SVD) then work on the blocks.  Any other operator, or
+a dense one normed without the index, takes the SVD of its nonzero rows and
+window columns.  The dense products (kron, kron_all, embed_two_site) serve
+the tests' references and the R-matrix fusion slots' Delta images; the dense
+window oracle (total_window_projector, windowed_norm) serves the tests and
+the benchmark's trace targets only.
 """
 
 from __future__ import annotations
@@ -209,19 +212,17 @@ class SectorOperator:
         return self.sectors.plan(self.shift, len(self.blocks))
 
     @classmethod
-    def from_dense(cls, mat: np.ndarray, sectors: LevelSectors, cols=None):
-        """The sector operator of mat, or of its columns ``cols`` (the other
-        columns zeroed): :meth:`gather` of mat as the one factor on every
-        site, or None when those nonzero entries shift the total level by
+    def from_dense(cls, mat: np.ndarray, sectors: LevelSectors, top: int | None = None):
+        """The sector operator of mat, or of its window of column sectors up
+        to ``top``: :meth:`gather` of mat as the one factor on every site,
+        or None when those columns' nonzero entries shift the total level by
         more than one amount."""
-        if cols is not None:
-            keep = np.zeros(mat.shape[1], dtype=bool)
-            keep[cols] = True
-            mat = np.where(keep, mat, 0)
+        if top is not None:
+            mat = np.where(sectors.level <= top, mat, 0)
         shift = _level_shift(mat, sectors.dim, sectors.sites)
         if shift is None:
             return None
-        return cls._gathered([(mat, tuple(range(sectors.sites)))], sectors, shift)
+        return cls._gathered([(mat, tuple(range(sectors.sites)))], sectors, shift, top)
 
     @classmethod
     def gather(cls, factors, sectors: LevelSectors, top: int | None = None):
@@ -247,7 +248,7 @@ class SectorOperator:
 
     @classmethod
     def _gathered(cls, factors, sectors: LevelSectors, shift: int, top=None):
-        plan = sectors.plan(shift, None if top is None else top + 1)
+        plan = sectors.plan(shift, _window_levels(top))
         blocks = None
         for mat, (first, *rest) in factors:
             row, col = plan.row_sites[first], plan.col_sites[first]
@@ -350,85 +351,78 @@ class SectorOperator:
         out[lev, i, i] = fn(diag)
         return self._like(0, out)
 
-    def norm(self, cols=None) -> float:
-        """Spectral norm, or that of the columns ``cols``: the largest
-        singular value of one batched SVD over the blocks of the column
-        sectors holding a kept column, each trimmed to the widest live row
-        and column sector.  Exactly 0.0 when those blocks are all zero; the
-        largest modulus when they are 1x1 (one site).
+    def norm(self, top: int | None = None) -> float:
+        """Spectral norm, or that of the window of column sectors up to
+        ``top``: the largest singular value of one batched SVD over the
+        blocks of the live column sectors, each trimmed to the widest live
+        row and column sector.  Exactly 0.0 when those blocks are all zero;
+        the largest modulus when they are 1x1 (one site).
         """
-        sec, plan = self.sectors, self._plan()
-        kept = plan.kept
-        if cols is not None:
-            keep = np.zeros(sec.level.size, dtype=bool)
-            keep[cols] = True
-            kept = kept & keep[plan.cols]
+        kept = self._plan().kept[:_window_levels(top)]
         if self.blocks.shape[1] == 1:   # one-site sectors: the modulus is the singular value
-            return float(np.abs(self.blocks[:, 0, 0][kept[:, 0]]).max(initial=0.0))
+            return float(np.abs(self.blocks[:len(kept), 0, 0][kept[:, 0]]).max(initial=0.0))
         live = np.flatnonzero(kept.any(axis=1))
         if not live.size:
             return 0.0
+        sec = self.sectors
         width_in = sec.size[live].max()
         width_out = sec.size[live + self.shift].max()
         blocks = self.blocks[live, :width_out, :width_in]
-        if cols is not None and not np.array_equal(kept[live], plan.kept[live]):
-            blocks = blocks * kept[live, None, :width_in]
         if not blocks.any():
             return 0.0
         return float(np.linalg.svd(blocks, compute_uv=False).max())
 
 
-def window_mask(dim: int, sites: int, raise_degree: int) -> np.ndarray:
-    """Boolean vector over multi-indices: True where total level <= dim-1-raise_degree.
-
-    Identities built from total-level-conserving R-matrix summands, or from
-    coproduct images raising the total level by at most raise_degree, are
-    exact on this subspace of the truncated tensor power.
-    """
-    if not 0 <= raise_degree < dim:
-        raise ValueError(f"raise_degree must lie in [0, {dim}), got {raise_degree}")
-    return level_sectors(dim, sites).level <= dim - 1 - raise_degree
+def _window_levels(top: int | None) -> int | None:
+    """The column sectors the window up to total level ``top`` holds (all of
+    them for None); an empty one, of a raise degree at or above dim, is refused."""
+    if top is not None and top < 0:
+        raise ValueError(f"the validity window up to total level {top} is empty")
+    return None if top is None else top + 1
 
 
-def total_window_projector(dim: int, sites: int, raise_degree: int) -> np.ndarray:
-    """Diagonal 0/1 projector onto the states of :func:`window_mask`."""
-    return np.diag(window_mask(dim, sites, raise_degree).astype(complex))
-
-
-def spectral_norm(mat, cols=None, sectors: LevelSectors | None = None) -> float:
-    """Spectral norm of mat, or of its columns ``cols``.
+def spectral_norm(mat, sectors: LevelSectors | None = None,
+                  top: int | None = None) -> float:
+    """Spectral norm of mat, or of its window of states of total level up
+    to ``top``.
 
     A :class:`SectorOperator` takes its own norm.  A dense matrix without a
-    nonzero entry (on those columns) reports 0.0 without an SVD.  With
-    ``sectors``, the level-sector index of mat's space, and every nonzero
-    entry shifting the total level by the same amount, the norm is taken on
-    its sector operator.  Otherwise it is the SVD of the nonzero rows and
-    columns only: all-zero rows and columns carry no singular value, so
-    dropping them is exact.  The zero pattern is read before anything is
-    copied.
+    nonzero entry (in the window) reports 0.0 without an SVD.  With
+    ``sectors``, the level-sector index of mat's space (which a window of a
+    dense matrix needs), and every nonzero window entry shifting the total
+    level by the same amount, the norm is taken on its sector operator.
+    Otherwise it is the SVD of the nonzero rows and window columns only:
+    all-zero rows and columns carry no singular value, so dropping them is
+    exact.  The zero pattern is read before anything is copied.
     """
     if isinstance(mat, SectorOperator):
-        return mat.norm(cols)
-    cols = np.arange(mat.shape[1]) if cols is None else np.asarray(cols)
+        return mat.norm(top)
+    levels = _window_levels(top)
+    cols = slice(None) if levels is None else sectors.level < levels
     nonzero = (mat != 0)[:, cols]
     if not nonzero.any():
         return 0.0
     if sectors is not None:
-        op = SectorOperator.from_dense(mat, sectors, cols)
+        op = SectorOperator.from_dense(mat, sectors, top)
         if op is not None:
-            return op.norm(cols)
-    rows = np.flatnonzero(nonzero.any(axis=1))
-    return float(np.linalg.norm(mat[np.ix_(rows, cols[nonzero.any(axis=0)])], 2))
+            return op.norm(top)
+    return float(np.linalg.norm(
+        mat[:, cols][np.ix_(nonzero.any(axis=1), nonzero.any(axis=0))], 2))
+
+
+def total_window_projector(dim: int, sites: int, raise_degree: int) -> np.ndarray:
+    """Dense diagonal 0/1 projector onto the states of total level up to
+    ``dim - 1 - raise_degree``: the window :func:`windowed_norm` takes."""
+    if not 0 <= raise_degree < dim:
+        raise ValueError(f"raise_degree must lie in [0, {dim}), got {raise_degree}")
+    return np.diag((level_sectors(dim, sites).level <= dim - 1 - raise_degree).astype(complex))
 
 
 def windowed_norm(mat, projector: np.ndarray,
                   sectors: LevelSectors | None = None) -> float:
-    """Spectral norm of mat restricted to window states (right multiplication).
-
-    The window columns are the projector's nonzero diagonal entries, the
-    same as ``mat @ projector`` for a 0/1 diagonal projector, and the norm is
-    taken by :func:`spectral_norm` on those columns without forming the
-    product: on the sector blocks when mat is a :class:`SectorOperator` or
-    ``sectors`` is given.
+    """The dense oracle of a windowed norm: :func:`spectral_norm` of
+    ``mat @ projector``.  The checks pass their window's top level to
+    :func:`spectral_norm` instead; the tests and the benchmark's trace
+    targets call this.
     """
-    return spectral_norm(mat, np.flatnonzero(projector.diagonal()), sectors)
+    return spectral_norm(mat @ projector, sectors)

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from bosonhopf import (AlgebraSpec, build_rep, build_tables,
-                       check_defining_relations, validity_window, weight)
+                       check_defining_relations, weight)
 from bosonhopf import expr as ex
 from bosonhopf.cli import main as cli_main
 from bosonhopf.fock import windowed_norm
 from bosonhopf.rmatrix import (build_r, build_r0, check_r_axioms, check_ybe,
                                diagnose_branches, run_r_checks)
-from bosonhopf.tensor import spectral_norm
+from bosonhopf.tensor import spectral_norm, total_window_projector
 from bosonhopf import structure as structure_mod
 from grids import (BBARQ_GRID, BBAR_GRID, BQ_GRID, BQ_INTEGER_GRID,
                       B_GRID, FULL_GRID, H_GRID)
@@ -202,7 +202,7 @@ def test_criterion_11_expression_corpus():
         for entry in by_family[family]:
             res = windowed_norm(
                 ex.evaluate(entry.tree, ctx),
-                validity_window(rep, entry.raise_degree).projector)
+                total_window_projector(rep.dim, 1, entry.raise_degree))
             if res >= 1e-10:
                 failures.append(f"{family}{params} {entry.text}: {res}")
     # 1000 random well-formed trees survive the print/parse round trip

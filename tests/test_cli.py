@@ -273,6 +273,61 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
 
 
+GREEN_KEYS = {"family": "B", "alpha": "2", "beta": "1", "dim": "4", "suites": "relations"}
+
+
+def _scenario_file(tmp_path, changes: dict):
+    """A one-scenario config of GREEN_KEYS with ``changes`` applied."""
+    path = tmp_path / "scenario.ini"
+    path.write_text("[scenario x]\n" + "".join(
+        f"{key} = {value}\n" for key, value in {**GREEN_KEYS, **changes}.items()))
+    return path
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha", "2, abc"), ("dim", "four"), ("dim", "2.5"), ("tol", "small"),
+    ("tol.hopf", "tight")])
+def test_a_malformed_number_is_a_config_error(tmp_path, capsys, key, value):
+    """A value that is not a number exits 2, the usage-error code, with a
+    message naming its key: not 1, which means a check failed."""
+    path = _scenario_file(tmp_path, {key: value})
+    with pytest.raises(ConfigError, match=key):
+        parse_config(str(path))
+    assert _run(path, tmp_path / "out.json") == 2
+    err = capsys.readouterr().err
+    assert f"{key} = " in err and "is not a valid" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_a_config_dim_below_two_is_a_config_error(tmp_path, capsys):
+    """A Fock space needs two levels: dim = 1 in a config exits 2 before any
+    check runs, instead of reporting a failed relations.error row."""
+    path = _scenario_file(tmp_path, {"dim": "1"})
+    with pytest.raises(ConfigError, match="dim"):
+        parse_config(str(path))
+    assert _run(path, tmp_path / "out.json") == 2
+    assert "dim must be at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("dim", ["1", "-3"])
+def test_a_dim_option_below_two_is_a_config_error(tmp_path, capsys, dim):
+    """--dim 1 (or a negative one) over a valid config exits 2 as well."""
+    green = _scenario_file(tmp_path, {})
+    assert _run(green, tmp_path / "out.json", ("--dim", dim)) == 2
+    assert "--dim must be at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+    assert _run(green, tmp_path / "out.json", ("--dim", "2")) == 0
+
+
+@pytest.mark.parametrize("key", ["lambda1", "lambda4", "iso_beta", "iso_nu", "iso_rho"])
+def test_the_removed_scenario_options_are_unknown_keys(tmp_path, key):
+    """The structure and iso runners fix lambda1 = 1, lambda4 = 0.5 and the
+    partner parameters beta = 1, nu = 1, rho = 0: a config that sets one
+    exits 2."""
+    assert _run(_scenario_file(tmp_path, {key: "2"}), tmp_path / "out.json") == 2
+
+
 def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 2
 
@@ -315,6 +370,8 @@ def test_eval_command_errors(capsys):
     assert "unknown identifier" in capsys.readouterr().err
     assert main(["eval", "--family", "B", "--params", "oops", "a"]) == 2
     assert main(["eval", "--family", "B", "--params", "2,1,9", "a"]) == 2
+    assert main(["eval", "--family", "B", "--params", "2,1", "--dim", "1", "a"]) == 2
+    assert "--dim must be at least 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("degree", ["4", "-1"])

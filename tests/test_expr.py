@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bosonhopf import AlgebraSpec, build_rep, validity_window
+from bosonhopf import AlgebraSpec, build_rep
 from bosonhopf.fock import windowed_norm
+from bosonhopf.tensor import total_window_projector
 from bosonhopf import expr as ex
 from grids import FULL_GRID
 
@@ -82,12 +83,12 @@ def _ctx(family, params, dim=8):
 def test_evaluate_defining_relation_examples():
     ctx = _ctx("B", (2, 1), 16)
     mat = ex.evaluate_text("acomm(a, ad) - (alpha*N + beta*I)", ctx)
-    win = validity_window(ctx.rep, 1).projector
+    win = total_window_projector(ctx.rep.dim, 1, 1)
     assert windowed_norm(mat, win) < 1e-10
 
     hctx = _ctx("H", (1, 0.5, -0.25))
     mat = ex.evaluate_text("comm(b, bd) - (delta*I + nu*K)", hctx)
-    win = validity_window(hctx.rep, 1).projector
+    win = total_window_projector(hctx.rep.dim, 1, 1)
     assert windowed_norm(mat, win) < 1e-10
 
 
@@ -162,6 +163,6 @@ def test_corpus_evaluates_on_grid():
         ctx = ex.EvalContext(rep)
         for entry in by_family[family]:
             mat = ex.evaluate(entry.tree, ctx)
-            win = validity_window(rep, entry.raise_degree).projector
+            win = total_window_projector(rep.dim, 1, entry.raise_degree)
             res = windowed_norm(mat, win)
             assert res < 1e-10, (family, params, entry.text, res)

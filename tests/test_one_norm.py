@@ -1,8 +1,9 @@
 """One norm kernel: only `tensor.py` calls `np.linalg.norm` or `np.linalg.svd`.
 
-Every other module takes its norms through `tensor.spectral_norm` or
-`tensor.windowed_norm`, so exact zeros, window columns and level sectors
-are handled in one place.
+Every other module takes its norms through `tensor.spectral_norm`, a
+windowed one by passing the top level of its validity window, so exact
+zeros, windows and level sectors are handled in one place
+(`test_window_form.py` keeps the dense window oracle out of the package).
 """
 
 import ast

@@ -8,7 +8,7 @@ from bosonhopf import AlgebraSpec, build_rep, build_tables, tensor
 from bosonhopf.hopf import expand_slot, terms_matrix, terms_operator, word_image
 from bosonhopf.tensor import (SectorOperator, embed_two_site, kron, kron_all,
                               level_sectors, spectral_norm, swap_matrix,
-                              total_window_projector, window_mask, windowed_norm)
+                              total_window_projector, windowed_norm)
 
 
 def _rand(dim, seed):
@@ -167,21 +167,36 @@ def _sector_calls():
 
 
 def test_windowed_norm_masks_excluded_columns():
+    """Columns above the window's top level carry nothing into the norm; an
+    all-zero residual reports exactly 0.0, windowed or not, with or without
+    the sector index, and takes no sector path."""
     mat = np.zeros((4, 4))
     mat[:, 3] = 100.0
-    proj = np.diag([1.0, 1.0, 1.0, 0.0])
-    assert windowed_norm(mat, proj) == 0.0
-    # an all-zero residual reports exactly 0.0, windowed or not, with or
-    # without the sector index, and takes no sector path
     sec = level_sectors(4, 1)
     zero = np.zeros((4, 4), dtype=complex)
     with _sector_calls() as calls:
+        assert spectral_norm(mat, sec, 2) == 0.0
+        assert spectral_norm(zero, sec, 2) == 0.0
         for sectors in (None, sec):
-            assert windowed_norm(mat, proj, sectors) == 0.0
-            assert windowed_norm(zero, proj, sectors) == 0.0
-            assert windowed_norm(zero, np.eye(4), sectors) == 0.0
-            assert spectral_norm(zero, sectors=sectors) == 0.0
+            assert spectral_norm(zero, sectors) == 0.0
     assert calls == []
+    assert SectorOperator.from_dense(mat, sec, 2).norm(2) == 0.0
+    assert windowed_norm(mat, total_window_projector(4, 1, 1)) == 0.0
+
+
+def test_an_empty_window_is_refused():
+    """A raise degree at or above dim leaves no state in the window (top
+    level below 0): the kernel refuses it rather than report a vacuous 0.0."""
+    sec = level_sectors(3, 2)
+    mat = np.eye(sec.level.size)
+    op = SectorOperator.from_dense(mat, sec)
+    for call in (lambda: spectral_norm(mat, sec, -1), lambda: op.norm(-1),
+                 lambda: spectral_norm(op, top=-1),
+                 lambda: SectorOperator.gather([(np.eye(3), (0,)), (np.eye(3), (1,))],
+                                               sec, top=-1)):
+        with pytest.raises(ValueError, match="empty"):
+            call()
+    assert spectral_norm(mat, sec, 0) == 1.0 and op.norm(0) == 1.0
 
 
 def test_windowed_norm_of_a_mixed_shift_matrix_takes_the_nonzero_rows_svd():
@@ -189,23 +204,24 @@ def test_windowed_norm_of_a_mixed_shift_matrix_takes_the_nonzero_rows_svd():
     mixed[0, 0] = 3.0       # level 0 -> 0
     mixed[1, 0] = 4.0       # level 0 -> 1
     with _sector_calls() as calls:
-        got = windowed_norm(mixed, total_window_projector(4, 2, 1), level_sectors(4, 2))
+        got = spectral_norm(mixed, level_sectors(4, 2), 4 - 1 - 1)
     assert got == pytest.approx(5.0, rel=1e-15)
     assert calls == [False]
 
 
 @given(dim=st.integers(2, 5), sites=st.integers(1, 3), shift=st.integers(-2, 2),
        other=st.one_of(st.none(), st.integers(-2, 2)),
-       degree=st.one_of(st.none(), st.floats(0, 1)),
        density=st.floats(0.05, 1.0), seed=st.integers(0, 10 ** 6))
 @settings(max_examples=150, deadline=None)
 def test_windowed_norm_matches_dense_on_level_graded_matrices(
-        dim, sites, shift, other, degree, density, seed):
+        dim, sites, shift, other, density, seed):
     """A matrix mapping total level L to L + shift (and, given ``other``, to
-    L + other as well), under the window of a random degree or a random
-    subset of states, has the dense ``mat @ projector`` norm to 1e-13
-    relative, with or without the sector index.  With it, the norm comes
-    from the sector blocks exactly when the window columns' nonzero entries
+    L + other as well), under the window of every raise degree k (the
+    states of total level up to top = dim - 1 - k), has the dense
+    ``mat @ total_window_projector`` norm to 1e-13 relative: from the
+    kernel ``spectral_norm(mat, sectors, top)``, dense and as a sector
+    operator, and from ``SectorOperator.norm(top)``.  A dense matrix takes
+    the sector blocks exactly when the window columns' nonzero entries
     share one shift."""
     rng = np.random.default_rng(seed)
     sec = level_sectors(dim, sites)
@@ -217,20 +233,24 @@ def test_windowed_norm_matches_dense_on_level_graded_matrices(
     support &= rng.random((size, size)) < density
     mat = np.where(support, rng.normal(size=(size, size))
                    + 1j * rng.normal(size=(size, size)), 0.0)
-    if degree is None:
-        window = rng.random(size) < 0.6
-    else:
-        window = window_mask(dim, sites, min(dim - 1, int(degree * dim)))
-    proj = np.diag(window.astype(complex))
-    ref = float(np.linalg.norm(mat @ proj, 2))
-    assert abs(windowed_norm(mat, proj) - ref) <= 1e-13 * ref
-    with _sector_calls() as calls:
-        got = windowed_norm(mat, proj, sec)
-    assert abs(got - ref) <= 1e-13 * ref
-    shifts = set(diff[:, window][mat[:, window] != 0].tolist())
-    assert calls == ([len(shifts) == 1] if shifts else [])
-    if not shifts:
-        assert got == 0.0
+    whole = SectorOperator.from_dense(mat, sec)
+    for degree in range(dim):
+        top = dim - 1 - degree
+        proj = total_window_projector(dim, sites, degree)
+        ref = float(np.linalg.norm(mat @ proj, 2))
+        assert abs(windowed_norm(mat, proj) - ref) <= 1e-13 * ref
+        with _sector_calls() as calls:
+            got = spectral_norm(mat, sec, top)
+        assert abs(got - ref) <= 1e-13 * ref
+        window = sec.level <= top
+        shifts = set(diff[:, window][mat[:, window] != 0].tolist())
+        assert calls == ([len(shifts) == 1] if shifts else [])
+        if not shifts:
+            assert got == 0.0
+        ops = [SectorOperator.from_dense(mat, sec, top), whole]
+        for op in (op for op in ops if op is not None):
+            assert abs(spectral_norm(op, top=top) - ref) <= 1e-13 * ref
+            assert abs(op.norm(top) - ref) <= 1e-13 * ref
 
 
 def test_level_sectors_group_the_basis_by_total_level():
@@ -241,7 +261,7 @@ def test_level_sectors_group_the_basis_by_total_level():
     assert [row[ok].tolist() for row, ok in zip(sec.index, sec.valid)] == [
         [0], [1, 3], [2, 4, 6], [5, 7], [8]]
     assert not sec.index.flags.writeable
-    assert np.array_equal(window_mask(3, 2, 1), sec.level <= 1)
+    assert np.array_equal(total_window_projector(3, 2, 1).diagonal() != 0, sec.level <= 1)
 
 
 def _graded(rng, sec, shift, density):
@@ -260,14 +280,13 @@ def _close(got, ref, scale):
 
 @given(dim=st.integers(2, 6), sites=st.integers(1, 3), shifts=st.tuples(
            st.integers(-2, 2), st.integers(-2, 2)),
-       degree=st.one_of(st.none(), st.floats(0, 1)),
        density=st.floats(0.05, 1.0), seed=st.integers(0, 10 ** 6))
 @settings(max_examples=150, deadline=None)
-def test_sector_operator_matches_dense(dim, sites, shifts, degree, density, seed):
+def test_sector_operator_matches_dense(dim, sites, shifts, density, seed):
     """Products, sums, scalar multiples, the diagonal map and the windowed
-    norm (a window of a random degree or a random column subset) of sector
-    operators match the dense results to 1e-13 relative; an all-zero
-    operator has norm exactly 0.0."""
+    norm (the window of every raise degree) of sector operators match the
+    dense results to 1e-13 relative; an all-zero operator has norm exactly
+    0.0."""
     rng = np.random.default_rng(seed)
     sec = level_sectors(dim, sites)
     size = sec.level.size
@@ -297,18 +316,17 @@ def test_sector_operator_matches_dense(dim, sites, shifts, degree, density, seed
     mapped = SectorOperator.from_dense(diag, sec).diagonal_map(np.exp)
     assert _close(mapped.to_dense(), np.diag(np.exp(diag.diagonal())),
                   np.exp(diag.diagonal().real).max())
-    if degree is None:
-        window = rng.random(size) < 0.6
-    else:
-        window = window_mask(dim, sites, min(dim - 1, int(degree * dim)))
-    proj = np.diag(window.astype(complex))
     for op, mat in ((op_a, a), (prod, prod.to_dense())):
-        ref = float(np.linalg.norm(mat @ proj, 2))
-        assert abs(windowed_norm(op, proj) - ref) <= 1e-13 * ref
+        for degree in range(dim):
+            top = dim - 1 - degree
+            ref = float(np.linalg.norm(mat @ total_window_projector(dim, sites, degree), 2))
+            assert abs(op.norm(top) - ref) <= 1e-13 * ref
+            assert abs(spectral_norm(op, top=top) - ref) <= 1e-13 * ref
+            assert abs(spectral_norm(mat, sec, top) - ref) <= 1e-13 * ref
         full = float(np.linalg.norm(mat, 2))
         assert abs(spectral_norm(op) - full) <= 1e-13 * full
     zero = op_a - op_a
-    assert spectral_norm(zero) == 0.0 and windowed_norm(zero, proj) == 0.0
+    assert spectral_norm(zero) == 0.0 and spectral_norm(zero, top=0) == 0.0
     assert SectorOperator.from_dense(np.zeros((size, size)), sec).norm() == 0.0
 
 
