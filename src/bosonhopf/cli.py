@@ -244,9 +244,18 @@ def _check_dim(dim: int, where: str) -> None:
         raise ConfigError(f"{where} must be at least 2 (a Fock space needs two levels), got {dim}")
 
 
+def _check_tol(tol: float, where: str) -> None:
+    # inf passes every finite residual; 0, a negative or nan fails every row
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"{where} must be a finite positive tolerance, got {tol}")
+
+
 def parse_config(path: str) -> ScenarioConfig:
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     scenarios = []
@@ -285,6 +294,7 @@ def parse_config(path: str) -> ScenarioConfig:
                     raise ConfigError(f"[{section}]: tolerance override for "
                                       f"unknown suite {suite!r}")
                 scen.suite_tols[suite] = _number(float, value, f"[{section}] {key}")
+                _check_tol(scen.suite_tols[suite], f"[{section}] {key}")
             elif key in ("alpha", "beta", "sigma", "tau", "delta", "nu",
                          "rho", "q"):
                 values = [_number(float, v.strip(), f"[{section}] {key}")
@@ -297,6 +307,7 @@ def parse_config(path: str) -> ScenarioConfig:
             else:
                 raise ConfigError(f"[{section}] has unknown key {key!r}")
         _check_dim(scen.dim, f"[{section}] dim")
+        _check_tol(scen.tol, f"[{section}] tol")
         missing = [p for p in PARAM_NAMES[family] if p not in scen.param_grid]
         if missing:
             raise ConfigError(f"[{section}] is missing values for {missing}")
@@ -445,12 +456,14 @@ def _json_default(obj):
 
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
-    if args.dim:
+    if args.dim is not None:
         _check_dim(args.dim, "--dim")
+    if args.tol is not None:
+        _check_tol(args.tol, "--tol")
     for scenario in config.scenarios:
-        if args.dim:
+        if args.dim is not None:
             scenario.dim = args.dim
-        if args.tol:
+        if args.tol is not None:
             scenario.tol = args.tol
     out = args.out or config.out
     jobs = args.jobs or os.cpu_count() or 1
@@ -527,9 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="run check suites from a config file")
     runp.add_argument("--config", required=True, help="INI scenario config")
     runp.add_argument("--out", default="", help="JSON report path (default stdout)")
-    runp.add_argument("--dim", type=int, default=0,
+    runp.add_argument("--dim", type=int, default=None,
                       help="override every scenario dimension")
-    runp.add_argument("--tol", type=float, default=0.0,
+    runp.add_argument("--tol", type=float, default=None,
                       help="override every scenario base tolerance")
     runp.add_argument("--jobs", type=int, default=0,
                       help="worker processes (default: available parallelism)")

@@ -5,10 +5,10 @@ a scalar coefficient times a tuple of slot words, where a word is a product
 of atoms (generator images, grade elements, diagonal group-like factors).
 The term form is the source of truth: the counit and antipode contractions
 m(S x id)Delta(g) cannot be computed from a bare tensor matrix.  Multi-site
-images are gathered from the terms as level-sector operators: Delta and
-Delta^T (the terms with their words exchanged, HopfTables.delta_terms), and
-both sides of coassociativity on its validity window's column sectors.  The
-dense form (delta_matrix) feeds only the R-matrix's three-site fusion slots.
+images, R's Delta slots among them, are gathered from the terms as sector
+operators: Delta and Delta^T (the terms with their words exchanged,
+HopfTables.delta_terms), and both sides of coassociativity on its validity
+window's column sectors.  The dense delta_matrix is a test oracle.
 """
 
 from __future__ import annotations

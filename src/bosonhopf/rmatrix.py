@@ -15,19 +15,19 @@ the truncated space.
 R is assembled from the images of Nt, g, a+ and a in each tensor slot: one
 head function and one ladder-series generator.  build_r puts the rep's
 generators in both slots.  The fusion identities need (Delta x id) R and
-(id x Delta) R, which put the Hopf tables' Delta images in one slot (Delta
-is an algebra map); the antipode identity needs (S x id) R, which puts the
-tables' S images in the left slot and, since S reverses products, the
-diagonal images between S(a+)^l and the right factor.  A wrong Delta or S
-image in the tables therefore shows in these rows.  The parity R0, its
-head alone, runs through the same fusion and inverse code.
+(id x Delta) R, which put Delta's images, gathered from the Hopf tables'
+Sweedler terms as in every two-site row, in one slot (Delta is an algebra
+map); the antipode identity needs (S x id) R, which puts the tables' S
+images in the left slot and, since S reverses products, the diagonal images
+between S(a+)^l and the right factor.  A wrong Delta or S image in the
+tables therefore shows in these rows.  The parity R0, its head alone, runs
+through the same fusion and inverse code.
 
-Every multi-site operator here is a level-sector operator gathered from
-its slot factors (tensor.SectorOperator.gather): Delta and Delta^T from the
-tables' Sweedler terms, R12, R13 and R23 straight from R's entries, each
-series term from its slot images.  R conserves the total level, so a
-product that starts on the window columns stays on them: the fusion,
-inverse and Yang-Baxter operators hold only the window's column sectors.
+Every operator here is a level-sector operator (tensor.SectorOperator): the
+slot images, each ladder power (the previous one times the image), and R12,
+R13, R23 and the series terms, gathered from their slot factors.  R conserves
+the total level, so a product that starts on the window columns stays on
+them: the fusion, inverse and Yang-Baxter operators hold only those columns.
 
 Printed sources for such series are notoriously convention-sensitive; every
 sign and root choice is captured in a BranchChoice and recorded in the
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockRep, RepresentationError, SpecError, build_rep
+from .fock import FockRep, RepresentationError, SpecError, _sector_operator, build_rep
 from .hopf import HopfTables, terms_operator
 from .report import CheckReport, check_report
 from .scalars import bracket_factorial, phase_pow
@@ -154,17 +154,13 @@ def _require_integer_grade_shift(rep: FockRep):
 
 @dataclass(frozen=True)
 class _Slot:
-    """One tensor slot of R: the rep's own generators, or their images under
-    Delta (on two sites) or S.
-
-    The images of Nt = N + shift and g are kept as diagonals (g is None in
-    the ungraded family); ``image`` gives the ladder images when a series
-    needs them.
-    """
+    """One tensor slot of R: the sector operators of N, g, ad and a under the
+    rep itself, Delta (on two sites) or S, and the diagonals of Nt = N + shift
+    and g (None in the ungraded family)."""
 
     nt: np.ndarray
     g: np.ndarray | None
-    image: Callable[[str], np.ndarray]
+    images: dict
 
 
 def _diagonal(mat: np.ndarray, what: str) -> np.ndarray:
@@ -175,9 +171,9 @@ def _diagonal(mat: np.ndarray, what: str) -> np.ndarray:
     return diag
 
 
-def _slot(rep: FockRep, image: Callable[[str], np.ndarray]) -> _Slot:
-    """Slot images under ``image``: rep.generator, tables.delta_matrix or
-    tables.antipode.
+def _slot(rep: FockRep, image: Callable, sites: int = 1) -> _Slot:
+    """Slot images under ``image`` (rep.generator, tables.antipode or Delta's
+    Sweedler sums, on ``sites`` sites) as sector operators of one shift each.
 
     Nt maps to image(N) + shift under all three, since Delta(1) = 1 x 1 and
     S(1) = 1.
@@ -186,8 +182,21 @@ def _slot(rep: FockRep, image: Callable[[str], np.ndarray]) -> _Slot:
     if shift is None:
         raise SpecError("R-matrix needs a well-defined shifted number operator")
     graded = rep.spec.family in ("B", "Bq")
-    return _Slot(nt=_diagonal(image("N"), "N").real + shift,
-                 g=_diagonal(image("g"), "g") if graded else None, image=image)
+    images = {name: _sector_operator(image(name), level_sectors(rep.dim, sites))
+              for name in (("N", "g", "ad", "a") if graded else ("N", "ad", "a"))}
+    for name, op in images.items():
+        if not isinstance(op, SectorOperator):
+            raise RepresentationError(f"the R-matrix needs an image of {name} of one level shift")
+    return _Slot(_diagonal(images["N"].to_dense(), "N").real + shift,
+                 _diagonal(images["g"].to_dense(), "g") if graded else None, images)
+
+
+def _powers(x: SectorOperator):
+    """x^0, x^1, x^2, ...: each the previous one times x, one block matmul."""
+    power = SectorOperator.from_dense(np.eye(x.shape[0]), x.sectors)
+    while True:
+        yield power
+        power = power @ x
 
 
 def _head(left: _Slot, right: _Slot, q: float | None = None,
@@ -217,24 +226,22 @@ def _ladder_series(rep: FockRep, branch: BranchChoice, left: _Slot, right: _Slot
     q = rep.spec.q
     c = _head_exponent(rep)
     rate = c / 2.0 if branch.full_rate else c / 4.0
-    raising, lowering = left.image("ad"), right.image("a")
-    for l in range(rep.dim):
+    for l, raise_l, lower_l in zip(range(rep.dim), _powers(left.images["ad"]),
+                                   _powers(right.images["a"])):
         dress = q ** (rate * l * left.nt)
         if left.g is not None:
             dress = dress * np.exp(1j * np.pi * l * left.nt)
-        right_l = (q ** (-rate * l * right.nt))[:, None] \
-            * np.linalg.matrix_power(lowering, l)
-        yield (_ladder_coeff(rep, l, branch), dress,
-               np.linalg.matrix_power(raising, l), right_l)
+        yield (_ladder_coeff(rep, l, branch), dress, raise_l,
+               lower_l.scale_rows(q ** (-rate * l * right.nt)))
 
 
 def _series(rep: FockRep, branch: BranchChoice | None, left: _Slot, right: _Slot):
     """R's head diagonal and its series terms (c_l, d_l, raise_l, right_l) on
     the slots' images.  Without a branch, R is the parity R0: its head
     alone, times the one term 1 x 1."""
-    if branch is None:
-        return _head(left, right), [(1.0, np.ones(left.nt.size), np.eye(left.nt.size),
-                                     np.eye(right.nt.size))]
+    if branch is None:   # 1 x 1 is x^0 on each slot
+        return _head(left, right), zip([1.0], [np.ones(left.nt.size)],
+                                       _powers(left.images["N"]), _powers(right.images["N"]))
     return (_head(left, right, rep.spec.q, _head_exponent(rep)),
             _ladder_series(rep, branch, left, right))
 
@@ -252,7 +259,7 @@ def _series_r(rep: FockRep, branch: BranchChoice | None, left: _Slot, right: _Sl
     left_sites, right_sites = tuple(range(split)), tuple(range(split, sectors.sites))
     total = None
     for coeff, dress, raise_l, right_l in series:
-        term = coeff * SectorOperator.gather([(dress[:, None] * raise_l, left_sites),
+        term = coeff * SectorOperator.gather([(raise_l.scale_rows(dress), left_sites),
                                               (right_l, right_sites)], sectors, top)
         total = term if total is None else total + term
     return total.scale_rows(head)
@@ -400,7 +407,8 @@ def check_r_axioms(r: RMatrix, tables: HopfTables,
     top = dim - 1
     sectors3, sectors2 = level_sectors(dim, 3), level_sectors(dim, 2)
     r12, r13, r23 = _site_pairs(r, sectors3, top)
-    one, delta = _slot(rep, rep.generator), _slot(rep, tables.delta_matrix)
+    one = _slot(rep, rep.generator)
+    delta = _slot(rep, lambda name: terms_operator(tables.delta_terms(name), dim), 2)
     out = []
     for slots, tgt, ident, ref in (
             ((delta, one), r13 @ r23, "rmatrix.fusion-left", "(Delta x id) R = R13 R23"),

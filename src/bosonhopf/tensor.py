@@ -18,10 +18,9 @@ optionally on the column sectors up to a window's top level only; products,
 sums, functional calculus on a diagonal and the norm (the largest singular
 value of one batched SVD) then work on the blocks.  Any other operator, or
 a dense one normed without the index, takes the SVD of its nonzero rows and
-window columns.  The dense products (kron, kron_all, embed_two_site) serve
-the tests' references and the R-matrix fusion slots' Delta images; the dense
-window oracle (total_window_projector, windowed_norm) serves the tests and
-the benchmark's trace targets only.
+window columns.  The dense products (kron_all, embed_two_site, swap_matrix,
+and kron, which the expression language also calls) and the dense window
+oracle (total_window_projector, windowed_norm) serve the tests and trace targets.
 """
 
 from __future__ import annotations
@@ -232,15 +231,18 @@ class SectorOperator:
 
         ``factors`` lists ``(matrix, slots)`` pairs that cover each site
         once: a one-site matrix on ``(s,)`` or a two-site one on a slot pair
-        ``(s, t)`` (R13 is R on ``(0, 2)`` beside the identity on ``(1,)``).
-        Each block entry is the product of the factors' entries at their
-        sites' row and column indices, in the order of ``factors``: the
-        product :func:`kron_all` forms, so scattered back it is
-        bit-identical to it.  Scale by a coefficient on the side the dense
-        sum did: complex products round through fused multiply-adds, so
-        ``c * x`` and ``x * c`` may differ in the last bit.  A factor whose
-        entries mix level shifts has no blocks and is refused.
+        ``(s, t)`` (R13 is R on ``(0, 2)`` beside the identity on ``(1,)``),
+        or a sector operator, taken as its dense scatter.  Each block entry
+        is the product of the factors' entries at their sites' row and
+        column indices, in the order of ``factors``: the product
+        :func:`kron_all` forms, so scattered back it is bit-identical to it.
+        Scale by a coefficient on the side the dense sum did: complex
+        products round through fused multiply-adds, so ``c * x`` and
+        ``x * c`` may differ in the last bit.  A factor whose entries mix
+        level shifts has no blocks and is refused.
         """
+        factors = [(mat.to_dense() if isinstance(mat, SectorOperator) else mat, slots)
+                   for mat, slots in factors]
         shifts = [_level_shift(mat, sectors.dim, len(slots)) for mat, slots in factors]
         if None in shifts:
             raise ValueError("a gathered factor must shift the total level by one amount")

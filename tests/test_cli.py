@@ -310,9 +310,51 @@ def test_a_config_dim_below_two_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
-@pytest.mark.parametrize("dim", ["1", "-3"])
+@pytest.mark.parametrize("text", [
+    "[scenario x]\nfamily = B\nalpha = 2\nbeta = 1\n[scenario x]\nfamily = B\n",
+    "[scenario x]\nfamily = B\nalpha = 2\nalpha = 4\nbeta = 1\n",
+    "family = B\nalpha = 2\nbeta = 1\n"],
+    ids=["duplicate-section", "duplicate-key", "missing-section-header"])
+def test_a_malformed_ini_is_a_config_error(tmp_path, capsys, text):
+    """An INI file that configparser cannot read exits 2, the usage-error
+    code, with the parser's message: not 1 with a traceback."""
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="cannot parse config file"):
+        parse_config(str(path))
+    assert _run(path, tmp_path / "out.json") == 2
+    assert "cannot parse config file" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "0", "-1e-8", "nan"])
+@pytest.mark.parametrize("key", ["tol", "tol.hopf"])
+def test_a_tolerance_must_be_finite_and_positive(tmp_path, capsys, key, value):
+    """inf would pass every finite residual, and 0, a negative tolerance or
+    nan would fail every row: a config that sets one exits 2."""
+    path = _scenario_file(tmp_path, {key: value})
+    with pytest.raises(ConfigError, match=key):
+        parse_config(str(path))
+    assert _run(path, tmp_path / "out.json") == 2
+    assert "must be a finite positive tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "0", "-0.001", "nan"])
+def test_a_tol_option_must_be_finite_and_positive(tmp_path, capsys, value):
+    """--tol 0 is refused, not ignored as an unset option, and so are
+    --tol inf, a negative tolerance and nan."""
+    green = _scenario_file(tmp_path, {})
+    assert _run(green, tmp_path / "out.json", ("--tol", value)) == 2
+    assert "--tol must be a finite positive tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+    assert _run(green, tmp_path / "out.json", ("--tol", "1e-8")) == 0
+
+
+@pytest.mark.parametrize("dim", ["1", "-3", "0"])
 def test_a_dim_option_below_two_is_a_config_error(tmp_path, capsys, dim):
-    """--dim 1 (or a negative one) over a valid config exits 2 as well."""
+    """--dim 1 (or 0, or a negative one) over a valid config exits 2 as
+    well; --dim 0 is refused, not ignored as an unset option."""
     green = _scenario_file(tmp_path, {})
     assert _run(green, tmp_path / "out.json", ("--dim", dim)) == 2
     assert "--dim must be at least 2" in capsys.readouterr().err

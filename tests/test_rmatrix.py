@@ -1,13 +1,15 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bosonhopf import AlgebraSpec, build_rep, build_tables, rmatrix
 from bosonhopf.fock import RepresentationError, SpecError
+from bosonhopf.hopf import Term
 from bosonhopf.rmatrix import (BBARQ_DEFAULT, BBARQ_PRINTED, BQ_DEFAULT,
-                               BranchChoice, _head, _head_exponent, _ladder_series,
-                               _site_pairs, _slot, branch_lattice, build_r, build_r0,
+                               BranchChoice, _head, _head_exponent, _ladder_coeff,
+                               _site_pairs, branch_lattice, build_r, build_r0,
                                check_r_axioms, check_quasitriangularity,
                                check_trivial_r, check_ybe, diagnose_branches,
                                run_r_checks)
@@ -119,20 +121,35 @@ DEFORMED_CASES = [("Bq", (2, 4, 1.3), BranchChoice(phase_sign=-1)),
 
 
 def _dense_series_r(r, left, right):
-    """R on the slots' images as a dense Kronecker sum over the ladder series,
-    head . sum_l c_l (d_l (ad)^l) x right factor."""
-    total = sum(coeff * np.kron(dress[:, None] * raise_l, right_l)
-                for coeff, dress, raise_l, right_l in _ladder_series(r.rep, r.branch,
-                                                                     left, right))
-    return _head(left, right, r.rep.spec.q, _head_exponent(r.rep))[:, None] * total
+    """R on the dense slot images ``left(name)`` and ``right(name)`` as a
+    dense Kronecker sum over the ladder series,
+    head . sum_l c_l (d_l (ad)^l) x (q^{-rate l Nt} a^l), each power taken
+    by np.linalg.matrix_power."""
+    rep, branch = r.rep, r.branch
+    q, c = rep.spec.q, _head_exponent(rep)
+    rate = c / 2.0 if branch.full_rate else c / 4.0
+    graded = rep.spec.family == "Bq"
+    nt = [image("N").diagonal().real + rep.spec.grade_shift for image in (left, right)]
+    total = 0
+    for l in range(rep.dim):
+        dress = q ** (rate * l * nt[0])
+        if graded:
+            dress = dress * np.exp(1j * np.pi * l * nt[0])
+        right_l = (q ** (-rate * l * nt[1]))[:, None] * np.linalg.matrix_power(right("a"), l)
+        total = total + _ladder_coeff(rep, l, branch) * np.kron(
+            dress[:, None] * np.linalg.matrix_power(left("ad"), l), right_l)
+    left_slot, right_slot = (SimpleNamespace(nt=n, g=image("g").diagonal() if graded else None)
+                             for n, image in zip(nt, (left, right)))
+    return _head(left_slot, right_slot, q, c)[:, None] * total
 
 
 def _dense_residuals(r, tables):
     """Fusion and Yang-Baxter residuals from the full dense D^3 x D^3
     matrices, windowed by the dense projector.  (Delta x id) R and
-    (id x Delta) R are dense Kronecker sums on every column."""
+    (id x Delta) R are dense Kronecker sums on every column, with the Delta
+    images from tables.delta_matrix."""
     dim = r.dim
-    one, delta = _slot(r.rep, r.rep.generator), _slot(r.rep, tables.delta_matrix)
+    one, delta = r.rep.generator, tables.delta_matrix
     eye = np.eye(dim)
     r12, r23 = np.kron(r.matrix, eye), np.kron(eye, r.matrix)
     r13 = embed_two_site(r.matrix, (0, 2), 3, dim)
@@ -201,49 +218,65 @@ def test_deformed_r_axioms_see_a_wrong_branch(family, params, wrong):
 FUSION_ROWS = {"rmatrix.fusion-left", "rmatrix.fusion-right"}
 
 
-def _shifted(mat):
-    return mat + 1e-3 * np.eye(len(mat))
+def _delta_plus_one(atom):
+    """Delta(x) plus the term 1e-3 (1 x 1)."""
+    return "delta", atom.delta + [Term(1e-3, ((), ()))]
 
 
-# (family, params, Hopf map, generator, wrong image, rows that must breach)
+def _delta_negated(atom):
+    return "delta", [Term(-t.coeff, t.words) for t in atom.delta]
+
+
+def _antipode_plus_one(atom):
+    """S(x) + 1e-3."""
+    return "s", atom.s + 1e-3 * np.eye(len(atom.s))
+
+
+# (family, params, generator, wrong image, rows that must breach)
 TABLE_CONTROLS = [
-    ("Bq", (2, 4, 1.3), "delta", "N", _shifted, FUSION_ROWS),
-    ("Bbarq", (1, 1, 0.7), "delta", "N", _shifted, FUSION_ROWS),
-    ("Bq", (2, 4, 1.3), "antipode", "N", _shifted, {"rmatrix.inverse"}),
-    ("Bbarq", (1, 1, 0.7), "antipode", "N", _shifted, {"rmatrix.inverse"}),
-    ("Bq", (2, 4, 1.3), "delta", "g", np.negative, FUSION_ROWS),
+    ("Bq", (2, 4, 1.3), "N", _delta_plus_one, FUSION_ROWS),
+    ("Bbarq", (1, 1, 0.7), "N", _delta_plus_one, FUSION_ROWS),
+    ("Bq", (2, 4, 1.3), "N", _antipode_plus_one, {"rmatrix.inverse"}),
+    ("Bbarq", (1, 1, 0.7), "N", _antipode_plus_one, {"rmatrix.inverse"}),
+    ("Bq", (2, 4, 1.3), "g", _delta_negated, FUSION_ROWS),
 ]
 
 
-@pytest.mark.parametrize("family, params, hopf_map, name, wrong, breached", TABLE_CONTROLS,
+@pytest.mark.parametrize("family, params, name, wrong, breached", TABLE_CONTROLS,
                          ids=["Bq-delta-N", "Bbarq-delta-N", "Bq-antipode-N",
                               "Bbarq-antipode-N", "Bq-delta-g"])
 def test_deformed_r_axioms_read_the_table_images(monkeypatch, family, params,
-                                                 hopf_map, name, wrong, breached):
+                                                 name, wrong, breached):
     """Negative controls: the Delta and S images of R are assembled from the
-    Hopf tables' images of N, g, a and ad, so a wrong Delta(N), S(N) or
-    Delta(g) breaches the rows that use that map, and only those."""
+    Hopf tables' Sweedler terms and antipode images of N, g, a and ad, so a
+    wrong Delta(N), S(N) or Delta(g) breaches the rows that use that map, and
+    only those (Delta(N) + 1e-3 (1 x 1) reads 2.2e-2 and 2.9e-3 on the
+    fusion rows of Bq, 7.1e-4 on Bbarq; a negated Delta(g) 0.57 and 1.99)."""
     rep, tables = _setup(family, params)
-    if hopf_map == "delta":
-        delta = tables.delta_matrix
-        bad = wrong(delta(name))
-        monkeypatch.setattr(tables, "delta_matrix",
-                            lambda gen: bad if gen == name else delta(gen))
-    else:
-        atom = tables.atom(name)
-        monkeypatch.setattr(atom, "s", wrong(atom.s))
+    atom = tables.atom(name)
+    monkeypatch.setattr(atom, *wrong(atom))
     for rp in check_r_axioms(build_r(rep), tables):
         assert rp.passed != (rp.identity in breached), rp.summary()
 
 
 def test_r_axioms_reject_a_non_diagonal_image(monkeypatch):
+    """Delta(g) plus the level-conserving term 1e-3 (ad x a) is no diagonal."""
     rep, tables = _setup("Bq", (2, 4, 1.3), dim=4)
-    delta = tables.delta_matrix
-    bad = delta("g").copy()
-    bad[0, 1] = 1e-3
-    monkeypatch.setattr(tables, "delta_matrix",
-                        lambda gen: bad if gen == "g" else delta(gen))
+    g = tables.atom("g")
+    monkeypatch.setattr(g, "delta", g.delta + [Term(1e-3, ((tables.atom("ad"),),
+                                                          (tables.atom("a"),)))])
     with pytest.raises(RepresentationError, match="diagonal image of g"):
+        check_r_axioms(build_r(rep), tables)
+
+
+def test_r_axioms_reject_a_delta_image_that_mixes_level_shifts(monkeypatch):
+    """Delta(ad) plus the term 1e-3 (a x 1) moves the total level by +1 and
+    by -1: its Sweedler sum has no sector blocks, and the Delta slot refuses
+    it instead of densifying."""
+    rep, tables = _setup("Bq", (2, 4, 1.3), dim=4)
+    ad = tables.atom("ad")
+    monkeypatch.setattr(ad, "delta", ad.delta + [Term(1e-3, ((tables.atom("a"),), ()))])
+    with pytest.raises(RepresentationError, match="needs an image of ad of one level shift"):
         check_r_axioms(build_r(rep), tables)
 
 
@@ -314,16 +347,16 @@ def test_r0_axioms_and_ybe():
 
 
 def test_r0_axioms_see_a_flipped_phase(monkeypatch):
-    """Negative controls: one flipped diagonal phase of Delta(g) breaches
-    both fusion rows; one flipped phase of S(g) breaches the inverse row.
-    The inverse row does not involve Delta, so Delta(g) cannot reach it."""
+    """Negative controls: one flipped phase in the first word of Delta(g)
+    breaches both fusion rows (2.0 on each); one flipped phase of S(g)
+    breaches the inverse row.  The inverse row does not involve Delta, so
+    Delta(g) cannot reach it."""
     rep, tables = _setup("B", (2, 2), dim=6)
     r0 = build_r0(rep)
-    delta = tables.delta_matrix
-    flipped_dg = delta("g").copy()
-    flipped_dg[0, 0] *= -1
-    monkeypatch.setattr(tables, "delta_matrix",
-                        lambda name: flipped_dg if name == "g" else delta(name))
+    g = tables.atom("g")
+    flipped = dataclasses.replace(g, matrix=g.matrix.copy())
+    flipped.matrix[0, 0] *= -1
+    monkeypatch.setattr(g, "delta", [Term(1.0, ((flipped,), (g,)))])
     rows = {rp.identity: rp for rp in check_r_axioms(r0, tables, 1e-12)}
     assert not rows["rmatrix.fusion-left"].passed
     assert not rows["rmatrix.fusion-right"].passed

@@ -2,16 +2,19 @@
 
 `rmatrix.py` and `HopfTables.check_coassociativity` build every multi-site
 operator as a level-sector operator gathered from its slot factors
-(`tensor.SectorOperator.gather`).  The dense builders stay in `tensor.py`
-and `hopf.py` for the tests' references and the fusion slots' Delta
-images; this guard keeps them out of those checks.
+(`tensor.SectorOperator.gather`), R's Delta slots from the tables' Sweedler
+terms, and every ladder power as the previous one times the slot image.
+The dense builders (`delta_matrix` and `terms_matrix` among them) stay in
+`tensor.py` and `hopf.py` for the tests' references; this guard keeps them,
+and `np.linalg.matrix_power`, out of those checks.
 """
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "bosonhopf"
-BANNED = {"kron", "kron_all", "kron_columns", "embed_two_site", "terms_matrix"}
+BANNED = {"kron", "kron_all", "kron_columns", "embed_two_site", "terms_matrix",
+          "delta_matrix", "matrix_power"}
 
 
 def dense_builders(tree) -> list:
@@ -47,8 +50,14 @@ def test_the_guard_sees_every_spelling():
               "c = tensor.embed_two_site(r, (0, 2), 3, d)\n"
               "d = hopf.terms_matrix(terms, dim)\n"
               "e = kron\n"
-              "f = SectorOperator.gather(factors, sectors) @ np.krona\n")
-    assert [line for line, _ in dense_builders(ast.parse(source))] == [2, 3, 4, 5, 6, 7, 8]
+              "f = SectorOperator.gather(factors, sectors) @ np.krona\n"
+              "g = np.linalg.matrix_power(x, 3)\n"
+              "from numpy.linalg import matrix_power\n"
+              "h = _slot(rep, tables.delta_matrix)\n"
+              "i = terms_matrix\n"
+              "j = tables.delta_terms(name) @ np.linalg.matrix_rank(x)\n")
+    assert [line for line, _ in dense_builders(ast.parse(source))] == [
+        2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13]
 
 
 def test_the_r_checks_and_coassociativity_build_no_dense_product():
