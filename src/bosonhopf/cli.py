@@ -124,14 +124,14 @@ def _run_casimir(sc, spec, tol):
 def _run_structure(sc, spec, tol):
     rep = build_rep(spec, sc.dim)
     tables = build_tables(rep) if spec.family == "B" else None
-    return structure_mod.run_structure_checks(rep, tables, lam1=1.0, lam4=0.5, tol=tol)
+    return structure_mod.run_structure_checks(rep, tables, tol)
 
 
 # The partner algebra of the generator maps: beta = 1 for B, nu = 1 and
-# rho = 0 for H; the structure element's lambda1 is 1.
+# rho = 0 for H.
 def _run_iso_phi(sc, spec, tol):
     b_spec = AlgebraSpec("B", (2.0 * spec.delta, 1.0))
-    return structure_mod.iso_phi(b_spec, build_rep(spec, sc.dim), lam1=1.0, tol=tol)
+    return structure_mod.iso_phi(b_spec, build_rep(spec, sc.dim), tol)
 
 
 def _run_iso_phi_prime(sc, spec, tol):
@@ -251,7 +251,7 @@ def _check_tol(tol: float, where: str) -> None:
 
 
 def parse_config(path: str) -> ScenarioConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)   # a "%" in a value is literal
     try:
         read = cp.read(path)
     except configparser.Error as exc:

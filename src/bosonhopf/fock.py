@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .report import check_report
+from .report import windowed_row
 from .scalars import check_q, phase_pow, q_bracket
 from .tensor import LevelSectors, SectorOperator, level_sectors, spectral_norm
 # bound here only so that the benchmark's trace target fock.windowed_norm
@@ -304,13 +304,12 @@ def diag_function(values_fn, diag_source: np.ndarray) -> np.ndarray:
     return np.diag(np.array([values_fn(v) for v in diag], dtype=complex))
 
 
-def _sector_operator(x, sectors: LevelSectors):
-    """x as a sector operator of ``sectors``, or x itself when it is one or
-    its entries mix level shifts."""
-    if isinstance(x, SectorOperator):
-        return x
-    op = SectorOperator.from_dense(x, sectors)
-    return x if op is None else op
+def _sector_operator(x, sectors: LevelSectors) -> SectorOperator:
+    """x as a sector operator of ``sectors``; an image that mixes level shifts has none."""
+    op = x if isinstance(x, SectorOperator) else SectorOperator.from_dense(x, sectors)
+    if op is None:
+        raise RepresentationError("the operator shifts the total level by different amounts")
+    return op
 
 
 def relation_residuals(spec: AlgebraSpec, gens: dict, sectors: LevelSectors,
@@ -330,9 +329,9 @@ def relation_residuals(spec: AlgebraSpec, gens: dict, sectors: LevelSectors,
     ``sectors`` is the level-sector index of the images' space.  Each image
     is taken as its sector operator (:class:`tensor.SectorOperator`), so
     products, sums and norms run on its sector blocks and a residual comes
-    back as one; an image whose entries mix level shifts stays dense, and
-    so does every expression it enters.  Each product is formed once, and a
-    scale is the norm of a product its residual already uses.
+    back as one; an image whose entries mix level shifts is refused.  Each
+    product is formed once, and a scale is the norm of a product its
+    residual already uses.
     """
     ops = {name: _sector_operator(x, sectors) for name, x in gens.items()}
     eye = ops["I"]
@@ -358,7 +357,7 @@ def relation_residuals(spec: AlgebraSpec, gens: dict, sectors: LevelSectors,
     out = []
 
     def add(ident, ref, mat, deg, scale=1.0):
-        out.append((ident, ref, mat, deg, max(1.0, scale)))
+        out.append((ident, ref, mat, deg, scale))
 
     if fam == "H":
         b, bd, k = ops["b"], ops["bd"], ops["K"]
@@ -384,8 +383,6 @@ def relation_residuals(spec: AlgebraSpec, gens: dict, sectors: LevelSectors,
             c1, c2 = spec.sigma, spec.tau
             bracket, label = cm, "[a,ad]"
         if spec.is_deformed:
-            if not isinstance(n, SectorOperator):
-                raise ValueError("functional calculus requires a diagonal operator")
             rhs = n.diagonal_map(lambda v: q_bracket(c1 * v + c2, spec.q))
             ref = f"{label} = [{c1:g}*N + {c2:g}]_q"
         else:
@@ -420,11 +417,7 @@ def check_defining_relations(rep: FockRep, tol: float = DEFAULT_TOL):
 
     An identity of raising degree k holds on the levels up to dim - 1 - k.
     """
-    sectors = level_sectors(rep.dim, 1)
-    reports = []
-    for ident_id, ref, residual_mat, degree, scale in relation_residuals(
-            rep.spec, rep_generator_images(rep), sectors):
-        res = spectral_norm(residual_mat, sectors, rep.dim - 1 - degree) / scale
-        reports.append(check_report(rep.spec, rep.dim, f"relations.{ident_id}",
-                                    ref, res, tol, degree))
-    return reports
+    return [windowed_row(rep.spec, rep.dim, f"relations.{ident}", ref, residual, tol,
+                         degree, scale)
+            for ident, ref, residual, degree, scale in relation_residuals(
+                rep.spec, rep_generator_images(rep), level_sectors(rep.dim, 1))]

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
+from .tensor import level_sectors, spectral_norm
+
 
 @dataclass
 class CheckReport:
@@ -60,6 +64,30 @@ def check_report(spec, dim: int, identity: str, reference: str,
                        params=spec.param_dict, dim=dim, window_degree=degree,
                        residual=residual, tol=tol, passed=bool(residual < tol),
                        **fields)
+
+
+def windowed_row(spec, dim: int, identity: str, reference: str, residual,
+                 tol: float, degree: int = 0, scale=1.0, **fields) -> CheckReport:
+    """The report of a residual normed on the validity window of raise degree
+    ``degree`` (total level up to ``dim - 1 - degree``), over max(1, scale).
+
+    ``residual`` is a sector operator or a one-site matrix, a tuple of them
+    and of numbers taken as they stand (the row reads the largest), or a
+    function of the window's top level that builds one.  ``scale`` is a
+    number or an operator normed on the window.  The row's window_degree is
+    ``degree``.  An empty window (degree >= dim) skips the row unbuilt.
+    """
+    top = dim - 1 - degree
+    if top < 0:
+        return check_report(spec, dim, identity, reference, float("nan"), tol, degree,
+                            skipped=True, skip_reason=f"the validity window of raise "
+                            f"degree {degree} is empty at dim {dim}", **fields)
+    sectors = level_sectors(dim, 1)
+    parts = residual(top) if callable(residual) else residual
+    scale = max(1.0, scale if np.isscalar(scale) else spectral_norm(scale, sectors, top))
+    value = max(part if np.isscalar(part) else spectral_norm(part, sectors, top) / scale
+                for part in (parts if isinstance(parts, tuple) else (parts,)))
+    return check_report(spec, dim, identity, reference, value, tol, degree, **fields)
 
 
 def skipped_report(identity: str, reference: str, family: str, params: dict,

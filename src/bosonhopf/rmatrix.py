@@ -45,7 +45,7 @@ import numpy as np
 
 from .fock import FockRep, RepresentationError, SpecError, _sector_operator, build_rep
 from .hopf import HopfTables, terms_operator
-from .report import CheckReport, check_report
+from .report import CheckReport, check_report, windowed_row
 from .scalars import bracket_factorial, phase_pow
 from .tensor import SectorOperator, level_sectors, spectral_norm
 
@@ -173,7 +173,8 @@ def _diagonal(mat: np.ndarray, what: str) -> np.ndarray:
 
 def _slot(rep: FockRep, image: Callable, sites: int = 1) -> _Slot:
     """Slot images under ``image`` (rep.generator, tables.antipode or Delta's
-    Sweedler sums, on ``sites`` sites) as sector operators of one shift each.
+    Sweedler sums, on ``sites`` sites) as sector operators of one shift each;
+    an image that mixes level shifts is refused.
 
     Nt maps to image(N) + shift under all three, since Delta(1) = 1 x 1 and
     S(1) = 1.
@@ -184,9 +185,6 @@ def _slot(rep: FockRep, image: Callable, sites: int = 1) -> _Slot:
     graded = rep.spec.family in ("B", "Bq")
     images = {name: _sector_operator(image(name), level_sectors(rep.dim, sites))
               for name in (("N", "g", "ad", "a") if graded else ("N", "ad", "a"))}
-    for name, op in images.items():
-        if not isinstance(op, SectorOperator):
-            raise RepresentationError(f"the R-matrix needs an image of {name} of one level shift")
     return _Slot(_diagonal(images["N"].to_dense(), "N").real + shift,
                  _diagonal(images["g"].to_dense(), "g") if graded else None, images)
 
@@ -350,18 +348,14 @@ def _quasitriangular_rows(r: RMatrix, tables: HopfTables, images: dict,
     dim = r.dim
     if tables.rep.dim != dim:
         raise SpecError("R-matrix and Hopf tables disagree on the dimension")
-    top, sectors = dim - 1 - 1, level_sectors(dim, 2)   # raise degree 1
-    rop = SectorOperator.from_dense(r.matrix, sectors)
-    if rop is None:
-        raise RepresentationError("the R-matrix does not conserve the total level")
+    rop = _sector_operator(r.matrix, level_sectors(dim, 2))
     out = []
     for name, (delta, delta_t) in images.items():
         r_delta = rop @ delta
-        scale = max(1.0, spectral_norm(r_delta, sectors, top))
-        residual = spectral_norm(delta_t @ rop - r_delta, sectors, top) / scale
-        out.append(check_report(r.rep.spec, dim, f"rmatrix.quasitriangular.{name}",
-                                "Delta^T(g) R = R Delta(g)", residual, tol, 1,
-                                family=r.family, branch_note=dict(r.branch_note)))
+        out.append(windowed_row(r.rep.spec, dim, f"rmatrix.quasitriangular.{name}",
+                                "Delta^T(g) R = R Delta(g)", delta_t @ rop - r_delta,
+                                tol, 1, r_delta, family=r.family,
+                                branch_note=dict(r.branch_note)))
     return out
 
 
@@ -385,10 +379,8 @@ def check_ybe(r: RMatrix, tol: float = DEFAULT_R_TOL) -> CheckReport:
     dim = r.dim
     r12, r13, r23 = _site_pairs(r, level_sectors(dim, 3), dim - 1)
     lhs, rhs = r12 @ (r13 @ r23), r23 @ (r13 @ r12)
-    scale = max(1.0, spectral_norm(abs(r12) @ (abs(r13) @ abs(r23))))
-    residual = spectral_norm(lhs - rhs) / scale
-    return check_report(r.rep.spec, dim, "rmatrix.ybe",
-                        "R12 R13 R23 = R23 R13 R12", residual, tol,
+    return windowed_row(r.rep.spec, dim, "rmatrix.ybe", "R12 R13 R23 = R23 R13 R12",
+                        lhs - rhs, tol, scale=abs(r12) @ (abs(r13) @ abs(r23)),
                         family=r.family, branch_note=dict(r.branch_note))
 
 
@@ -414,18 +406,14 @@ def check_r_axioms(r: RMatrix, tables: HopfTables,
             ((delta, one), r13 @ r23, "rmatrix.fusion-left", "(Delta x id) R = R13 R23"),
             ((one, delta), r13 @ r12, "rmatrix.fusion-right", "(id x Delta) R = R13 R12")):
         got = _series_r(rep, r.branch, *slots, sectors3, top)
-        scale = max(1.0, spectral_norm(tgt))
-        residual = spectral_norm(got - tgt) / scale
-        out.append(check_report(rep.spec, dim, ident, ref, residual, tol,
+        out.append(windowed_row(rep.spec, dim, ident, ref, got - tgt, tol, scale=tgt,
                                 family=r.family, branch_note=dict(r.branch_note)))
     sr = _antipode_r(rep, r.branch, _slot(rep, tables.antipode), one, sectors2, top)
     rop = SectorOperator.gather([(r.matrix, (0, 1))], sectors2, top=top)
     identity = SectorOperator.gather([(np.eye(dim * dim), (0, 1))], sectors2, top=top)
     # backward-error scale: the rounding floor of a product that cancels
-    scale = max(1.0, spectral_norm(abs(sr) @ abs(rop)))
-    residual = spectral_norm(sr @ rop - identity) / scale
-    out.append(check_report(rep.spec, dim, "rmatrix.inverse",
-                            "((S x id) R) R = I x I", residual, tol,
+    out.append(windowed_row(rep.spec, dim, "rmatrix.inverse", "((S x id) R) R = I x I",
+                            sr @ rop - identity, tol, scale=abs(sr) @ abs(rop),
                             family=r.family, branch_note=dict(r.branch_note)))
     return out
 
@@ -455,17 +443,16 @@ def branch_lattice(family: str) -> list:
 
 
 def diagnose_branches(rep: FockRep, tables: HopfTables,
-                      tol: float = DEFAULT_R_TOL, branches=None):
-    """Worst quasitriangularity residual under every branch choice.
+                      tol: float = DEFAULT_R_TOL):
+    """Worst quasitriangularity residual under every branch choice of the
+    family's :func:`branch_lattice`.
 
     Returns (rows, table) where rows is a list of (BranchChoice, residual)
     sorted best first and table is a printable diagnosis.
     """
-    if branches is None:
-        branches = branch_lattice(rep.spec.family)
     images = _delta_images(tables)
     rows = []
-    for branch in branches:
+    for branch in branch_lattice(rep.spec.family):
         try:
             r = build_r(rep, branch=branch)
             reports = _quasitriangular_rows(r, tables, images, tol)

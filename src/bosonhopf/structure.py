@@ -21,9 +21,14 @@ import numpy as np
 from .fock import (AlgebraSpec, DEFAULT_TOL, FockRep, SpecError, acomm,
                    comm, diag_function, relation_residuals)
 from .hopf import Atom, HopfTables, Term, terms_operator
-from .report import CheckReport, check_report
+from .report import CheckReport, windowed_row
 from .scalars import q_bracket
 from .tensor import level_sectors, spectral_norm
+
+# The structure element's coefficients in the structure and iso suites: L+
+# is lam1 L + lam4 g.
+LAM1 = 1.0
+LAM4 = 0.5
 
 
 @dataclass(frozen=True)
@@ -43,12 +48,6 @@ class RealizationMap:
 def _norm(rep: FockRep, mat) -> float:
     """Spectral norm of a one-site operator of ``rep``, on its level sectors."""
     return spectral_norm(mat, sectors=level_sectors(rep.dim, 1))
-
-
-def _windowed(rep: FockRep, mat, degree: int, scale: float = 1.0) -> float:
-    """Norm of a one-site residual on the levels up to dim - 1 - degree,
-    relative to max(1, scale)."""
-    return spectral_norm(mat, level_sectors(rep.dim, 1), rep.dim - 1 - degree) / max(1.0, scale)
 
 
 # -- the grade-odd element L --------------------------------------------------
@@ -92,9 +91,8 @@ def check_L_properties(elem: StructureElement, rep: FockRep,
     for name, ident in (("a", "structure.anticommute.low"),
                         ("ad", "structure.anticommute.raise")):
         gen = rep.generator(name)
-        res = _windowed(rep, acomm(elem.matrix, gen), 1, _norm(rep, elem.matrix @ gen))
-        out.append(check_report(spec, rep.dim, ident, "{L,a} = {L,ad} = 0",
-                                res, tol, 1))
+        out.append(windowed_row(spec, rep.dim, ident, "{L,a} = {L,ad} = 0",
+                                acomm(elem.matrix, gen), tol, 1, _norm(rep, elem.matrix @ gen)))
 
     # Delta(L+) homomorphically from the generators' coproducts, against its
     # closed form as a Sweedler sum: both are two-site sector operators
@@ -109,25 +107,21 @@ def check_L_properties(elem: StructureElement, rep: FockRep,
         Term(1.0, ((l0,), ())), Term(1.0, ((), (l0,))), Term(-lam1 * alpha / 4.0, ((), ())),
         Term(lam4, ((g,), (g,))), Term(-lam1, ((g, ad), (a,))), Term(lam1, ((ginv, a), (ad,)))],
         dim)
-    top, sectors2 = dim - 1 - 1, level_sectors(dim, 2)   # raise degree 1
-    scale = max(1.0, spectral_norm(closed, sectors2, top))
-    res = spectral_norm(hom - closed, sectors2, top) / scale
-    out.append(check_report(spec, dim, "structure.delta-closed-form",
+    out.append(windowed_row(spec, dim, "structure.delta-closed-form",
                             "homomorphic Delta(L+) matches its closed form",
-                            res, tol, 1))
+                            hom - closed, tol, 1, closed))
 
     # S(L+) = L+ (anti-homomorphic image) and eps(L+) = lam1*alpha/4 + lam4
     s_img = (lam1 * tables.antipode("a") @ tables.antipode("ad")
              + lam2 * tables.antipode("N") + lam3 * rep.identity
              + lam4 * tables.antipode("g"))
-    res_s = _windowed(rep, s_img - elem.matrix, 1, _norm(rep, elem.matrix))
     eps = (lam1 * tables.counit("a") * tables.counit("ad")
            + lam2 * tables.counit("N") + lam3 + lam4 * tables.counit("g"))
     eps_expected = lam1 * alpha / 4.0 + lam4
-    res_eps = abs(eps - eps_expected)
-    out.append(check_report(spec, rep.dim, "structure.antipode-fixed",
+    out.append(windowed_row(spec, rep.dim, "structure.antipode-fixed",
                             "S(L+) = L+ and eps(L+) = lam1*alpha/4 + lam4",
-                            max(res_s, res_eps), tol, 1))
+                            (s_img - elem.matrix, abs(eps - eps_expected)), tol, 1,
+                            _norm(rep, elem.matrix)))
     return out
 
 
@@ -147,10 +141,10 @@ def characteristic_identity_residual(rep: FockRep, lam1: float,
     eta_over = (alpha / 4.0 - beta / 2.0) ** 2
     lhs = (c_mat @ (c_mat + (alpha / 2.0 - beta) * rep.identity)
            + (alpha / 4.0 - beta / 2.0) ** 2 * rep.identity)
-    res = _windowed(rep, lhs - eta_over * rep.identity, 1, _norm(rep, lhs))
-    return check_report(spec, rep.dim, "structure.characteristic",
+    return windowed_row(spec, rep.dim, "structure.characteristic",
                         "C(C + (alpha/2-beta)) + (alpha/4-beta/2)^2 = eta/lam1^2",
-                        res, tol, 1, branch_note={"eta_over_lam1_sq": eta_over})
+                        lhs - eta_over * rep.identity, tol, 1, _norm(rep, lhs),
+                        branch_note={"eta_over_lam1_sq": eta_over})
 
 
 def bh_form_check(rep: FockRep, lam1: float, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -163,15 +157,13 @@ def bh_form_check(rep: FockRep, lam1: float, tol: float = DEFAULT_TOL) -> CheckR
     elem = build_L(rep, lam1, 0.0)
     lhs = comm(rep.lowering, rep.raising)
     rhs = -(2.0 / lam1) * elem.matrix + (rep.spec.alpha / 2.0) * rep.identity
-    res = _windowed(rep, lhs - rhs, 1, _norm(rep, rhs))
-    return check_report(rep.spec, rep.dim, "structure.bh-form",
-                        "[a,ad] = -(2/lam1) L + alpha/2", res, tol, 1)
+    return windowed_row(rep.spec, rep.dim, "structure.bh-form",
+                        "[a,ad] = -(2/lam1) L + alpha/2", lhs - rhs, tol, 1, _norm(rep, rhs))
 
 
 # -- the reflection-family number element M -----------------------------------
 
-def build_M(rep: FockRep, rho: float | None = None,
-            tol: float = DEFAULT_TOL) -> tuple:
+def build_M(rep: FockRep, tol: float = DEFAULT_TOL) -> tuple:
     """(1/delta) bd b + (nu/(2 delta)) K + rho I, with its ladder reports.
 
     Returns (StructureElement, [CheckReport, CheckReport]) for the two
@@ -182,8 +174,7 @@ def build_M(rep: FockRep, rho: float | None = None,
         raise SpecError("the rebuilt number element lives on the reflection family")
     if spec.delta == 0:
         raise SpecError("no number element exists for delta = 0")
-    if rho is None:
-        rho = spec.rho
+    rho = spec.rho
     mat = ((1.0 / spec.delta) * rep.raising @ rep.lowering
            + (spec.nu / (2.0 * spec.delta)) * rep.k_op
            + rho * rep.identity).astype(complex)
@@ -194,11 +185,9 @@ def build_M(rep: FockRep, rho: float | None = None,
     for gen_name, sign, ident in (("b", +1, "structure.m-element.low"),
                                   ("bd", -1, "structure.m-element.raise")):
         gen = rep.generator(gen_name)
-        res_mat = comm(mat, gen) + sign * gen
-        deg = 1 if gen_name == "bd" else 0
-        res = _windowed(rep, res_mat, deg, _norm(rep, mat @ gen))
-        reports.append(check_report(spec, rep.dim, ident,
-                                    "[M,b] = -b, [M,bd] = bd", res, tol, deg))
+        reports.append(windowed_row(spec, rep.dim, ident, "[M,b] = -b, [M,bd] = bd",
+                                    comm(mat, gen) + sign * gen, tol,
+                                    1 if gen_name == "bd" else 0, _norm(rep, mat @ gen)))
     return elem, reports
 
 
@@ -209,9 +198,9 @@ def com_check(rep: FockRep, tol: float = DEFAULT_TOL) -> CheckReport:
     lhs = acomm(rep.lowering, rep.raising)
     rhs = (2.0 * spec.delta * elem.matrix
            + spec.delta * (1.0 - 2.0 * spec.rho) * rep.identity)
-    res = _windowed(rep, lhs - rhs, 1, _norm(rep, rhs))
-    return check_report(spec, rep.dim, "structure.com",
-                        "{b,bd} = 2*delta*M + delta*(1-2*rho)", res, tol, 1)
+    return windowed_row(spec, rep.dim, "structure.com",
+                        "{b,bd} = 2*delta*M + delta*(1-2*rho)", lhs - rhs, tol, 1,
+                        _norm(rep, rhs))
 
 
 # -- embedded realizations ----------------------------------------------------
@@ -326,8 +315,8 @@ def check_realization(realization: RealizationMap, rep: FockRep,
         pairs.append(("he", "[h,e] = 2e", comm(h, e) - 2.0 * e, 2))
         pairs.append(("hf", "[h,f] = -2f", comm(h, f) + 2.0 * f, 0))
     scale = max(_norm(rep, e @ f), _norm(rep, h))
-    return [check_report(spec, rep.dim, f"structure.realization.{target}.{tag}", ref,
-                         _windowed(rep, mat, deg, scale), tol, deg)
+    return [windowed_row(spec, rep.dim, f"structure.realization.{target}.{tag}", ref,
+                         mat, tol, deg, scale)
             for tag, ref, mat, deg in pairs]
 
 
@@ -364,23 +353,20 @@ def casimir_spectrum(realization: RealizationMap, rep: FockRep,
         note = {"c_even": c_even, "c_odd": c_odd}
     else:
         raise SpecError(f"unknown Casimir selector {which!r}")
+    # the diagonal against the target, the off-diagonal part against zero and
+    # (sl2) the closed-form parity formula against the sector values
     diag = np.diag(cas)
-    dev_off = _windowed(rep, cas - np.diag(diag), degree)
-    keep = rep.levels <= rep.dim - 1 - degree
-    dev_diag = float(np.max(np.abs(diag[keep] - target[keep])))
-    # closed-form parity formula must agree with the sector values
-    formula = (0.5 - beta / (2.0 * alpha) - beta ** 2 / (4.0 * alpha ** 2)
-               + (2.0 * beta - alpha) / (8.0 * alpha)
-               * (3.0 + (-1.0) ** rep.levels))
-    dev_formula = 0.0
+    residuals = (np.diag(diag - target), cas - np.diag(diag))
     if which == "sl2_c2":
-        dev_formula = float(np.max(np.abs(formula[keep] - target[keep])))
-    residual = max(dev_diag, dev_off, dev_formula)
+        formula = (0.5 - beta / (2.0 * alpha) - beta ** 2 / (4.0 * alpha ** 2)
+                   + (2.0 * beta - alpha) / (8.0 * alpha)
+                   * (3.0 + (-1.0) ** rep.levels))
+        residuals += (np.diag(formula - target),)
     ident = "structure.casimir-osp" if which == "osp_i2" else "structure.casimir-sl2"
     ref = ("osp quadratic Casimir equals its constant closed form"
            if which == "osp_i2" else
            "sl2 Casimir is parity-sector constant, matching the closed forms")
-    return check_report(spec, rep.dim, ident, ref, residual, tol, degree,
+    return windowed_row(spec, rep.dim, ident, ref, residuals, tol, degree,
                         branch_note=note)
 
 
@@ -415,8 +401,7 @@ def phi_prime_images(h_spec: AlgebraSpec, b_rep: FockRep) -> dict:
             "M": m_img, "I": eye}
 
 
-def iso_phi(b_spec: AlgebraSpec, h_rep: FockRep, lam1: float = 1.0,
-            tol: float = DEFAULT_TOL) -> list:
+def iso_phi(b_spec: AlgebraSpec, h_rep: FockRep, tol: float = DEFAULT_TOL) -> list:
     """Graded-family relations on the forward-map images, plus the L image.
 
     Passes exactly when alpha = 2*delta; a mismatched pair yields a
@@ -427,17 +412,15 @@ def iso_phi(b_spec: AlgebraSpec, h_rep: FockRep, lam1: float = 1.0,
     out = []
     for ident, ref, mat, deg, scale in relation_residuals(
             b_spec, gens, level_sectors(h_rep.dim, 1)):
-        res = _windowed(h_rep, mat, deg, scale)
-        out.append(check_report(h_spec, h_rep.dim, f"iso.phi.{ident}",
-                                f"phi preserves {ref}", res, tol, deg))
+        out.append(windowed_row(h_spec, h_rep.dim, f"iso.phi.{ident}",
+                                f"phi preserves {ref}", mat, tol, deg, scale))
     # the grade-odd element maps onto the reflection generator
-    lam2, lam3 = solve_lambda_constraints(b_spec.alpha, b_spec.beta, lam1)
-    l_img = (lam1 * gens["ad"] @ gens["a"] + lam2 * gens["N"]
+    lam2, lam3 = solve_lambda_constraints(b_spec.alpha, b_spec.beta, LAM1)
+    l_img = (LAM1 * gens["ad"] @ gens["a"] + lam2 * gens["N"]
              + lam3 * gens["I"])
-    target = -(lam1 * h_spec.nu / 2.0) * h_rep.k_op
-    res = _windowed(h_rep, l_img - target, 1, _norm(h_rep, target))
-    out.append(check_report(h_spec, h_rep.dim, "iso.phi-L",
-                            "phi(L) = -(lam1*nu/2) K", res, tol, 1))
+    target = -(LAM1 * h_spec.nu / 2.0) * h_rep.k_op
+    out.append(windowed_row(h_spec, h_rep.dim, "iso.phi-L", "phi(L) = -(lam1*nu/2) K",
+                            l_img - target, tol, 1, _norm(h_rep, target)))
     return out
 
 
@@ -450,45 +433,41 @@ def iso_phi_prime(h_spec: AlgebraSpec, b_rep: FockRep,
     out = []
     for ident, ref, mat, deg, scale in relation_residuals(
             h_spec, gens, level_sectors(b_rep.dim, 1)):
-        res = _windowed(b_rep, mat, deg, scale)
-        out.append(check_report(b_spec, b_rep.dim, f"iso.phi-prime.{ident}",
-                                f"phi' preserves {ref}", res, tol, deg))
+        out.append(windowed_row(b_spec, b_rep.dim, f"iso.phi-prime.{ident}",
+                                f"phi' preserves {ref}", mat, tol, deg, scale))
     # phi'(M) = N + (beta - delta)/(2 delta) + rho
     target = (b_rep.number + ((b_spec.beta - h_spec.delta)
                               / (2.0 * h_spec.delta) + h_spec.rho) * b_rep.identity)
-    res = _windowed(b_rep, gens["M"] - target, 1, _norm(b_rep, target))
-    out.append(check_report(b_spec, b_rep.dim, "iso.phi-prime-M",
+    out.append(windowed_row(b_spec, b_rep.dim, "iso.phi-prime-M",
                             "phi'(M) = N + (beta-delta)/(2 delta) + rho",
-                            res, tol, 1))
+                            gens["M"] - target, tol, 1, _norm(b_rep, target)))
     # round trip: the forward number image evaluated on the inverse images
     # must reproduce the number operator
     alpha, beta = b_spec.alpha, b_spec.beta
     rt = ((2.0 / alpha) * gens["bd"] @ gens["b"]
           + (h_spec.nu / alpha) * gens["K"]
           + ((h_spec.delta - beta) / alpha) * b_rep.identity)
-    res = _windowed(b_rep, rt - b_rep.number, 1, _norm(b_rep, b_rep.number))
-    out.append(check_report(b_spec, b_rep.dim, "iso.roundtrip",
-                            "phi' after phi fixes every generator", res, tol, 1))
+    out.append(windowed_row(b_spec, b_rep.dim, "iso.roundtrip",
+                            "phi' after phi fixes every generator", rt - b_rep.number,
+                            tol, 1, _norm(b_rep, b_rep.number)))
     return out
 
 
 def run_structure_checks(rep: FockRep, tables: HopfTables | None = None,
-                         lam1: float = 1.0, lam4: float = 0.5,
                          tol: float = DEFAULT_TOL) -> list:
-    """The family-appropriate structure suite for one rep."""
+    """The family-appropriate structure suite for one rep, with L+ = LAM1 L + LAM4 g."""
     spec = rep.spec
     out = []
     if spec.family == "B":
         if spec.alpha != 0:
             # S(g) = g^-1, so the grade extension is antipode-fixed only
             # when the grade squares to the identity
-            if not float(spec.beta / spec.alpha).is_integer():
-                lam4 = 0.0
-            elem = build_L(rep, lam1, lam4)
+            lam4 = LAM4 if float(spec.beta / spec.alpha).is_integer() else 0.0
+            elem = build_L(rep, LAM1, lam4)
             if tables is not None:
                 out.extend(check_L_properties(elem, rep, tables, tol))
-            out.append(characteristic_identity_residual(rep, lam1, tol))
-            out.append(bh_form_check(rep, lam1, tol))
+            out.append(characteristic_identity_residual(rep, LAM1, tol))
+            out.append(bh_form_check(rep, LAM1, tol))
             osp = build_realization(rep, "osp12")
             out.extend(check_realization(osp, rep, tol))
             out.append(casimir_spectrum(osp, rep, "osp_i2", tol))

@@ -16,11 +16,12 @@ dense matrix or gathered straight from the factors of a tensor product on
 any number of sites (one factor may act on a slot pair, as R13 does),
 optionally on the column sectors up to a window's top level only; products,
 sums, functional calculus on a diagonal and the norm (the largest singular
-value of one batched SVD) then work on the blocks.  Any other operator, or
-a dense one normed without the index, takes the SVD of its nonzero rows and
-window columns.  The dense products (kron_all, embed_two_site, swap_matrix,
-and kron, which the expression language also calls) and the dense window
-oracle (total_window_projector, windowed_norm) serve the tests and trace targets.
+value of one batched SVD) then work on the blocks, between sector operators
+only.  A dense matrix that mixes level shifts (an ``eval`` expression such as
+``a + ad``) has no blocks: its norm is the SVD of its nonzero rows and window
+columns.  The dense products (kron_all, embed_two_site, swap_matrix, and
+kron, which the expression language also calls) and the dense window oracle
+(total_window_projector, windowed_norm) serve the tests and trace targets.
 """
 
 from __future__ import annotations
@@ -191,16 +192,16 @@ class SectorOperator:
     ``sectors``, padded as in :class:`LevelSectors`; padding, and the blocks
     whose row sector is not a level, are zero.  One gathered for a window
     holds, and is known on, the column sectors up to its top level only.
-    ``@``, ``+``, ``-``, ``abs`` and scalar ``*`` work block by block; with a
-    dense operand, or between nonzero operators of different shifts, they
-    return the dense result.  ``shape`` is the dense shape.
+    ``@``, ``+``, ``-``, ``abs`` and scalar ``*`` work block by block, on
+    sector operators only; a sum of nonzero operators of different shifts
+    raises ValueError.  ``shape`` is the dense shape.
     """
 
     sectors: LevelSectors
     shift: int
     blocks: np.ndarray
 
-    __array_ufunc__ = None   # ndarray operands defer to the methods below
+    __array_ufunc__ = None   # an ndarray operand raises TypeError, never broadcasts
 
     @property
     def shape(self) -> tuple:
@@ -277,7 +278,7 @@ class SectorOperator:
 
     def __matmul__(self, other):
         if not isinstance(other, SectorOperator):
-            return self.to_dense() @ other
+            return NotImplemented
         s, n = other.shift, self.sectors.size.size
         # other's column sector L maps into sector L + s, whose columns self
         # must hold; a window operator holds only its lowest ones
@@ -295,32 +296,23 @@ class SectorOperator:
                       other.blocks[lo:hi, :inner, :cols], out=out[lo:hi, :rows, :cols])
         return self._like(self.shift + s, out)
 
-    def __rmatmul__(self, other):
-        return other @ self.to_dense()
-
     def _combine(self, other, op):
-        if isinstance(other, SectorOperator):
-            if other.shift == self.shift:
-                return self._like(self.shift, op(self.blocks, other.blocks))
-            # an all-zero operator has every shift (and any padded width)
-            if not other.blocks.any():
-                return self._like(self.shift, op(self.blocks, 0))
-            if not self.blocks.any():
-                return self._like(other.shift, op(0, other.blocks))
-            other = other.to_dense()
-        return op(self.to_dense(), other)
+        if not isinstance(other, SectorOperator):
+            return NotImplemented
+        if other.shift == self.shift:
+            return self._like(self.shift, op(self.blocks, other.blocks))
+        # an all-zero operator has every shift (and any padded width)
+        if not other.blocks.any():
+            return self._like(self.shift, op(self.blocks, 0))
+        if not self.blocks.any():
+            return self._like(other.shift, op(0, other.blocks))
+        raise ValueError(f"level shifts {self.shift} and {other.shift} have no common blocks")
 
     def __add__(self, other):
         return self._combine(other, np.add)
 
     def __sub__(self, other):
         return self._combine(other, np.subtract)
-
-    def __radd__(self, other):
-        return other + self.to_dense()
-
-    def __rsub__(self, other):
-        return other - self.to_dense()
 
     def __abs__(self):
         return self._like(self.shift, np.abs(self.blocks))

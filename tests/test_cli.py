@@ -327,6 +327,26 @@ def test_a_malformed_ini_is_a_config_error(tmp_path, capsys, text):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_a_percent_sign_in_the_out_path_is_taken_as_written(tmp_path):
+    """A "%" in a config value is no interpolation syntax: the report goes
+    to the path as written and the run exits 0."""
+    out = tmp_path / "100%.json"
+    path = tmp_path / "percent.ini"
+    path.write_text(f"[run]\nout = {out}\n\n[scenario x]\n" + "".join(
+        f"{key} = {value}\n" for key, value in GREEN_KEYS.items()))
+    assert main(["run", "--config", str(path), "--jobs", "1"]) == 0
+    assert json.loads(out.read_text())["counts"]["passed"] > 0
+
+
+def test_a_percent_sign_in_a_number_is_a_config_error(tmp_path, capsys):
+    """"2%" is a malformed number like any other: exit 2 with a message
+    naming its key, not an interpolation traceback."""
+    path = _scenario_file(tmp_path, {"alpha": "2%"})
+    assert _run(path, tmp_path / "out.json") == 2
+    assert "alpha = '2%' is not a valid float" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "0", "-1e-8", "nan"])
 @pytest.mark.parametrize("key", ["tol", "tol.hopf"])
 def test_a_tolerance_must_be_finite_and_positive(tmp_path, capsys, key, value):
@@ -509,3 +529,46 @@ def test_list_identities_matches_emitted_ids(tmp_path, capsys):
     assert [p for p in listed if not any(covers(p, i) for i in emitted)] == []
     assert [i for i in emitted if not i.endswith(".error")
             and not any(covers(p, i) for p in listed)] == []
+
+
+DIM_TWO_CONFIG = """
+[scenario graded]
+family = B
+alpha = 2
+beta = 1
+dim = 2
+
+[scenario graded-deformed]
+family = Bq
+alpha = 2
+beta = 2
+q = 1.3
+dim = 2
+"""
+
+
+def test_an_empty_window_skips_its_row_not_its_suite(tmp_path):
+    """At dim = 2 the windows of raise degree 2 hold no state.  Each row on
+    such a window (coassociativity of ad, delta-hom, s-antihom, the sl2
+    rows) is skipped with a reason naming the degree and dim; every other
+    row of its suite, such as the counit and antipode rows, is computed and
+    passes, and no suite ends in an error row."""
+    path = tmp_path / "dim2.ini"
+    path.write_text(DIM_TWO_CONFIG)
+    out = tmp_path / "dim2.json"
+    assert _run(path, out) == 0
+    rows = json.loads(out.read_text())["reports"]
+    assert [r["identity"] for r in rows if r["identity"].endswith(".error")] == []
+    empty = [r for r in rows if r["skipped"] and not r["identity"].endswith(".skipped")]
+    assert {r["identity"] for r in empty} >= {
+        "hopf.coassoc.ad", "hopf.delta-hom.B.ladder", "hopf.s-antihom.Bq.ladder",
+        "structure.casimir-sl2"}
+    for r in empty:
+        assert r["window_degree"] == 2
+        assert r["skip_reason"] == "the validity window of raise degree 2 is empty at dim 2"
+    computed = [r for r in rows if not r["skipped"]]
+    assert all(r["passed"] and r["window_degree"] < 2 for r in computed)
+    assert {(r["scenario"], r["identity"]) for r in computed} >= {
+        (sc, f"hopf.{check}.{name}") for sc in ("graded", "graded-deformed")
+        for check in ("coassoc", "counit", "antipode", "antipode-inverse")
+        for name in ("a", "N")}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bosonhopf import AlgebraSpec, build_rep, build_tables
-from bosonhopf.fock import windowed_norm
+from bosonhopf.fock import RepresentationError, windowed_norm
 from bosonhopf.hopf import Atom, Term, expand_slot, terms_matrix, terms_operator, word_image
 from bosonhopf.tensor import (SectorOperator, kron, kron_all, level_sectors,
                               total_window_projector)
@@ -200,13 +200,12 @@ def test_delta_hom_rows_see_a_perturbed_coproduct(family, params):
 @pytest.mark.parametrize("family, params", CONTRACTION_CONTROLS)
 def test_delta_hom_rows_see_an_off_shift_entry(family, params):
     """Negative control: one entry of Delta of the raising generator on the
-    diagonal, where that image has no level shift of its own, breaches the
-    ladder and number-raise rows.  The entry is an extra Sweedler term
-    E x E' whose product is that one entry, of size 1e-6 times the image's
-    largest; it sits on the last window column, so in those residuals it
-    follows rounding-level entries of the regular shift: a norm that read
-    only the blocks of one shift would miss it; the image mixes two shifts,
-    so it stays dense and its residuals take the nonzero-rows SVD."""
+    diagonal, where that image has no level shift of its own, is refused.
+    The entry is an extra Sweedler term E x E' whose product is that one
+    entry, of size 1e-6 times the image's largest, on the last window
+    column: a norm that read only the blocks of one shift would miss it.
+    The image mixes two shifts, so its Sweedler sum has no sector blocks
+    and the check raises instead of reporting."""
     tb = _tables(family, params)
     dim = tb.rep.dim
     name = "bd" if family == "H" else "ad"
@@ -219,9 +218,24 @@ def test_delta_hom_rows_see_an_off_shift_entry(family, params):
     size = 1e-6 * np.abs(tb.delta_matrix(name)).max()
     tb.atom(name).delta.append(Term(size, ((units[0],), (units[1],))))
     assert terms_matrix(tb.delta_terms(name), dim)[last, last] == size
-    rows = {r.identity: r for r in tb.check_delta_homomorphism(1e-10)}
-    for rel in ("ladder", "number-raise"):
-        assert rows[f"hopf.delta-hom.{family}.{rel}"].residual > 1e-10, rel
+    with pytest.raises(ValueError, match="have no common blocks"):
+        tb.check_delta_homomorphism(1e-10)
+
+
+def test_delta_hom_check_refuses_an_antipode_image_off_its_level_shift():
+    """Negative control: S(ad) plus one diagonal entry, 1e-6 times its
+    largest entry, on the top level of the degree-2 window.  That image
+    moves one level by 0 and every other by +1: it has no sector blocks, so
+    the s-antihom rows refuse it rather than norm one shift's blocks and
+    miss the entry."""
+    tb = _tables("Bq", (2, 4, 1.3))
+    atom = tb.atom("ad")
+    top = tb.rep.dim - 1 - 2
+    bad = atom.s.copy()
+    bad[top, top] += 1e-6 * np.abs(atom.s).max()
+    atom.s = bad
+    with pytest.raises(RepresentationError, match="different amounts"):
+        tb.check_delta_homomorphism(1e-10)
 
 
 @pytest.mark.xfail(strict=True, reason="absolute residual: ladder weights near 1e3 put "

@@ -276,7 +276,7 @@ def test_r_axioms_reject_a_delta_image_that_mixes_level_shifts(monkeypatch):
     rep, tables = _setup("Bq", (2, 4, 1.3), dim=4)
     ad = tables.atom("ad")
     monkeypatch.setattr(ad, "delta", ad.delta + [Term(1e-3, ((tables.atom("a"),), ()))])
-    with pytest.raises(RepresentationError, match="needs an image of ad of one level shift"):
+    with pytest.raises(ValueError, match="level shifts 1 and -1 have no common blocks"):
         check_r_axioms(build_r(rep), tables)
 
 

@@ -286,7 +286,8 @@ def test_sector_operator_matches_dense(dim, sites, shifts, density, seed):
     """Products, sums, scalar multiples, the diagonal map and the windowed
     norm (the window of every raise degree) of sector operators match the
     dense results to 1e-13 relative; an all-zero operator has norm exactly
-    0.0."""
+    0.0.  A dense operand, and a sum of two nonzero operators of different
+    shifts, are refused."""
     rng = np.random.default_rng(seed)
     sec = level_sectors(dim, sites)
     size = sec.level.size
@@ -303,15 +304,17 @@ def test_sector_operator_matches_dense(dim, sites, shifts, density, seed):
     assert np.array_equal((op_a - op_c).to_dense(), a - c)
     assert np.array_equal((2.5j * op_a).to_dense(), 2.5j * a)
     assert np.array_equal((op_a * -3.0).to_dense(), -3.0 * a)
-    # dense operands, and sums of two nonzero shifts, give the dense result;
-    # an all-zero operator sums with any shift
-    assert _close(op_a @ b, a @ b, (np.abs(a) @ np.abs(b)).max())
-    assert _close(a @ op_b, a @ b, (np.abs(a) @ np.abs(b)).max())
-    mixed = op_a - op_b
+    # dense operands, and sums of two nonzero shifts, are refused; an
+    # all-zero operator sums with any shift
+    for dense_operand in (lambda: op_a @ b, lambda: a @ op_b, lambda: op_a + b,
+                          lambda: a - op_b):
+        with pytest.raises(TypeError):
+            dense_operand()
     if shifts[0] != shifts[1] and a.any() and b.any():
-        assert isinstance(mixed, np.ndarray) and np.array_equal(mixed, a - b)
+        with pytest.raises(ValueError, match="have no common blocks"):
+            op_a - op_b
     else:
-        assert np.array_equal(mixed.to_dense(), a - b)
+        assert np.array_equal((op_a - op_b).to_dense(), a - b)
     diag = np.diag(rng.normal(size=size) + 0j)
     mapped = SectorOperator.from_dense(diag, sec).diagonal_map(np.exp)
     assert _close(mapped.to_dense(), np.diag(np.exp(diag.diagonal())),
