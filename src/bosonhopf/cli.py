@@ -31,16 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
-from .expr import (EvalContext, EvalError, GRAMMAR_VERSION, ParseError,
-                   evaluate, parse)
+from . import GRAMMAR_VERSION, __version__
 from .fock import (FAMILIES, PARAM_NAMES, AlgebraSpec, SpecError, build_rep,
                    check_defining_relations)
-from .hopf import build_tables
 from .report import check_report, skipped_report
-from .rmatrix import (YBE_DIM, build_r, build_r0, check_r_axioms,
-                      check_trivial_r, check_ybe, run_r_checks)
-from . import structure as structure_mod
 from .tensor import level_sectors, spectral_norm
 
 REPORT_SCHEMA_VERSION = "1.0"
@@ -70,8 +64,8 @@ PARITY_HEAD_SKIP = ("(-1)^(2*Ntilde) = I requires beta/alpha to be an "
 class Suite:
     """One check suite: a runner per family and the report ids it emits.
 
-    A runner maps (scenario, spec, tol) to a list of reports; it looks the
-    check functions up by name when it runs.  Families without a runner are
+    A runner maps (scenario, spec, tol) to a list of reports; it imports
+    the check functions from their module when it runs.  Families without a runner are
     skipped with ``skip_reason``.  With ``parity_head``, the graded families
     are skipped where beta/alpha is not an integer.  ``ids`` maps each
     report id prefix to the identity it names.
@@ -99,45 +93,81 @@ class Suite:
                                reason=reason)]
 
 
+# Each runner imports its suite's module when it runs, so a run loads only
+# the modules its suites use.
+
+def _run_relations(sc, spec, tol):
+    return check_defining_relations(build_rep(spec, sc.dim), tol)
+
+
+def _tables(rep):
+    from .hopf import build_tables
+    return build_tables(rep)
+
+
+def _run_hopf(sc, spec, tol):
+    return _tables(build_rep(spec, sc.dim)).run_axiom_checks(tol)
+
+
+def _run_delta_hom(sc, spec, tol):
+    return _tables(build_rep(spec, sc.dim)).check_delta_homomorphism(tol)
+
+
 def _run_r_series(sc, spec, tol):
+    from .rmatrix import run_r_checks
     rep = build_rep(spec, sc.dim)
-    return run_r_checks(rep, build_tables(rep), tol)
+    return run_r_checks(rep, _tables(rep), tol)
 
 
 def _run_r0_axioms(sc, spec, tol):
+    from .rmatrix import build_r0, check_r_axioms
     rep = build_rep(spec, sc.dim)
-    return check_r_axioms(build_r0(rep), build_tables(rep), tol)
+    return check_r_axioms(build_r0(rep), _tables(rep), tol)
+
+
+def _run_trivial_r(sc, spec, tol):
+    from .rmatrix import check_trivial_r
+    return [check_trivial_r(_tables(build_rep(spec, sc.dim)), tol)]
 
 
 def _run_ybe_series(sc, spec, tol):
+    from .rmatrix import YBE_DIM, build_r, check_ybe
     return [check_ybe(build_r(build_rep(spec, min(sc.dim, YBE_DIM))), tol)]
 
 
+def _run_r0_ybe(sc, spec, tol):
+    from .rmatrix import build_r0, check_ybe
+    return [check_ybe(build_r0(build_rep(spec, min(sc.dim, 4))), tol)]
+
+
 def _run_casimir(sc, spec, tol):
+    from .structure import build_realization, casimir_spectrum
     rep = build_rep(spec, sc.dim)
-    osp = structure_mod.build_realization(rep, "osp12")
-    sl2 = structure_mod.build_realization(rep, "sl2")
-    return [structure_mod.casimir_spectrum(osp, rep, "osp_i2", tol),
-            structure_mod.casimir_spectrum(sl2, rep, "sl2_c2", tol)]
+    osp = build_realization(rep, "osp12")
+    sl2 = build_realization(rep, "sl2")
+    return [casimir_spectrum(osp, rep, "osp_i2", tol),
+            casimir_spectrum(sl2, rep, "sl2_c2", tol)]
 
 
 def _run_structure(sc, spec, tol):
+    from .structure import run_structure_checks
     rep = build_rep(spec, sc.dim)
-    tables = build_tables(rep) if spec.family == "B" else None
-    return structure_mod.run_structure_checks(rep, tables, tol)
+    tables = _tables(rep) if spec.family == "B" else None
+    return run_structure_checks(rep, tables, tol)
 
 
 # The partner algebra of the generator maps: beta = 1 for B, nu = 1 and
 # rho = 0 for H.
 def _run_iso_phi(sc, spec, tol):
+    from .structure import iso_phi
     b_spec = AlgebraSpec("B", (2.0 * spec.delta, 1.0))
-    return structure_mod.iso_phi(b_spec, build_rep(spec, sc.dim), tol)
+    return iso_phi(b_spec, build_rep(spec, sc.dim), tol)
 
 
 def _run_iso_phi_prime(sc, spec, tol):
+    from .structure import iso_phi_prime
     h_spec = AlgebraSpec("H", (spec.alpha / 2.0, 1.0, 0.0))
-    return structure_mod.iso_phi_prime(h_spec, build_rep(spec, sc.dim),
-                                       tol=tol)
+    return iso_phi_prime(h_spec, build_rep(spec, sc.dim), tol=tol)
 
 
 _YBE_IDS = {"rmatrix.ybe": "R12 R13 R23 = R23 R13 R12"}
@@ -149,20 +179,17 @@ _CASIMIR_IDS = {
 SUITES = {suite.name: suite for suite in (
     Suite("relations",
           {"relations": "defining relations of the family, including grade-element relations"},
-          dict.fromkeys(FAMILIES, lambda sc, spec, tol: check_defining_relations(
-              build_rep(spec, sc.dim), tol))),
+          dict.fromkeys(FAMILIES, _run_relations)),
     Suite("hopf",
           {"hopf.coassoc": "(Delta x id) Delta(g) = (id x Delta) Delta(g)",
            "hopf.counit": "(eps x id) Delta(g) = g = (id x eps) Delta(g)",
            "hopf.antipode": "m (S x id) Delta(g) = eps(g) I = m (id x S) Delta(g)",
            "hopf.antipode-inverse": "m (id x S^-1) Delta^T(g) = eps(g) I (opposite-algebra antipode)"},
-          dict.fromkeys(FAMILIES, lambda sc, spec, tol: build_tables(
-              build_rep(spec, sc.dim)).run_axiom_checks(tol))),
+          dict.fromkeys(FAMILIES, _run_hopf)),
     Suite("delta-hom",
           {"hopf.delta-hom": "defining relations survive g -> Delta(g) on the two-site space",
            "hopf.s-antihom": "defining relations survive reversal + antipode images"},
-          dict.fromkeys(FAMILIES, lambda sc, spec, tol: build_tables(
-              build_rep(spec, sc.dim)).check_delta_homomorphism(tol))),
+          dict.fromkeys(FAMILIES, _run_delta_hom)),
     Suite("rmatrix",
           {"rmatrix.quasitriangular": "Delta^T(g) R = R Delta(g) per generator",
            "rmatrix.fusion-left": "(Delta x id) R = R13 R23",
@@ -171,13 +198,10 @@ SUITES = {suite.name: suite for suite in (
            **_YBE_IDS,
            "rmatrix.trivial": "R = I x I intertwines the primitive coproducts (undeformed Bbar)"},
           {"Bq": _run_r_series, "Bbarq": _run_r_series, "B": _run_r0_axioms,
-           "Bbar": lambda sc, spec, tol: [check_trivial_r(
-               build_tables(build_rep(spec, sc.dim)), tol)]},
+           "Bbar": _run_trivial_r},
           "no universal R-matrix for this family", parity_head=True),
     Suite("ybe", _YBE_IDS,
-          {"Bq": _run_ybe_series, "Bbarq": _run_ybe_series,
-           "B": lambda sc, spec, tol: [check_ybe(build_r0(
-               build_rep(spec, min(sc.dim, 4))), tol)]},
+          {"Bq": _run_ybe_series, "Bbarq": _run_ybe_series, "B": _run_r0_ybe},
           "no Yang-Baxter content for this family", parity_head=True),
     Suite("casimir", _CASIMIR_IDS, {"B": _run_casimir},
           "closed-form Casimir spectra are stated for the undeformed graded "
@@ -487,6 +511,7 @@ def _cmd_eval(args) -> int:
         print(f"error: --degree must lie in [0, {args.dim}) for --dim {args.dim}, "
               f"got {args.degree}", file=sys.stderr)
         return 2
+    from .expr import EvalContext, EvalError, ParseError, evaluate, parse
     rep = build_rep(spec, args.dim)
     ctx = EvalContext(rep)
     try:

@@ -22,8 +22,6 @@ from .fock import FockRep, diag_function
 from .scalars import q_bracket
 from .tensor import kron
 
-GRAMMAR_VERSION = "1.0"
-
 PARAMETER_NAMES = ("alpha", "beta", "sigma", "tau", "delta", "nu", "rho", "q")
 GENERATOR_ATOMS = ("a", "ad", "N", "K", "b", "bd", "M", "g", "I")
 BUILTINS = {"comm": 2, "acomm": 2, "tensor": 2, "qbracket": 2, "phase": 1}

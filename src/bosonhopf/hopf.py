@@ -7,8 +7,11 @@ The term form is the source of truth: the counit and antipode contractions
 m(S x id)Delta(g) cannot be computed from a bare tensor matrix.  Multi-site
 images, R's Delta slots among them, are gathered from the terms as sector
 operators: Delta and Delta^T (the terms with their words exchanged,
-HopfTables.delta_terms), and both sides of coassociativity on its validity
-window's column sectors.  The dense delta_matrix is a test oracle.
+HopfTables.delta_terms).  Coassociativity is decided on the terms first:
+both expansions are reduced to Sweedler normal forms (group-like inverse
+pairs cancelled, like terms merged, :func:`normal_form`), and only when the
+forms differ are both sides gathered on the validity window's column
+sectors and normed.  The dense delta_matrix is a test oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ class Atom:
     """A primitive symbol with known single-site images under all Hopf maps.
 
     ``delta`` is a list of two-slot Terms; group-like atoms use the canonical
-    u -> u x u decomposition built by :func:`grouplike`.
+    u -> u x u decomposition built by :func:`grouplike`, and name their
+    inverse atom in ``inverse``.
     """
 
     name: str
@@ -38,11 +42,15 @@ class Atom:
     s: np.ndarray | None = field(repr=False, default=None)
     s_inv: np.ndarray | None = field(repr=False, default=None)
     delta: list | None = field(repr=False, default=None)
+    inverse: str | None = None
 
 
-def grouplike(name: str, matrix: np.ndarray, inverse: np.ndarray) -> Atom:
-    """Group-like atom: Delta(u) = u x u, eps(u) = 1, S(u) = u^-1."""
-    atom = Atom(name=name, matrix=matrix, eps=1.0, s=inverse, s_inv=inverse)
+def grouplike(name: str, matrix: np.ndarray, inverse: np.ndarray,
+              inverse_name: str) -> Atom:
+    """Group-like atom: Delta(u) = u x u, eps(u) = 1, S(u) = u^-1, where
+    ``inverse`` is the image of u^-1 and ``inverse_name`` its atom."""
+    atom = Atom(name=name, matrix=matrix, eps=1.0, s=inverse, s_inv=inverse,
+                inverse=inverse_name)
     atom.delta = [Term(1.0, ((atom,), (atom,)))]
     return atom
 
@@ -108,6 +116,34 @@ def expand_slot(terms: list, slot: int) -> list:
     return out
 
 
+def normal_form(terms: list) -> dict:
+    """The Sweedler sum as a map from slot words, given by atom names, to
+    coefficients.
+
+    Each word is reduced by cancelling adjacent group-like inverse pairs
+    (u u^-1 = u^-1 u = 1, as each atom's ``inverse`` declares), the
+    coefficients of equal reduced words are summed in term order, and words
+    whose coefficients sum to exactly 0 are dropped.  Two sums with equal
+    normal forms are equal in every representation.
+    """
+    out = {}
+    for t in terms:
+        key = tuple(_reduced(word) for word in t.words)
+        out[key] = out.get(key, 0) + t.coeff
+    return {key: coeff for key, coeff in out.items() if coeff != 0}
+
+
+def _reduced(word: tuple) -> tuple:
+    """Atom names of a word with its adjacent inverse pairs cancelled."""
+    kept = []
+    for atom in word:
+        if kept and kept[-1].inverse == atom.name:
+            kept.pop()
+        else:
+            kept.append(atom)
+    return tuple(atom.name for atom in kept)
+
+
 def terms_matrix(terms: list, dim: int) -> np.ndarray:
     """Sum of the terms' dense matrices."""
     total = terms[0].matrix(dim)
@@ -167,8 +203,8 @@ class HopfTables:
         levels = rep.levels
 
         if fam == "H":
-            g = grouplike("g", rep.require_grade(), rep.grade_minus)
-            gi = grouplike("ginv", rep.grade_minus, rep.grade_plus)
+            g = grouplike("g", rep.require_grade(), rep.grade_minus, "ginv")
+            gi = grouplike("ginv", rep.grade_minus, rep.grade_plus, "g")
             d, nu, rho = spec.delta, spec.nu, spec.rho
             m = Atom("M", rep.number, eps=rho - 0.5,
                      s=-rep.number + (2 * rho - 1) * eye)
@@ -205,8 +241,8 @@ class HopfTables:
 
         graded = fam in ("B", "Bq")
         if graded:
-            g = grouplike("g", rep.require_grade(), rep.grade_minus)
-            gi = grouplike("ginv", rep.grade_minus, rep.grade_plus)
+            g = grouplike("g", rep.require_grade(), rep.grade_minus, "ginv")
+            gi = grouplike("ginv", rep.grade_minus, rep.grade_plus, "g")
             self.atoms["g"] = g
             self.atoms["ginv"] = gi
 
@@ -232,8 +268,8 @@ class HopfTables:
         q = spec.q
         half = np.diag(np.power(q, (c1 * levels + c2) / 2.0).astype(complex))
         half_inv = np.diag(np.power(q, -(c1 * levels + c2) / 2.0).astype(complex))
-        qp = grouplike("qhalf", half, half_inv)       # q^{(c1 N + c2)/2}
-        qm = grouplike("qhalfinv", half_inv, half)
+        qp = grouplike("qhalf", half, half_inv, "qhalfinv")   # q^{(c1 N + c2)/2}
+        qm = grouplike("qhalfinv", half_inv, half, "qhalf")
         self.atoms["qhalf"] = qp
         self.atoms["qhalfinv"] = qm
         if graded:
@@ -292,19 +328,34 @@ class HopfTables:
 
     # -- axiom checks --------------------------------------------------------
     def check_coassociativity(self, tol: float = DEFAULT_TOL) -> list:
-        """Both 3-site expansions as sector operators, gathered on the column
-        sectors of the validity window only (levels up to dim - 1 - degree)."""
+        """(Delta x id) Delta(g) = (id x Delta) Delta(g) for every generator.
+
+        Both expansions are compared as Sweedler normal forms first
+        (:func:`normal_form`): equal forms read 0.0 with no operator built.
+        Otherwise both sides are gathered as sector operators on the column
+        sectors of the validity window only (levels up to dim - 1 - degree)
+        and their difference is normed.  ``branch_note["path"]`` names the
+        path that decided the row.
+        """
         dim = self.rep.dim
 
-        def residual(name):
-            terms = self.delta_terms(name)
-            return lambda top: (terms_operator(expand_slot(terms, 0), dim, top)
-                                - terms_operator(expand_slot(terms, 1), dim, top))
+        def gathered(left, right):
+            return lambda top: (terms_operator(left, dim, top)
+                                - terms_operator(right, dim, top))
 
-        return [windowed_row(self.spec, dim, f"hopf.coassoc.{name}",
-                             "(Delta x id) Delta = (id x Delta) Delta", residual(name),
-                             tol, _RAISE_DEGREE.get(name, 0) + 1)
-                for name in self.generator_names()]
+        rows = []
+        for name in self.generator_names():
+            terms = self.delta_terms(name)
+            left, right = expand_slot(terms, 0), expand_slot(terms, 1)
+            if normal_form(left) == normal_form(right):
+                residual, path = 0.0, "sweedler normal form"
+            else:
+                residual, path = gathered(left, right), "window gather"
+            rows.append(windowed_row(self.spec, dim, f"hopf.coassoc.{name}",
+                                     "(Delta x id) Delta = (id x Delta) Delta", residual,
+                                     tol, _RAISE_DEGREE.get(name, 0) + 1,
+                                     branch_note={"path": path}))
+        return rows
 
     def contract(self, name: str, x: str, y: str, transpose: bool = False):
         """m (X x Y) Delta(name) = sum c X(g1) Y(g2), or the same over Delta^T.

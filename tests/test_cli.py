@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import bosonhopf
 from bosonhopf import cli
 from bosonhopf.cli import (ConfigError, Scenario, grid_expand, main,
                            parse_config, run_suite)
@@ -217,6 +218,70 @@ def test_importing_the_cli_leaves_multiprocessing_out():
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+# Runs ``python -m bosonhopf.cli ARGS`` in this process, then prints the
+# bosonhopf modules it loaded as the last line of standard output.
+_RUN_CLI_AND_LIST_MODULES = """
+import json, runpy, sys
+sys.argv = ["bosonhopf", *sys.argv[1:]]
+try:
+    runpy.run_module("bosonhopf.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(
+    m for m in sys.modules if m.startswith("bosonhopf"))}))
+"""
+
+
+def _fresh_python(code, *args):
+    """Run ``python -c code args`` with the package's sources on the path."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+
+
+def _cli_in_fresh_process(*args):
+    """(exit code, loaded bosonhopf modules, stdout lines) of one CLI process."""
+    done = _fresh_python(_RUN_CLI_AND_LIST_MODULES, *args)
+    assert done.stdout, done.stderr
+    *lines, last = done.stdout.splitlines()
+    result = json.loads(last)
+    return result["code"], set(result["modules"]), lines
+
+
+def test_a_run_loads_only_the_modules_its_suites_use(tmp_path):
+    """A hopf-only run leaves the expression language, the R-matrices and
+    the structure checks unloaded; eval loads the expression language."""
+    path = tmp_path / "hopf.ini"
+    path.write_text("[scenario h]\nfamily = H\ndelta = 1\nnu = 2\nrho = 0.25\n"
+                    "dim = 6\nsuites = hopf\n")
+    code, modules, _ = _cli_in_fresh_process("run", "--config", str(path), "--jobs", "1",
+                                              "--out", str(tmp_path / "out.json"))
+    assert code == 0
+    assert "bosonhopf.hopf" in modules
+    assert not modules & {"bosonhopf.expr", "bosonhopf.rmatrix", "bosonhopf.structure"}
+    doc = json.loads((tmp_path / "out.json").read_text())
+    assert doc["metadata"]["grammar_version"] == bosonhopf.GRAMMAR_VERSION
+    code, modules, lines = _cli_in_fresh_process(
+        "eval", "--family", "B", "--params", "2,1", "--dim", "6", "acomm(a,ad)")
+    assert code == 0 and "bosonhopf.expr" in modules
+    assert lines[0].startswith("windowed norm (degree 0): ")
+    assert lines[1].startswith("unwindowed norm: ")
+
+
+def test_every_exported_name_resolves_in_a_fresh_process():
+    """The package re-exports its names lazily; each one resolves, and
+    ``import *`` binds them all."""
+    code = ("import bosonhopf; ns = {}; exec('from bosonhopf import *', ns); "
+            "missing = [n for n in bosonhopf.__all__ if n not in ns "
+            "or getattr(bosonhopf, n) is not ns[n]]; "
+            "assert bosonhopf.__all__ and not missing, missing")
+    done = _fresh_python(code)
+    assert done.returncode == 0, done.stderr
+    with pytest.raises(AttributeError):
+        bosonhopf.no_such_name
 
 
 PARALLEL_CONFIG = """

@@ -3,7 +3,8 @@ import pytest
 
 from bosonhopf import AlgebraSpec, build_rep, build_tables
 from bosonhopf.fock import RepresentationError, windowed_norm
-from bosonhopf.hopf import Atom, Term, expand_slot, terms_matrix, terms_operator, word_image
+from bosonhopf.hopf import (Atom, Term, expand_slot, normal_form, terms_matrix,
+                            terms_operator, word_image)
 from bosonhopf.tensor import (SectorOperator, kron, kron_all, level_sectors,
                               total_window_projector)
 from grids import BBAR_GRID, BBARQ_GRID, BQ_GRID, B_GRID, FULL_GRID, H_GRID
@@ -139,6 +140,92 @@ def test_coassociativity_sees_a_perturbed_coefficient(family, params, raising):
     ref = float(np.linalg.norm((lhs - rhs) @ proj, 2))
     assert ref > 1e-10
     assert abs(report.residual - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("family, params, name, breached", [
+    ("B", (2, 3), "a", {"a": 5.2915}), ("Bq", (2, 4, 1.3), "a", {"a": 13.417}),
+    ("H", (1, 2, 0.25), "b", {"b": 5.2915, "K": 10.618})])
+def test_coassociativity_sees_an_exchanged_coproduct_term(family, params, name, breached):
+    """Negative control for the normal forms: Delta(a) (Delta(b) on H) with
+    the words of its second term exchanged is no longer coassociative.  Its
+    expansions' normal forms differ, so the row is gathered on the window
+    and breaches; on H, Delta(K) holds b, so the K row breaches too."""
+    tb = _tables(family, params)
+    atom = tb.atom(name)
+    head, second = atom.delta
+    atom.delta = [head, Term(second.coeff, second.words[::-1])]
+    rows = {r.identity.removeprefix("hopf.coassoc."): r
+            for r in tb.check_coassociativity(1e-10)}
+    assert {n: r.residual for n, r in rows.items() if not r.passed} == pytest.approx(
+        breached, rel=1e-4)
+    assert all(rows[n].branch_note == {"path": "window gather"} for n in breached)
+
+
+# One point per family: the 22 generators of the five families.
+FAMILY_POINTS = [("B", (2, 3)), ("Bbar", (1, 2)), ("Bq", (2, 4, 1.3)),
+                 ("Bbarq", (1, 1, 0.7)), ("H", (1, 2, 0.25))]
+
+
+@pytest.mark.parametrize("dim", [6, 24])
+def test_the_normal_forms_decide_every_generator(monkeypatch, dim):
+    """Both coassociativity expansions of every generator have equal
+    Sweedler normal forms (H's K only once g ginv cancels), so no row
+    gathers an operator: with terms_operator made to raise, every row reads
+    0.0 and passes, at any D."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coassociativity row gathered an operator")
+
+    monkeypatch.setattr("bosonhopf.hopf.terms_operator", refuse)
+    rows = [r for family, params in FAMILY_POINTS
+            for r in _tables(family, params, dim).check_coassociativity(1e-10)]
+    assert len(rows) == 22
+    for r in rows:
+        assert r.passed and r.residual == 0.0, r.summary()
+        assert r.branch_note == {"path": "sweedler normal form"}, r.identity
+
+
+def test_the_window_gather_agrees_with_the_normal_forms():
+    """At D = 6 the window gather that the normal forms stand in for also
+    reads exactly 0.0 on all 22 generators."""
+    dim = 6
+    for family, params in FAMILY_POINTS:
+        tb = _tables(family, params, dim)
+        for row in tb.check_coassociativity(1e-10):
+            terms = tb.delta_terms(row.identity.removeprefix("hopf.coassoc."))
+            top = dim - 1 - row.window_degree
+            diff = (terms_operator(expand_slot(terms, 0), dim, top)
+                    - terms_operator(expand_slot(terms, 1), dim, top))
+            assert diff.norm(top) == 0.0, row.identity
+
+
+def test_a_pair_that_only_commuting_diagonals_reconcile_is_gathered():
+    """Fallback: Delta(g) = (qhalf g qhalfinv) x g on Bq is g x g as a
+    matrix, because diagonal atoms commute, but no group-like cancellation
+    turns qhalf qhalf g qhalfinv qhalfinv into qhalf g qhalfinv.  The
+    normal forms differ, so the g row (and the a row, whose coproduct holds
+    g) is gathered on the window, and passes."""
+    tb = _tables("Bq", (2, 4, 1.3))
+    g, qp, qm = (tb.atom(n) for n in ("g", "qhalf", "qhalfinv"))
+    g.delta = [Term(1.0, ((qp, g, qm), (g,)))]
+    assert normal_form(expand_slot(g.delta, 0)) != normal_form(expand_slot(g.delta, 1))
+    rows = {r.identity.removeprefix("hopf.coassoc."): r
+            for r in tb.check_coassociativity(1e-10)}
+    assert all(r.passed for r in rows.values()), [r.summary() for r in rows.values()]
+    gathered = {n for n, r in rows.items() if r.branch_note == {"path": "window gather"}}
+    assert gathered == {"g", "a"}
+
+
+def test_normal_form_cancels_declared_inverse_pairs_and_merges_terms():
+    """Only a pair that an atom declares as its inverse cancels, at any
+    nesting; equal reduced words merge, and a zero sum is dropped."""
+    tb = _tables("Bq", (2, 4, 1.3))
+    g, gi, qp, qm, a = (tb.atom(n) for n in ("g", "ginv", "qhalf", "qhalfinv", "a"))
+    assert normal_form([Term(2.0, ((g, qp, qm, gi, a), ())),
+                        Term(0.5, ((a,), (qm, qp))),
+                        Term(1.0, ((gi, g), (a,))),
+                        Term(-1.0, ((), (g, a, gi)))]) == {
+        (("a",), ()): 2.5, ((), ("a",)): 1.0, ((), ("g", "a", "ginv")): -1.0}
+    assert normal_form([Term(1.0, ((a, g), ())), Term(-1.0, ((a, gi, g, g), ()))]) == {}
 
 
 # One point per ladder shape: undeformed graded, deformed graded, reflection.
