@@ -65,8 +65,9 @@ class Suite:
     """One check suite: a runner per family and the report ids it emits.
 
     A runner maps (scenario, spec, tol) to a list of reports; it imports
-    the check functions from their module when it runs.  Families without a runner are
-    skipped with ``skip_reason``.  With ``parity_head``, the graded families
+    the check functions from their module when it runs, so a run loads only
+    the modules its suites use.  Families without a runner are skipped with
+    ``skip_reason``.  With ``parity_head``, the graded families
     are skipped where beta/alpha is not an integer.  ``ids`` maps each
     report id prefix to the identity it names.
     """
@@ -92,9 +93,6 @@ class Suite:
                                family=family, params=params, dim=dim,
                                reason=reason)]
 
-
-# Each runner imports its suite's module when it runs, so a run loads only
-# the modules its suites use.
 
 def _run_relations(sc, spec, tol):
     return check_defining_relations(build_rep(spec, sc.dim), tol)
