@@ -1,15 +1,22 @@
 #!/usr/bin/env python3
-"""Run the full verification grid and print a per-suite summary.
+"""Run the full verification grid and print a per-suite summary, the run's
+wall time and its peak resident memory.
 
 Usage:
     python3 scripts/run_full_grid.py [--out report.json] [--jobs N]
+
+The wall time covers ``bosonhopf run`` in this process, not the
+interpreter's start-up.  The peak RSS is this process's; unless ``--jobs``
+is 1, the largest worker's is printed beside it.
 """
 
 import argparse
 import collections
 import json
 import pathlib
+import resource
 import sys
+import time
 
 from bosonhopf.cli import main as cli_main
 
@@ -26,7 +33,15 @@ def main() -> int:
     argv = ["run", "--config", args.config, "--out", args.out]
     if args.jobs:
         argv += ["--jobs", str(args.jobs)]
+    start = time.perf_counter()
     code = cli_main(argv)
+    wall = time.perf_counter() - start
+    # read before the report is loaded below; ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    note = ""
+    if args.jobs != 1:
+        workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        note = f" (largest worker {workers:.1f} MB)"
 
     doc = json.loads(pathlib.Path(args.out).read_text())
     table = collections.Counter()
@@ -39,6 +54,7 @@ def main() -> int:
     for suite in suites:
         print(f"{suite:<12} {table[(suite, 'pass')]:>6} "
               f"{table[(suite, 'FAIL')]:>6} {table[(suite, 'skip')]:>6}")
+    print(f"wall time {wall:.2f} s, peak RSS {peak:.1f} MB{note}")
     return code
 
 

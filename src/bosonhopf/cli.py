@@ -94,53 +94,73 @@ class Suite:
                                reason=reason)]
 
 
+# The reps and Hopf tables of the grid point whose suites are running, by
+# (kind, spec, dim).  At --jobs 1 a point's suites run back to back, so each
+# is built once per point and shared by them; a new point empties the memo,
+# and so does run_config when it starts.
+_POINT_MEMO: dict = {}
+
+
+def _point_memo(kind: str, spec: AlgebraSpec, dim: int, build):
+    key = (kind, spec, dim)
+    if key not in _POINT_MEMO:
+        if any(other != spec for _, other, _ in _POINT_MEMO):
+            _POINT_MEMO.clear()
+        _POINT_MEMO[key] = build()
+    return _POINT_MEMO[key]
+
+
+def _rep(spec, dim):
+    return _point_memo("rep", spec, dim, lambda: build_rep(spec, dim))
+
+
+def _tables(spec, dim):
+    def build():
+        from .hopf import build_tables
+        return build_tables(_rep(spec, dim))
+    return _point_memo("tables", spec, dim, build)
+
+
 def _run_relations(sc, spec, tol):
-    return check_defining_relations(build_rep(spec, sc.dim), tol)
-
-
-def _tables(rep):
-    from .hopf import build_tables
-    return build_tables(rep)
+    return check_defining_relations(_rep(spec, sc.dim), tol)
 
 
 def _run_hopf(sc, spec, tol):
-    return _tables(build_rep(spec, sc.dim)).run_axiom_checks(tol)
+    return _tables(spec, sc.dim).run_axiom_checks(tol)
 
 
 def _run_delta_hom(sc, spec, tol):
-    return _tables(build_rep(spec, sc.dim)).check_delta_homomorphism(tol)
+    return _tables(spec, sc.dim).check_delta_homomorphism(tol)
 
 
 def _run_r_series(sc, spec, tol):
     from .rmatrix import run_r_checks
-    rep = build_rep(spec, sc.dim)
-    return run_r_checks(rep, _tables(rep), tol)
+    return run_r_checks(_rep(spec, sc.dim), _tables(spec, sc.dim), tol)
 
 
 def _run_r0_axioms(sc, spec, tol):
     from .rmatrix import build_r0, check_r_axioms
-    rep = build_rep(spec, sc.dim)
-    return check_r_axioms(build_r0(rep), _tables(rep), tol)
+    return check_r_axioms(build_r0(_rep(spec, sc.dim)), _tables(spec, sc.dim), tol)
 
 
 def _run_trivial_r(sc, spec, tol):
     from .rmatrix import check_trivial_r
-    return [check_trivial_r(_tables(build_rep(spec, sc.dim)), tol)]
+    return [check_trivial_r(_tables(spec, sc.dim), tol)]
 
 
 def _run_ybe_series(sc, spec, tol):
     from .rmatrix import YBE_DIM, build_r, check_ybe
-    return [check_ybe(build_r(build_rep(spec, min(sc.dim, YBE_DIM))), tol)]
+    return [check_ybe(build_r(_rep(spec, min(sc.dim, YBE_DIM))), tol)]
 
 
 def _run_r0_ybe(sc, spec, tol):
     from .rmatrix import build_r0, check_ybe
-    return [check_ybe(build_r0(build_rep(spec, min(sc.dim, 4))), tol)]
+    return [check_ybe(build_r0(_rep(spec, min(sc.dim, 4))), tol)]
 
 
 def _run_casimir(sc, spec, tol):
     from .structure import build_realization, casimir_spectrum
-    rep = build_rep(spec, sc.dim)
+    rep = _rep(spec, sc.dim)
     osp = build_realization(rep, "osp12")
     sl2 = build_realization(rep, "sl2")
     return [casimir_spectrum(osp, rep, "osp_i2", tol),
@@ -149,9 +169,8 @@ def _run_casimir(sc, spec, tol):
 
 def _run_structure(sc, spec, tol):
     from .structure import run_structure_checks
-    rep = build_rep(spec, sc.dim)
-    tables = _tables(rep) if spec.family == "B" else None
-    return run_structure_checks(rep, tables, tol)
+    tables = _tables(spec, sc.dim) if spec.family == "B" else None
+    return run_structure_checks(_rep(spec, sc.dim), tables, tol)
 
 
 # The partner algebra of the generator maps: beta = 1 for B, nu = 1 and
@@ -159,13 +178,13 @@ def _run_structure(sc, spec, tol):
 def _run_iso_phi(sc, spec, tol):
     from .structure import iso_phi
     b_spec = AlgebraSpec("B", (2.0 * spec.delta, 1.0))
-    return iso_phi(b_spec, build_rep(spec, sc.dim), tol)
+    return iso_phi(b_spec, _rep(spec, sc.dim), tol)
 
 
 def _run_iso_phi_prime(sc, spec, tol):
     from .structure import iso_phi_prime
     h_spec = AlgebraSpec("H", (spec.alpha / 2.0, 1.0, 0.0))
-    return iso_phi_prime(h_spec, build_rep(spec, sc.dim), tol=tol)
+    return iso_phi_prime(h_spec, _rep(spec, sc.dim), tol=tol)
 
 
 _YBE_IDS = {"rmatrix.ybe": "R12 R13 R23 = R23 R13 R12"}
@@ -398,28 +417,37 @@ def _run_job(job) -> list:
     return rows
 
 
-def _sort_key(row: dict):
-    return (row["scenario"], row["suite"], row["identity"],
-            json.dumps(row["params"], sort_keys=True), row["dim"])
+def _sorted_rows(job_rows) -> list:
+    """The rows of all jobs, each job's list in turn, sorted by scenario,
+    suite, identity, params (as sorted-key JSON) and dim; ties keep their
+    order.  A job's rows share its point's params, so those are encoded
+    once per job, and again only where a row's params differ."""
+    keyed = []
+    for rows in job_rows:
+        params = encoded = None
+        for row in rows:
+            if row["params"] != params:
+                params, encoded = row["params"], json.dumps(row["params"], sort_keys=True)
+            keyed.append(((row["scenario"], row["suite"], row["identity"], encoded,
+                           row["dim"]), row))
+    keyed.sort(key=lambda pair: pair[0])
+    return [row for _, row in keyed]
 
 
 def run_config(config: ScenarioConfig, out_path: str, jobs: int) -> int:
+    _POINT_MEMO.clear()
     jobs_list = []
     for scenario in config.scenarios:
         for params, spec, skip_reason in grid_expand(scenario):
             for suite in scenario.suites:
                 jobs_list.append((scenario, params, spec, skip_reason, suite))
-    rows = []
     if jobs > 1:
         # imported here: multiprocessing costs every --jobs 1 run its import time
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_run_job, jobs_list):
-                rows.extend(chunk)
+            rows = _sorted_rows(pool.map(_run_job, jobs_list))
     else:
-        for job in jobs_list:
-            rows.extend(_run_job(job))
-    rows.sort(key=_sort_key)
+        rows = _sorted_rows(map(_run_job, jobs_list))
     doc = {
         "metadata": {
             "artifact_version": __version__,
@@ -450,16 +478,17 @@ def run_config(config: ScenarioConfig, out_path: str, jobs: int) -> int:
 def write_report(doc: dict, fh) -> None:
     """Write the report document as JSON: the header, then one row per line.
 
-    Each row is encoded by itself with ``json.dumps`` (the C encoder; an
-    indented dump takes the pure-Python one), so no string of the whole
-    document is built.  Keys are sorted, ``"reports"`` last.
+    Each row is encoded by itself, by one encoder built for the whole
+    document (the C encoder; an indented one takes the pure-Python path),
+    so no string of the whole document is built.  Keys are sorted,
+    ``"reports"`` last.
     """
+    encode = json.JSONEncoder(sort_keys=True, default=_json_default).encode
     head = {key: value for key, value in doc.items() if key != "reports"}
-    fh.write(json.dumps(head, sort_keys=True, default=_json_default)[:-1]
-             + ', "reports": [')
+    fh.write(encode(head)[:-1] + ', "reports": [')
     sep = "\n"
     for row in doc["reports"]:
-        fh.write(sep + json.dumps(row, sort_keys=True, default=_json_default))
+        fh.write(sep + encode(row))
         sep = ",\n"
     fh.write("\n]}\n")
 

@@ -68,9 +68,8 @@ class Term:
 
     def matrix(self, dim: int) -> np.ndarray:
         """The dense Kronecker product of the slot words, times the coefficient."""
-        out = kron_all(*(word_image(w, dim) for w in self.words))
-        out *= self.coeff   # a new array: word_image and kron_all allocate
-        return out
+        # not in place: a one-slot product is its word's image, which may be an atom's own
+        return kron_all(*(word_image(w, dim) for w in self.words)) * self.coeff
 
 
 def word_image(word: tuple, dim: int, image: str = "matrix"):
@@ -78,20 +77,21 @@ def word_image(word: tuple, dim: int, image: str = "matrix"):
 
     ``"matrix"`` is the algebra image and ``"eps"`` the scalar counit; the
     anti-homomorphisms ``"s"`` and ``"s_inv"`` reverse the factors,
-    S(xy) = S(y) S(x).
+    S(xy) = S(y) S(x).  The empty word is the identity, and a one-atom word
+    is the atom's own image, not a copy: callers must not write into it.
     """
     if image == "eps":
         out = 1.0 + 0j
         for atom in word:
             out *= atom.eps
         return out
-    out = np.eye(dim, dtype=complex)
+    out = None
     for atom in (word if image == "matrix" else reversed(word)):
         img = getattr(atom, image)
         if img is None:
             raise ValueError(f"atom {atom.name!r} has no {image} image")
-        out = out @ img
-    return out
+        out = img if out is None else out @ img
+    return np.eye(dim, dtype=complex) if out is None else out
 
 
 def delta_of_word(word: tuple) -> list:
@@ -403,7 +403,8 @@ class HopfTables:
 
     def check_delta_homomorphism(self, tol: float = DEFAULT_TOL) -> list:
         """Defining relations survive g -> Delta(g) (and, reversed, g -> S(g)),
-        every row on the window of raise degree 2.
+        each row on the window of its relation's raise degree, as
+        :func:`fock.check_defining_relations` norms it.
 
         The Delta images are sector operators gathered from their Sweedler
         terms (:func:`terms_operator`); no dense two-site image is formed.
@@ -416,11 +417,11 @@ class HopfTables:
         s_gens = {name: self.antipode(name) for name in self.generator_names()}
         s_gens["I"] = self.rep.identity
         return [windowed_row(self.spec, dim, f"hopf.{kind}.{ident}", f"{images}: {ref}",
-                             residual, tol, 2, scale)
+                             residual, tol, degree, scale)
                 for kind, images, gens, sites, anti in (
                     ("delta-hom", "Delta images", delta_gens, 2, False),
                     ("s-antihom", "antipode images", s_gens, 1, True))
-                for ident, ref, residual, _, scale in relation_residuals(
+                for ident, ref, residual, degree, scale in relation_residuals(
                     self.spec, gens, level_sectors(dim, sites), anti)]
 
     def run_axiom_checks(self, tol: float = DEFAULT_TOL) -> list:

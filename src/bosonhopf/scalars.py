@@ -10,6 +10,9 @@ phase_pow(x) * phase_pow(-x) == 1 hold identically.
 from __future__ import annotations
 
 import cmath
+import math
+
+import numpy as np
 
 
 class ScalarDomainError(ValueError):
@@ -25,13 +28,27 @@ def check_q(q: float) -> float:
     return q
 
 
+# Below this |log q| the difference form of q_bracket loses more than a few
+# ulps: q - 1/q cancels to about eps / (2 |log q|) relative.
+Q_NEAR_ONE = 0.1
+
+
 def q_bracket(x, q: float):
     """The symmetric q-bracket (q^x - q^-x) / (q - 1/q).
 
     Odd in x, invariant under q -> 1/q, and -> x as q -> 1.  Accepts real or
-    complex x (complex x arises from phase-shifted number operators).
+    complex x (complex x arises from phase-shifted number operators), and
+    arrays of either.  Within ``Q_NEAR_ONE`` of log q = 0 it is computed as
+    sinh(x log q) / sinh(log q) (cmath for a complex scalar, numpy
+    otherwise), which does not cancel; further out the difference form is
+    exact to a few ulps and is kept, so residuals there do not move.
     """
     check_q(q)
+    log_q = math.log(q)
+    if abs(log_q) < Q_NEAR_ONE:
+        if isinstance(x, complex):
+            return cmath.sinh(x * log_q) / math.sinh(log_q)
+        return np.sinh(np.multiply(x, log_q)) / math.sinh(log_q)
     if isinstance(x, complex):
         num = cmath.exp(x * cmath.log(q)) - cmath.exp(-x * cmath.log(q))
     else:

@@ -14,10 +14,15 @@ permutation: column sector L maps into row sector L + shift only.
 :class:`SectorOperator` keeps such an operator as those blocks, built from a
 dense matrix or gathered straight from the factors of a tensor product on
 any number of sites (one factor may act on a slot pair, as R13 does),
-optionally on the column sectors up to a window's top level only; products,
-sums, functional calculus on a diagonal and the norm (the largest singular
-value of one batched SVD) then work on the blocks, between sector operators
-only.  A dense matrix that mixes level shifts (an ``eval`` expression such as
+optionally on the column sectors up to a window's top level only: each
+factor's entries for all blocks are one ``take`` of a flat index that the
+shift's plan keeps per slot tuple.  Products, sums, functional calculus on
+a diagonal and the norm then work on the blocks, between sector operators
+only.  The norm is the largest singular value over the blocks, found by
+factoring them one at a time in descending order of a certified bound
+until no bound left exceeds it: the value one batched SVD of all the
+blocks gives, bit for bit, at the cost of one or a few small SVDs.  A
+dense matrix that mixes level shifts (an ``eval`` expression such as
 ``a + ad``) has no blocks: its norm is the SVD of its nonzero rows and window
 columns.  The dense products (kron_all, embed_two_site, swap_matrix, and
 kron, which the expression language also calls) and the dense window oracle
@@ -118,21 +123,21 @@ class _ShiftPlan:
     ``rows[L]`` is row sector ``L + shift`` (index row 0 when that is not a
     level) and ``cols[L]`` column sector ``L``, padded to the largest sector
     either reaches; ``ok[L]`` marks the block entries that are real on both
-    sides; ``flat_rows``/``flat_cols`` are the dense positions of the
-    ``ok`` entries, in the order ``blocks[ok]`` lists them, and ``kept[L]``
-    marks the real columns of column sector ``L`` when ``L + shift`` is a
-    level.  ``row_sites[s]``/``col_sites[s]`` are the block entries' row
-    and column indices on site ``s``.
+    sides and ``pad`` the others; ``flat_rows``/``flat_cols`` are the dense
+    positions of the ``ok`` entries, in the order ``blocks[ok]`` lists them.
+    ``row_sites[s]``/``col_sites[s]`` are the block entries' row and column
+    indices on site ``s``.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     ok: np.ndarray
+    pad: np.ndarray
     flat_rows: np.ndarray
     flat_cols: np.ndarray
-    kept: np.ndarray
     row_sites: tuple
     col_sites: tuple
+    _flat: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(cls, sectors: LevelSectors, shift: int, levels: int) -> "_ShiftPlan":
@@ -143,15 +148,31 @@ class _ShiftPlan:
                     sectors.size[row_level[inside]].max(initial=1))
         rows = sectors.index[row_level, :width]
         cols = sectors.index[:levels, :width]
-        kept = sectors.valid[:levels, :width] & inside[:, None]
         ok = ((sectors.valid[row_level, :width] & inside[:, None])[:, :, None]
               & sectors.valid[:levels, None, :width])
         flat_rows = np.broadcast_to(rows[:, :, None], ok.shape)[ok]
         flat_cols = np.broadcast_to(cols[:, None, :], ok.shape)[ok]
         site_shape = (sectors.dim,) * sectors.sites
-        return cls(rows, cols, ok, flat_rows, flat_cols, kept,
+        return cls(rows, cols, ok, ~ok, flat_rows, flat_cols,
                    np.unravel_index(rows[:, :, None], site_shape),
                    np.unravel_index(cols[:, None, :], site_shape))
+
+    def flat_index(self, slots: tuple, dim: int) -> np.ndarray:
+        """The flat position, in a matrix on the sites ``slots`` of ``dim``
+        levels each, of every block entry's row and column indices on those
+        sites: ``matrix.take`` of it reads a factor's entries for all blocks
+        at once.  Built once per slot tuple and kept in the smallest integer
+        type that holds it: the plans live as long as their level-sector
+        index, and take reads such an index nearly as fast as a native one."""
+        index = self._flat.get(slots)
+        if index is None:
+            row = col = 0
+            for site in slots:
+                row = row * dim + self.row_sites[site]
+                col = col * dim + self.col_sites[site]
+            index = row * dim ** len(slots) + col
+            index = self._flat[slots] = index.astype(np.min_scalar_type(index.max(initial=0)))
+        return index
 
 
 @lru_cache(maxsize=32)
@@ -173,14 +194,16 @@ def level_sectors(dim: int, sites: int) -> LevelSectors:
 
 def _level_shift(mat: np.ndarray, dim: int, sites: int):
     """The level shift of every nonzero entry of a matrix on ``sites`` sites
-    (0 when it has none), or None when they differ: the shift of the first
-    nonzero entry, kept when its blocks hold every nonzero entry."""
-    sectors, nonzero = level_sectors(dim, sites), mat != 0
-    row, col = divmod(int(nonzero.argmax()), mat.shape[1])
-    shift = int(sectors.level[row] - sectors.level[col])
-    plan = sectors.plan(shift)
-    held = np.count_nonzero(nonzero[plan.flat_rows, plan.flat_cols])
-    return shift if held == np.count_nonzero(nonzero) else None
+    (0 when it has none), or None when they differ: the offsets between the
+    total levels of each nonzero entry's row and column (on one site, the
+    row and column themselves)."""
+    rows, cols = mat.nonzero()
+    if sites > 1:
+        level = level_sectors(dim, sites).level
+        rows, cols = level[rows], level[cols]
+    offsets = rows - cols
+    shift = int(offsets[0]) if offsets.size else 0
+    return shift if (offsets == shift).all() else None
 
 
 @dataclass(eq=False)
@@ -253,13 +276,10 @@ class SectorOperator:
     def _gathered(cls, factors, sectors: LevelSectors, shift: int, top=None):
         plan = sectors.plan(shift, _window_levels(top))
         blocks = None
-        for mat, (first, *rest) in factors:
-            row, col = plan.row_sites[first], plan.col_sites[first]
-            for site in rest:
-                row = row * sectors.dim + plan.row_sites[site]
-                col = col * sectors.dim + plan.col_sites[site]
-            blocks = mat[row, col] if blocks is None else blocks * mat[row, col]
-        blocks[~plan.ok] = 0
+        for mat, slots in factors:
+            entries = mat.take(plan.flat_index(slots, sectors.dim))
+            blocks = entries if blocks is None else blocks * entries
+        np.putmask(blocks, plan.pad, 0)
         return cls(sectors, shift, blocks)
 
     def to_dense(self) -> np.ndarray:
@@ -347,24 +367,43 @@ class SectorOperator:
 
     def norm(self, top: int | None = None) -> float:
         """Spectral norm, or that of the window of column sectors up to
-        ``top``: the largest singular value of one batched SVD over the
-        blocks of the live column sectors, each trimmed to the widest live
-        row and column sector.  Exactly 0.0 when those blocks are all zero;
-        the largest modulus when they are 1x1 (one site).
+        ``top``: the largest singular value over the blocks of the live
+        column sectors, each trimmed to the widest live row and column
+        sector.  Exactly 0.0 when those blocks are all zero; the largest
+        modulus when they are 1x1 (one site).
+
+        Each block's top singular value is at most ``sqrt(|B|_1 |B|_inf)``,
+        the geometric mean of its largest column and row abs-sums; that
+        bound, inflated by 1e-12 relative so that rounding never lets it
+        fall below a computed singular value, orders the blocks.  They are
+        factored one at a time, largest bound first, until the largest
+        singular value found is at least the next bound: no block left can
+        exceed it.  Each SVD is the LAPACK call a batched SVD makes on that
+        padded block, so the result is the same value, bit for bit, as the
+        largest singular value of one SVD over all the blocks.
         """
-        kept = self._plan().kept[:_window_levels(top)]
-        if self.blocks.shape[1] == 1:   # one-site sectors: the modulus is the singular value
-            return float(np.abs(self.blocks[:len(kept), 0, 0][kept[:, 0]]).max(initial=0.0))
-        live = np.flatnonzero(kept.any(axis=1))
-        if not live.size:
+        # the live column sectors L: held, in the window, and L + shift a level
+        sec, shift = self.sectors, self.shift
+        levels = len(self.blocks) if top is None else min(len(self.blocks), _window_levels(top))
+        lo, hi = max(0, -shift), min(levels, sec.size.size - shift)
+        if lo >= hi:
             return 0.0
-        sec = self.sectors
-        width_in = sec.size[live].max()
-        width_out = sec.size[live + self.shift].max()
-        blocks = self.blocks[live, :width_out, :width_in]
+        if self.blocks.shape[1] == 1:   # one-site sectors: the modulus is the singular value
+            return float(np.abs(self.blocks[lo:hi, 0, 0]).max())
+        width_in = sec.size[lo:hi].max()
+        width_out = sec.size[lo + shift:hi + shift].max()
+        blocks = self.blocks[lo:hi, :width_out, :width_in]
         if not blocks.any():
             return 0.0
-        return float(np.linalg.svd(blocks, compute_uv=False).max())
+        mags = np.abs(blocks)
+        bound = np.sqrt(mags.sum(axis=1).max(axis=1) * mags.sum(axis=2).max(axis=1))
+        bound *= 1.0 + 1e-12
+        best = 0.0
+        for i in np.argsort(-bound, kind="stable"):
+            if best >= bound[i]:   # an all-zero block's bound is 0: it ends here too
+                break
+            best = max(best, np.linalg.svd(blocks[i], compute_uv=False)[0])
+        return float(best)
 
 
 def _window_levels(top: int | None) -> int | None:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bosonhopf import AlgebraSpec, build_rep, build_tables
+from bosonhopf import AlgebraSpec, build_rep, build_tables, check_defining_relations
 from bosonhopf.fock import RepresentationError, windowed_norm
 from bosonhopf.hopf import (Atom, Term, expand_slot, normal_form, terms_matrix,
                             terms_operator, word_image)
@@ -24,6 +24,25 @@ def test_delta_homomorphism_full_grid():
     for family, p in FULL_GRID:
         for report in _tables(family, p).check_delta_homomorphism(1e-10):
             assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("family, params", [("B", (2, 1)), ("Bq", (2, 2, 1.3)),
+                                            ("H", (1, 0.5, 0.0))])
+def test_delta_hom_rows_take_their_relations_windows(family, params):
+    """Each delta-hom and s-antihom row is normed on the window of its
+    relation's raise degree, the one its relations row reads.  At dim = 2 a
+    degree-0 relation's row reads window_degree 0 and is computed, not
+    skipped, and so is every other row: no relation raises by 2."""
+    rep = build_rep(AlgebraSpec(family, params), 2)
+    degrees = {r.identity.removeprefix("relations."): r.window_degree
+               for r in check_defining_relations(rep)}
+    rows = build_tables(rep).check_delta_homomorphism(1e-10)
+    assert len(rows) == 2 * len(degrees)
+    for r in rows:
+        assert r.window_degree == degrees[r.identity.split(".", 2)[2]], r.identity
+        assert not r.skipped and r.passed, r.summary()
+    low = [r for r in rows if r.identity == f"hopf.delta-hom.{family}.number-low"]
+    assert [r.window_degree for r in low] == [0]
 
 
 def test_generator_sets_per_family():

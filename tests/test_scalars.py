@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,6 +35,21 @@ def test_q_bracket_q_inversion(x, q):
 @given(x=st.floats(min_value=-10, max_value=10))
 def test_q_bracket_classical_limit(x):
     assert q_bracket(x, 1.0001) == pytest.approx(x, abs=1e-2)
+
+
+def test_q_bracket_near_q_one_keeps_full_precision():
+    """At q = 1 + 1e-8 the difference form (q^x - q^-x) / (q - 1/q) loses
+    5.6e-9 relative at x = 0.5 to cancellation.  The bracket matches
+    sinh(x log q) / sinh(log q) to rounding, and so does its array form
+    and a complex argument's."""
+    q, x = 1 + 1e-8, 0.5
+    log_q = math.log(q)
+    expected = math.sinh(x * log_q) / math.sinh(log_q)
+    assert q_bracket(x, q) == pytest.approx(expected, rel=1e-15)
+    assert q_bracket(np.array([x, -x]), q) == pytest.approx([expected, -expected], rel=1e-15)
+    z = x + 0.25j
+    assert q_bracket(z, q) == pytest.approx(cmath.sinh(z * log_q) / math.sinh(log_q),
+                                            rel=1e-15)
 
 
 def test_q_bracket_complex_argument():

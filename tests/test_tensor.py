@@ -372,6 +372,59 @@ def test_window_sector_operators_match_dense_on_their_columns(
     assert np.array_equal((zero - op_a).to_dense(), -op_a.to_dense())
 
 
+def _batched_norm(op, top):
+    """The norm as one batched SVD over every live block (each trimmed to
+    the widest live row and column sector), the largest modulus of 1x1
+    blocks: the value the pruned norm must reproduce bit for bit."""
+    sec, shift = op.sectors, op.shift
+    held = np.arange(len(op.blocks) if top is None else min(len(op.blocks), top + 1))
+    live = held[(held + shift >= 0) & (held + shift < sec.size.size)]
+    if not live.size:
+        return 0.0
+    if op.blocks.shape[1] == 1:
+        return float(np.abs(op.blocks[live, 0, 0]).max())
+    blocks = op.blocks[live, :sec.size[live + shift].max(), :sec.size[live].max()]
+    if not blocks.any():
+        return 0.0
+    return float(np.linalg.svd(blocks, compute_uv=False).max())
+
+
+@given(dim=st.integers(2, 5), sites=st.integers(1, 3), shift=st.integers(-2, 2),
+       kind=st.sampled_from(["dense", "diagonal", "permutation"]),
+       scales=st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=1, max_size=4),
+       seed=st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_pruned_norm_equals_one_batched_svd(dim, sites, shift, kind, scales, seed):
+    """SectorOperator.norm factors the blocks one at a time, largest bound
+    sqrt(|B|_1 |B|_inf) first, and stops once no bound left exceeds the
+    largest singular value found.  On every window top, and on the whole
+    space, it equals the largest singular value of one batched SVD over all
+    live blocks bit for bit: for dense blocks, for diagonal and scaled
+    permutation blocks (whose bound is their norm, so the stop rule meets
+    ties, and whose computed norm may exceed the computed bound by an ulp),
+    for blocks scaled by a few shared factors (equal bounds across blocks)
+    and for all-zero blocks and windows."""
+    rng = np.random.default_rng(seed)
+    sec = level_sectors(dim, sites)
+    plan = sec.plan(shift)
+    blocks = np.zeros(plan.ok.shape, dtype=complex)
+    rows, cols = blocks.shape[1:]
+    for level, scale in enumerate(np.resize(scales, len(blocks))):
+        # unit entries of random phase: LAPACK may return their modulus one
+        # ulp above the bound, which the bound's 1e-12 margin must absorb
+        phases = np.exp(2j * np.pi * rng.random((rows, cols)))
+        if kind == "dense":
+            block = rng.normal(size=(rows, cols)) * phases
+        elif kind == "diagonal":
+            block = np.eye(rows, cols) * phases
+        else:
+            block = np.eye(rows, cols)[rng.permutation(rows)] * phases
+        blocks[level] = np.where(plan.ok[level], scale * block, 0)
+    op = SectorOperator(sec, shift, blocks)
+    for top in [None, *range(sec.size.size)]:
+        assert op.norm(top) == _batched_norm(op, top), top
+
+
 def test_diagonal_map_rejects_an_off_diagonal_operator():
     sec = level_sectors(4, 2)
     diag = np.diag(np.arange(16.0) + 1)
