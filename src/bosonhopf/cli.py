@@ -392,46 +392,51 @@ def run_suite(scenario: Scenario, spec: AlgebraSpec, suite: str) -> list:
 
 
 def _run_job(job) -> list:
-    """One (scenario, grid point, suite) unit; errors become failed reports."""
+    """One (scenario, grid point, suite) unit, as the records of its rows
+    (:func:`_records`).  An exception in a check, or a row the report
+    encoder cannot write, becomes the job's one failed ``<suite>.error`` row."""
     scenario, params, spec, skip_reason, suite = job
     start = time.perf_counter()
     if skip_reason:
-        reports = SUITES[suite].skipped(scenario.family, params, scenario.dim,
-                                        skip_reason)
-    else:
-        try:
-            reports = run_suite(scenario, spec, suite)
-        except Exception as exc:   # per-check errors must not abort the run
-            reports = [check_report(
-                spec, scenario.dim, f"{suite}.error", str(exc), float("inf"),
-                scenario.tol_for(suite),
-                branch_note={"error": f"{type(exc).__name__}: {exc}"})]
-    elapsed = time.perf_counter() - start
-    rows = []
+        return _records(scenario, suite, start, SUITES[suite].skipped(
+            scenario.family, params, scenario.dim, skip_reason))
+    try:
+        return _records(scenario, suite, start, run_suite(scenario, spec, suite))
+    except Exception as exc:   # per-check errors must not abort the run
+        return _records(scenario, suite, start, [check_report(
+            spec, scenario.dim, f"{suite}.error", str(exc), float("inf"),
+            scenario.tol_for(suite),
+            branch_note={"error": f"{type(exc).__name__}: {exc}"})])
+
+
+def _records(scenario: Scenario, suite: str, start: float, reports: list) -> list:
+    """Each report of a job that began at ``start`` as ``(sort key, passed,
+    skipped, line)``: the line is the row encoded by the report encoder, so
+    no row outlives its job.  Rows sort by scenario, suite, identity, params
+    (as sorted-key JSON) and dim; a job's rows share its point's params, so
+    those are encoded once per job, and again only where a row's params
+    differ.  Each row carries the job's time over its row count."""
+    wall_time = (time.perf_counter() - start) / max(1, len(reports))
+    records = []
+    params = encoded = None
     for rp in reports:
         row = rp.to_dict()
         row["scenario"] = scenario.name
         row["suite"] = suite
-        row["wall_time"] = elapsed / max(1, len(reports))
-        rows.append(row)
-    return rows
+        row["wall_time"] = wall_time
+        if row["params"] != params:
+            params, encoded = row["params"], json.dumps(row["params"], sort_keys=True)
+        records.append(((scenario.name, suite, row["identity"], encoded, row["dim"]),
+                        row["passed"], row["skipped"], _encode(row)))
+    return records
 
 
-def _sorted_rows(job_rows) -> list:
-    """The rows of all jobs, each job's list in turn, sorted by scenario,
-    suite, identity, params (as sorted-key JSON) and dim; ties keep their
-    order.  A job's rows share its point's params, so those are encoded
-    once per job, and again only where a row's params differ."""
-    keyed = []
-    for rows in job_rows:
-        params = encoded = None
-        for row in rows:
-            if row["params"] != params:
-                params, encoded = row["params"], json.dumps(row["params"], sort_keys=True)
-            keyed.append(((row["scenario"], row["suite"], row["identity"], encoded,
-                           row["dim"]), row))
-    keyed.sort(key=lambda pair: pair[0])
-    return [row for _, row in keyed]
+def _sorted_rows(job_records) -> list:
+    """The records of all jobs, each job's list in turn, sorted by their
+    keys; ties keep their order."""
+    records = [record for records in job_records for record in records]
+    records.sort(key=lambda record: record[0])
+    return records
 
 
 def run_config(config: ScenarioConfig, out_path: str, jobs: int) -> int:
@@ -445,50 +450,45 @@ def run_config(config: ScenarioConfig, out_path: str, jobs: int) -> int:
         # imported here: multiprocessing costs every --jobs 1 run its import time
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = _sorted_rows(pool.map(_run_job, jobs_list))
+            records = _sorted_rows(pool.map(_run_job, jobs_list))
     else:
-        rows = _sorted_rows(map(_run_job, jobs_list))
-    doc = {
+        records = _sorted_rows(map(_run_job, jobs_list))
+    counts = {
+        "passed": sum(1 for _, passed, skipped, _ in records if passed and not skipped),
+        "failed": sum(1 for _, passed, skipped, _ in records if not passed and not skipped),
+        "skipped": sum(1 for _, _, skipped, _ in records if skipped),
+    }
+    head = {
         "metadata": {
             "artifact_version": __version__,
             "grammar_version": GRAMMAR_VERSION,
             "schema_version": REPORT_SCHEMA_VERSION,
             "generator": "bosonhopf run",
         },
-        "counts": {
-            "passed": sum(1 for r in rows if r["passed"] and not r["skipped"]),
-            "failed": sum(1 for r in rows
-                          if not r["passed"] and not r["skipped"]),
-            "skipped": sum(1 for r in rows if r["skipped"]),
-        },
-        "reports": rows,
+        "counts": counts,
     }
+    lines = (line for *_, line in records)
     if out_path:
         with open(out_path, "w") as fh:
-            write_report(doc, fh)
+            write_report(head, lines, fh)
     else:
-        write_report(doc, sys.stdout)
-    failed = doc["counts"]["failed"]
-    summary = (f"{doc['counts']['passed']} passed, {failed} failed, "
-               f"{doc['counts']['skipped']} skipped")
-    print(summary, file=sys.stderr)
-    return 1 if failed else 0
+        write_report(head, lines, sys.stdout)
+    print(f"{counts['passed']} passed, {counts['failed']} failed, "
+          f"{counts['skipped']} skipped", file=sys.stderr)
+    return 1 if counts["failed"] else 0
 
 
-def write_report(doc: dict, fh) -> None:
-    """Write the report document as JSON: the header, then one row per line.
+def write_report(head: dict, lines, fh) -> None:
+    """Write the report document as JSON: the header, then the encoded rows
+    ``lines``, one per line, as its ``"reports"`` list.
 
-    Each row is encoded by itself, by one encoder built for the whole
-    document (the C encoder; an indented one takes the pure-Python path),
-    so no string of the whole document is built.  Keys are sorted,
-    ``"reports"`` last.
+    Keys are sorted, ``"reports"`` last; no string of the whole document is
+    built.
     """
-    encode = json.JSONEncoder(sort_keys=True, default=_json_default).encode
-    head = {key: value for key, value in doc.items() if key != "reports"}
-    fh.write(encode(head)[:-1] + ', "reports": [')
+    fh.write(_encode(head)[:-1] + ', "reports": [')
     sep = "\n"
-    for row in doc["reports"]:
-        fh.write(sep + encode(row))
+    for line in lines:
+        fh.write(sep + line)
         sep = ",\n"
     fh.write("\n]}\n")
 
@@ -500,7 +500,14 @@ def _json_default(obj):
         return float(obj)
     if isinstance(obj, np.integer):
         return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
+
+
+# The report encoder: the C encoder, keys sorted (an indented one takes the
+# pure-Python path).
+_encode = json.JSONEncoder(sort_keys=True, default=_json_default).encode
 
 
 # -- subcommand plumbing ------------------------------------------------------

@@ -250,16 +250,19 @@ def _series_r(rep: FockRep, branch: BranchChoice | None, left: _Slot, right: _Sl
     up to ``top`` (every level by default).
 
     Each slot holds images under an algebra map (the rep itself, or Delta),
-    so every term keeps its order: head . (d_l (ad)^l x right factor).
+    so every term keeps its order: head . (d_l (ad)^l x right factor).  The
+    terms are summed in order, each into the running sum's blocks.
     """
     head, series = _series(rep, branch, left, right)
     split = 1 + (left.nt.size > rep.dim)   # a Delta image spans two sites
     left_sites, right_sites = tuple(range(split)), tuple(range(split, sectors.sites))
-    total = None
-    for coeff, dress, raise_l, right_l in series:
-        term = coeff * SectorOperator.gather([(raise_l.scale_rows(dress), left_sites),
-                                              (right_l, right_sites)], sectors, top)
-        total = term if total is None else total + term
+    terms = (coeff * SectorOperator.gather([(raise_l.scale_rows(dress), left_sites),
+                                            (right_l, right_sites)], sectors, top)
+             for coeff, dress, raise_l, right_l in series)
+    total = next(terms)
+    for term in terms:
+        total += term
+        del term   # hold no term while the next one is gathered
     return total.scale_rows(head)
 
 
@@ -359,14 +362,15 @@ def _quasitriangular_rows(r: RMatrix, tables: HopfTables, images: dict,
     return out
 
 
-def _site_pairs(r: RMatrix, sectors, top: int) -> tuple:
-    """R12, R13 and R23 on the three sites of ``sectors``, gathered straight
-    from R's entries on the column sectors up to ``top``."""
+def _site_pairs(r: RMatrix, sectors, top: int, pairs=("12", "13", "23")) -> tuple:
+    """R on each slot pair of ``pairs`` (R12, R13 and R23 by default) of the
+    three sites of ``sectors``, gathered straight from R's entries on the
+    column sectors up to ``top``."""
     eye = np.eye(r.dim)
-    return tuple(SectorOperator.gather(factors, sectors, top=top) for factors in (
-        [(r.matrix, (0, 1)), (eye, (2,))],
-        [(r.matrix, (0, 2)), (eye, (1,))],
-        [(eye, (0,)), (r.matrix, (1, 2))]))
+    factors = {"12": [(r.matrix, (0, 1)), (eye, (2,))],
+               "13": [(r.matrix, (0, 2)), (eye, (1,))],
+               "23": [(eye, (0,)), (r.matrix, (1, 2))]}
+    return tuple(SectorOperator.gather(factors[pair], sectors, top=top) for pair in pairs)
 
 
 def check_ybe(r: RMatrix, tol: float = DEFAULT_R_TOL) -> CheckReport:
@@ -374,14 +378,36 @@ def check_ybe(r: RMatrix, tol: float = DEFAULT_R_TOL) -> CheckReport:
 
     R12, R13 and R23 are gathered on the window's column sectors (total
     level up to dim - 1) only; both triple products and the backward-error
-    scale |R12||R13||R23| are associated right to left.
+    scale |R12||R13||R23| are associated right to left.  The scale is
+    normed first, and each operator is dropped after its last product, so
+    at most five window operators are held at once.
     """
     dim = r.dim
     r12, r13, r23 = _site_pairs(r, level_sectors(dim, 3), dim - 1)
-    lhs, rhs = r12 @ (r13 @ r23), r23 @ (r13 @ r12)
+    scale = spectral_norm(abs(r12) @ (abs(r13) @ abs(r23)), top=dim - 1)
+    lhs = r12 @ (r13 @ r23)
+    r13_r12 = r13 @ r12
+    del r12, r13
+    residual = lhs - r23 @ r13_r12
+    del lhs, r23, r13_r12
     return windowed_row(r.rep.spec, dim, "rmatrix.ybe", "R12 R13 R23 = R23 R13 R12",
-                        lhs - rhs, tol, scale=abs(r12) @ (abs(r13) @ abs(r23)),
+                        residual, tol, scale=scale,
                         family=r.family, branch_note=dict(r.branch_note))
+
+
+def _fusion_row(r: RMatrix, slots: tuple, pairs: tuple, identity: str,
+                reference: str, sectors, tol: float) -> CheckReport:
+    """The fusion row of R on the Delta ``slots`` against the product of R
+    on the slot ``pairs``: only the pairs it uses are gathered, when it is
+    built, and its target and series are dropped once it is normed."""
+    top = r.dim - 1
+    first, second = _site_pairs(r, sectors, top, pairs)
+    target = first @ second
+    del first, second
+    return windowed_row(r.rep.spec, r.dim, identity, reference,
+                        _series_r(r.rep, r.branch, *slots, sectors, top) - target,
+                        tol, scale=target, family=r.family,
+                        branch_note=dict(r.branch_note))
 
 
 def check_r_axioms(r: RMatrix, tables: HopfTables,
@@ -398,16 +424,12 @@ def check_r_axioms(r: RMatrix, tables: HopfTables,
     rep, dim = r.rep, r.dim
     top = dim - 1
     sectors3, sectors2 = level_sectors(dim, 3), level_sectors(dim, 2)
-    r12, r13, r23 = _site_pairs(r, sectors3, top)
     one = _slot(rep, rep.generator)
     delta = _slot(rep, lambda name: terms_operator(tables.delta_terms(name), dim), 2)
-    out = []
-    for slots, tgt, ident, ref in (
-            ((delta, one), r13 @ r23, "rmatrix.fusion-left", "(Delta x id) R = R13 R23"),
-            ((one, delta), r13 @ r12, "rmatrix.fusion-right", "(id x Delta) R = R13 R12")):
-        got = _series_r(rep, r.branch, *slots, sectors3, top)
-        out.append(windowed_row(rep.spec, dim, ident, ref, got - tgt, tol, scale=tgt,
-                                family=r.family, branch_note=dict(r.branch_note)))
+    out = [_fusion_row(r, (delta, one), ("13", "23"), "rmatrix.fusion-left",
+                       "(Delta x id) R = R13 R23", sectors3, tol),
+           _fusion_row(r, (one, delta), ("13", "12"), "rmatrix.fusion-right",
+                       "(id x Delta) R = R13 R12", sectors3, tol)]
     sr = _antipode_r(rep, r.branch, _slot(rep, tables.antipode), one, sectors2, top)
     rop = SectorOperator.gather([(r.matrix, (0, 1))], sectors2, top=top)
     identity = SectorOperator.gather([(np.eye(dim * dim), (0, 1))], sectors2, top=top)

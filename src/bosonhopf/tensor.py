@@ -217,7 +217,8 @@ class SectorOperator:
     holds, and is known on, the column sectors up to its top level only.
     ``@``, ``+``, ``-``, ``abs`` and scalar ``*`` work block by block, on
     sector operators only; a sum of nonzero operators of different shifts
-    raises ValueError.  ``shape`` is the dense shape.
+    raises ValueError.  ``+=`` adds into the left operand's blocks when they
+    hold the sum, as ``+=`` on an ndarray does.  ``shape`` is the dense shape.
     """
 
     sectors: LevelSectors
@@ -278,7 +279,12 @@ class SectorOperator:
         blocks = None
         for mat, slots in factors:
             entries = mat.take(plan.flat_index(slots, sectors.dim))
-            blocks = entries if blocks is None else blocks * entries
+            if blocks is None:
+                blocks = entries
+            elif np.result_type(blocks, entries) == blocks.dtype:
+                blocks *= entries   # the product blocks * entries, in the array take made
+            else:
+                blocks = blocks * entries
         np.putmask(blocks, plan.pad, 0)
         return cls(sectors, shift, blocks)
 
@@ -330,6 +336,16 @@ class SectorOperator:
 
     def __add__(self, other):
         return self._combine(other, np.add)
+
+    def __iadd__(self, other):
+        """``self + other`` written into self's blocks where it fits them
+        (the same shift, padded shape and dtype); ``+`` otherwise."""
+        if (isinstance(other, SectorOperator) and other.shift == self.shift
+                and other.blocks.shape == self.blocks.shape
+                and np.result_type(self.blocks, other.blocks) == self.blocks.dtype):
+            self.blocks += other.blocks
+            return self
+        return NotImplemented
 
     def __sub__(self, other):
         return self._combine(other, np.subtract)

@@ -230,26 +230,77 @@ def test_report_file_matches_the_printed_report(mixed_config, tmp_path, monkeypa
     assert out.read_text() == capsys.readouterr().out
 
 def test_report_file_parses_to_the_report_document(mixed_config, tmp_path, monkeypatch):
-    """The row-per-line report parses to the document run_config built, as
-    the same document dumped in one piece does."""
-    docs = []
-    write = cli.write_report
+    """The row-per-line report parses to the header and, sorted by scenario,
+    suite, identity, params and dim, each job's reports as to_dict() rows
+    plus scenario, suite and wall_time (job times pinned to 0), as the same
+    document dumped in one piece does; the header counts the rows."""
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    jobs, heads = [], []
+    records, write = cli._records, cli.write_report
 
-    def keep(doc, fh):
-        docs.append(doc)
-        write(doc, fh)
+    def keep_reports(scenario, suite, start, reports):
+        jobs.append((scenario.name, suite, reports))
+        return records(scenario, suite, start, reports)
 
-    monkeypatch.setattr(cli, "write_report", keep)
+    def keep_head(head, lines, fh):
+        heads.append(head)
+        write(head, lines, fh)
+
+    monkeypatch.setattr(cli, "_records", keep_reports)
+    monkeypatch.setattr(cli, "write_report", keep_head)
     out = tmp_path / "report.json"
     _run(mixed_config, out)
-    (doc,) = docs
-    assert doc["reports"] and doc["counts"]["skipped"] and doc["counts"]["failed"]
+    rows = [{**rp.to_dict(), "scenario": scenario, "suite": suite, "wall_time": 0.0}
+            for scenario, suite, reports in jobs for rp in reports]
+    rows.sort(key=lambda r: (r["scenario"], r["suite"], r["identity"],
+                             json.dumps(r["params"], sort_keys=True), r["dim"]))
+    (head,) = heads
+    assert head["counts"] == {
+        "passed": sum(r["passed"] and not r["skipped"] for r in rows),
+        "failed": sum(not r["passed"] and not r["skipped"] for r in rows),
+        "skipped": sum(r["skipped"] for r in rows)}
+    assert rows and head["counts"]["skipped"] and head["counts"]["failed"]
     assert json.loads(out.read_text()) == json.loads(
-        json.dumps(doc, default=cli._json_default))
+        json.dumps({**head, "reports": rows}, default=cli._json_default))
     empty = io.StringIO()
-    write({"counts": {}, "metadata": {"v": 1.5 + 2j}, "reports": []}, empty)
+    write({"counts": {}, "metadata": {"v": 1.5 + 2j}}, [], empty)
     assert json.loads(empty.getvalue()) == {
         "counts": {}, "metadata": {"v": {"re": 1.5, "im": 2.0}}, "reports": []}
+
+
+UNENCODABLE_CONFIG = """
+[scenario notes]
+family = B
+alpha = 2
+beta = 1, 2
+dim = 4
+suites = relations, hopf
+"""
+
+
+def test_a_row_the_encoder_cannot_write_becomes_its_jobs_error_row(tmp_path, monkeypatch):
+    """A runner whose row carries a note no JSON encoder writes fails only
+    its own job, as a relations.error row; the run completes and exits 1.
+    A numpy bool in a note is written as a JSON bool."""
+    def runner(scenario, spec, tol):
+        note = object() if spec.beta == 2 else np.bool_(True)
+        return [check_report(spec, scenario.dim, "relations.noted", "a noted row", 0.0,
+                             tol, branch_note={"note": note})]
+
+    monkeypatch.setitem(cli.SUITES["relations"].runners, "B", runner)
+    path, out = tmp_path / "notes.ini", tmp_path / "notes.json"
+    path.write_text(UNENCODABLE_CONFIG)
+    assert _run(path, out) == 1
+    doc = json.loads(out.read_text())
+    rows = {(r["identity"], r["params"]["beta"]): r for r in doc["reports"]
+            if r["suite"] == "relations"}
+    assert set(rows) == {("relations.noted", 1.0), ("relations.error", 2.0)}
+    assert rows["relations.noted", 1.0]["branch_note"] == {"note": True}
+    error = rows["relations.error", 2.0]
+    assert not error["passed"] and "not JSON-serializable: object" in error["branch_note"]["error"]
+    assert doc["counts"]["failed"] == 1
+    assert any(r["suite"] == "hopf" and r["params"]["beta"] == 2.0 and r["passed"]
+               for r in doc["reports"])
 
 
 def test_importing_the_cli_leaves_multiprocessing_out():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -324,6 +325,38 @@ def test_ybe_above_dim_8(family, params):
     report = check_ybe(build_r(build_rep(AlgebraSpec(family, params), 10)))
     assert report.dim == 10
     assert report.passed, report.summary()
+
+
+def _working_set(check) -> float:
+    """The traced peak of a second call to ``check`` (the first builds the
+    level-sector plans and flat indices), in windowed three-site operators
+    at D = 8: complex blocks of shift 0 on the column sectors up to level 7."""
+    check()
+    tracemalloc.start()
+    try:
+        check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (level_sectors(8, 3).plan(0, 8).ok.size * 16)
+
+
+def test_the_r_axioms_hold_only_the_operators_a_row_needs():
+    """check_r_axioms gathers the site pairs of a fusion row when it builds
+    that row, drops them with the row's target and series once it is normed,
+    and sums the series in place: within 8 three-site operators at D = 8
+    (12.5 when all three pairs were held for both rows)."""
+    rep, tables = _setup("Bq", (2, 4, 1.3))
+    r = build_r(rep)
+    assert _working_set(lambda: check_r_axioms(r, tables)) <= 8
+
+
+def test_ybe_holds_each_product_only_until_its_last_use():
+    """check_ybe norms its scale first and drops each pair and partial
+    product after its last use: within 6 three-site operators at D = 8
+    (8.0 when every operand was held to the end)."""
+    r = build_r(build_rep(AlgebraSpec("Bq", (2, 4, 1.3)), 8))
+    assert _working_set(lambda: check_ybe(r)) <= 6
 
 
 # -- R0 and the trivial R -----------------------------------------------------
