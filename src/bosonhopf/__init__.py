@@ -12,7 +12,7 @@ the package (or ``bosonhopf.cli``) loads no module a run does not need.
 from importlib import import_module
 
 __version__ = "0.1.0"
-GRAMMAR_VERSION = "1.0"   # of the expression language in expr
+GRAMMAR_VERSION = "1.1"   # of the expression language in expr
 
 # Each exported name -> the module that defines it.
 _EXPORTS = {

@@ -1,11 +1,20 @@
 """A small expression language for stating operator identities.
 
-Expressions are built from generator atoms (a, ad, N, K, b, bd, M, g, I),
-numeric literals, named parameters (alpha, beta, sigma, tau, delta, nu,
-rho, q), the arithmetic operators + - * and ^k for nonnegative integer k,
-and the builtin forms comm, acomm, tensor, qbracket and phase.  Parsing
-and evaluation are pure; an EvalContext carries the representation and the
-parameter bindings.
+Expressions are built from generator atoms (a, ad, N, K, b, bd, M, g,
+ginv, I), numeric literals, named parameters (alpha, beta, sigma, tau,
+delta, nu, rho, q), the arithmetic operators + - * and ^k for nonnegative
+integer k, and the builtin forms comm, acomm, tensor, qbracket and phase.
+Parsing and evaluation are pure.
+
+Trees compile to straight-line programs (:func:`compile_trees`) that run
+on a table of leaves of either of two kinds.  ``evaluate`` takes the
+generator images of an EvalContext's representation as dense matrices:
+the ``eval`` command, where a sum may mix level shifts (``a + ad``) and
+``tensor`` is a Kronecker product.  The relation rows
+(:func:`fock.relation_residuals`) take given images as sector operators
+(:class:`tensor.SectorOperator`) and run on them the programs of the
+identity corpus (``load_corpus``), the one statement of each family's
+defining relations.  ``^k`` is repeated ``@``.
 
 qbracket and phase are diagonal functional calculus only: every use in the
 identity corpus acts on a diagonal operator, and general matrix functions
@@ -14,16 +23,18 @@ are out of scope.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .fock import FockRep, diag_function
+from .fock import FockRep, diag_function, rep_generator_images
 from .scalars import q_bracket
-from .tensor import kron
+from .tensor import SectorOperator, kron
 
 PARAMETER_NAMES = ("alpha", "beta", "sigma", "tau", "delta", "nu", "rho", "q")
-GENERATOR_ATOMS = ("a", "ad", "N", "K", "b", "bd", "M", "g", "I")
+GENERATOR_ATOMS = ("a", "ad", "N", "K", "b", "bd", "M", "g", "ginv", "I")
 BUILTINS = {"comm": 2, "acomm": 2, "tensor": 2, "qbracket": 2, "phase": 1}
 
 
@@ -303,151 +314,176 @@ def print_expr(e: Expr) -> str:
 
 @dataclass(frozen=True)
 class EvalContext:
+    """The rep whose dense generator images and parameters, with
+    ``bindings`` added or overriding, ``evaluate`` takes as leaves."""
     rep: FockRep
     bindings: dict = field(default_factory=dict)
 
-    def binding(self, name: str) -> complex:
-        if name in self.bindings:
-            return complex(self.bindings[name])
-        params = self.rep.spec.param_dict
-        if name in params:
-            return complex(params[name])
-        raise EvalError(f"unbound parameter {name!r} for family "
-                        f"{self.rep.spec.family}")
-
 
 @dataclass(frozen=True)
-class _Value:
-    """Scalar or n-site matrix intermediate."""
-    data: object
-    sites: int        # 0 for scalars
+class Program:
+    """Trees compiled to straight-line steps over a table of leaves.
 
-    @property
-    def is_scalar(self) -> bool:
-        return self.sites == 0
+    Value 0 is the leaf table: generator images and parameter values by
+    name.  Step i, ``(fn, args)``, computes value i + 1 from the values
+    ``args``; ``outputs`` are the compiled trees' values and ``names`` the
+    leaves they read.  Equal subtrees are computed once, so a product that a
+    residual and its scale both form is formed once.  ``fn`` None is a
+    product of two operators, which :meth:`run` forms reversed with
+    ``anti``.
+    """
+    steps: tuple
+    outputs: tuple
+    names: frozenset
+
+    def run(self, leaves: dict, anti: bool = False) -> list:
+        """The outputs' values: numbers, or operators of the leaves' type."""
+        matmul = _reversed_matmul if anti else operator.matmul
+        values = [leaves]
+        for fn, args in self.steps:
+            values.append((fn or matmul)(*[values[i] for i in args]))
+        return [values[i] for i in self.outputs]
 
 
-def _scalar(z) -> _Value:
-    return _Value(complex(z), 0)
+def _reversed_matmul(x, y):
+    return y @ x
 
 
-def _atom_value(name: str, ctx: EvalContext) -> _Value:
-    if name in PARAMETER_NAMES:
-        return _scalar(ctx.binding(name))
-    if name in GENERATOR_ATOMS:
-        rep = ctx.rep
+def _identity_like(x):
+    eye = np.eye(x.shape[0], dtype=complex)
+    return SectorOperator.from_dense(eye, x.sectors) if isinstance(x, SectorOperator) else eye
+
+
+def _diagonal_map(fn: str, x, values_fn):
+    """``values_fn`` on the diagonal of a diagonal operator: entry by entry
+    on a dense matrix (:func:`fock.diag_function`), on the whole diagonal
+    at once on a sector operator (:meth:`SectorOperator.diagonal_map`)."""
+    if isinstance(x, SectorOperator):
         try:
-            mat = rep.generator(name)
-        except (KeyError, ValueError) as exc:
-            raise EvalError(
-                f"atom {name!r} is not available in family "
-                f"{rep.spec.family}: {exc}") from exc
-        return _Value(np.array(mat, dtype=complex), 1)
-    raise EvalError(f"unknown identifier {name!r}; atoms are "
-                    f"{GENERATOR_ATOMS}, parameters are {PARAMETER_NAMES}")
-
-
-def _combine(op: str, x: _Value, y: _Value) -> _Value:
-    if x.is_scalar and y.is_scalar:
-        if op == "+":
-            return _scalar(x.data + y.data)
-        if op == "-":
-            return _scalar(x.data - y.data)
-        return _scalar(x.data * y.data)
-    if op == "*":
-        if x.is_scalar:
-            return _Value(x.data * y.data, y.sites)
-        if y.is_scalar:
-            return _Value(y.data * x.data, x.sites)
-        if x.sites != y.sites:
-            raise EvalError(f"cannot multiply a {x.sites}-site operator by a "
-                            f"{y.sites}-site operator")
-        return _Value(x.data @ y.data, x.sites)
-    # additive ops require matching arity; a bare scalar is not an operator
-    if x.is_scalar or y.is_scalar:
-        raise EvalError(f"cannot apply {op!r} between a scalar and an "
-                        "operator; multiply the scalar by I first")
-    if x.sites != y.sites:
-        raise EvalError(f"cannot apply {op!r} between a {x.sites}-site and a "
-                        f"{y.sites}-site operator")
-    if op == "+":
-        return _Value(x.data + y.data, x.sites)
-    return _Value(x.data - y.data, x.sites)
-
-
-def _require_diagonal(val: _Value, fn: str) -> np.ndarray:
-    if val.is_scalar:
-        raise EvalError(f"{fn} of a bare scalar: use {fn}(... * I, ...) for "
-                        "an operator result or fold the scalar by hand")
-    mat = val.data
-    off = mat - np.diag(np.diag(mat))
-    if np.count_nonzero(off):
+            return x.diagonal_map(values_fn)
+        except ValueError as exc:
+            raise EvalError(f"{fn} requires a diagonal operator argument") from exc
+    if np.count_nonzero(x - np.diag(np.diag(x))):
         raise EvalError(f"{fn} requires a diagonal operator argument")
-    return mat
+    return diag_function(values_fn, x)
 
 
-def _call(fn: str, args: list, ctx: EvalContext) -> _Value:
-    if fn in ("comm", "acomm"):
-        x, y = args
-        xy = _combine("*", x, y)
-        yx = _combine("*", y, x)
-        return _combine("+" if fn == "acomm" else "-", xy, yx)
-    if fn == "tensor":
-        x, y = args
-        if x.is_scalar or y.is_scalar:
-            raise EvalError("tensor takes two operator arguments")
-        if x.sites != 1 or y.sites != 1:
-            raise EvalError("tensor takes single-site operators")
-        return _Value(kron(x.data, y.data), 2)
-    if fn == "qbracket":
-        val, qv = args
-        if not qv.is_scalar:
-            raise EvalError("the second argument of qbracket must be a scalar")
-        if qv.data.imag != 0:
-            raise EvalError("the deformation base of qbracket must be real")
-        qval = qv.data.real
-        mat = _require_diagonal(val, "qbracket")
-        return _Value(diag_function(lambda v: q_bracket(v, qval), mat),
-                      val.sites)
-    if fn == "phase":
-        (val,) = args
-        if val.is_scalar:
-            return _scalar(np.exp(1j * np.pi * val.data))
-        mat = _require_diagonal(val, "phase")
-        return _Value(diag_function(lambda v: np.exp(1j * np.pi * v), mat),
-                      val.sites)
-    raise EvalError(f"unknown builtin {fn!r}")
+def _qbracket(x, q):
+    if q.imag != 0:
+        raise EvalError("the deformation base of qbracket must be real")
+    return _diagonal_map("qbracket", x, lambda v: q_bracket(v, q.real))
 
 
-def _eval(e: Expr, ctx: EvalContext) -> _Value:
-    if isinstance(e, Num):
-        return _scalar(e.value)
-    if isinstance(e, Name):
-        return _atom_value(e.ident, ctx)
-    if isinstance(e, Neg):
-        inner = _eval(e.operand, ctx)
-        return _Value(-inner.data if inner.is_scalar else -1.0 * inner.data,
-                      inner.sites)
-    if isinstance(e, BinOp):
-        return _combine(e.op, _eval(e.left, ctx), _eval(e.right, ctx))
-    if isinstance(e, Pow):
-        base = _eval(e.base, ctx)
-        if base.is_scalar:
-            return _scalar(base.data ** e.exponent)
-        return _Value(np.linalg.matrix_power(base.data, e.exponent),
-                      base.sites)
-    if isinstance(e, Call):
-        return _call(e.fn, [_eval(a, ctx) for a in e.args], ctx)
-    raise TypeError(f"not an expression node: {e!r}")
+class _Compiler:
+    """Emits the steps of a :class:`Program`, checking operand kinds as it
+    goes: ``sites[i]`` is 0 for a scalar value and otherwise the value's
+    site count, in units of the leaves' own."""
+
+    def __init__(self):
+        self.steps, self.sites, self.index, self.names = [], [None], {}, set()
+
+    def emit(self, key, sites: int, fn, *args) -> int:
+        """The value ``key``, computed by ``fn`` from the values ``args``; one step per key."""
+        i = self.index.get(key)
+        if i is None:
+            self.steps.append((fn, args))
+            self.sites.append(sites)
+            i = self.index[key] = len(self.steps)
+        return i
+
+    def combine(self, op: str, a: int, b: int) -> int:
+        sa, sb = self.sites[a], self.sites[b]
+        if op == "*" and sa and sb:
+            if sa != sb:
+                raise EvalError(f"cannot multiply a {sa}-site operator by a "
+                                f"{sb}-site operator")
+            return self.emit(("*", a, b), sa, None, a, b)
+        if op == "*":   # a scalar factor multiplies from the left
+            return self.emit(("*", a, b), sa or sb,
+                             (lambda x, y: y * x) if sa else operator.mul, a, b)
+        # additive ops require matching arity; a bare scalar is not an operator
+        if bool(sa) != bool(sb):
+            raise EvalError(f"cannot apply {op!r} between a scalar and an "
+                            "operator; multiply the scalar by I first")
+        if sa != sb:
+            raise EvalError(f"cannot apply {op!r} between a {sa}-site and a "
+                            f"{sb}-site operator")
+        return self.emit((op, a, b), sa, operator.add if op == "+" else operator.sub, a, b)
+
+    def __call__(self, e: Expr) -> int:
+        if isinstance(e, Num):
+            return self.emit(e, 0, lambda value=complex(e.value): value)
+        if isinstance(e, Name):
+            self.names.add(e.ident)
+            if e.ident in PARAMETER_NAMES:
+                return self.emit(e, 0, lambda leaves, name=e.ident: complex(leaves[name]), 0)
+            return self.emit(e, 1, operator.itemgetter(e.ident), 0)
+        if isinstance(e, Neg):
+            a = self(e.operand)
+            return self.emit(("neg", a), self.sites[a],
+                             (lambda x: -1.0 * x) if self.sites[a] else operator.neg, a)
+        if isinstance(e, BinOp):
+            return self.combine(e.op, self(e.left), self(e.right))
+        if isinstance(e, Pow):
+            a, k = self(e.base), e.exponent
+            if not self.sites[a]:
+                return self.emit(("^", a, k), 0, lambda x: x ** k, a)
+            if k == 0:
+                return self.emit(("^", a, 0), self.sites[a], _identity_like, a)
+            out = a
+            for _ in range(k - 1):
+                out = self.combine("*", out, a)
+            return out
+        if isinstance(e, Call):
+            return self.call(e.fn, [self(arg) for arg in e.args])
+        raise TypeError(f"not an expression node: {e!r}")
+
+    def call(self, fn: str, args: list) -> int:
+        sites = [self.sites[a] for a in args]
+        if fn in ("comm", "acomm"):
+            a, b = args
+            return self.combine("+" if fn == "acomm" else "-",
+                                self.combine("*", a, b), self.combine("*", b, a))
+        if fn == "tensor":   # dense operands only: the eval path
+            if 0 in sites:
+                raise EvalError("tensor takes two operator arguments")
+            if sites != [1, 1]:
+                raise EvalError("tensor takes single-site operators")
+            return self.emit((fn, *args), 2, kron, *args)
+        if fn == "phase":
+            (a,) = args
+            if not sites[0]:
+                return self.emit((fn, a), 0, lambda x: np.exp(1j * np.pi * x), a)
+            return self.emit((fn, a), sites[0], lambda x: _diagonal_map(
+                fn, x, lambda v: np.exp(1j * np.pi * v)), a)
+        if fn == "qbracket":
+            if not sites[0]:
+                raise EvalError("qbracket of a bare scalar: use qbracket(... * I, ...) "
+                                "for an operator result or fold the scalar by hand")
+            if sites[1]:
+                raise EvalError("the second argument of qbracket must be a scalar")
+            return self.emit((fn, *args), sites[0], _qbracket, *args)
+        raise EvalError(f"unknown builtin {fn!r}")
+
+
+def compile_trees(*trees: Expr) -> Program:
+    """One program computing every tree on the same leaves."""
+    compiler = _Compiler()
+    outputs = tuple(compiler(tree) for tree in trees)
+    return Program(tuple(compiler.steps), outputs, frozenset(compiler.names))
 
 
 def evaluate(e: Expr, ctx: EvalContext) -> np.ndarray:
-    """Evaluates to a matrix; a purely scalar expression is promoted to a
-    multiple of the single-site identity."""
-    val = _eval(e, ctx)
-    if val.is_scalar:
-        return val.data * ctx.rep.identity
-    return val.data
+    """Evaluates to a dense matrix; a purely scalar expression is promoted
+    to a multiple of the single-site identity."""
+    program = compile_trees(e)
+    leaves = {**ctx.rep.spec.param_dict, **ctx.bindings, **rep_generator_images(ctx.rep)}
+    missing = sorted(program.names - leaves.keys())
+    if missing:
+        raise EvalError(f"family {ctx.rep.spec.family} has no generator or bound "
+                        f"parameter {', '.join(missing)}")
+    (value,) = program.run(leaves)   # a copy: the value may be one of the rep's own images
+    return value * ctx.rep.identity if np.isscalar(value) else np.array(value, dtype=complex)
 
 
 def evaluate_text(text: str, ctx: EvalContext) -> np.ndarray:
@@ -458,26 +494,34 @@ def evaluate_text(text: str, ctx: EvalContext) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorpusEntry:
+    """One defining relation, ``family.ident``: its residual ``tree``
+    (written ``text``) vanishes on the validity window of ``raise_degree``
+    and is normed over max(1, the norm of ``scale``); ``program`` computes
+    both."""
     family: str
+    ident: str
     raise_degree: int
     text: str
     tree: Expr
+    scale: Expr
+    program: Program
 
 
-def load_corpus() -> list:
-    """The checked-in defining-relation corpus, parsed."""
+def corpus_entry(line: str) -> CorpusEntry:
+    """The relation a corpus line states: ``family ; id ; degree ; residual ; scale``."""
+    parts = [p.strip() for p in line.split(";")]
+    if len(parts) != 5:
+        raise ValueError(f"expected 'family ; id ; degree ; residual ; scale', got {line!r}")
+    family, ident, degree, text, scale = parts
+    tree, scale_tree = parse(text), parse(scale)
+    return CorpusEntry(family, ident, int(degree), text, tree, scale_tree,
+                       compile_trees(tree, scale_tree))
+
+
+@lru_cache(maxsize=None)
+def load_corpus() -> tuple:
+    """The checked-in defining-relation corpus, parsed and compiled once per process."""
     from importlib import resources
     raw = (resources.files("bosonhopf") / "data" / "identities.txt").read_text()
-    entries = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(";", 2)]
-        if len(parts) != 3:
-            raise ValueError(f"identities.txt line {lineno}: expected "
-                             "'family ; degree ; expression'")
-        family, degree, text = parts
-        entries.append(CorpusEntry(family=family, raise_degree=int(degree),
-                                   text=text, tree=parse(text)))
-    return entries
+    lines = (line.strip() for line in raw.splitlines())
+    return tuple(corpus_entry(line) for line in lines if line and not line.startswith("#"))

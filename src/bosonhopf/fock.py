@@ -1,14 +1,10 @@
 """Truncated Fock-space matrix representations of the five algebra families.
 
-Families and defining relations (g denotes the grade element, a diagonal
-phase that anticommutes with both ladder operators):
-
-  B      {a, ad} = alpha*N + beta,        [N, a] = -a, [N, ad] = ad
-  Bbar   [a, ad]  = sigma*N + tau,        same N relations
-  Bq     {a, ad} = [alpha*N + beta]_q,    same N relations
-  Bbarq  [a, ad]  = [sigma*N + tau]_q,    same N relations
-  H      [b, bd]  = delta + nu*K,         {K, b} = {K, bd} = 0,
-         with M = bd*b/delta + nu*K/(2*delta) + rho satisfying [M, b] = -b.
+The families B, Bbar, Bq, Bbarq and H are stated by their defining
+relations, written once in the identity corpus ``data/identities.txt``;
+g denotes the grade element, a diagonal phase that anticommutes with both
+ladder operators, and H's number generator is
+M = bd*b/delta + nu*K/(2*delta) + rho.
 
 Operators live on span{|0>, ..., |D-1>} with a hard cutoff: raising maps the
 top level to zero.  Operator identities are therefore only asserted on
@@ -314,95 +310,36 @@ def _sector_operator(x, sectors: LevelSectors) -> SectorOperator:
 
 def relation_residuals(spec: AlgebraSpec, gens: dict, sectors: LevelSectors,
                        anti: bool = False) -> list:
-    """Defining-relation residual operators evaluated on arbitrary generator images.
+    """The family's defining relations, the lines of the identity corpus
+    (``data/identities.txt``), evaluated on arbitrary generator images.
 
     ``gens`` maps generator names to square matrices (or sector operators)
-    of a common size (any site count); "I" must be present.  With ``anti``
-    the products are reversed, which is the form the relations take after an
-    anti-homomorphism such as the antipode.  Grade relations are included
-    only when "g" is present.  Returns (identity id, reference, residual,
-    raise degree, scale); residual norms are reported relative to
-    max(1, scale) because q-bracket entries grow exponentially with the
-    level and double precision cannot deliver small absolute residuals
-    against huge operands.
+    of a common size (any site count); "I" must be present.  A line that
+    names an image ``gens`` lacks is left out (the grade relations without
+    "g").  With ``anti`` the products are reversed, the form the relations
+    take after an anti-homomorphism such as the antipode.  The parameters
+    are the spec's.  Returns (identity id, reference, residual, raise
+    degree, scale) per line: the reference is the line's residual set to
+    zero and the scale the norm of its scale operator (or a number's
+    modulus).  Norms are reported relative to max(1, scale) because
+    q-bracket entries grow exponentially with the level and double
+    precision cannot deliver small absolute residuals against huge operands.
 
     ``sectors`` is the level-sector index of the images' space.  Each image
-    is taken as its sector operator (:class:`tensor.SectorOperator`), so
-    products, sums and norms run on its sector blocks and a residual comes
-    back as one; an image whose entries mix level shifts is refused.  Each
-    product is formed once, and a scale is the norm of a product its
-    residual already uses.
+    is taken as its sector operator (:class:`tensor.SectorOperator`), so a
+    residual comes back as one; an image whose entries mix level shifts is
+    refused.  Each product of two images is formed once (:class:`expr.Program`).
     """
-    ops = {name: _sector_operator(x, sectors) for name, x in gens.items()}
-    eye = ops["I"]
-
-    def nrm(x) -> float:
-        return spectral_norm(x, sectors=sectors)
-
-    def mul(x, y):
-        """x y of the images named x and y (y x with ``anti``)."""
-        return ops[y] @ ops[x] if anti else ops[x] @ ops[y]
-
-    def cm(x, y):
-        """([x, y], x y): the commutator and its first product."""
-        xy = mul(x, y)
-        return xy - mul(y, x), xy
-
-    def ac(x, y):
-        """({x, y}, x y): the anticommutator and its first product."""
-        xy = mul(x, y)
-        return xy + mul(y, x), xy
-
-    fam = spec.family
+    from .expr import load_corpus   # loaded by the first relation row
+    leaves = {**spec.param_dict,
+              **{name: _sector_operator(x, sectors) for name, x in gens.items()}}
     out = []
-
-    def add(ident, ref, mat, deg, scale=1.0):
-        out.append((ident, ref, mat, deg, scale))
-
-    if fam == "H":
-        b, bd, k = ops["b"], ops["bd"], ops["K"]
-        d, nu = spec.delta, spec.nu
-        res, p = cm("b", "bd")
-        add("H.ladder", "[b,bd] = delta + nu*K", res - d * eye - nu * k, 1, nrm(p))
-        res, p = ac("K", "b")
-        add("H.reflection-low", "{K,b} = 0", res, 0, nrm(p))
-        res, p = ac("K", "bd")
-        add("H.reflection-raise", "{K,bd} = 0", res, 1, nrm(p))
-        res, p = cm("M", "b")
-        add("H.number-low", "[M,b] = -b", res + b, 0, nrm(p))
-        res, p = cm("M", "bd")
-        add("H.number-raise", "[M,bd] = bd", res - bd, 1, nrm(p))
-        res, p = cm("K", "M")
-        add("H.reflection-number", "[K,M] = 0", res, 0, nrm(p))
-    else:
-        a, ad, n = ops["a"], ops["ad"], ops["N"]
-        if fam in ("B", "Bq"):
-            c1, c2 = spec.alpha, spec.beta
-            bracket, label = ac, "{a,ad}"
-        else:
-            c1, c2 = spec.sigma, spec.tau
-            bracket, label = cm, "[a,ad]"
-        if spec.is_deformed:
-            rhs = n.diagonal_map(lambda v: q_bracket(c1 * v + c2, spec.q))
-            ref = f"{label} = [{c1:g}*N + {c2:g}]_q"
-        else:
-            rhs = c1 * n + c2 * eye
-            ref = f"{label} = {c1:g}*N + {c2:g}"
-        add(f"{fam}.ladder", ref, bracket("a", "ad")[0] - rhs, 1, nrm(rhs))
-        res, p = cm("N", "a")
-        add(f"{fam}.number-low", "[N,a] = -a", res + a, 0, nrm(p))
-        res, p = cm("N", "ad")
-        add(f"{fam}.number-raise", "[N,ad] = ad", res - ad, 1, nrm(p))
-    if "g" in gens:
-        lo, ra = ("b", "bd") if fam == "H" else ("a", "ad")
-        add(f"{fam}.grade-low", f"{{g,{lo}}} = 0", ac("g", lo)[0], 0, nrm(ops[lo]))
-        add(f"{fam}.grade-raise", f"{{g,{ra}}} = 0", ac("g", ra)[0], 1, nrm(ops[ra]))
-        num = "M" if fam == "H" else "N"
-        add(f"{fam}.grade-number", "[g,N] = 0", cm("g", num)[0], 0, nrm(ops[num]))
-        if "ginv" in gens:
-            add(f"{fam}.grade-inverse", "g * g^-1 = I", mul("g", "ginv") - eye, 0)
-        if fam == "H":
-            add("H.grade-reflection", "[g,K] = 0", cm("g", "K")[0], 0, nrm(k))
+    for entry in load_corpus():
+        if entry.family == spec.family and entry.program.names <= leaves.keys():
+            residual, scale = entry.program.run(leaves, anti)
+            out.append((f"{entry.family}.{entry.ident}", f"{entry.text} = 0", residual,
+                        entry.raise_degree,
+                        abs(scale) if np.isscalar(scale) else spectral_norm(scale)))
     return out
 
 

@@ -192,6 +192,7 @@ class HopfTables:
         self.rep = rep
         self.spec = spec
         self.atoms: dict[str, Atom] = {}
+        self._delta_images = {}
         self._build_atoms()
 
     # -- construction --------------------------------------------------------
@@ -317,6 +318,23 @@ class HopfTables:
         terms = self.atom(name).delta
         return [Term(t.coeff, t.words[::-1]) for t in terms] if transpose else terms
 
+    def delta_image(self, name: str, transpose: bool = False) -> SectorOperator:
+        """Delta(name), or Delta^T, as a two-site sector operator gathered
+        from its Sweedler terms (:func:`terms_operator`) once per tables and
+        terms: a changed coefficient, or another atom in a word, gathers it
+        anew.  Its blocks are read-only, since every row of the point shares
+        it."""
+        terms = self.delta_terms(name, transpose)
+        # atoms by identity; the held terms keep them, and so their ids, alive
+        signature = [(t.coeff, [[id(atom) for atom in word] for word in t.words])
+                     for t in terms]
+        held = self._delta_images.get((name, transpose))
+        if held is None or held[0] != signature:
+            image = terms_operator(terms, self.rep.dim)
+            image.blocks.flags.writeable = False
+            held = self._delta_images[name, transpose] = (signature, image, terms)
+        return held[1]
+
     def delta_matrix(self, name: str) -> np.ndarray:
         return terms_matrix(self.delta_terms(name), self.rep.dim)
 
@@ -406,13 +424,12 @@ class HopfTables:
         each row on the window of its relation's raise degree, as
         :func:`fock.check_defining_relations` norms it.
 
-        The Delta images are sector operators gathered from their Sweedler
-        terms (:func:`terms_operator`); no dense two-site image is formed.
-        An image that mixes level shifts is refused.
+        The Delta images are the tables' sector operators
+        (:meth:`delta_image`); no dense two-site image is formed.  An image
+        that mixes level shifts is refused.
         """
         dim = self.rep.dim
-        delta_gens = {name: terms_operator(self.delta_terms(name), dim)
-                      for name in self.generator_names()}
+        delta_gens = {name: self.delta_image(name) for name in self.generator_names()}
         delta_gens["I"] = terms_operator([Term(1.0, ((), ()))], dim)
         s_gens = {name: self.antipode(name) for name in self.generator_names()}
         s_gens["I"] = self.rep.identity

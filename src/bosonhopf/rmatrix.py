@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import FockRep, RepresentationError, SpecError, _sector_operator, build_rep
-from .hopf import HopfTables, terms_operator
+from .hopf import HopfTables
 from .report import CheckReport, check_report, windowed_row
 from .scalars import bracket_factorial, phase_pow
 from .tensor import SectorOperator, level_sectors, spectral_norm
@@ -244,6 +244,15 @@ def _series(rep: FockRep, branch: BranchChoice | None, left: _Slot, right: _Slot
             _ladder_series(rep, branch, left, right))
 
 
+def _scaled(coeff, op: SectorOperator) -> SectorOperator:
+    """``coeff * op`` for a freshly gathered ``op``: written into its blocks
+    in the same operand order when their dtype holds the product."""
+    if np.result_type(coeff, op.blocks) != op.blocks.dtype:
+        return coeff * op
+    np.multiply(coeff, op.blocks, out=op.blocks)
+    return op
+
+
 def _series_r(rep: FockRep, branch: BranchChoice | None, left: _Slot, right: _Slot,
               sectors, top: int | None = None) -> SectorOperator:
     """R on the slots' images, gathered on the column sectors of ``sectors``
@@ -256,8 +265,8 @@ def _series_r(rep: FockRep, branch: BranchChoice | None, left: _Slot, right: _Sl
     head, series = _series(rep, branch, left, right)
     split = 1 + (left.nt.size > rep.dim)   # a Delta image spans two sites
     left_sites, right_sites = tuple(range(split)), tuple(range(split, sectors.sites))
-    terms = (coeff * SectorOperator.gather([(raise_l.scale_rows(dress), left_sites),
-                                            (right_l, right_sites)], sectors, top)
+    terms = (_scaled(coeff, SectorOperator.gather([(raise_l.scale_rows(dress), left_sites),
+                                                   (right_l, right_sites)], sectors, top))
              for coeff, dress, raise_l, right_l in series)
     total = next(terms)
     for term in terms:
@@ -281,7 +290,8 @@ def _antipode_r(rep: FockRep, branch: BranchChoice | None, left: _Slot,
     total = None
     for coeff, dress, raise_l, right_l in series:
         middle = (dress[:, None] * head.reshape(dim, dim)).reshape(-1)
-        right_op = coeff * SectorOperator.gather([(eye, (0,)), (right_l, (1,))], sectors, top)
+        right_op = _scaled(coeff, SectorOperator.gather([(eye, (0,)), (right_l, (1,))],
+                                                        sectors, top))
         term = (SectorOperator.gather([(raise_l, (0,)), (eye, (1,))], sectors, top=top)
                 @ right_op.scale_rows(middle))
         total = term if total is None else total + term
@@ -330,33 +340,21 @@ def build_r(rep: FockRep, branch: BranchChoice | None = None) -> RMatrix:
                    rep=rep, branch=branch)
 
 
-def _delta_images(tables: HopfTables) -> dict:
-    """Delta and Delta^T of each generator, gathered from the tables'
-    Sweedler terms as two-site sector operators."""
-    dim = tables.rep.dim
-    return {name: (terms_operator(tables.delta_terms(name), dim),
-                   terms_operator(tables.delta_terms(name, transpose=True), dim))
-            for name in tables.generator_names()}
-
-
 def check_quasitriangularity(r: RMatrix, tables: HopfTables,
                              tol: float = DEFAULT_R_TOL) -> list:
-    """Per generator: windowed residual of Delta^T(g) R - R Delta(g)."""
-    return _quasitriangular_rows(r, tables, _delta_images(tables), tol)
-
-
-def _quasitriangular_rows(r: RMatrix, tables: HopfTables, images: dict,
-                          tol: float) -> list:
-    """The rows on given :func:`_delta_images`, which a branch scan gathers once."""
+    """Per generator: windowed residual of Delta^T(g) R - R Delta(g), on the
+    tables' Delta images (:meth:`HopfTables.delta_image`), which a branch
+    scan therefore gathers once."""
     dim = r.dim
     if tables.rep.dim != dim:
         raise SpecError("R-matrix and Hopf tables disagree on the dimension")
     rop = _sector_operator(r.matrix, level_sectors(dim, 2))
     out = []
-    for name, (delta, delta_t) in images.items():
-        r_delta = rop @ delta
+    for name in tables.generator_names():
+        r_delta = rop @ tables.delta_image(name)
         out.append(windowed_row(r.rep.spec, dim, f"rmatrix.quasitriangular.{name}",
-                                "Delta^T(g) R = R Delta(g)", delta_t @ rop - r_delta,
+                                "Delta^T(g) R = R Delta(g)",
+                                tables.delta_image(name, transpose=True) @ rop - r_delta,
                                 tol, 1, r_delta, family=r.family,
                                 branch_note=dict(r.branch_note)))
     return out
@@ -425,7 +423,7 @@ def check_r_axioms(r: RMatrix, tables: HopfTables,
     top = dim - 1
     sectors3, sectors2 = level_sectors(dim, 3), level_sectors(dim, 2)
     one = _slot(rep, rep.generator)
-    delta = _slot(rep, lambda name: terms_operator(tables.delta_terms(name), dim), 2)
+    delta = _slot(rep, tables.delta_image, 2)
     out = [_fusion_row(r, (delta, one), ("13", "23"), "rmatrix.fusion-left",
                        "(Delta x id) R = R13 R23", sectors3, tol),
            _fusion_row(r, (one, delta), ("13", "12"), "rmatrix.fusion-right",
@@ -444,8 +442,8 @@ def check_trivial_r(tables: HopfTables, tol: float = 1e-12) -> CheckReport:
     """R = I x I intertwines coproducts that are symmetric under the slot swap:
     the largest norm of Delta^T(g) - Delta(g)."""
     dim = tables.rep.dim
-    worst = max(spectral_norm(terms_operator(tables.delta_terms(name, transpose=True), dim)
-                              - terms_operator(tables.delta_terms(name), dim))
+    worst = max(spectral_norm(tables.delta_image(name, transpose=True)
+                              - tables.delta_image(name))
                 for name in tables.generator_names())
     return check_report(tables.spec, dim, "rmatrix.trivial",
                         "Delta^T = Delta, so R = I x I is quasitriangular",
@@ -472,12 +470,11 @@ def diagnose_branches(rep: FockRep, tables: HopfTables,
     Returns (rows, table) where rows is a list of (BranchChoice, residual)
     sorted best first and table is a printable diagnosis.
     """
-    images = _delta_images(tables)
     rows = []
     for branch in branch_lattice(rep.spec.family):
         try:
             r = build_r(rep, branch=branch)
-            reports = _quasitriangular_rows(r, tables, images, tol)
+            reports = check_quasitriangularity(r, tables, tol)
             worst = max(rep_.residual for rep_ in reports)
         except (SpecError, RepresentationError) as exc:
             worst = float("inf")

@@ -97,7 +97,7 @@ def check_L_properties(elem: StructureElement, rep: FockRep,
     # Delta(L+) homomorphically from the generators' coproducts, against its
     # closed form as a Sweedler sum: both are two-site sector operators
     dim = rep.dim
-    delta = {name: terms_operator(tables.delta_terms(name), dim) for name in ("a", "ad", "N", "g")}
+    delta = {name: tables.delta_image(name) for name in ("a", "ad", "N", "g")}
     one = terms_operator([Term(1.0, ((), ()))], dim)
     hom = (lam1 * delta["ad"] @ delta["a"] + lam2 * delta["N"] + lam3 * one
            + lam4 * delta["g"])

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bosonhopf import AlgebraSpec, build_rep, check_defining_relations, weight
+from bosonhopf import expr as ex
 from bosonhopf.fock import (RepresentationError, SpecError, acomm, comm,
                             diag_function, rep_generator_images, windowed_norm)
 from bosonhopf.tensor import total_window_projector
@@ -197,3 +200,61 @@ def test_diag_function_threshold_is_relative_to_the_diagonal():
     small[0, 1] = 1e-11
     with pytest.raises(ValueError):
         diag_function(lambda v: v, small)
+
+
+# -- the relation rows read the identity corpus --------------------------------
+
+RELATION_CONTROLS = [("B", (2, 3)), ("Bq", (2, 4, 1.3)), ("H", (1, 2, 0.25))]
+
+
+def test_every_relation_row_is_a_corpus_line():
+    """The corpus states all 39 relations, and each family's relation rows
+    are its lines in order: id, window degree and reference."""
+    corpus = ex.load_corpus()
+    assert len(corpus) == 39
+    for family, params in FULL_GRID:
+        rows = check_defining_relations(build_rep(AlgebraSpec(family, params), 8))
+        lines = [e for e in corpus if e.family == family]
+        assert [(r.identity, r.window_degree, r.reference) for r in rows] == [
+            (f"relations.{family}.{e.ident}", e.raise_degree, f"{e.text} = 0")
+            for e in lines]
+
+
+def test_h_grade_number_names_m():
+    """H's number generator is M, and its grade-number row says so."""
+    rows = {r.identity: r for r in check_defining_relations(
+        build_rep(AlgebraSpec("H", (1, 2, 0.25)), 8))}
+    assert rows["relations.H.grade-number"].reference == "comm(g, M) = 0"
+    assert rows["relations.H.grade-number"].passed
+
+
+@pytest.mark.parametrize("family, params", RELATION_CONTROLS)
+def test_relation_rows_see_a_perturbed_image(family, params):
+    """Negative control: the lowering image scaled by 1 + 1e-6 breaches the
+    family's ladder row at D = 8."""
+    rep = build_rep(AlgebraSpec(family, params), 8)
+    assert all(r.passed for r in check_defining_relations(rep))
+    bad = dataclasses.replace(rep, lowering=rep.lowering * (1 + 1e-6))
+    failed = [r.identity for r in check_defining_relations(bad) if not r.passed]
+    assert f"relations.{family}.ladder" in failed, failed
+
+
+# each family's ladder line with the sign of its right-hand side flipped
+FLIPPED_LADDERS = {
+    "B": "B ; ladder ; 1 ; acomm(a, ad) + (alpha*N + beta*I) ; alpha*N + beta*I",
+    "Bq": "Bq ; ladder ; 1 ; acomm(a, ad) + qbracket(alpha*N + beta*I, q) ; "
+          "qbracket(alpha*N + beta*I, q)",
+    "H": "H ; ladder ; 1 ; comm(b, bd) + delta*I + nu*K ; b*bd"}
+
+
+@pytest.mark.parametrize("family, params", RELATION_CONTROLS)
+def test_relation_rows_come_from_the_corpus(monkeypatch, family, params):
+    """Negative control: the family's ladder line with the sign of its
+    right-hand side flipped breaches its row, and only that row."""
+    flipped = ex.corpus_entry(FLIPPED_LADDERS[family])
+    corpus = tuple(flipped if (e.family, e.ident) == (family, "ladder") else e
+                   for e in ex.load_corpus())
+    monkeypatch.setattr(ex, "load_corpus", lambda: corpus)
+    rep = build_rep(AlgebraSpec(family, params), 8)
+    failed = [r.identity for r in check_defining_relations(rep) if not r.passed]
+    assert failed == [f"relations.{family}.ladder"]

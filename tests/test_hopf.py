@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bosonhopf import AlgebraSpec, build_rep, build_tables, check_defining_relations
+from bosonhopf import AlgebraSpec, build_rep, build_tables, check_defining_relations, hopf
 from bosonhopf.fock import RepresentationError, windowed_norm
 from bosonhopf.hopf import (Atom, Term, expand_slot, normal_form, terms_matrix,
                             terms_operator, word_image)
@@ -354,3 +354,43 @@ def test_bq_large_weight_antipode_passes():
     tb = _tables("Bq", (4, 8, 0.7), 10)
     report = next(r for r in tb.check_antipode(1e-10) if r.identity == "hopf.antipode.ad")
     assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("family, params", CONTRACTION_CONTROLS)
+def test_s_antihom_rows_see_a_perturbed_antipode(family, params):
+    """Negative control: the antipode image of the lowering generator (a, or
+    b on H) scaled by 1 + 1e-6 breaches the family's s-antihom ladder row."""
+    tb = _tables(family, params)
+    assert all(r.passed for r in tb.check_delta_homomorphism(1e-10))
+    atom = tb.atom("b" if family == "H" else "a")
+    atom.s = atom.s * (1 + 1e-6)
+    failed = [r.identity for r in tb.check_delta_homomorphism(1e-10) if not r.passed]
+    assert f"hopf.s-antihom.{family}.ladder" in failed, failed
+    assert all(i.startswith("hopf.s-antihom.") for i in failed), failed
+
+
+def test_delta_image_is_gathered_once_per_sweedler_sum(monkeypatch):
+    """Each Delta and Delta^T image is gathered once and shared read-only,
+    bit-identical to its terms' sector operator; a changed coefficient
+    gathers it anew."""
+    tb = _tables("Bq", (2, 4, 1.3))
+    calls = []
+    gather = hopf.terms_operator
+
+    def spy(*args):
+        calls.append(args)
+        return gather(*args)
+
+    monkeypatch.setattr(hopf, "terms_operator", spy)
+    for name in tb.generator_names():
+        for transpose in (False, True):
+            image = tb.delta_image(name, transpose)
+            assert tb.delta_image(name, transpose) is image
+            assert not image.blocks.flags.writeable
+            assert np.array_equal(
+                image.blocks, gather(tb.delta_terms(name, transpose), tb.rep.dim).blocks)
+    assert len(calls) == 2 * len(tb.generator_names())
+    old = tb.delta_image("a")
+    tb.atom("a").delta[0].coeff *= 1 + 1e-6
+    assert tb.delta_image("a") is not old
+    assert len(calls) == 2 * len(tb.generator_names()) + 1

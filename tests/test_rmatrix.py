@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bosonhopf import AlgebraSpec, build_rep, build_tables, rmatrix
+from bosonhopf import AlgebraSpec, build_rep, build_tables, hopf
 from bosonhopf.fock import RepresentationError, SpecError
 from bosonhopf.hopf import Term
 from bosonhopf.rmatrix import (BBARQ_DEFAULT, BBARQ_PRINTED, BQ_DEFAULT,
@@ -90,16 +90,16 @@ def test_bbarq_default_branch_is_unique_passer():
 def test_branch_scan_gathers_the_delta_images_once(monkeypatch):
     """A branch scan gathers Delta and Delta^T of each generator once, not once
     per branch: 10 terms_operator calls for the five generators of Bq, over
-    all 32 branches."""
+    all 32 branches (HopfTables.delta_image holds them)."""
     rep, tables = _setup("Bq", (2, 4, 1.3))
     calls = []
-    gather = rmatrix.terms_operator
+    gather = hopf.terms_operator
 
     def spy(*args, **kwargs):
         calls.append(args)
         return gather(*args, **kwargs)
 
-    monkeypatch.setattr(rmatrix, "terms_operator", spy)
+    monkeypatch.setattr(hopf, "terms_operator", spy)
     rows, _ = diagnose_branches(rep, tables)
     assert len(rows) == 32
     assert len(calls) == 10
