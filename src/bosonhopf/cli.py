@@ -82,8 +82,7 @@ class Suite:
         if spec.family not in self.runners:
             return self.skip_reason
         if self.parity_head and spec.family in PARITY_HEAD_FAMILIES:
-            shift = spec.grade_shift
-            if shift is None or not float(shift).is_integer():
+            if not float(spec.grade_shift).is_integer():
                 return PARITY_HEAD_SKIP
         return ""
 
@@ -270,6 +269,9 @@ class ScenarioConfig:
 
 
 _SCENARIO_SCALARS = {"dim": int, "tol": float}
+# every family's parameter names: a config key that names one is a parameter
+# grid, ignored with a warning in a scenario of another family
+_PARAMETERS = frozenset(itertools.chain.from_iterable(PARAM_NAMES.values()))
 
 
 def _number(convert, text: str, where: str):
@@ -336,8 +338,7 @@ def parse_config(path: str) -> ScenarioConfig:
                                       f"unknown suite {suite!r}")
                 scen.suite_tols[suite] = _number(float, value, f"[{section}] {key}")
                 _check_tol(scen.suite_tols[suite], f"[{section}] {key}")
-            elif key in ("alpha", "beta", "sigma", "tau", "delta", "nu",
-                         "rho", "q"):
+            elif key in _PARAMETERS:
                 values = [_number(float, v.strip(), f"[{section}] {key}")
                           for v in value.split(",")]
                 if key not in PARAM_NAMES[family]:

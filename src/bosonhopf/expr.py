@@ -368,6 +368,14 @@ def _diagonal_map(fn: str, x, values_fn):
     return diag_function(values_fn, x)
 
 
+def _tensor(x, y):
+    """The Kronecker product of two dense single-site images."""
+    if isinstance(x, SectorOperator) or isinstance(y, SectorOperator):
+        raise EvalError("tensor takes the dense images of eval only, "
+                        "not sector operators")
+    return kron(x, y)
+
+
 def _qbracket(x, q):
     if q.imag != 0:
         raise EvalError("the deformation base of qbracket must be real")
@@ -449,7 +457,7 @@ class _Compiler:
                 raise EvalError("tensor takes two operator arguments")
             if sites != [1, 1]:
                 raise EvalError("tensor takes single-site operators")
-            return self.emit((fn, *args), 2, kron, *args)
+            return self.emit((fn, *args), 2, _tensor, *args)
         if fn == "phase":
             (a,) = args
             if not sites[0]:

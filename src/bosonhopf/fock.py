@@ -16,6 +16,16 @@ Every generator image shifts the level by one fixed amount, so the relation
 residuals are formed and normed on level-sector operators
 (:class:`tensor.SectorOperator`), on one site or on the tensor power the
 images act on.
+
+Which points exist is stated once, by :class:`AlgebraSpec`: alpha, beta > 0
+(B, Bq), sigma, tau >= 0 (Bbar, Bbarq) and delta, nu > 0 (H), with q > 0 and
+q != 1 in the deformed families.  Every rep is built in the normalized
+basis, whose ladder entries are the square roots of the weights; the
+weights of every admissible point are nonnegative.  The zero-parameter
+points alpha = 0, sigma = 0, delta = 0 and nu = 0 are skipped by every
+suite of a run, with the reason ``cli.FAMILY_PROVISOS`` gives; of these
+only sigma = 0 in Bbar and Bbarq is an admissible spec, and a Bbarq rep
+there cannot be built (its weights divide by [sigma/2]_q = 0).
 """
 
 from __future__ import annotations
@@ -51,16 +61,16 @@ class SpecError(ValueError):
 
 
 class RepresentationError(ValueError):
-    """A representation cannot be built for the requested spec/mode."""
+    """A representation or image cannot be built for the requested spec."""
 
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """One algebra instance: family tag plus its real parameters."""
+    """One algebra instance: family tag plus its real parameters, refused
+    unless they meet the family's positivity requirement."""
 
     family: str
     params: tuple
-    unitary_mode: bool = True
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -73,9 +83,9 @@ class AlgebraSpec:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.is_deformed:
             check_q(self.q)
-        if self.unitary_mode and not self._unitary_positivity_ok():
+        if not self._positivity_ok():
             raise SpecError(
-                f"unitary mode for {self.family}{self.params} violates the positivity "
+                f"{self.family}{self.params} violates the positivity "
                 "requirement on the structure parameters"
             )
 
@@ -96,7 +106,7 @@ class AlgebraSpec:
     def param_dict(self) -> dict:
         return dict(zip(PARAM_NAMES[self.family], self.params))
 
-    def _unitary_positivity_ok(self) -> bool:
+    def _positivity_ok(self) -> bool:
         if self.family in ("B", "Bq"):
             return self.alpha > 0 and self.beta > 0
         if self.family in ("Bbar", "Bbarq"):
@@ -109,15 +119,13 @@ class AlgebraSpec:
 
         B/Bq: beta/alpha; Bbar/Bbarq: tau/sigma; H: the grade is
         (-1)^(M - rho + 1/2) with M acting as m + (nu-delta+1)/(2*delta) + rho,
-        so s = (nu - delta + 1)/(2*delta) + 1/2.  None when the denominator
-        vanishes (no grade element is available then).
+        so s = (nu - delta + 1)/(2*delta) + 1/2.  None at sigma = 0 (no grade
+        element is available then).
         """
         if self.family in ("B", "Bq"):
-            return self.beta / self.alpha if self.alpha != 0 else None
+            return self.beta / self.alpha
         if self.family in ("Bbar", "Bbarq"):
             return self.tau / self.sigma if self.sigma != 0 else None
-        if self.delta == 0:
-            return None
         return (self.nu - self.delta + 1.0) / (2.0 * self.delta) + 0.5
 
     @property
@@ -129,8 +137,6 @@ class AlgebraSpec:
         """
         if self.family != "H":
             return 0.0
-        if self.delta == 0:
-            raise SpecError("H-family number operator M requires delta != 0")
         return (self.nu - self.delta + 1.0) / (2.0 * self.delta) + self.rho
 
     def describe(self) -> str:
@@ -139,7 +145,8 @@ class AlgebraSpec:
 
 
 def weight(spec: AlgebraSpec, n: int) -> float:
-    """Ladder weight w(n) with lowering |n> -> w(n)|n-1> (unnormalized basis).
+    """Ladder weight w(n): the normalized basis's lowering maps |n> to
+    sqrt(w(n))|n-1>.
 
     B:     alpha*n/2 + (2*beta - alpha)/4 * (1 + (-1)^(n+1))
     Bbar:  sigma*n*(n-1)/2 + n*tau
@@ -184,7 +191,6 @@ class FockRep:
     grade_plus: np.ndarray | None = field(repr=False, default=None)
     grade_minus: np.ndarray | None = field(repr=False, default=None)
     k_op: np.ndarray | None = field(repr=False, default=None)  # H family only
-    weights: tuple = ()
 
     @property
     def identity(self) -> np.ndarray:
@@ -231,29 +237,21 @@ class FockRep:
 def build_rep(spec: AlgebraSpec, dim: int = DEFAULT_DIM) -> FockRep:
     """Assemble the truncated matrices for one algebra instance.
 
-    Unitary mode uses the normalized basis (lowering = sqrt(w(n)) shifts,
-    raising its conjugate transpose); unnormalized mode puts the full weight
-    on lowering and unit entries on raising.
+    The basis is the normalized one, the only one built: lowering has the
+    entries sqrt(w(n)) and raising is its conjugate transpose.  Which points
+    exist and which a run skips is stated in the module docstring; a
+    negative weight, which no admissible spec has, is refused.
     """
     if dim < 2:
         raise RepresentationError(f"need dim >= 2, got {dim}")
-    ws = [0.0] + [weight(spec, n) for n in range(1, dim)]
-    if spec.unitary_mode:
-        for n in range(1, dim):
-            if ws[n] < 0:
-                raise RepresentationError(
-                    f"unitary mode impossible for {spec.describe()}: weight({n}) = {ws[n]:g} < 0"
-                )
     lowering = np.zeros((dim, dim), dtype=complex)
     raising = np.zeros((dim, dim), dtype=complex)
     for n in range(1, dim):
-        if spec.unitary_mode:
-            c = np.sqrt(ws[n])
-            lowering[n - 1, n] = c
-            raising[n, n - 1] = c
-        else:
-            lowering[n - 1, n] = ws[n]
-            raising[n, n - 1] = 1.0
+        w = weight(spec, n)
+        if w < 0:
+            raise RepresentationError(
+                f"no normalized basis for {spec.describe()}: weight({n}) = {w:g} < 0")
+        lowering[n - 1, n] = raising[n, n - 1] = np.sqrt(w)
     levels = np.arange(dim, dtype=float)
     number = np.diag((levels + spec.number_shift).astype(complex))
 
@@ -266,16 +264,12 @@ def build_rep(spec: AlgebraSpec, dim: int = DEFAULT_DIM) -> FockRep:
 
     k_op = None
     if spec.family == "H":
-        if spec.nu == 0:
-            raise RepresentationError(
-                "H-family Fock action of K divides by nu; nu = 0 has no Fock representation here"
-            )
         k_diag = (spec.nu - spec.delta + 1.0) / spec.nu * (-1.0) ** np.arange(dim)
         k_op = np.diag(k_diag.astype(complex))
 
     return FockRep(spec=spec, dim=dim, lowering=lowering, raising=raising,
                    number=number, grade_plus=grade_plus, grade_minus=grade_minus,
-                   k_op=k_op, weights=tuple(ws))
+                   k_op=k_op)
 
 
 def comm(x, y):

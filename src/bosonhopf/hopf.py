@@ -181,16 +181,10 @@ class HopfTables:
     """Per-generator images under Delta, eps, S and S^-1 for one representation."""
 
     def __init__(self, rep: FockRep):
-        spec = rep.spec
-        fam = spec.family
-        if fam in ("B", "Bq") and spec.alpha == 0:
-            raise SpecError("coproduct tables for this family require alpha != 0")
-        if fam in ("Bbar", "Bbarq") and spec.sigma == 0:
+        if rep.spec.family in ("Bbar", "Bbarq") and rep.spec.sigma == 0:
             raise SpecError("coproduct tables for this family require sigma != 0")
-        if fam == "H" and (spec.delta == 0 or spec.nu == 0):
-            raise SpecError("coproduct tables for the reflection family require delta != 0 and nu != 0")
         self.rep = rep
-        self.spec = spec
+        self.spec = rep.spec
         self.atoms: dict[str, Atom] = {}
         self._delta_images = {}
         self._build_atoms()

@@ -104,9 +104,7 @@ BBARQ_PRINTED = BranchChoice(prefactor_sign=1, full_rate=False)
 class RMatrix:
     family: str                      # "Bq", "Bbarq" or "B_r0"
     matrix: np.ndarray = field(repr=False)
-    q: float | None
     branch_note: dict
-    series_terms: int
     rep: FockRep | None = field(default=None, repr=False)
     branch: BranchChoice | None = None
 
@@ -146,7 +144,7 @@ def _ladder_coeff(rep: FockRep, l: int, branch: BranchChoice) -> complex:
 
 def _require_integer_grade_shift(rep: FockRep):
     shift = rep.spec.grade_shift
-    if shift is None or abs(shift - round(shift)) > 1e-12:
+    if abs(shift - round(shift)) > 1e-12:
         raise SpecError(
             "the parity head needs (-1)^(2 Nt) = I, which requires an integer "
             f"number-operator shift; got {shift}")
@@ -179,13 +177,10 @@ def _slot(rep: FockRep, image: Callable, sites: int = 1) -> _Slot:
     Nt maps to image(N) + shift under all three, since Delta(1) = 1 x 1 and
     S(1) = 1.
     """
-    shift = rep.spec.grade_shift
-    if shift is None:
-        raise SpecError("R-matrix needs a well-defined shifted number operator")
     graded = rep.spec.family in ("B", "Bq")
     images = {name: _sector_operator(image(name), level_sectors(rep.dim, sites))
               for name in (("N", "g", "ad", "a") if graded else ("N", "ad", "a"))}
-    return _Slot(_diagonal(images["N"].to_dense(), "N").real + shift,
+    return _Slot(_diagonal(images["N"].to_dense(), "N").real + rep.spec.grade_shift,
                  _diagonal(images["g"].to_dense(), "g") if graded else None, images)
 
 
@@ -309,9 +304,8 @@ def build_r0(rep: FockRep) -> RMatrix:
         raise SpecError("the parity R-matrix lives on the graded families")
     _require_integer_grade_shift(rep)
     one = _slot(rep, rep.generator)
-    return RMatrix(family="B_r0", matrix=np.diag(_head(one, one)), q=None,
-                   branch_note={"head": "parity projector"},
-                   series_terms=0, rep=rep, branch=None)
+    return RMatrix(family="B_r0", matrix=np.diag(_head(one, one)),
+                   branch_note={"head": "parity projector"}, rep=rep, branch=None)
 
 
 def build_r(rep: FockRep, branch: BranchChoice | None = None) -> RMatrix:
@@ -335,9 +329,7 @@ def build_r(rep: FockRep, branch: BranchChoice | None = None) -> RMatrix:
             "prefactor exponent sign and dressing rate corrected; the "
             "printed factors fail every branch (see diagnose_branches)")
     matrix = _series_r(rep, branch, one, one, level_sectors(rep.dim, 2)).to_dense()
-    return RMatrix(family=fam, matrix=matrix,
-                   q=rep.spec.q, branch_note=note, series_terms=rep.dim,
-                   rep=rep, branch=branch)
+    return RMatrix(family=fam, matrix=matrix, branch_note=note, rep=rep, branch=branch)
 
 
 def check_quasitriangularity(r: RMatrix, tables: HopfTables,

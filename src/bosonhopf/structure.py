@@ -33,7 +33,6 @@ LAM4 = 0.5
 
 @dataclass(frozen=True)
 class StructureElement:
-    kind: str                     # "L", "Lplus" or "M"
     coefficients: tuple
     matrix: np.ndarray = field(repr=False)
 
@@ -73,12 +72,9 @@ def build_L(rep: FockRep, lam1: float, lam4: float = 0.0) -> StructureElement:
     lam2, lam3 = solve_lambda_constraints(spec.alpha, spec.beta, lam1)
     mat = (lam1 * rep.raising @ rep.lowering
            + lam2 * rep.number + lam3 * rep.identity).astype(complex)
-    kind = "L"
     if lam4 != 0.0:
         mat = mat + lam4 * rep.grade_plus
-        kind = "Lplus"
-    return StructureElement(kind=kind, coefficients=(lam1, lam2, lam3, lam4),
-                            matrix=mat)
+    return StructureElement(coefficients=(lam1, lam2, lam3, lam4), matrix=mat)
 
 
 def check_L_properties(elem: StructureElement, rep: FockRep,
@@ -151,9 +147,6 @@ def bh_form_check(rep: FockRep, lam1: float, tol: float = DEFAULT_TOL) -> CheckR
     """[a, ad] = -(2/lam1) L + (alpha/2) I, with L rebuilt from lam1."""
     if lam1 == 0:
         raise SpecError("need lam1 != 0")
-    if rep.spec.alpha == 0:
-        raise SpecError("the commutator form needs alpha != 0 (the element "
-                        "contains no number-operator monomial otherwise)")
     elem = build_L(rep, lam1, 0.0)
     lhs = comm(rep.lowering, rep.raising)
     rhs = -(2.0 / lam1) * elem.matrix + (rep.spec.alpha / 2.0) * rep.identity
@@ -163,29 +156,29 @@ def bh_form_check(rep: FockRep, lam1: float, tol: float = DEFAULT_TOL) -> CheckR
 
 # -- the reflection-family number element M -----------------------------------
 
-def build_M(rep: FockRep, tol: float = DEFAULT_TOL) -> tuple:
-    """(1/delta) bd b + (nu/(2 delta)) K + rho I, with its ladder reports.
-
-    Returns (StructureElement, [CheckReport, CheckReport]) for the two
-    number-ladder relations.
-    """
+def _m_element(rep: FockRep) -> StructureElement:
+    """(1/delta) bd b + (nu/(2 delta)) K + rho I on a reflection-family rep."""
     spec = rep.spec
     if spec.family != "H":
         raise SpecError("the rebuilt number element lives on the reflection family")
-    if spec.delta == 0:
-        raise SpecError("no number element exists for delta = 0")
-    rho = spec.rho
-    mat = ((1.0 / spec.delta) * rep.raising @ rep.lowering
-           + (spec.nu / (2.0 * spec.delta)) * rep.k_op
-           + rho * rep.identity).astype(complex)
-    elem = StructureElement(kind="M", coefficients=(1.0 / spec.delta,
-                                                    spec.nu / (2.0 * spec.delta), rho),
-                            matrix=mat)
+    coefficients = (1.0 / spec.delta, spec.nu / (2.0 * spec.delta), spec.rho)
+    mat = (coefficients[0] * rep.raising @ rep.lowering
+           + coefficients[1] * rep.k_op + spec.rho * rep.identity).astype(complex)
+    return StructureElement(coefficients=coefficients, matrix=mat)
+
+
+def build_M(rep: FockRep, tol: float = DEFAULT_TOL) -> tuple:
+    """M (:func:`_m_element`) with its two number-ladder reports.
+
+    Returns (StructureElement, [CheckReport, CheckReport]).
+    """
+    elem = _m_element(rep)
+    mat = elem.matrix
     reports = []
     for gen_name, sign, ident in (("b", +1, "structure.m-element.low"),
                                   ("bd", -1, "structure.m-element.raise")):
         gen = rep.generator(gen_name)
-        reports.append(windowed_row(spec, rep.dim, ident, "[M,b] = -b, [M,bd] = bd",
+        reports.append(windowed_row(rep.spec, rep.dim, ident, "[M,b] = -b, [M,bd] = bd",
                                     comm(mat, gen) + sign * gen, tol,
                                     1 if gen_name == "bd" else 0, _norm(rep, mat @ gen)))
     return elem, reports
@@ -194,9 +187,8 @@ def build_M(rep: FockRep, tol: float = DEFAULT_TOL) -> tuple:
 def com_check(rep: FockRep, tol: float = DEFAULT_TOL) -> CheckReport:
     """{b, bd} = 2 delta M + delta (1 - 2 rho) I."""
     spec = rep.spec
-    elem, _ = build_M(rep)
     lhs = acomm(rep.lowering, rep.raising)
-    rhs = (2.0 * spec.delta * elem.matrix
+    rhs = (2.0 * spec.delta * _m_element(rep).matrix
            + spec.delta * (1.0 - 2.0 * spec.rho) * rep.identity)
     return windowed_row(spec, rep.dim, "structure.com",
                         "{b,bd} = 2*delta*M + delta*(1-2*rho)", lhs - rhs, tol, 1,
@@ -223,15 +215,11 @@ def build_realization(rep: FockRep, target: str) -> RealizationMap:
     fam = spec.family
     eye = rep.identity
     if target == "osp12" and fam == "B":
-        if spec.alpha == 0:
-            raise SpecError("the superalgebra embedding needs alpha != 0")
         prod = 2.0 / spec.alpha
         mu, lam = _split(prod)
         images = {"e": mu * rep.raising, "f": lam * rep.lowering,
                   "h": 2.0 * rep.number + (2.0 * spec.beta / spec.alpha) * eye}
     elif target == "osp12" and fam == "H":
-        if spec.delta == 0:
-            raise SpecError("the superalgebra embedding needs delta != 0")
         prod = 1.0 / spec.delta
         mu, lam = _split(prod)
         images = {"e": mu * rep.raising, "f": lam * rep.lowering,
@@ -249,8 +237,6 @@ def build_realization(rep: FockRep, target: str) -> RealizationMap:
                   "Jminus": (1j / math.sqrt(2.0)) * f2}
         prod = -0.25
     elif target == "sl2" and fam == "H":
-        if spec.delta == 0:
-            raise SpecError("the subalgebra embedding needs delta != 0")
         prod = -1.0 / (4.0 * spec.delta ** 2)
         mup, lamp = _split(prod)
         images = {"e": mup * rep.raising @ rep.raising,
@@ -265,15 +251,11 @@ def build_realization(rep: FockRep, target: str) -> RealizationMap:
         images = {"e": xi * rep.raising, "f": zeta * rep.lowering,
                   "h": 2.0 * rep.number + (2.0 * spec.tau / spec.sigma) * eye}
     elif target == "ospq12" and fam == "Bq":
-        if spec.alpha == 0:
-            raise SpecError("the deformed superalgebra embedding needs alpha != 0")
         prod = 1.0 / q_bracket(spec.alpha, spec.q).real
         mu, lam = _split(prod)
         images = {"e": mu * rep.raising, "f": lam * rep.lowering,
                   "h": rep.number + (spec.beta / spec.alpha) * eye}
     elif target == "slq2" and fam == "Bbarq":
-        if spec.sigma == 0:
-            raise SpecError("the deformed subalgebra embedding needs sigma != 0")
         # only the reciprocal satisfies [e,f] = [h]_{q^(sigma/2)}; verified
         # by expanding [h]_{q'} = [sigma N + tau]_q / [sigma/2]_q
         prod = -1.0 / q_bracket(spec.sigma / 2.0, spec.q).real
@@ -374,8 +356,6 @@ def casimir_spectrum(realization: RealizationMap, rep: FockRep,
 
 def phi_images(b_spec: AlgebraSpec, h_rep: FockRep) -> dict:
     """Images of the graded-family generators inside a reflection-family rep."""
-    if b_spec.alpha == 0:
-        raise SpecError("the forward map needs alpha != 0")
     h_spec = h_rep.spec
     alpha, beta = b_spec.alpha, b_spec.beta
     eye = h_rep.identity
@@ -387,8 +367,6 @@ def phi_images(b_spec: AlgebraSpec, h_rep: FockRep) -> dict:
 
 def phi_prime_images(h_spec: AlgebraSpec, b_rep: FockRep) -> dict:
     """Images of the reflection-family generators inside a graded-family rep."""
-    if h_spec.nu == 0:
-        raise SpecError("the inverse map needs nu != 0")
     b_spec = b_rep.spec
     delta, nu, rho = h_spec.delta, h_spec.nu, h_spec.rho
     eye = b_rep.identity
@@ -459,40 +437,36 @@ def run_structure_checks(rep: FockRep, tables: HopfTables | None = None,
     spec = rep.spec
     out = []
     if spec.family == "B":
-        if spec.alpha != 0:
-            # S(g) = g^-1, so the grade extension is antipode-fixed only
-            # when the grade squares to the identity
-            lam4 = LAM4 if float(spec.beta / spec.alpha).is_integer() else 0.0
-            elem = build_L(rep, LAM1, lam4)
-            if tables is not None:
-                out.extend(check_L_properties(elem, rep, tables, tol))
-            out.append(characteristic_identity_residual(rep, LAM1, tol))
-            out.append(bh_form_check(rep, LAM1, tol))
-            osp = build_realization(rep, "osp12")
-            out.extend(check_realization(osp, rep, tol))
-            out.append(casimir_spectrum(osp, rep, "osp_i2", tol))
-            sl2 = build_realization(rep, "sl2")
-            out.extend(check_realization(sl2, rep, tol))
-            out.append(casimir_spectrum(sl2, rep, "sl2_c2", tol))
+        # S(g) = g^-1, so the grade extension is antipode-fixed only
+        # when the grade squares to the identity
+        lam4 = LAM4 if float(spec.beta / spec.alpha).is_integer() else 0.0
+        elem = build_L(rep, LAM1, lam4)
+        if tables is not None:
+            out.extend(check_L_properties(elem, rep, tables, tol))
+        out.append(characteristic_identity_residual(rep, LAM1, tol))
+        out.append(bh_form_check(rep, LAM1, tol))
+        osp = build_realization(rep, "osp12")
+        out.extend(check_realization(osp, rep, tol))
+        out.append(casimir_spectrum(osp, rep, "osp_i2", tol))
+        sl2 = build_realization(rep, "sl2")
+        out.extend(check_realization(sl2, rep, tol))
+        out.append(casimir_spectrum(sl2, rep, "sl2_c2", tol))
     elif spec.family == "H":
-        if spec.delta != 0:
-            _, reports = build_M(rep, tol=tol)
-            out.extend(reports)
-            out.append(com_check(rep, tol))
-            osp = build_realization(rep, "osp12")
-            out.extend(check_realization(osp, rep, tol))
-            sl2 = build_realization(rep, "sl2")
-            out.extend(check_realization(sl2, rep, tol))
+        _, reports = build_M(rep, tol=tol)
+        out.extend(reports)
+        out.append(com_check(rep, tol))
+        osp = build_realization(rep, "osp12")
+        out.extend(check_realization(osp, rep, tol))
+        sl2 = build_realization(rep, "sl2")
+        out.extend(check_realization(sl2, rep, tol))
     elif spec.family == "Bbar":
         if spec.sigma != 0:
             sl2 = build_realization(rep, "sl2")
             out.extend(check_realization(sl2, rep, tol))
     elif spec.family == "Bq":
-        if spec.alpha != 0:
-            osp = build_realization(rep, "ospq12")
-            out.extend(check_realization(osp, rep, tol))
+        osp = build_realization(rep, "ospq12")
+        out.extend(check_realization(osp, rep, tol))
     elif spec.family == "Bbarq":
-        if spec.sigma != 0:
-            sl2 = build_realization(rep, "slq2")
-            out.extend(check_realization(sl2, rep, tol))
+        sl2 = build_realization(rep, "slq2")
+        out.extend(check_realization(sl2, rep, tol))
     return out

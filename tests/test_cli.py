@@ -14,7 +14,7 @@ import bosonhopf
 from bosonhopf import cli
 from bosonhopf.cli import (ConfigError, Scenario, grid_expand, main,
                            parse_config, run_suite)
-from bosonhopf.fock import AlgebraSpec, build_rep
+from bosonhopf.fock import PARAM_NAMES, AlgebraSpec, build_rep
 from bosonhopf.report import CheckReport, check_report
 from bosonhopf.tensor import kron, total_window_projector, windowed_norm
 
@@ -85,12 +85,24 @@ def test_parse_config_errors(tmp_path):
 
 
 def test_unused_parameter_warns(tmp_path, capsys):
-    path = tmp_path / "warn.ini"
-    path.write_text("[scenario x]\nfamily = Bbar\nsigma = 1\ntau = 2\n"
-                    "q = 0.7\n")
-    config = parse_config(str(path))
-    assert "q" not in config.scenarios[0].param_grid
-    assert "ignored" in capsys.readouterr().err
+    """A key naming any family's parameter is a parameter: in a scenario of
+    another family it is warned about and ignored; any other key is an
+    error, exit code 2."""
+    every = {name for names in PARAM_NAMES.values() for name in names}
+    for family, own in PARAM_NAMES.items():
+        foreign = sorted(every - set(own))
+        lines = ["[scenario x]", f"family = {family}", "dim = 4"]
+        lines += [f"{name} = {1.3 if name == 'q' else 1}" for name in (*own, *foreign)]
+        path = tmp_path / f"{family}.ini"
+        path.write_text("\n".join(lines) + "\n")
+        assert set(parse_config(str(path)).scenarios[0].param_grid) == set(own)
+        err = capsys.readouterr().err
+        assert all(f"parameter {name!r} is not used by family {family}; ignored" in err
+                   for name in foreign)
+        path.write_text("\n".join(lines) + "\ncolour = red\n")
+        with pytest.raises(ConfigError, match="unknown key 'colour'"):
+            parse_config(str(path))
+        assert main(["run", "--config", str(path)]) == 2
 
 
 # -- grid expansion -----------------------------------------------------------
@@ -124,6 +136,18 @@ def test_run_suite_unknown_raises():
 def _run(config_path, out_path, extra=()):
     return main(["run", "--config", str(config_path), "--out", str(out_path),
                  "--jobs", "1", *extra])
+
+
+def test_full_grid_rows(tmp_path):
+    """The end-to-end measure's grid: every row passes or is skipped with
+    its reason, and the row set keeps its size."""
+    grid = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "full_grid.ini"
+    out = tmp_path / "report.json"
+    assert _run(grid, out) == 0
+    rows = json.loads(out.read_text())["reports"]
+    assert len(rows) == 2689
+    assert not [row for row in rows if not row["passed"] and not row["skipped"]]
+    assert all(row["skip_reason"] for row in rows if row["skipped"])
 
 
 def test_run_mixed_config_exit_code_and_counts(mixed_config, tmp_path):

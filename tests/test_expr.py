@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosonhopf import AlgebraSpec, build_rep
-from bosonhopf.fock import windowed_norm
-from bosonhopf.tensor import total_window_projector
+from bosonhopf.fock import _sector_operator, rep_generator_images, windowed_norm
+from bosonhopf.tensor import level_sectors, total_window_projector
 from bosonhopf import expr as ex
 from grids import FULL_GRID
 
@@ -113,6 +113,18 @@ def test_tensor_evaluation():
     mat = ex.evaluate_text("tensor(g, g)", ctx)
     g = ctx.rep.require_grade()
     assert np.allclose(mat, np.kron(g, g))
+
+
+def test_tensor_refuses_sector_operator_leaves():
+    """The relation rows' leaves are sector operators; tensor is the eval
+    path's dense Kronecker product and says so instead of failing inside it."""
+    rep = build_rep(AlgebraSpec("B", (2, 1)), 4)
+    sectors = level_sectors(rep.dim, 1)
+    leaves = {name: _sector_operator(x, sectors)
+              for name, x in rep_generator_images(rep).items()}
+    program = ex.compile_trees(ex.parse("tensor(a, ad)"))
+    with pytest.raises(ex.EvalError, match="dense images of eval only"):
+        program.run(leaves)
 
 
 def test_additive_homomorphism_is_exact():

@@ -2,12 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bosonhopf import AlgebraSpec, build_rep, check_defining_relations, weight
 from bosonhopf import expr as ex
 from bosonhopf.fock import (RepresentationError, SpecError, acomm, comm,
                             diag_function, rep_generator_images, windowed_norm)
+from bosonhopf.hopf import HopfTables
 from bosonhopf.tensor import total_window_projector
 from grids import (B_GRID, BBAR_GRID, BBARQ_GRID, BQ_GRID, FULL_GRID,
                       H_GRID)
@@ -93,12 +94,42 @@ def test_spec_rejects_bad_q():
         AlgebraSpec("Bq", (2.0, 1.0, 1.0))
 
 
-def test_unitary_mode_positivity():
-    with pytest.raises(SpecError):
-        AlgebraSpec("B", (-2.0, 1.0))
-    # non-unitary mode admits the same parameters
-    spec = AlgebraSpec("B", (-2.0, 1.0), unitary_mode=False)
-    assert spec.alpha == -2.0
+def test_spec_positivity():
+    """The spec alone says which points exist: its fields are the family and
+    the parameters, and it refuses every point off the positivity region."""
+    assert [f.name for f in dataclasses.fields(AlgebraSpec)] == ["family", "params"]
+    for family, params in [("B", (-2.0, 1.0)), ("B", (0.0, 1.0)), ("Bq", (0.0, 1.0, 1.3)),
+                           ("Bbar", (-1.0, 1.0)), ("Bbarq", (1.0, -1.0, 0.7)),
+                           ("H", (0.0, 0.5, 0.0)), ("H", (1.0, 0.0, 0.0))]:
+        with pytest.raises(SpecError, match="positivity"):
+            AlgebraSpec(family, params)
+    assert AlgebraSpec("Bbar", (0.0, 1.0)).sigma == 0.0   # sigma = 0 is admissible
+
+
+positive = st.floats(min_value=0.05, max_value=4.0)
+deformation = st.one_of(st.floats(min_value=0.5, max_value=0.95),
+                        st.floats(min_value=1.05, max_value=2.0))
+admissible_specs = st.one_of(
+    st.tuples(st.just("B"), st.tuples(positive, positive)),
+    st.tuples(st.just("Bbar"), st.tuples(positive, positive)),
+    st.tuples(st.just("Bq"), st.tuples(positive, positive, deformation)),
+    st.tuples(st.just("Bbarq"), st.tuples(positive, positive, deformation)),
+    st.tuples(st.just("H"), st.tuples(positive, positive,
+                                      st.floats(min_value=-2.0, max_value=2.0))),
+).map(lambda point: AlgebraSpec(*point))
+
+
+@settings(deadline=None)
+@given(spec=admissible_specs, dim=st.integers(min_value=2, max_value=12))
+def test_admissible_specs_build(spec, dim):
+    """Every admissible point has nonnegative weights, a rep in the
+    normalized basis and Hopf tables: no zero-parameter guard is needed
+    past the spec's own positivity check."""
+    assert all(weight(spec, n) >= 0 for n in range(1, dim))
+    rep = build_rep(spec, dim)
+    assert np.array_equal(rep.raising, rep.lowering.conj().T)
+    tables = HopfTables(rep)
+    assert set(tables.generator_names()) <= set(tables.atoms)
 
 
 def test_param_accessors():

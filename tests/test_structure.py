@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bosonhopf import AlgebraSpec, build_rep, build_tables
+from bosonhopf import structure
 from bosonhopf.fock import SpecError
 from bosonhopf.structure import (build_L, build_M, build_realization,
                                  bh_form_check, casimir_spectrum,
@@ -103,6 +104,17 @@ def test_com_check_grid():
         assert report.passed, report.summary()
 
 
+def test_com_check_builds_only_its_own_row(monkeypatch):
+    """com_check shares M's matrix with build_M, not build_M's ladder rows."""
+    built = []
+    row = structure.windowed_row
+    monkeypatch.setattr(structure, "windowed_row",
+                        lambda spec, dim, ident, *args, **kw:
+                        built.append(ident) or row(spec, dim, ident, *args, **kw))
+    com_check(_rep("H", (1.0, 0.5, 0.0)))
+    assert built == ["structure.com"]
+
+
 # -- realizations and Casimirs ------------------------------------------------
 
 def test_realizations_all_families():
@@ -185,12 +197,12 @@ def test_phi_images_keys():
 
 
 def test_phi_needs_nonzero_parameters():
-    with pytest.raises(SpecError):
-        phi_images(AlgebraSpec("B", (0.0, 1.0), unitary_mode=False),
-                   _rep("H", (1, 0.5, 0.0)))
-    with pytest.raises(SpecError):
-        phi_prime_images(AlgebraSpec("H", (1.0, 0.0, 0.0),
-                                     unitary_mode=False), _rep("B", (2, 1)))
+    """phi divides by alpha and phi' by nu; the spec refuses a zero of
+    either, so neither map is reached with one."""
+    with pytest.raises(SpecError, match="positivity"):
+        AlgebraSpec("B", (0.0, 1.0))
+    with pytest.raises(SpecError, match="positivity"):
+        AlgebraSpec("H", (1.0, 0.0, 0.0))
 
 
 # -- suite driver -------------------------------------------------------------
