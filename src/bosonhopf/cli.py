@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import itertools
 import json
 import os
@@ -37,7 +38,7 @@ from .fock import (FAMILIES, PARAM_NAMES, AlgebraSpec, SpecError, build_rep,
 from .report import check_report, skipped_report
 from .tensor import level_sectors, spectral_norm
 
-REPORT_SCHEMA_VERSION = "1.0"
+REPORT_SCHEMA_VERSION = "1.1"
 
 
 # -- the check registry -------------------------------------------------------
@@ -293,6 +294,13 @@ def _check_tol(tol: float, where: str) -> None:
         raise ConfigError(f"{where} must be a finite positive tolerance, got {tol}")
 
 
+def _check_distinct(values, where: str) -> None:
+    # a repeated suite or axis value would emit its rows once per repeat
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"{where} repeats {', '.join(map(str, repeated))}")
+
+
 def parse_config(path: str) -> ScenarioConfig:
     cp = configparser.ConfigParser(interpolation=None)   # a "%" in a value is literal
     try:
@@ -326,6 +334,7 @@ def parse_config(path: str) -> ScenarioConfig:
                 raise ConfigError(f"[{section}] has unknown suites "
                                   f"{unknown}; expected subset of "
                                   f"{tuple(SUITES)}")
+            _check_distinct(suites, f"[{section}] suites")
             scen.suites = suites
         for key, value in items.items():
             if key in _SCENARIO_SCALARS:
@@ -345,6 +354,7 @@ def parse_config(path: str) -> ScenarioConfig:
                     print(f"warning: [{section}] parameter {key!r} is not "
                           f"used by family {family}; ignored", file=sys.stderr)
                     continue
+                _check_distinct(values, f"[{section}] {key}")
                 scen.param_grid[key] = values
             else:
                 raise ConfigError(f"[{section}] has unknown key {key!r}")
@@ -411,87 +421,68 @@ def _run_job(job) -> list:
 
 
 def _records(scenario: Scenario, suite: str, start: float, reports: list) -> list:
-    """Each report of a job that began at ``start`` as ``(sort key, passed,
-    skipped, line)``: the line is the row encoded by the report encoder, so
-    no row outlives its job.  Rows sort by scenario, suite, identity, params
-    (as sorted-key JSON) and dim; a job's rows share its point's params, so
-    those are encoded once per job, and again only where a row's params
-    differ.  Each row carries the job's time over its row count."""
+    """Each report of a job that began at ``start`` as ``(passed, skipped,
+    line)``: the line is the row encoded by the report encoder, so no row
+    outlives its job.  Each row carries the job's time over its row count."""
     wall_time = (time.perf_counter() - start) / max(1, len(reports))
     records = []
-    params = encoded = None
     for rp in reports:
         row = rp.to_dict()
         row["scenario"] = scenario.name
         row["suite"] = suite
         row["wall_time"] = wall_time
-        if row["params"] != params:
-            params, encoded = row["params"], json.dumps(row["params"], sort_keys=True)
-        records.append(((scenario.name, suite, row["identity"], encoded, row["dim"]),
-                        row["passed"], row["skipped"], _encode(row)))
-    return records
-
-
-def _sorted_rows(job_records) -> list:
-    """The records of all jobs, each job's list in turn, sorted by their
-    keys; ties keep their order."""
-    records = [record for records in job_records for record in records]
-    records.sort(key=lambda record: record[0])
+        records.append((row["passed"], row["skipped"], _encode(row)))
     return records
 
 
 def run_config(config: ScenarioConfig, out_path: str, jobs: int) -> int:
+    """Run every job of ``config`` and write the report to ``out_path`` (or
+    stdout), each job's rows as soon as that job ends: scenarios in config
+    order, each scenario's points in :func:`grid_expand` order, each point's
+    suites in config order.  Only the counts outlive a job."""
     _POINT_MEMO.clear()
-    jobs_list = []
-    for scenario in config.scenarios:
-        for params, spec, skip_reason in grid_expand(scenario):
-            for suite in scenario.suites:
-                jobs_list.append((scenario, params, spec, skip_reason, suite))
-    if jobs > 1:
-        # imported here: multiprocessing costs every --jobs 1 run its import time
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = _sorted_rows(pool.map(_run_job, jobs_list))
-    else:
-        records = _sorted_rows(map(_run_job, jobs_list))
-    counts = {
-        "passed": sum(1 for _, passed, skipped, _ in records if passed and not skipped),
-        "failed": sum(1 for _, passed, skipped, _ in records if not passed and not skipped),
-        "skipped": sum(1 for _, _, skipped, _ in records if skipped),
+    units = ((scenario, params, spec, skip_reason, suite)
+             for scenario in config.scenarios
+             for params, spec, skip_reason in grid_expand(scenario)
+             for suite in scenario.suites)
+    metadata = {
+        "artifact_version": __version__,
+        "grammar_version": GRAMMAR_VERSION,
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "generator": "bosonhopf run",
     }
-    head = {
-        "metadata": {
-            "artifact_version": __version__,
-            "grammar_version": GRAMMAR_VERSION,
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "generator": "bosonhopf run",
-        },
-        "counts": counts,
-    }
-    lines = (line for *_, line in records)
-    if out_path:
-        with open(out_path, "w") as fh:
-            write_report(head, lines, fh)
-    else:
-        write_report(head, lines, sys.stdout)
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        if jobs > 1:
+            # imported here: multiprocessing costs every --jobs 1 run its import time
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                counts = write_report(metadata, pool.map(_run_job, units), fh)
+        else:
+            counts = write_report(metadata, map(_run_job, units), fh)
     print(f"{counts['passed']} passed, {counts['failed']} failed, "
           f"{counts['skipped']} skipped", file=sys.stderr)
     return 1 if counts["failed"] else 0
 
 
-def write_report(head: dict, lines, fh) -> None:
-    """Write the report document as JSON: the header, then the encoded rows
-    ``lines``, one per line, as its ``"reports"`` list.
+def write_report(metadata: dict, job_records, fh) -> dict:
+    """Write the report document as JSON and return its counts: the
+    ``"metadata"``, then the ``"reports"`` list, one encoded row per line,
+    each job's records (:func:`_records`) as ``job_records`` yields them,
+    then the ``"counts"`` of passed, failed and skipped rows.
 
-    Keys are sorted, ``"reports"`` last; no string of the whole document is
-    built.
+    No string of the whole document is built, and no row is kept.
     """
-    fh.write(_encode(head)[:-1] + ', "reports": [')
+    counts = {"passed": 0, "failed": 0, "skipped": 0}
+    fh.write('{"metadata": ' + _encode(metadata) + ', "reports": [')
     sep = "\n"
-    for line in lines:
-        fh.write(sep + line)
-        sep = ",\n"
-    fh.write("\n]}\n")
+    for records in job_records:
+        for passed, skipped, _ in records:
+            counts["skipped" if skipped else "passed" if passed else "failed"] += 1
+        if records:   # one write per job: no string per row beyond its line
+            fh.write(sep + ",\n".join(line for *_, line in records))
+            sep = ",\n"
+    fh.write('\n], "counts": ' + _encode(counts) + "}\n")
+    return counts
 
 
 def _json_default(obj):
@@ -519,6 +510,9 @@ def _cmd_run(args) -> int:
         _check_dim(args.dim, "--dim")
     if args.tol is not None:
         _check_tol(args.tol, "--tol")
+    if args.jobs < 0:
+        raise ConfigError(f"--jobs must be at least 0 (0: available parallelism), "
+                          f"got {args.jobs}")
     for scenario in config.scenarios:
         if args.dim is not None:
             scenario.dim = args.dim
@@ -605,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--tol", type=float, default=None,
                       help="override every scenario base tolerance")
     runp.add_argument("--jobs", type=int, default=0,
-                      help="worker processes (default: available parallelism)")
+                      help="worker processes (default 0: available parallelism)")
     runp.set_defaults(func=_cmd_run)
 
     evalp = sub.add_parser("eval", help="evaluate one expression")

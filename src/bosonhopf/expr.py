@@ -29,11 +29,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import FockRep, diag_function, rep_generator_images
+from .fock import PARAM_NAMES, FockRep, diag_function, rep_generator_images
 from .scalars import q_bracket
 from .tensor import SectorOperator, kron
 
-PARAMETER_NAMES = ("alpha", "beta", "sigma", "tau", "delta", "nu", "rho", "q")
+# every family's parameter names, each once, in family order
+PARAMETER_NAMES = tuple(dict.fromkeys(name for names in PARAM_NAMES.values()
+                                      for name in names))
 GENERATOR_ATOMS = ("a", "ad", "N", "K", "b", "bd", "M", "g", "ginv", "I")
 BUILTINS = {"comm": 2, "acomm": 2, "tensor": 2, "qbracket": 2, "phase": 1}
 

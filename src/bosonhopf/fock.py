@@ -18,14 +18,14 @@ residuals are formed and normed on level-sector operators
 images act on.
 
 Which points exist is stated once, by :class:`AlgebraSpec`: alpha, beta > 0
-(B, Bq), sigma, tau >= 0 (Bbar, Bbarq) and delta, nu > 0 (H), with q > 0 and
+(B, Bq), sigma, tau >= 0 (Bbar), sigma > 0 and tau >= 0 (Bbarq, whose
+weights divide by [sigma/2]_q) and delta, nu > 0 (H), with q > 0 and
 q != 1 in the deformed families.  Every rep is built in the normalized
 basis, whose ladder entries are the square roots of the weights; the
 weights of every admissible point are nonnegative.  The zero-parameter
 points alpha = 0, sigma = 0, delta = 0 and nu = 0 are skipped by every
 suite of a run, with the reason ``cli.FAMILY_PROVISOS`` gives; of these
-only sigma = 0 in Bbar and Bbarq is an admissible spec, and a Bbarq rep
-there cannot be built (its weights divide by [sigma/2]_q = 0).
+only sigma = 0 in Bbar is an admissible spec.
 """
 
 from __future__ import annotations
@@ -109,8 +109,10 @@ class AlgebraSpec:
     def _positivity_ok(self) -> bool:
         if self.family in ("B", "Bq"):
             return self.alpha > 0 and self.beta > 0
-        if self.family in ("Bbar", "Bbarq"):
+        if self.family == "Bbar":
             return self.sigma >= 0 and self.tau >= 0
+        if self.family == "Bbarq":
+            return self.sigma > 0 and self.tau >= 0
         return self.delta > 0 and self.nu > 0
 
     @property
@@ -119,7 +121,7 @@ class AlgebraSpec:
 
         B/Bq: beta/alpha; Bbar/Bbarq: tau/sigma; H: the grade is
         (-1)^(M - rho + 1/2) with M acting as m + (nu-delta+1)/(2*delta) + rho,
-        so s = (nu - delta + 1)/(2*delta) + 1/2.  None at sigma = 0 (no grade
+        so s = (nu - delta + 1)/(2*delta) + 1/2.  None at Bbar's sigma = 0 (no grade
         element is available then).
         """
         if self.family in ("B", "Bq"):

@@ -181,7 +181,7 @@ class HopfTables:
     """Per-generator images under Delta, eps, S and S^-1 for one representation."""
 
     def __init__(self, rep: FockRep):
-        if rep.spec.family in ("Bbar", "Bbarq") and rep.spec.sigma == 0:
+        if rep.spec.family == "Bbar" and rep.spec.sigma == 0:
             raise SpecError("coproduct tables for this family require sigma != 0")
         self.rep = rep
         self.spec = rep.spec

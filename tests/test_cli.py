@@ -159,9 +159,15 @@ def test_run_mixed_config_exit_code_and_counts(mixed_config, tmp_path):
     assert doc["counts"]["passed"] > 0
     assert doc["counts"]["skipped"] > 0
     assert doc["metadata"]["grammar_version"]
+    assert list(doc) == ["metadata", "reports", "counts"]
+    # rows come in run order: scenarios in config order, each scenario's
+    # points in grid_expand order, each point's suites in config order
     rows = doc["reports"]
-    keys = [(r["scenario"], r["suite"], r["identity"]) for r in rows]
-    assert keys == sorted(keys)
+    config = parse_config(str(mixed_config))
+    jobs = [(sc.name, params, suite) for sc in config.scenarios
+            for params, _, _ in grid_expand(sc) for suite in sc.suites]
+    run = [(r["scenario"], r["params"], r["suite"]) for r in rows]
+    assert [key for i, key in enumerate(run) if not i or key != run[i - 1]] == jobs
     # skipped rmatrix point carries the proviso citation
     skips = [r for r in rows if r["skipped"] and r["suite"] == "rmatrix"]
     assert skips and "beta/alpha" in skips[0]["skip_reason"]
@@ -254,42 +260,64 @@ def test_report_file_matches_the_printed_report(mixed_config, tmp_path, monkeypa
     assert out.read_text() == capsys.readouterr().out
 
 def test_report_file_parses_to_the_report_document(mixed_config, tmp_path, monkeypatch):
-    """The row-per-line report parses to the header and, sorted by scenario,
-    suite, identity, params and dim, each job's reports as to_dict() rows
-    plus scenario, suite and wall_time (job times pinned to 0), as the same
-    document dumped in one piece does; the header counts the rows."""
+    """The row-per-line report parses to the metadata, then, in run order,
+    each job's reports as to_dict() rows plus scenario, suite and wall_time
+    (job times pinned to 0), then the counts of those rows, as the same
+    document dumped in one piece does."""
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
-    jobs, heads = [], []
-    records, write = cli._records, cli.write_report
+    jobs = []
+    records = cli._records
 
     def keep_reports(scenario, suite, start, reports):
         jobs.append((scenario.name, suite, reports))
         return records(scenario, suite, start, reports)
 
-    def keep_head(head, lines, fh):
-        heads.append(head)
-        write(head, lines, fh)
-
     monkeypatch.setattr(cli, "_records", keep_reports)
-    monkeypatch.setattr(cli, "write_report", keep_head)
     out = tmp_path / "report.json"
     _run(mixed_config, out)
     rows = [{**rp.to_dict(), "scenario": scenario, "suite": suite, "wall_time": 0.0}
             for scenario, suite, reports in jobs for rp in reports]
-    rows.sort(key=lambda r: (r["scenario"], r["suite"], r["identity"],
-                             json.dumps(r["params"], sort_keys=True), r["dim"]))
-    (head,) = heads
-    assert head["counts"] == {
-        "passed": sum(r["passed"] and not r["skipped"] for r in rows),
-        "failed": sum(not r["passed"] and not r["skipped"] for r in rows),
-        "skipped": sum(r["skipped"] for r in rows)}
-    assert rows and head["counts"]["skipped"] and head["counts"]["failed"]
-    assert json.loads(out.read_text()) == json.loads(
-        json.dumps({**head, "reports": rows}, default=cli._json_default))
+    counts = {"passed": sum(r["passed"] and not r["skipped"] for r in rows),
+              "failed": sum(not r["passed"] and not r["skipped"] for r in rows),
+              "skipped": sum(r["skipped"] for r in rows)}
+    assert rows and counts["skipped"] and counts["failed"]
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["metadata", "reports", "counts"]
+    assert doc["metadata"] == {"artifact_version": bosonhopf.__version__,
+                               "generator": "bosonhopf run",
+                               "grammar_version": bosonhopf.GRAMMAR_VERSION,
+                               "schema_version": cli.REPORT_SCHEMA_VERSION}
+    assert doc == json.loads(json.dumps(
+        {"metadata": doc["metadata"], "reports": rows, "counts": counts},
+        default=cli._json_default))
     empty = io.StringIO()
-    write({"counts": {}, "metadata": {"v": 1.5 + 2j}}, [], empty)
+    assert cli.write_report({"v": 1.5 + 2j}, [], empty) == {
+        "passed": 0, "failed": 0, "skipped": 0}
     assert json.loads(empty.getvalue()) == {
-        "counts": {}, "metadata": {"v": {"re": 1.5, "im": 2.0}}, "reports": []}
+        "metadata": {"v": {"re": 1.5, "im": 2.0}}, "reports": [],
+        "counts": {"passed": 0, "failed": 0, "skipped": 0}}
+
+
+def test_each_jobs_rows_are_written_before_the_next_job_starts(mixed_config, monkeypatch):
+    """The report streams: when a job starts, the output holds the rows of
+    every job before it and no more, and the counts follow the last row."""
+    output = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", output)
+    run_job, written, returned = cli._run_job, [], []
+
+    def job(args):
+        written.append(output.getvalue().count("\n{"))   # one row per line
+        records = run_job(args)
+        returned.append(len(records))
+        return records
+
+    monkeypatch.setattr(cli, "_run_job", job)
+    assert main(["run", "--config", str(mixed_config), "--jobs", "1"]) == 1
+    assert len(written) > 2 and all(returned)
+    assert written == [sum(returned[:k]) for k in range(len(returned))]
+    text = output.getvalue()
+    assert text.count("\n{") == sum(returned)
+    assert text.rindex('"counts"') > text.rindex("\n{")
 
 
 UNENCODABLE_CONFIG = """
@@ -563,6 +591,33 @@ def test_a_dim_option_below_two_is_a_config_error(tmp_path, capsys, dim):
     assert _run(green, tmp_path / "out.json", ("--dim", "2")) == 0
 
 
+@pytest.mark.parametrize("jobs", ["-1", "-3"])
+def test_a_negative_jobs_option_is_a_config_error(tmp_path, capsys, jobs):
+    """--jobs below 0 exits 2 before any check runs, instead of running
+    serially; --jobs 0 still means the available parallelism."""
+    green = _scenario_file(tmp_path, {})
+    assert _run(green, tmp_path / "out.json", ("--jobs", jobs)) == 2
+    assert "--jobs must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+    assert _run(green, tmp_path / "out.json", ("--jobs", "0")) == 0
+
+
+@pytest.mark.parametrize("key, value, repeated", [
+    ("suites", "relations, hopf, relations", "relations"),
+    ("alpha", "2, 4, 2", "2.0"), ("alpha", "2, 2.0", "2.0"),
+    ("beta", "1, 3, 3, 1", "1.0, 3.0")])
+def test_a_repeated_suite_or_axis_value_is_a_config_error(tmp_path, capsys, key, value,
+                                                          repeated):
+    """A scenario that names a suite or an axis value twice would emit the
+    same rows twice under one key: it exits 2 with a message naming it."""
+    path = _scenario_file(tmp_path, {key: value})
+    with pytest.raises(ConfigError, match=rf"\[scenario x\] {key} repeats {repeated}$"):
+        parse_config(str(path))
+    assert _run(path, tmp_path / "out.json") == 2
+    assert f"{key} repeats {repeated}" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("key", ["lambda1", "lambda4", "iso_beta", "iso_nu", "iso_rho"])
 def test_the_removed_scenario_options_are_unknown_keys(tmp_path, key):
     """The structure and iso runners fix lambda1 = 1, lambda4 = 0.5 and the
@@ -615,6 +670,16 @@ def test_eval_command_errors(capsys):
     assert main(["eval", "--family", "B", "--params", "2,1,9", "a"]) == 2
     assert main(["eval", "--family", "B", "--params", "2,1", "--dim", "1", "a"]) == 2
     assert "--dim must be at least 2" in capsys.readouterr().err
+
+
+def test_eval_of_a_point_without_a_rep_is_a_usage_error(capsys):
+    """Bbarq at sigma = 0 has no rep (its weights divide by [sigma/2]_q = 0):
+    the spec refuses it and eval exits 2 with an error line, no traceback."""
+    assert main(["eval", "--family", "Bbarq", "--params", "0,1,0.7", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "positivity" in captured.err
+    assert captured.out == ""
+    assert main(["eval", "--family", "Bbar", "--params", "0,1", "a"]) == 0
 
 
 @pytest.mark.parametrize("degree", ["4", "-1"])

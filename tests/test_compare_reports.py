@@ -41,6 +41,16 @@ def test_identical_reports_and_rounding_noise_pass(tmp_path, capsys):
     assert "rows: base 5, new 5" in capsys.readouterr().out
 
 
+def test_row_order_does_not_matter(tmp_path, capsys):
+    """Rows are matched by key, not position: the same rows in another order
+    (a report written in run order against one sorted by key) compare equal."""
+    new = copy.deepcopy(BASE)
+    new["reports"].reverse()
+    assert _compare(tmp_path, new) == 0
+    out = capsys.readouterr().out
+    assert "rows: base 5, new 5" in out and "largest absolute residual change: 0" in out
+
+
 def test_largest_changes_name_their_rows(tmp_path, capsys):
     """The largest absolute and the largest relative change can sit on
     different rows; each is printed with its row key and both residuals."""

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosonhopf import AlgebraSpec, build_rep
-from bosonhopf.fock import _sector_operator, rep_generator_images, windowed_norm
+from bosonhopf.fock import (PARAM_NAMES, _sector_operator, rep_generator_images,
+                            windowed_norm)
 from bosonhopf.tensor import level_sectors, total_window_projector
 from bosonhopf import expr as ex
 from grids import FULL_GRID
@@ -72,6 +73,24 @@ def test_parse_error_positions():
     for text in ("N ^ -1", "N ^ 1.5", "comm(a)", "foo(a, b)", "a )", "(a"):
         with pytest.raises(ex.ParseError):
             ex.parse(text)
+
+
+def test_parameter_names_are_the_families_parameters():
+    """The language accepts as parameters exactly the union of the families'
+    parameter names, each once, and binds each to its family's value."""
+    union = {name for names in PARAM_NAMES.values() for name in names}
+    assert isinstance(ex.PARAMETER_NAMES, tuple)
+    assert sorted(ex.PARAMETER_NAMES) == sorted(union)
+    for name in union:
+        assert ex.parse(name) == ex.Name(name)
+    for name in ("gamma", "lambda1", "Q", "alpha2"):
+        with pytest.raises(ex.ParseError, match="unknown identifier"):
+            ex.parse(name)
+    for family, params in (("B", (2, 1)), ("Bbar", (1, 2)), ("Bq", (2, 4, 1.3)),
+                           ("Bbarq", (1, 1, 0.7)), ("H", (1, 0.5, 0.25))):
+        ctx = _ctx(family, params, 4)
+        for name, value in zip(PARAM_NAMES[family], params):
+            assert np.allclose(ex.evaluate_text(f"{name} * I", ctx), value * np.eye(4))
 
 
 # -- evaluator ----------------------------------------------------------------

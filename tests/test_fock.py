@@ -100,10 +100,12 @@ def test_spec_positivity():
     assert [f.name for f in dataclasses.fields(AlgebraSpec)] == ["family", "params"]
     for family, params in [("B", (-2.0, 1.0)), ("B", (0.0, 1.0)), ("Bq", (0.0, 1.0, 1.3)),
                            ("Bbar", (-1.0, 1.0)), ("Bbarq", (1.0, -1.0, 0.7)),
+                           ("Bbarq", (0.0, 1.0, 0.7)),
                            ("H", (0.0, 0.5, 0.0)), ("H", (1.0, 0.0, 0.0))]:
         with pytest.raises(SpecError, match="positivity"):
             AlgebraSpec(family, params)
     assert AlgebraSpec("Bbar", (0.0, 1.0)).sigma == 0.0   # sigma = 0 is admissible
+    assert AlgebraSpec("Bbarq", (1e-3, 0.0, 0.7)).tau == 0.0     # so is Bbarq's tau = 0
 
 
 positive = st.floats(min_value=0.05, max_value=4.0)
