@@ -29,6 +29,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,9 +66,9 @@ PARITY_HEAD_SKIP = ("(-1)^(2*Ntilde) = I requires beta/alpha to be an "
 class Suite:
     """One check suite: a runner per family and the report ids it emits.
 
-    A runner maps (scenario, spec, tol) to a list of reports; it imports
-    the check functions from their module when it runs, so a run loads only
-    the modules its suites use.  Families without a runner are skipped with
+    A runner maps a grid point (:class:`Point`) and a tolerance to a list of
+    reports; it imports the check functions from their module when it runs,
+    so a run loads only the modules its suites use.  Families without a runner are skipped with
     ``skip_reason``.  With ``parity_head``, the graded families
     are skipped where beta/alpha is not an integer.  ``ids`` maps each
     report id prefix to the identity it names.
@@ -94,97 +95,90 @@ class Suite:
                                reason=reason)]
 
 
-# The reps and Hopf tables of the grid point whose suites are running, by
-# (kind, spec, dim).  At --jobs 1 a point's suites run back to back, so each
-# is built once per point and shared by them; a new point empties the memo,
-# and so does run_config when it starts.
-_POINT_MEMO: dict = {}
+@dataclass
+class Point:
+    """One grid point: its spec and dim, and the Fock rep and Hopf tables
+    its suites share, each built on first use.  A build that raises is not
+    kept, so the next suite to read it builds it again."""
 
+    spec: AlgebraSpec
+    dim: int
 
-def _point_memo(kind: str, spec: AlgebraSpec, dim: int, build):
-    key = (kind, spec, dim)
-    if key not in _POINT_MEMO:
-        if any(other != spec for _, other, _ in _POINT_MEMO):
-            _POINT_MEMO.clear()
-        _POINT_MEMO[key] = build()
-    return _POINT_MEMO[key]
+    @cached_property
+    def rep(self):
+        return build_rep(self.spec, self.dim)
 
-
-def _rep(spec, dim):
-    return _point_memo("rep", spec, dim, lambda: build_rep(spec, dim))
-
-
-def _tables(spec, dim):
-    def build():
+    @cached_property
+    def tables(self):
         from .hopf import build_tables
-        return build_tables(_rep(spec, dim))
-    return _point_memo("tables", spec, dim, build)
+        return build_tables(self.rep)
+
+    def rep_up_to(self, dim: int):
+        """The point's rep if it has at most ``dim`` levels, else one of ``dim``."""
+        return self.rep if self.dim <= dim else build_rep(self.spec, dim)
 
 
-def _run_relations(sc, spec, tol):
-    return check_defining_relations(_rep(spec, sc.dim), tol)
+def _run_relations(pt, tol):
+    return check_defining_relations(pt.rep, tol)
 
 
-def _run_hopf(sc, spec, tol):
-    return _tables(spec, sc.dim).run_axiom_checks(tol)
+def _run_hopf(pt, tol):
+    return pt.tables.run_axiom_checks(tol)
 
 
-def _run_delta_hom(sc, spec, tol):
-    return _tables(spec, sc.dim).check_delta_homomorphism(tol)
+def _run_delta_hom(pt, tol):
+    return pt.tables.check_delta_homomorphism(tol)
 
 
-def _run_r_series(sc, spec, tol):
+def _run_r_series(pt, tol):
     from .rmatrix import run_r_checks
-    return run_r_checks(_rep(spec, sc.dim), _tables(spec, sc.dim), tol)
+    return run_r_checks(pt.rep, pt.tables, tol)
 
 
-def _run_r0_axioms(sc, spec, tol):
+def _run_r0_axioms(pt, tol):
     from .rmatrix import build_r0, check_r_axioms
-    return check_r_axioms(build_r0(_rep(spec, sc.dim)), _tables(spec, sc.dim), tol)
+    return check_r_axioms(build_r0(pt.rep), pt.tables, tol)
 
 
-def _run_trivial_r(sc, spec, tol):
+def _run_trivial_r(pt, tol):
     from .rmatrix import check_trivial_r
-    return [check_trivial_r(_tables(spec, sc.dim), tol)]
+    return [check_trivial_r(pt.tables, tol)]
 
 
-def _run_ybe_series(sc, spec, tol):
+def _run_ybe_series(pt, tol):
     from .rmatrix import YBE_DIM, build_r, check_ybe
-    return [check_ybe(build_r(_rep(spec, min(sc.dim, YBE_DIM))), tol)]
+    return [check_ybe(build_r(pt.rep_up_to(YBE_DIM)), tol)]
 
 
-def _run_r0_ybe(sc, spec, tol):
+def _run_r0_ybe(pt, tol):
     from .rmatrix import build_r0, check_ybe
-    return [check_ybe(build_r0(_rep(spec, min(sc.dim, 4))), tol)]
+    return [check_ybe(build_r0(pt.rep_up_to(4)), tol)]
 
 
-def _run_casimir(sc, spec, tol):
+def _run_casimir(pt, tol):
     from .structure import build_realization, casimir_spectrum
-    rep = _rep(spec, sc.dim)
-    osp = build_realization(rep, "osp12")
-    sl2 = build_realization(rep, "sl2")
-    return [casimir_spectrum(osp, rep, "osp_i2", tol),
-            casimir_spectrum(sl2, rep, "sl2_c2", tol)]
+    return [casimir_spectrum(build_realization(pt.rep, target), pt.rep, which, tol)
+            for target, which in (("osp12", "osp_i2"), ("sl2", "sl2_c2"))]
 
 
-def _run_structure(sc, spec, tol):
+def _run_structure(pt, tol):
     from .structure import run_structure_checks
-    tables = _tables(spec, sc.dim) if spec.family == "B" else None
-    return run_structure_checks(_rep(spec, sc.dim), tables, tol)
+    tables = pt.tables if pt.spec.family == "B" else None
+    return run_structure_checks(pt.rep, tables, tol)
 
 
 # The partner algebra of the generator maps: beta = 1 for B, nu = 1 and
 # rho = 0 for H.
-def _run_iso_phi(sc, spec, tol):
+def _run_iso_phi(pt, tol):
     from .structure import iso_phi
-    b_spec = AlgebraSpec("B", (2.0 * spec.delta, 1.0))
-    return iso_phi(b_spec, _rep(spec, sc.dim), tol)
+    b_spec = AlgebraSpec("B", (2.0 * pt.spec.delta, 1.0))
+    return iso_phi(b_spec, pt.rep, tol)
 
 
-def _run_iso_phi_prime(sc, spec, tol):
+def _run_iso_phi_prime(pt, tol):
     from .structure import iso_phi_prime
-    h_spec = AlgebraSpec("H", (spec.alpha / 2.0, 1.0, 0.0))
-    return iso_phi_prime(h_spec, _rep(spec, sc.dim), tol=tol)
+    h_spec = AlgebraSpec("H", (pt.spec.alpha / 2.0, 1.0, 0.0))
+    return iso_phi_prime(h_spec, pt.rep, tol=tol)
 
 
 _YBE_IDS = {"rmatrix.ybe": "R12 R13 R23 = R23 R13 R12"}
@@ -392,38 +386,44 @@ def grid_expand(scenario: Scenario) -> list:
 
 # -- suite execution ----------------------------------------------------------
 
-def run_suite(scenario: Scenario, spec: AlgebraSpec, suite: str) -> list:
+def run_suite(scenario: Scenario, point: Point, suite: str) -> list:
+    """The reports of ``suite`` at ``point``, or its one skip row."""
     entry = SUITES.get(suite)
     if entry is None:
         raise ConfigError(f"unknown suite {suite!r}")
+    spec = point.spec
     reason = entry.reason_to_skip(spec)
     if reason:
-        return entry.skipped(spec.family, spec.param_dict, scenario.dim, reason)
-    return entry.runners[spec.family](scenario, spec, scenario.tol_for(suite))
+        return entry.skipped(spec.family, spec.param_dict, point.dim, reason)
+    return entry.runners[spec.family](point, scenario.tol_for(suite))
 
 
 def _run_job(job) -> list:
-    """One (scenario, grid point, suite) unit, as the records of its rows
-    (:func:`_records`).  An exception in a check, or a row the report
-    encoder cannot write, becomes the job's one failed ``<suite>.error`` row."""
-    scenario, params, spec, skip_reason, suite = job
-    start = time.perf_counter()
-    if skip_reason:
-        return _records(scenario, suite, start, SUITES[suite].skipped(
-            scenario.family, params, scenario.dim, skip_reason))
-    try:
-        return _records(scenario, suite, start, run_suite(scenario, spec, suite))
-    except Exception as exc:   # per-check errors must not abort the run
-        return _records(scenario, suite, start, [check_report(
-            spec, scenario.dim, f"{suite}.error", str(exc), float("inf"),
-            scenario.tol_for(suite),
-            branch_note={"error": f"{type(exc).__name__}: {exc}"})])
+    """One grid point, as the records (:func:`_records`) of its scenario's
+    suites in config order, which share the point's rep and Hopf tables
+    until the job ends.  An exception in a suite (building the rep or tables
+    included), or a row the report encoder cannot write, becomes that
+    suite's one failed ``<suite>.error`` row; the later suites still run."""
+    scenario, params, spec, skip_reason = job
+    point, records = Point(spec, scenario.dim), []
+    for suite in scenario.suites:
+        start = time.perf_counter()
+        try:
+            reports = (SUITES[suite].skipped(scenario.family, params, scenario.dim, skip_reason)
+                       if skip_reason else run_suite(scenario, point, suite))
+            records += _records(scenario, suite, start, reports)
+        except Exception as exc:   # per-check errors must not abort the run
+            records += _records(scenario, suite, start, [check_report(
+                spec, scenario.dim, f"{suite}.error", str(exc), float("inf"),
+                scenario.tol_for(suite),
+                branch_note={"error": f"{type(exc).__name__}: {exc}"})])
+    return records
 
 
 def _records(scenario: Scenario, suite: str, start: float, reports: list) -> list:
-    """Each report of a job that began at ``start`` as ``(passed, skipped,
-    line)``: the line is the row encoded by the report encoder, so no row
-    outlives its job.  Each row carries the job's time over its row count."""
+    """Each report of a suite that began at ``start`` as ``(passed, skipped,
+    line)``, the line the row encoded by the report encoder, so no row
+    outlives its job.  Each row carries the suite's time over its row count."""
     wall_time = (time.perf_counter() - start) / max(1, len(reports))
     records = []
     for rp in reports:
@@ -436,15 +436,14 @@ def _records(scenario: Scenario, suite: str, start: float, reports: list) -> lis
 
 
 def run_config(config: ScenarioConfig, out_path: str, jobs: int) -> int:
-    """Run every job of ``config`` and write the report to ``out_path`` (or
+    """Run each grid point of ``config`` as one job (:func:`_run_job`, on
+    one worker at ``jobs > 1``) and write the report to ``out_path`` (or
     stdout), each job's rows as soon as that job ends: scenarios in config
     order, each scenario's points in :func:`grid_expand` order, each point's
     suites in config order.  Only the counts outlive a job."""
-    _POINT_MEMO.clear()
-    units = ((scenario, params, spec, skip_reason, suite)
-             for scenario in config.scenarios
-             for params, spec, skip_reason in grid_expand(scenario)
-             for suite in scenario.suites)
+    points = ((scenario, params, spec, skip_reason)
+              for scenario in config.scenarios
+              for params, spec, skip_reason in grid_expand(scenario))
     metadata = {
         "artifact_version": __version__,
         "grammar_version": GRAMMAR_VERSION,
@@ -456,9 +455,9 @@ def run_config(config: ScenarioConfig, out_path: str, jobs: int) -> int:
             # imported here: multiprocessing costs every --jobs 1 run its import time
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                counts = write_report(metadata, pool.map(_run_job, units), fh)
+                counts = write_report(metadata, pool.map(_run_job, points), fh)
         else:
-            counts = write_report(metadata, map(_run_job, units), fh)
+            counts = write_report(metadata, map(_run_job, points), fh)
     print(f"{counts['passed']} passed, {counts['failed']} failed, "
           f"{counts['skipped']} skipped", file=sys.stderr)
     return 1 if counts["failed"] else 0

@@ -152,10 +152,13 @@ class _ShiftPlan:
               & sectors.valid[:levels, None, :width])
         flat_rows = np.broadcast_to(rows[:, :, None], ok.shape)[ok]
         flat_cols = np.broadcast_to(cols[:, None, :], ok.shape)[ok]
+        # unravel the two-dimensional index, then add the axis: numpy 2.4's
+        # unravel_index misreads an input with a length-1 axis and more
+        # than 8192 entries (a three-site window from D = 26 on)
         site_shape = (sectors.dim,) * sectors.sites
         return cls(rows, cols, ok, ~ok, flat_rows, flat_cols,
-                   np.unravel_index(rows[:, :, None], site_shape),
-                   np.unravel_index(cols[:, None, :], site_shape))
+                   tuple(x[:, :, None] for x in np.unravel_index(rows, site_shape)),
+                   tuple(x[:, None, :] for x in np.unravel_index(cols, site_shape)))
 
     def flat_index(self, slots: tuple, dim: int) -> np.ndarray:
         """The flat position, in a matrix on the sites ``slots`` of ``dim``

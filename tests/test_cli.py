@@ -128,7 +128,7 @@ def test_grid_expand_tags_proviso_violations():
 def test_run_suite_unknown_raises():
     scen = Scenario(name="g", family="B", param_grid={})
     with pytest.raises(ConfigError):
-        run_suite(scen, AlgebraSpec("B", (2, 1)), "bogus")
+        run_suite(scen, cli.Point(AlgebraSpec("B", (2, 1)), 8), "bogus")
 
 
 # -- end-to-end runs ----------------------------------------------------------
@@ -299,22 +299,34 @@ def test_report_file_parses_to_the_report_document(mixed_config, tmp_path, monke
 
 
 def test_each_jobs_rows_are_written_before_the_next_job_starts(mixed_config, monkeypatch):
-    """The report streams: when a job starts, the output holds the rows of
-    every job before it and no more, and the counts follow the last row."""
+    """The report streams, one job per grid point: when a point's job
+    starts, the output holds the rows of every earlier point and no more,
+    a job returns the rows of all its point's suites, and the counts follow
+    the last row."""
     output = io.StringIO()
     monkeypatch.setattr(sys, "stdout", output)
-    run_job, written, returned = cli._run_job, [], []
+    run_job, written, returned, started = cli._run_job, [], [], []
 
     def job(args):
         written.append(output.getvalue().count("\n{"))   # one row per line
+        started.append((args[0].name, args[1]))
         records = run_job(args)
         returned.append(len(records))
         return records
 
     monkeypatch.setattr(cli, "_run_job", job)
     assert main(["run", "--config", str(mixed_config), "--jobs", "1"]) == 1
+    config = parse_config(str(mixed_config))
+    assert started == [(sc.name, params) for sc in config.scenarios
+                       for params, _, _ in grid_expand(sc)]
     assert len(written) > 2 and all(returned)
     assert written == [sum(returned[:k]) for k in range(len(returned))]
+    rows = json.loads(output.getvalue())["reports"]
+    suites = {sc.name: list(sc.suites) for sc in config.scenarios}
+    for k, (name, params) in enumerate(started):
+        mine = rows[written[k]:written[k] + returned[k]]
+        assert all((r["scenario"], r["params"]) == (name, params) for r in mine)
+        assert list(dict.fromkeys(r["suite"] for r in mine)) == suites[name]
     text = output.getvalue()
     assert text.count("\n{") == sum(returned)
     assert text.rindex('"counts"') > text.rindex("\n{")
@@ -332,11 +344,12 @@ suites = relations, hopf
 
 def test_a_row_the_encoder_cannot_write_becomes_its_jobs_error_row(tmp_path, monkeypatch):
     """A runner whose row carries a note no JSON encoder writes fails only
-    its own job, as a relations.error row; the run completes and exits 1.
+    its own suite at its point, as a relations.error row; the run completes
+    and exits 1.
     A numpy bool in a note is written as a JSON bool."""
-    def runner(scenario, spec, tol):
-        note = object() if spec.beta == 2 else np.bool_(True)
-        return [check_report(spec, scenario.dim, "relations.noted", "a noted row", 0.0,
+    def runner(point, tol):
+        note = object() if point.spec.beta == 2 else np.bool_(True)
+        return [check_report(point.spec, point.dim, "relations.noted", "a noted row", 0.0,
                              tol, branch_note={"note": note})]
 
     monkeypatch.setitem(cli.SUITES["relations"].runners, "B", runner)
@@ -353,6 +366,33 @@ def test_a_row_the_encoder_cannot_write_becomes_its_jobs_error_row(tmp_path, mon
     assert doc["counts"]["failed"] == 1
     assert any(r["suite"] == "hopf" and r["params"]["beta"] == 2.0 and r["passed"]
                for r in doc["reports"])
+
+
+def test_a_failed_tables_build_is_its_suites_error_row_and_is_not_kept(tmp_path, monkeypatch):
+    """When building a point's Hopf tables raises, the suite that asked for
+    them reports one hopf.error row, the point's later suites still run, and
+    the next one to read the tables builds them again."""
+    from bosonhopf import hopf
+    real, calls = hopf.build_tables, []
+
+    def fails_once(rep):
+        calls.append(rep.dim)
+        if len(calls) == 1:
+            raise RuntimeError("no tables")
+        return real(rep)
+
+    monkeypatch.setattr(hopf, "build_tables", fails_once)
+    path, out = tmp_path / "once.ini", tmp_path / "once.json"
+    path.write_text("[scenario once]\nfamily = B\nalpha = 2\nbeta = 1\n"
+                    "dim = 4\nsuites = relations, hopf, delta-hom\n")
+    assert _run(path, out) == 1
+    rows = json.loads(out.read_text())["reports"]
+    failed = [(r["suite"], r["identity"]) for r in rows if not r["passed"]]
+    assert failed == [("hopf", "hopf.error")]
+    error = next(r for r in rows if r["identity"] == "hopf.error")
+    assert error["branch_note"]["error"] == "RuntimeError: no tables"
+    assert {r["suite"] for r in rows if r["passed"]} == {"relations", "delta-hom"}
+    assert calls == [4, 4]
 
 
 def test_importing_the_cli_leaves_multiprocessing_out():
@@ -469,6 +509,41 @@ def test_parallel_run_matches_serial_run(tmp_path):
         docs.append(doc)
     assert docs[0]["counts"]["passed"] > 0
     assert docs[0] == docs[1]
+
+
+EACH_POINT_ONCE_CONFIG = """
+[scenario graded]
+family = B
+alpha = 2, 4
+beta = 1, 2
+dim = 4
+suites = relations, hopf, delta-hom, rmatrix, ybe, structure
+"""
+
+
+def test_every_point_is_built_once_at_any_jobs(tmp_path, monkeypatch):
+    """A grid point's suites run in one job, so --jobs 2 builds as many
+    reps as --jobs 1: one per point (its YBE rep is the point's own at
+    dim 4).  The counting wrapper is installed before the fork-started
+    pool and logs each call to a file."""
+    log = tmp_path / "builds.log"
+
+    def logged_build_rep(spec, dim):
+        with open(log, "a") as fh:
+            fh.write(f"{spec} {dim}\n")
+        return build_rep(spec, dim)
+
+    monkeypatch.setattr(cli, "build_rep", logged_build_rep)
+    path = tmp_path / "points.ini"
+    path.write_text(EACH_POINT_ONCE_CONFIG)
+    builds = {}
+    for jobs in ("1", "2"):
+        log.write_text("")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / f"jobs{jobs}.json"),
+                     "--jobs", jobs]) == 0
+        builds[jobs] = sorted(log.read_text().splitlines())
+    assert len(builds["1"]) == 4
+    assert builds["2"] == builds["1"]
 
 
 def test_run_all_green_exits_zero(tmp_path):

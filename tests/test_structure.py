@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,26 @@ def test_casimir_fixed_values():
         assert sl2.passed, sl2.summary()
         assert sl2.branch_note["c_even"] == pytest.approx(c_even, abs=1e-12)
         assert sl2.branch_note["c_odd"] == pytest.approx(c_odd, abs=1e-12)
+
+
+@pytest.mark.parametrize("params", B_GRID + [(4.0, 3.0)])
+def test_casimir_rows_see_a_scaled_generator_image(params):
+    """Negative control: each generator image that a Casimir reads (e, f, h
+    of the osp12 realization; J0, J+, J- of the sl2 one, whose e, f, h only
+    the realization rows read) scaled by 1 + 1e-6 makes its
+    structure.casimir-* row breach 1e-10 at D = 12, alpha = 4 included: the
+    scaled rows read 2e-5 to 9e-5, the unscaled ones about 1e-14."""
+    rep = _rep("B", params)
+    for target, which, names in (("osp12", "osp_i2", ("e", "f", "h")),
+                                 ("sl2", "sl2_c2", ("J0", "Jplus", "Jminus"))):
+        real = build_realization(rep, target)
+        assert casimir_spectrum(real, rep, which, 1e-10).passed
+        for name in names:
+            images = {**real.generator_images,
+                      name: (1 + 1e-6) * real.generator_images[name]}
+            row = casimir_spectrum(dataclasses.replace(real, generator_images=images),
+                                   rep, which, 1e-10)
+            assert not row.passed and row.residual > 1e-5, (target, name, row.residual)
 
 
 # -- the generator maps -------------------------------------------------------

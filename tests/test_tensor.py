@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bosonhopf import AlgebraSpec, build_rep, build_tables, tensor
 from bosonhopf.hopf import expand_slot, terms_matrix, terms_operator, word_image
+from bosonhopf.rmatrix import build_r0
 from bosonhopf.tensor import (SectorOperator, embed_two_site, kron, kron_all,
                               level_sectors, spectral_norm, swap_matrix,
                               total_window_projector, windowed_norm)
@@ -463,3 +464,25 @@ def test_sector_operator_of_a_sweedler_term_is_bit_identical_to_kron(family, par
         swap = swap_matrix(dim)
         assert np.array_equal(opposite.to_dense(),
                               swap @ tables.delta_matrix(name) @ swap), name
+
+
+def test_a_three_site_window_gather_above_8192_plan_entries_reads_each_factor_entry():
+    """R13 of the B parity R0 at D = 26, gathered on the three-site window
+    of total level <= D - 1 (26 * 351 plan row entries, above the 8192 where
+    numpy's unravel_index of an array with a length-1 axis went wrong): each
+    block entry equals R0[(i, k), (i', k')] * [j == j'] at its row and column
+    states, read through the level sectors of an np.ndindex enumeration."""
+    dim = 26
+    r0 = build_r0(build_rep(AlgebraSpec("B", (2, 2)), dim)).matrix
+    sectors = level_sectors(dim, 3)
+    top = dim - 1
+    r13 = SectorOperator.gather([(r0, (0, 2)), (np.eye(dim), (1,))], sectors, top=top)
+    states = np.array(list(np.ndindex(dim, dim, dim)))
+    level = states.sum(axis=1)
+    assert r13.shift == 0 and len(r13.blocks) == top + 1
+    for total in range(top + 1):
+        i, j, k = states[level == total].T   # the sector's states, in basis order
+        n = i.size
+        expected = r0[np.ix_(i * dim + k, i * dim + k)] * (j[:, None] == j[None, :])
+        assert np.array_equal(r13.blocks[total, :n, :n], expected), total
+        assert not r13.blocks[total, n:].any() and not r13.blocks[total, :, n:].any()

@@ -5,6 +5,7 @@ resolves, so a rename or deletion in `src/` is caught here instead.
 """
 
 import importlib
+import inspect
 import pathlib
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -20,3 +21,12 @@ def test_every_trace_target_resolves(monkeypatch):
             assert hasattr(owner, part), f"{module}.{qualname}"
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{qualname}"
+
+
+def test_run_suite_takes_the_suite_third():
+    """The traced run labels each `cli.run_suite` span with its third
+    positional argument (`layers._suite` reads `args[2]`), so a reordering
+    would file every suite's time under another name."""
+    from bosonhopf import cli
+
+    assert list(inspect.signature(cli.run_suite).parameters)[2] == "suite"
