@@ -23,11 +23,18 @@ between S(a+)^l and the right factor.  A wrong Delta or S image in the
 tables therefore shows in these rows.  The parity R0, its head alone, runs
 through the same fusion and inverse code.
 
-Every operator here is a level-sector operator (tensor.SectorOperator): the
-slot images, each ladder power (the previous one times the image), and R12,
-R13, R23 and the series terms, gathered from their slot factors.  R conserves
-the total level, so a product that starts on the window columns stays on
-them: the fusion, inverse and Yang-Baxter operators hold only those columns.
+The slot images and each ladder power (the previous one times the image)
+are level-sector operators (tensor.SectorOperator), and build_r gathers R's
+terms from them.  R keeps the total level, so every operator of the fusion,
+inverse and Yang-Baxter identities is block diagonal over the window's column
+levels, and those rows are built one level at a time: at each level, R12,
+R13, R23 and the series terms are gathered straight into that level's
+block, which holds its real states only, their products are formed there,
+and the residual and scale blocks are normed as they come
+(tensor.StreamedNorm) and dropped.  Term l of a series moves each slot's
+level by l, so each entry of a level block lies in one term, the one of its
+left slot's rise, and is read from the stacked terms (tensor.SectorStack).
+No operator on the whole three-site window is ever built.
 
 Printed sources for such series are notoriously convention-sensitive; every
 sign and root choice is captured in a BranchChoice and recorded in the
@@ -47,7 +54,7 @@ from .fock import FockRep, RepresentationError, SpecError, _sector_operator, bui
 from .hopf import HopfTables
 from .report import CheckReport, check_report, windowed_row
 from .scalars import bracket_factorial, phase_pow
-from .tensor import SectorOperator, level_sectors, spectral_norm
+from .tensor import SectorOperator, SectorStack, StreamedNorm, level_sectors, spectral_norm
 
 DEFAULT_R_TOL = 1e-8
 
@@ -248,49 +255,41 @@ def _scaled(coeff, op: SectorOperator) -> SectorOperator:
     return op
 
 
-def _series_r(rep: FockRep, branch: BranchChoice | None, left: _Slot, right: _Slot,
-              sectors, top: int | None = None) -> SectorOperator:
-    """R on the slots' images, gathered on the column sectors of ``sectors``
-    up to ``top`` (every level by default).
+def _term_stacks(terms, levels: int) -> tuple:
+    """The coefficients of the series ``terms``, (c_l, raising_l, lowering_l),
+    as an array, and its raising and lowering factors on their column
+    sectors below ``levels`` as sector stacks.  Term l must raise the left
+    slot's level by l and lower the right slot's by l: the one term of a
+    level block's entry is then the rise of its left slot."""
+    coeffs, raising, lowering = [], [], []
+    for coeff, up, down in terms:
+        coeffs.append(coeff)
+        raising.append(up.window(levels))
+        lowering.append(down.window(levels))
+    raising, lowering = SectorStack(raising), SectorStack(lowering)
+    rises = np.arange(len(coeffs))
+    if not (np.array_equal(raising.shifts, rises) and np.array_equal(lowering.shifts, -rises)):
+        raise ValueError("term l of R's series must move each slot's level by l")
+    return np.array(coeffs), raising, lowering
 
-    Each slot holds images under an algebra map (the rep itself, or Delta),
-    so every term keeps its order: head . (d_l (ad)^l x right factor).  The
-    terms are summed in order, each into the running sum's blocks.
+
+def _series_r(rep: FockRep, branch: BranchChoice | None, left: _Slot, right: _Slot,
+              sectors) -> SectorOperator:
+    """R on the slots' images, gathered on every column sector of ``sectors``.
+
+    Each slot holds the rep's images, so every term keeps its order:
+    head . (d_l (ad)^l x q^{-rate l Nt} a^l).  The terms are summed in
+    order, each into the running sum's blocks.
     """
     head, series = _series(rep, branch, left, right)
-    split = 1 + (left.nt.size > rep.dim)   # a Delta image spans two sites
-    left_sites, right_sites = tuple(range(split)), tuple(range(split, sectors.sites))
-    terms = (_scaled(coeff, SectorOperator.gather([(raise_l.scale_rows(dress), left_sites),
-                                                   (right_l, right_sites)], sectors, top))
+    terms = (_scaled(coeff, SectorOperator.gather([(raise_l.scale_rows(dress), (0,)),
+                                                   (right_l, (1,))], sectors))
              for coeff, dress, raise_l, right_l in series)
     total = next(terms)
     for term in terms:
         total += term
         del term   # hold no term while the next one is gathered
     return total.scale_rows(head)
-
-
-def _antipode_r(rep: FockRep, branch: BranchChoice | None, left: _Slot,
-                right: _Slot, sectors, top: int) -> SectorOperator:
-    """(S x id) R, with the S images in the left slot, on the column sectors
-    of ``sectors`` up to ``top``.
-
-    S reverses products, so each left word h d_l (ad)^l becomes
-    S(ad)^l S(d_l) S(h): the diagonal images of the dressing and the head
-    stand between S(ad)^l and the right factor.
-    """
-    head, series = _series(rep, branch, left, right)
-    dim = rep.dim
-    eye = np.eye(dim)
-    total = None
-    for coeff, dress, raise_l, right_l in series:
-        middle = (dress[:, None] * head.reshape(dim, dim)).reshape(-1)
-        right_op = _scaled(coeff, SectorOperator.gather([(eye, (0,)), (right_l, (1,))],
-                                                        sectors, top))
-        term = (SectorOperator.gather([(raise_l, (0,)), (eye, (1,))], sectors, top=top)
-                @ right_op.scale_rows(middle))
-        total = term if total is None else total + term
-    return total
 
 
 def build_r0(rep: FockRep) -> RMatrix:
@@ -352,52 +351,148 @@ def check_quasitriangularity(r: RMatrix, tables: HopfTables,
     return out
 
 
-def _site_pairs(r: RMatrix, sectors, top: int, pairs=("12", "13", "23")) -> tuple:
-    """R on each slot pair of ``pairs`` (R12, R13 and R23 by default) of the
-    three sites of ``sectors``, gathered straight from R's entries on the
-    column sectors up to ``top``."""
-    eye = np.eye(r.dim)
-    factors = {"12": [(r.matrix, (0, 1)), (eye, (2,))],
-               "13": [(r.matrix, (0, 2)), (eye, (1,))],
-               "23": [(eye, (0,)), (r.matrix, (1, 2))]}
-    return tuple(SectorOperator.gather(factors[pair], sectors, top=top) for pair in pairs)
+def _level_operator(r: RMatrix) -> SectorOperator:
+    """R as one two-site sector operator of shift 0; an R with an entry that
+    moves the total level is refused, not dropped from the level blocks."""
+    rop = _sector_operator(r.matrix, level_sectors(r.dim, 2))
+    if rop.shift:
+        raise RepresentationError("R must keep the total level")
+    return rop
+
+
+def _level_row(r: RMatrix, identity: str, reference: str, levels,
+               tol: float) -> CheckReport:
+    """The row of an identity whose residual and scale are block diagonal over
+    the window's column levels (window degree 0): ``levels`` yields each
+    level's (residual, scale) blocks, which are normed as they come
+    (tensor.StreamedNorm) and dropped; the residual's norm is divided by
+    max(1, the scale's) once, at the end."""
+    residual, scale = StreamedNorm(), StreamedNorm()
+    for residual_block, scale_block in levels:
+        residual.add(residual_block)
+        scale.add(scale_block)
+    return windowed_row(r.rep.spec, r.dim, identity, reference,
+                        residual.value / max(1.0, scale.value), tol,
+                        family=r.family, branch_note=dict(r.branch_note))
+
+
+def _levels_top_first(dim: int):
+    """The column levels of a degree-0 window, top level first: the largest
+    blocks come first, so the streamed norms factor few of the others."""
+    return range(dim - 1, -1, -1)
+
+
+def _site_pairs(r: RMatrix, sites: tuple, pairs=("12", "13", "23")) -> tuple:
+    """The blocks at one column level of three sites of R on each slot pair
+    of ``pairs`` (R12, R13 and R23 by default), gathered straight from R's
+    entries: ``sites`` holds the level's states' level on each site
+    (LevelSectors.site_levels).  R acts on its pair, and an entry whose
+    third site changes is 0."""
+    matrix, dim = r.matrix, r.dim
+    out = []
+    for pair in pairs:
+        first, second = int(pair[0]) - 1, int(pair[1]) - 1
+        index = sites[first] * dim + sites[second]
+        third = sites[3 - first - second]
+        out.append(np.where(third[:, None] == third, matrix[index[:, None], index], 0))
+    return tuple(out)
 
 
 def check_ybe(r: RMatrix, tol: float = DEFAULT_R_TOL) -> CheckReport:
     """R12 R13 R23 = R23 R13 R12 on the three-site total-level window.
 
-    R12, R13 and R23 are gathered on the window's column sectors (total
-    level up to dim - 1) only; both triple products and the backward-error
-    scale |R12||R13||R23| are associated right to left.  The scale is
-    normed first, and each operator is dropped after its last product, so
-    at most five window operators are held at once.
+    R keeps the total level, so both sides are block diagonal over the
+    window's column levels (total level up to dim - 1).  Level by level,
+    R12, R13 and R23 are gathered into that level's block; both triple
+    products and the backward-error scale |R12||R13||R23| are associated
+    right to left, and the residual and scale blocks are normed and dropped
+    before the next level is gathered.
     """
+    _level_operator(r)
     dim = r.dim
-    r12, r13, r23 = _site_pairs(r, level_sectors(dim, 3), dim - 1)
-    scale = spectral_norm(abs(r12) @ (abs(r13) @ abs(r23)), top=dim - 1)
-    lhs = r12 @ (r13 @ r23)
-    r13_r12 = r13 @ r12
-    del r12, r13
-    residual = lhs - r23 @ r13_r12
-    del lhs, r23, r13_r12
-    return windowed_row(r.rep.spec, dim, "rmatrix.ybe", "R12 R13 R23 = R23 R13 R12",
-                        residual, tol, scale=scale,
-                        family=r.family, branch_note=dict(r.branch_note))
+    sectors = level_sectors(dim, 3)
+
+    def levels():
+        for level in _levels_top_first(dim):
+            r12, r13, r23 = _site_pairs(r, sectors.site_levels(level))
+            scale = abs(r12) @ (abs(r13) @ abs(r23))
+            yield r12 @ (r13 @ r23) - r23 @ (r13 @ r12), scale
+
+    return _level_row(r, "rmatrix.ybe", "R12 R13 R23 = R23 R13 R12", levels(), tol)
 
 
 def _fusion_row(r: RMatrix, slots: tuple, pairs: tuple, identity: str,
-                reference: str, sectors, tol: float) -> CheckReport:
+                reference: str, tol: float) -> CheckReport:
     """The fusion row of R on the Delta ``slots`` against the product of R
-    on the slot ``pairs``: only the pairs it uses are gathered, when it is
-    built, and its target and series are dropped once it is normed."""
-    top = r.dim - 1
-    first, second = _site_pairs(r, sectors, top, pairs)
-    target = first @ second
-    del first, second
-    return windowed_row(r.rep.spec, r.dim, identity, reference,
-                        _series_r(r.rep, r.branch, *slots, sectors, top) - target,
-                        tol, scale=target, family=r.family,
-                        branch_note=dict(r.branch_note))
+    on the slot ``pairs``, level by level of the three-site window.
+
+    Each slot holds images under an algebra map (the rep itself, or Delta),
+    so every term keeps its order: head . (d_l (ad)^l x right factor).
+    Term l raises the left slot's level by l, so each entry of a level
+    block lies in one term, the one of its left slot's rise: the series
+    block is gathered entry by entry from that term's factors,
+    c_l (left x right) times the head, and the pairs' blocks are multiplied
+    into the target's.
+    """
+    dim, sectors = r.dim, level_sectors(r.dim, 3)
+    head, series = _series(r.rep, r.branch, *slots)
+    split = 1 + (slots[0].nt.size > dim)   # a Delta image spans two sites
+    coeffs, raising, lowering = _term_stacks(
+        ((coeff, raise_l.scale_rows(dress), right_l) for coeff, dress, raise_l, right_l in series),
+        dim)
+
+    def levels():
+        for level in _levels_top_first(dim):
+            sites = sectors.site_levels(level)
+            left = sites[0] * dim + sites[1] if split == 2 else sites[0]
+            right = sites[1] * dim + sites[2] if split == 1 else sites[2]
+            rise = sum(sites[:split])
+            term = rise[:, None] - rise
+            series_block = (coeffs.take(term, mode="clip")
+                            * (raising.entries(term, left, left)
+                               * lowering.entries(term, right, right))
+                            * head[sectors.states(level)][:, None])
+            first, second = _site_pairs(r, sites, pairs)
+            target = first @ second
+            yield series_block - target, target
+
+    return _level_row(r, identity, reference, levels(), tol)
+
+
+def _inverse_row(r: RMatrix, left: _Slot, right: _Slot, rop: SectorOperator,
+                 tol: float) -> CheckReport:
+    """((S x id) R) R = I x I, level by level of the two-site window, with
+    the S images in the ``left`` slot.
+
+    S reverses products, so each left word h d_l (ad)^l becomes
+    S(ad)^l S(d_l) S(h): the diagonal images m_l of the dressing and the
+    head stand between S(ad)^l and the right factor.  Term l raises site 0
+    by l, so entry ((i0, i1), (j0, j1)) of a level block lies in term
+    l = i0 - j0 only, where it is S(ad)^l[i0, j0] (c_l right_l[i1, j1])
+    m_l[j0, i1].  The backward-error scale |(S x id) R| |R| is the rounding
+    floor of a product that cancels.
+    """
+    dim, sectors = r.dim, level_sectors(r.dim, 2)
+    head, series = _series(r.rep, r.branch, left, right)
+    series = list(series)
+    coeffs, raising, lowering = _term_stacks(
+        ((coeff, raise_l, right_l) for coeff, _, raise_l, right_l in series), dim)
+    middle = np.stack([(dress[:, None] * head.reshape(dim, dim)).reshape(-1)
+                       for _, dress, _, _ in series])
+
+    def levels():
+        for level in _levels_top_first(dim):
+            i0, i1 = sectors.site_levels(level)
+            term = i0[:, None] - i0
+            known = np.minimum(np.maximum(term, 0), len(middle) - 1)
+            sr = (raising.entries(term, i0, i0)
+                  * ((coeffs.take(term, mode="clip") * lowering.entries(term, i1, i1))
+                     * middle[known, i0 * dim + i1[:, None]]))
+            size = sectors.size[level]
+            r_block = rop.blocks[level, :size, :size]
+            yield sr @ r_block - np.eye(size), abs(sr) @ abs(r_block)
+
+    return _level_row(r, "rmatrix.inverse", "((S x id) R) R = I x I", levels(), tol)
 
 
 def check_r_axioms(r: RMatrix, tables: HopfTables,
@@ -408,26 +503,20 @@ def check_r_axioms(r: RMatrix, tables: HopfTables,
     ((S x id) R) . R = I x I.
 
     Each left side is R assembled with the tables' Delta or S images in one
-    slot.  Every operator holds the window's column sectors (total level up
-    to dim - 1) only: on three sites for fusion, on two for the inverse.
+    slot.  R keeps the total level, so every operator of these identities is
+    block diagonal over the window's column levels (total level up to
+    dim - 1), on three sites for fusion and on two for the inverse: each
+    row is built and normed one level at a time.
     """
-    rep, dim = r.rep, r.dim
-    top = dim - 1
-    sectors3, sectors2 = level_sectors(dim, 3), level_sectors(dim, 2)
+    rep = r.rep
+    rop = _level_operator(r)
     one = _slot(rep, rep.generator)
     delta = _slot(rep, tables.delta_image, 2)
-    out = [_fusion_row(r, (delta, one), ("13", "23"), "rmatrix.fusion-left",
-                       "(Delta x id) R = R13 R23", sectors3, tol),
-           _fusion_row(r, (one, delta), ("13", "12"), "rmatrix.fusion-right",
-                       "(id x Delta) R = R13 R12", sectors3, tol)]
-    sr = _antipode_r(rep, r.branch, _slot(rep, tables.antipode), one, sectors2, top)
-    rop = SectorOperator.gather([(r.matrix, (0, 1))], sectors2, top=top)
-    identity = SectorOperator.gather([(np.eye(dim * dim), (0, 1))], sectors2, top=top)
-    # backward-error scale: the rounding floor of a product that cancels
-    out.append(windowed_row(rep.spec, dim, "rmatrix.inverse", "((S x id) R) R = I x I",
-                            sr @ rop - identity, tol, scale=abs(sr) @ abs(rop),
-                            family=r.family, branch_note=dict(r.branch_note)))
-    return out
+    return [_fusion_row(r, (delta, one), ("13", "23"), "rmatrix.fusion-left",
+                        "(Delta x id) R = R13 R23", tol),
+            _fusion_row(r, (one, delta), ("13", "12"), "rmatrix.fusion-right",
+                        "(id x Delta) R = R13 R12", tol),
+            _inverse_row(r, _slot(rep, tables.antipode), one, rop, tol)]
 
 
 def check_trivial_r(tables: HopfTables, tol: float = 1e-12) -> CheckReport:

@@ -21,7 +21,11 @@ a diagonal and the norm then work on the blocks, between sector operators
 only.  The norm is the largest singular value over the blocks, found by
 factoring them one at a time in descending order of a certified bound
 until no bound left exceeds it: the value one batched SVD of all the
-blocks gives, bit for bit, at the cost of one or a few small SVDs.  A
+blocks gives, bit for bit, at the cost of one or a few small SVDs.  An
+operator built one column level at a time, never whole, is normed as its
+blocks come (:class:`StreamedNorm`), with the same bound deciding which
+blocks to factor; a series whose term t moves the level by t is read at any
+entry of a block from its stacked terms (:class:`SectorStack`).  A
 dense matrix that mixes level shifts (an ``eval`` expression such as
 ``a + ad``) has no blocks: its norm is the SVD of its nonzero rows and window
 columns.  The dense products (kron_all, embed_two_site, swap_matrix, and
@@ -105,6 +109,18 @@ class LevelSectors:
     size: np.ndarray
     valid: np.ndarray
     _plans: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def states(self, level: int) -> np.ndarray:
+        """The basis indices of total level ``level`` in increasing order
+        (none when it is not a level)."""
+        if not 0 <= level < self.size.size:
+            return self.index[0, :0]
+        return self.index[level, :self.size[level]]
+
+    def site_levels(self, level: int) -> tuple:
+        """The level on each site of the states of total level ``level``, in
+        the order of :meth:`states`: one array per site."""
+        return np.unravel_index(self.states(level), (self.dim,) * self.sites)
 
     def plan(self, shift: int, levels: int | None = None) -> "_ShiftPlan":
         """The gather pattern of level shift ``shift`` on column levels below ``levels``."""
@@ -297,6 +313,12 @@ class SectorOperator:
         out[plan.flat_rows, plan.flat_cols] = self.blocks[plan.ok]
         return out
 
+    def window(self, levels: int) -> "SectorOperator":
+        """A copy of the operator on its column sectors below ``levels`` only."""
+        if len(self.blocks) < levels:
+            raise ValueError(f"the operator does not hold column sectors 0 .. {levels - 1}")
+        return self._like(self.shift, self.blocks[:levels].copy())
+
     def scale_rows(self, diag: np.ndarray) -> "SectorOperator":
         """``diag(diag) @ self`` for a diagonal of the dense space, formed
         entry by entry: each entry times its row's value."""
@@ -414,15 +436,72 @@ class SectorOperator:
         blocks = self.blocks[lo:hi, :width_out, :width_in]
         if not blocks.any():
             return 0.0
-        mags = np.abs(blocks)
-        bound = np.sqrt(mags.sum(axis=1).max(axis=1) * mags.sum(axis=2).max(axis=1))
-        bound *= 1.0 + 1e-12
+        bound = _bound(blocks)
         best = 0.0
         for i in np.argsort(-bound, kind="stable"):
             if best >= bound[i]:   # an all-zero block's bound is 0: it ends here too
                 break
             best = max(best, np.linalg.svd(blocks[i], compute_uv=False)[0])
         return float(best)
+
+
+def _bound(blocks: np.ndarray) -> np.ndarray:
+    """``sqrt(|B|_1 |B|_inf)`` of each block B over the last two axes, an
+    upper bound of its largest singular value, inflated by 1e-12 relative
+    so that rounding never lets it fall below a computed singular value."""
+    mags = np.abs(blocks)
+    bound = np.sqrt(mags.sum(axis=-2).max(axis=-1) * mags.sum(axis=-1).max(axis=-1))
+    bound *= 1.0 + 1e-12
+    return bound
+
+
+class StreamedNorm:
+    """The spectral norm of a block-diagonal operator whose blocks are fed
+    one at a time and not kept.
+
+    ``value`` is the largest singular value over the blocks fed so far.
+    :meth:`add` factors a block only when its bound (:func:`_bound`)
+    exceeds ``value``, so blocks fed largest first mostly cost no SVD, and
+    ``value`` stays exactly 0.0 while every block fed is zero.
+    """
+
+    def __init__(self):
+        self.value = 0.0
+
+    def add(self, block: np.ndarray) -> None:
+        if block.size and _bound(block) > self.value:
+            self.value = max(self.value, float(np.linalg.svd(block, compute_uv=False)[0]))
+
+
+class SectorStack:
+    """Sector operators of one level-sector index and one block shape,
+    stacked in order: the ``t``-th is term ``t`` of a series.
+
+    :meth:`entries` reads, at each entry of a block, the entry of the one
+    term that the caller names there, straight from the stacked blocks.
+    """
+
+    def __init__(self, ops):
+        sec = self.sectors = ops[0].sectors
+        self.shifts = np.array([op.shift for op in ops])
+        self.blocks = np.stack([op.blocks for op in ops])
+        # each basis index's place in its level's row of sec.index
+        self.position = np.zeros(sec.level.size, dtype=np.intp)
+        self.position[sec.index[sec.valid]] = np.nonzero(sec.valid)[1]
+
+    def entries(self, term: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Entry ``(i, j)`` of term ``term[i, j]``'s dense matrix at row
+        ``rows[i]`` and column ``cols[j]``: 0 where ``term[i, j]`` names no
+        term or that term holds nothing there."""
+        sec, (count, levels, width_out, width_in) = self.sectors, self.blocks.shape
+        known = np.minimum(np.maximum(term, 0), count - 1)
+        col_level = sec.level[cols]
+        held = ((known == term) & (col_level < levels)
+                & (sec.level[rows][:, None] == col_level + self.shifts[known]))
+        # clipped where nothing is held, so that every read is in bounds
+        return np.where(held, self.blocks[known, np.minimum(col_level, levels - 1),
+                                          np.minimum(self.position[rows], width_out - 1)[:, None],
+                                          np.minimum(self.position[cols], width_in - 1)], 0)
 
 
 def _window_levels(top: int | None) -> int | None:

@@ -121,31 +121,69 @@ DEFORMED_CASES = [("Bq", (2, 4, 1.3), BranchChoice(phase_sign=-1)),
                   ("Bbarq", (1, 1, 0.7), BBARQ_PRINTED)]
 
 
+def _dense_slots(r, left, right):
+    """The head's view of the dense slot images ``left(name)`` and
+    ``right(name)``: the diagonals of Nt and (graded) of g."""
+    rep = r.rep
+    graded = rep.spec.family in ("B", "Bq")
+    return [SimpleNamespace(nt=image("N").diagonal().real + rep.spec.grade_shift,
+                            g=image("g").diagonal() if graded else None)
+            for image in (left, right)]
+
+
+def _dense_terms(r, left, right):
+    """The series terms (c_l, d_l, (ad)^l, q^{-rate l Nt} a^l) on the dense
+    slot images, each power taken by np.linalg.matrix_power; R0's one term
+    is 1 x 1."""
+    rep, branch = r.rep, r.branch
+    nt = [slot.nt for slot in _dense_slots(r, left, right)]
+    if branch is None:
+        return [(1.0, np.ones(len(nt[0])), np.eye(len(nt[0])), np.eye(len(nt[1])))]
+    q, c = rep.spec.q, _head_exponent(rep)
+    rate = c / 2.0 if branch.full_rate else c / 4.0
+    out = []
+    for l in range(rep.dim):
+        dress = q ** (rate * l * nt[0])
+        if rep.spec.family == "Bq":
+            dress = dress * np.exp(1j * np.pi * l * nt[0])
+        out.append((_ladder_coeff(rep, l, branch), dress, np.linalg.matrix_power(left("ad"), l),
+                    (q ** (-rate * l * nt[1]))[:, None] * np.linalg.matrix_power(right("a"), l)))
+    return out
+
+
+def _dense_head(r, left, right):
+    """R's head diagonal on the dense slot images; R0's is its parity head."""
+    slots = _dense_slots(r, left, right)
+    if r.branch is None:
+        return _head(*slots)
+    return _head(*slots, r.rep.spec.q, _head_exponent(r.rep))
+
+
 def _dense_series_r(r, left, right):
     """R on the dense slot images ``left(name)`` and ``right(name)`` as a
     dense Kronecker sum over the ladder series,
-    head . sum_l c_l (d_l (ad)^l) x (q^{-rate l Nt} a^l), each power taken
-    by np.linalg.matrix_power."""
-    rep, branch = r.rep, r.branch
-    q, c = rep.spec.q, _head_exponent(rep)
-    rate = c / 2.0 if branch.full_rate else c / 4.0
-    graded = rep.spec.family == "Bq"
-    nt = [image("N").diagonal().real + rep.spec.grade_shift for image in (left, right)]
-    total = 0
-    for l in range(rep.dim):
-        dress = q ** (rate * l * nt[0])
-        if graded:
-            dress = dress * np.exp(1j * np.pi * l * nt[0])
-        right_l = (q ** (-rate * l * nt[1]))[:, None] * np.linalg.matrix_power(right("a"), l)
-        total = total + _ladder_coeff(rep, l, branch) * np.kron(
-            dress[:, None] * np.linalg.matrix_power(left("ad"), l), right_l)
-    left_slot, right_slot = (SimpleNamespace(nt=n, g=image("g").diagonal() if graded else None)
-                             for n, image in zip(nt, (left, right)))
-    return _head(left_slot, right_slot, q, c)[:, None] * total
+    head . sum_l c_l (d_l (ad)^l) x (q^{-rate l Nt} a^l); R0 is its head
+    times 1 x 1."""
+    total = sum(coeff * np.kron(dress[:, None] * raise_l, right_l)
+                for coeff, dress, raise_l, right_l in _dense_terms(r, left, right))
+    return _dense_head(r, left, right)[:, None] * total
+
+
+def _dense_antipode_r(r, tables):
+    """(S x id) R as a dense sum over the series,
+    sum_l c_l (S(ad)^l x I) diag(m_l) (I x q^{-rate l Nt} a^l), with m_l the
+    dressing's S image times the head on the S images: S reverses each left
+    word h d_l (ad)^l."""
+    dim, one = r.dim, r.rep.generator
+    head = _dense_head(r, tables.antipode, one).reshape(dim, dim)
+    eye = np.eye(dim)
+    return sum(coeff * np.kron(raise_l, eye) @ np.diag((dress[:, None] * head).reshape(-1))
+               @ np.kron(eye, right_l)
+               for coeff, dress, raise_l, right_l in _dense_terms(r, tables.antipode, one))
 
 
 def _dense_residuals(r, tables):
-    """Fusion and Yang-Baxter residuals from the full dense D^3 x D^3
+    """Fusion, inverse and Yang-Baxter residuals from the full dense
     matrices, windowed by the dense projector.  (Delta x id) R and
     (id x Delta) R are dense Kronecker sums on every column, with the Delta
     images from tables.delta_matrix."""
@@ -160,22 +198,30 @@ def _dense_residuals(r, tables):
                               ((one, delta), r13 @ r12, "rmatrix.fusion-right")):
         full = _dense_series_r(r, *slots)
         out[ident] = windowed_norm(full - tgt, proj) / max(1.0, windowed_norm(tgt, proj))
+    sr, proj2 = _dense_antipode_r(r, tables), total_window_projector(dim, 2, 0)
+    out["rmatrix.inverse"] = (windowed_norm(sr @ r.matrix - np.eye(dim * dim), proj2)
+                              / max(1.0, windowed_norm(np.abs(sr) @ np.abs(r.matrix), proj2)))
     lhs, rhs = r12 @ r13 @ r23, r23 @ r13 @ r12
     scale = np.abs(r12) @ np.abs(r13) @ np.abs(r23)
     out["rmatrix.ybe"] = windowed_norm(lhs - rhs, proj) / max(1.0, windowed_norm(scale, proj))
     return out
 
 
+# the deformed cases, and B's parity R0, which has no branch to get wrong
+ORACLE_CASES = DEFORMED_CASES + [("B", (2, 2), None)]
+
+
 @pytest.mark.parametrize("dim", [6, 8])
-@pytest.mark.parametrize("family, params, wrong", DEFORMED_CASES)
+@pytest.mark.parametrize("family, params, wrong", ORACLE_CASES)
 def test_window_column_residuals_match_the_dense_matrices(family, params, wrong, dim):
-    """The fusion and Yang-Baxter residuals built on the window columns equal
-    the dense ones to 1e-12 relative.  Residuals are normalised by a scale of
-    at least 1, and the dense triple products are associated left to right,
-    so rounding-level residuals (about 1e-16) get a 1e-15 absolute floor."""
+    """The fusion, inverse and Yang-Baxter residuals built level by level
+    on the window columns equal the dense ones to 1e-12 relative.
+    Residuals are normalised by a scale of at least 1, and the dense
+    triple products are associated left to right, so rounding-level
+    residuals (about 1e-16) get a 1e-15 absolute floor."""
     rep, tables = _setup(family, params, dim)
-    for branch in (None, wrong):
-        r = build_r(rep, branch=branch)
+    for branch in (None, wrong) if wrong else (None,):
+        r = build_r0(rep) if family == "B" else build_r(rep, branch=branch)
         rows = {rp.identity: rp.residual
                 for rp in check_r_axioms(r, tables) + [check_ybe(r)]}
         for ident, ref in _dense_residuals(r, tables).items():
@@ -185,22 +231,21 @@ def test_window_column_residuals_match_the_dense_matrices(family, params, wrong,
 @pytest.mark.parametrize("family, params", [("Bq", (2, 4, 1.3)), ("Bbarq", (1, 1, 0.7)),
                                             ("B", (2, 2))])
 def test_r_site_pairs_match_the_dense_embeddings(family, params):
-    """R12, R13 and R23 gathered straight from R's entries on the Yang-Baxter
-    window's column sectors equal np.kron(R, I), np.kron(I, R) and
-    embed_two_site(R, (0, 2), 3, D) entry for entry on the window columns,
-    and hold nothing on the others (D = 6; R0 for B)."""
+    """At every column level of three sites, the blocks of R12, R13 and R23
+    gathered straight from R's entries equal the level's blocks of
+    np.kron(R, I), embed_two_site(R, (0, 2), 3, D) and np.kron(I, R), entry
+    for entry (D = 6; R0 for B)."""
     dim = 6
     rep = build_rep(AlgebraSpec(family, params), dim)
     r = build_r0(rep) if family == "B" else build_r(rep)
     sectors = level_sectors(dim, 3)
-    kept = sectors.level <= dim - 1
     eye = np.eye(dim)
     dense = (np.kron(r.matrix, eye), embed_two_site(r.matrix, (0, 2), 3, dim),
              np.kron(eye, r.matrix))
-    for op, ref in zip(_site_pairs(r, sectors, dim - 1), dense):
-        got = op.to_dense()
-        assert np.array_equal(got[:, kept], ref[:, kept])
-        assert not got[:, ~kept].any()
+    for level in range(sectors.size.size):
+        states = sectors.states(level)
+        for got, ref in zip(_site_pairs(r, sectors.site_levels(level)), dense):
+            assert np.array_equal(got, ref[np.ix_(states, states)]), level
 
 
 @pytest.mark.parametrize("family, params, wrong", DEFORMED_CASES)
@@ -281,6 +326,26 @@ def test_r_axioms_reject_a_delta_image_that_mixes_level_shifts(monkeypatch):
         check_r_axioms(build_r(rep), tables)
 
 
+@pytest.mark.parametrize("family, params", [("Bq", (2, 4, 1.3)), ("Bbarq", (1, 1, 0.7)),
+                                            ("B", (2, 2))])
+def test_fusion_rows_see_r_perturbed_at_the_top_window_level(family, params):
+    """Negative control for the level-by-level rows: R's row of the two-site
+    state (D - 1, 0) scaled by 1 + 1e-6 breaches both fusion rows (about
+    3e-7 to 2e-6 at D = 8).  That state's level is D - 1, so on three sites
+    it reaches the window only at its top column level: a row that left out
+    that level would pass."""
+    rep, tables = _setup(family, params)
+    r = build_r0(rep) if family == "B" else build_r(rep)
+    fusion = lambda rows: {rp.identity: rp for rp in rows if rp.identity in FUSION_ROWS}
+    assert all(rp.passed for rp in fusion(check_r_axioms(r, tables)).values())
+    perturbed = r.matrix.copy()
+    perturbed[(r.dim - 1) * r.dim] *= 1 + 1e-6
+    rows = fusion(check_r_axioms(dataclasses.replace(r, matrix=perturbed), tables))
+    assert len(rows) == 2
+    for rp in rows.values():
+        assert not rp.passed and rp.residual > 1e-7, rp.summary()
+
+
 @pytest.mark.parametrize("family, params", [("Bq", (2, 4, 1.3)), ("Bbarq", (1, 1, 0.7))])
 def test_quasitriangularity_sees_a_perturbed_coproduct(family, params):
     """Negative control: the first Sweedler coefficient of Delta(a) scaled by
@@ -306,6 +371,21 @@ def test_quasitriangularity_rejects_an_r_that_moves_the_level():
         check_quasitriangularity(dataclasses.replace(r, matrix=bad), tables)
 
 
+def test_level_rows_reject_an_r_that_moves_the_level():
+    """The fusion, inverse and Yang-Baxter rows read R level block by level
+    block, where an entry that moves the total level has no place: such an
+    R is refused, not dropped from the blocks."""
+    rep, tables = _setup("Bq", (2, 4, 1.3), dim=4)
+    r = build_r(rep)
+    bad = r.matrix.copy()
+    bad[0, 1] = 1e-3
+    bad_r = dataclasses.replace(r, matrix=bad)
+    with pytest.raises(RepresentationError, match="total level"):
+        check_r_axioms(bad_r, tables)
+    with pytest.raises(RepresentationError, match="total level"):
+        check_ybe(bad_r)
+
+
 @pytest.mark.xfail(strict=True, reason="loose backward-error scale |S R| |R|: a negated "
                    "S(g) reads 9.1e-9, under the 1e-8 bound, until the scale is tightened")
 def test_inverse_row_sees_a_negated_antipode_of_g(monkeypatch):
@@ -327,36 +407,50 @@ def test_ybe_above_dim_8(family, params):
     assert report.passed, report.summary()
 
 
+# one padded windowed three-site operator at D = 8, the unit of the working
+# sets below: complex blocks of shift 0 on the column sectors up to level 7,
+# each padded to the widest (166 kB)
+WINDOW_OPERATOR_D8 = 8 * 36 * 36 * 16
+
+
 def _working_set(check) -> float:
-    """The traced peak of a second call to ``check`` (the first builds the
-    level-sector plans and flat indices), in windowed three-site operators
-    at D = 8: complex blocks of shift 0 on the column sectors up to level 7."""
+    """The traced peak, in bytes, of a second call to ``check`` (the first
+    builds the level-sector index)."""
     check()
     tracemalloc.start()
     try:
         check()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (level_sectors(8, 3).plan(0, 8).ok.size * 16)
+
+
+def _largest_level_block(dim: int) -> int:
+    """The bytes of the largest complex level block of the three-site
+    window at ``dim``: level dim - 1 holds dim (dim + 1) / 2 states."""
+    return (dim * (dim + 1) // 2) ** 2 * 16
 
 
 def test_the_r_axioms_hold_only_the_operators_a_row_needs():
-    """check_r_axioms gathers the site pairs of a fusion row when it builds
-    that row, drops them with the row's target and series once it is normed,
-    and sums the series in place: within 8 three-site operators at D = 8
-    (12.5 when all three pairs were held for both rows)."""
-    rep, tables = _setup("Bq", (2, 4, 1.3))
-    r = build_r(rep)
-    assert _working_set(lambda: check_r_axioms(r, tables)) <= 8
+    """check_r_axioms builds each row one column level at a time and holds
+    no windowed three-site operator: its traced peak stays within 3 padded
+    window operators at D = 8 (it reads about 2.1), and within 18 blocks of
+    the largest level at D = 12 (about 17: the series' stacked factors, the
+    Delta slot's dense diagonal images and one level's blocks)."""
+    for dim, unit, bound in ((8, WINDOW_OPERATOR_D8, 3), (12, _largest_level_block(12), 18)):
+        rep, tables = _setup("Bq", (2, 4, 1.3), dim)
+        r = build_r(rep)
+        assert _working_set(lambda: check_r_axioms(r, tables)) <= bound * unit, dim
 
 
 def test_ybe_holds_each_product_only_until_its_last_use():
-    """check_ybe norms its scale first and drops each pair and partial
-    product after its last use: within 6 three-site operators at D = 8
-    (8.0 when every operand was held to the end)."""
-    r = build_r(build_rep(AlgebraSpec("Bq", (2, 4, 1.3)), 8))
-    assert _working_set(lambda: check_ybe(r)) <= 6
+    """check_ybe gathers R12, R13 and R23 one column level at a time and
+    drops each level's blocks and products once they are normed: its traced
+    peak stays within 2 padded window operators at D = 8 (it reads about
+    0.9), and within 8 blocks of the largest level at D = 12 (about 7.5)."""
+    for dim, unit, bound in ((8, WINDOW_OPERATOR_D8, 2), (12, _largest_level_block(12), 8)):
+        r = build_r(build_rep(AlgebraSpec("Bq", (2, 4, 1.3)), dim))
+        assert _working_set(lambda: check_ybe(r)) <= bound * unit, dim
 
 
 # -- R0 and the trivial R -----------------------------------------------------

@@ -1,9 +1,11 @@
 """One operator form for the multi-site checks: no dense Kronecker product.
 
 `rmatrix.py` and `HopfTables.check_coassociativity` build every multi-site
-operator as a level-sector operator gathered from its slot factors
-(`tensor.SectorOperator.gather`), R's Delta slots from the tables' Sweedler
-terms, and every ladder power as the previous one times the slot image.
+operator from its slot factors: as a level-sector operator
+(`tensor.SectorOperator.gather`), or one level block at a time in the R rows
+that are built level by level, with R's Delta slots from the tables'
+Sweedler terms and every ladder power as the previous one times the slot
+image.
 The dense builders (`delta_matrix` and `terms_matrix` among them) stay in
 `tensor.py` and `hopf.py` for the tests' references; this guard keeps them,
 and `np.linalg.matrix_power`, out of those checks.

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from bosonhopf import AlgebraSpec, build_rep, build_tables, tensor
 from bosonhopf.hopf import expand_slot, terms_matrix, terms_operator, word_image
 from bosonhopf.rmatrix import build_r0
-from bosonhopf.tensor import (SectorOperator, embed_two_site, kron, kron_all,
-                              level_sectors, spectral_norm, swap_matrix,
+from bosonhopf.tensor import (SectorOperator, SectorStack, StreamedNorm, embed_two_site,
+                              kron, kron_all, level_sectors, spectral_norm, swap_matrix,
                               total_window_projector, windowed_norm)
 
 
@@ -486,3 +486,65 @@ def test_a_three_site_window_gather_above_8192_plan_entries_reads_each_factor_en
         expected = r0[np.ix_(i * dim + k, i * dim + k)] * (j[:, None] == j[None, :])
         assert np.array_equal(r13.blocks[total, :n, :n], expected), total
         assert not r13.blocks[total, n:].any() and not r13.blocks[total, :, n:].any()
+
+
+@pytest.mark.parametrize("dim", [6, 8])
+def test_the_streamed_norm_of_level_blocks_is_the_dense_norm(dim):
+    """Random complex blocks of a level-keeping three-site operator, one of
+    them scaled by 1e3 to dominate, on each level in turn (level 0 is 1x1):
+    the streamed norm of the blocks fed top level first, as the R rows feed
+    them, and fed bottom level first, equals np.linalg.norm(., 2) of the
+    dense operator to 1e-14 relative.  All-zero blocks read exactly 0.0."""
+    sectors = level_sectors(dim, 3)
+    levels = range(dim)
+    rng = np.random.default_rng(dim)
+    for dominant in levels:
+        blocks = []
+        for level in levels:
+            size = sectors.size[level]
+            block = _rand(size, int(rng.integers(1000)))
+            blocks.append(block * (1e3 if level == dominant else 1.0))
+        dense = np.zeros((sectors.level.size,) * 2, dtype=complex)
+        for level, block in zip(levels, blocks):
+            states = sectors.states(level)
+            dense[np.ix_(states, states)] = block
+        expect = np.linalg.norm(dense, 2)
+        for order in (blocks[::-1], blocks):
+            norm = StreamedNorm()
+            for block in order:
+                norm.add(block)
+            assert abs(norm.value - expect) <= 1e-14 * expect, (dominant, norm.value, expect)
+    zero = StreamedNorm()
+    for level in levels:
+        zero.add(np.zeros((sectors.size[level],) * 2))
+    assert zero.value == 0.0
+
+
+@pytest.mark.parametrize("sites", [1, 2])
+def test_a_sector_stack_reads_each_terms_dense_entries(sites):
+    """A stack of the Bq rep's ladder powers (ad)^t and a^t on one or two
+    sites (a^t as the Sweedler image of Delta(a)^t on two), read at every
+    entry of a random term map: each entry is that term's dense entry, and
+    0 where the map names no term (-1 or past the last)."""
+    dim = 5
+    rep = build_rep(AlgebraSpec("Bq", (2, 4, 1.3)), dim)
+    sectors = level_sectors(dim, sites)
+    if sites == 1:
+        images = [SectorOperator.from_dense(rep.generator(n), sectors) for n in ("ad", "a")]
+    else:
+        tables = build_tables(rep)
+        images = [tables.delta_image(n) for n in ("ad", "a")]
+    rng = np.random.default_rng(sites)
+    n = sectors.level.size
+    rows, cols = rng.permutation(n)[:7], rng.permutation(n)[:9]
+    for image in images:
+        powers = [SectorOperator.from_dense(np.eye(n), sectors)]
+        for _ in range(dim - 1):
+            powers.append(powers[-1] @ image)
+        stack = SectorStack([p.window(dim) for p in powers])
+        term = rng.integers(-1, dim + 1, size=(len(rows), len(cols)))
+        got = stack.entries(term, rows, cols)
+        for (i, j), t in np.ndenumerate(term):
+            held = 0 <= t < dim and sectors.level[cols[j]] < dim
+            expect = powers[t].to_dense()[rows[i], cols[j]] if held else 0
+            assert got[i, j] == expect, (i, j, t)
