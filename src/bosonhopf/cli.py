@@ -131,8 +131,8 @@ def _run_delta_hom(pt, tol):
 
 
 def _run_r_series(pt, tol):
-    from .rmatrix import run_r_checks
-    return run_r_checks(pt.rep, pt.tables, tol)
+    from .rmatrix import YBE_DIM, run_r_checks
+    return run_r_checks(pt.rep, pt.tables, pt.rep_up_to(YBE_DIM), tol)
 
 
 def _run_r0_axioms(pt, tol):

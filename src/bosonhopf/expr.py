@@ -352,8 +352,8 @@ def _reversed_matmul(x, y):
 
 
 def _identity_like(x):
-    eye = np.eye(x.shape[0], dtype=complex)
-    return SectorOperator.from_dense(eye, x.sectors) if isinstance(x, SectorOperator) else eye
+    return (SectorOperator.identity(x.sectors, complex) if isinstance(x, SectorOperator)
+            else np.eye(x.shape[0], dtype=complex))
 
 
 def _diagonal_map(fn: str, x, values_fn):

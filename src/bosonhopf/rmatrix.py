@@ -20,17 +20,18 @@ Sweedler terms as in every two-site row, in one slot (Delta is an algebra
 map); the antipode identity needs (S x id) R, which puts the tables' S
 images in the left slot and, since S reverses products, the diagonal images
 between S(a+)^l and the right factor.  A wrong Delta or S image in the
-tables therefore shows in these rows.  The parity R0, its head alone, runs
-through the same fusion and inverse code.
+tables therefore shows in these rows.  The parity R0 is its head times the
+one term 1 x 1, built by the same code as the series R.
 
 The slot images and each ladder power (the previous one times the image)
-are level-sector operators (tensor.SectorOperator), and build_r gathers R's
-terms from them.  R keeps the total level, so every operator of the fusion,
-inverse and Yang-Baxter identities is block diagonal over the window's column
-levels, and those rows are built one level at a time: at each level, R12,
-R13, R23 and the series terms are gathered straight into that level's
-block, which holds its real states only, their products are formed there,
-and the residual and scale blocks are normed as they come
+are level-sector operators (tensor.SectorOperator), and R's terms are
+gathered from them into R's only form, its shift-0 two-site sector operator
+(RMatrix.op).  Every operator of the fusion, inverse and Yang-Baxter
+identities is then block diagonal over the window's column levels, and
+those rows are built one level at a time: at each level, R12, R13 and R23
+are read from R's blocks and the series terms gathered straight into that
+level's block, which holds its real states only, their products are formed
+there, and the residual and scale blocks are normed as they come
 (tensor.StreamedNorm) and dropped.  Term l of a series moves each slot's
 level by l, so each entry of a level block lies in one term, the one of its
 left slot's rise, and is read from the stacked terms (tensor.SectorStack).
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockRep, RepresentationError, SpecError, _sector_operator, build_rep
+from .fock import FockRep, RepresentationError, SpecError, _sector_operator
 from .hopf import HopfTables
 from .report import CheckReport, check_report, windowed_row
 from .scalars import bracket_factorial, phase_pow
@@ -109,15 +110,17 @@ BBARQ_PRINTED = BranchChoice(prefactor_sign=1, full_rate=False)
 
 @dataclass(frozen=True)
 class RMatrix:
+    """R as its shift-0 two-site sector operator ``op``, the only form it takes."""
+
     family: str                      # "Bq", "Bbarq" or "B_r0"
-    matrix: np.ndarray = field(repr=False)
+    op: SectorOperator = field(repr=False)
     branch_note: dict
     rep: FockRep | None = field(default=None, repr=False)
     branch: BranchChoice | None = None
 
     @property
     def dim(self) -> int:
-        return int(round(np.sqrt(self.matrix.shape[0])))
+        return self.op.sectors.dim
 
 
 def _head_exponent(rep: FockRep) -> float:
@@ -168,10 +171,10 @@ class _Slot:
     images: dict
 
 
-def _diagonal(mat: np.ndarray, what: str) -> np.ndarray:
-    """The diagonal of an operator that has no off-diagonal entry."""
-    diag = mat.diagonal()
-    if np.any(mat != np.diag(diag)):
+def _diagonal(op: SectorOperator, what: str) -> np.ndarray:
+    """The diagonal of a sector operator that has no off-diagonal entry."""
+    diag = op.blocks[op.sectors.level, op.sectors.position, op.sectors.position]
+    if op.shift or np.count_nonzero(op.blocks) != np.count_nonzero(diag):
         raise RepresentationError(f"the R-matrix needs a diagonal image of {what}")
     return diag
 
@@ -187,13 +190,13 @@ def _slot(rep: FockRep, image: Callable, sites: int = 1) -> _Slot:
     graded = rep.spec.family in ("B", "Bq")
     images = {name: _sector_operator(image(name), level_sectors(rep.dim, sites))
               for name in (("N", "g", "ad", "a") if graded else ("N", "ad", "a"))}
-    return _Slot(_diagonal(images["N"].to_dense(), "N").real + rep.spec.grade_shift,
-                 _diagonal(images["g"].to_dense(), "g") if graded else None, images)
+    return _Slot(_diagonal(images["N"], "N").real + rep.spec.grade_shift,
+                 _diagonal(images["g"], "g") if graded else None, images)
 
 
 def _powers(x: SectorOperator):
     """x^0, x^1, x^2, ...: each the previous one times x, one block matmul."""
-    power = SectorOperator.from_dense(np.eye(x.shape[0]), x.sectors)
+    power = SectorOperator.identity(x.sectors)
     while True:
         yield power
         power = power @ x
@@ -273,15 +276,15 @@ def _term_stacks(terms, levels: int) -> tuple:
     return np.array(coeffs), raising, lowering
 
 
-def _series_r(rep: FockRep, branch: BranchChoice | None, left: _Slot, right: _Slot,
-              sectors) -> SectorOperator:
-    """R on the slots' images, gathered on every column sector of ``sectors``.
+def _series_r(rep: FockRep, branch: BranchChoice | None) -> SectorOperator:
+    """R (R0 without a branch), gathered on every two-site column sector.
 
     Each slot holds the rep's images, so every term keeps its order:
     head . (d_l (ad)^l x q^{-rate l Nt} a^l).  The terms are summed in
     order, each into the running sum's blocks.
     """
-    head, series = _series(rep, branch, left, right)
+    one, sectors = _slot(rep, rep.generator), level_sectors(rep.dim, 2)
+    head, series = _series(rep, branch, one, one)
     terms = (_scaled(coeff, SectorOperator.gather([(raise_l.scale_rows(dress), (0,)),
                                                    (right_l, (1,))], sectors))
              for coeff, dress, raise_l, right_l in series)
@@ -297,13 +300,12 @@ def build_r0(rep: FockRep) -> RMatrix:
 
     Diagonal with eigenvalue -1 exactly on the odd x odd parity sector;
     squares to the identity.  Requires an integer shift so the grade element
-    squares to I.
+    squares to I.  Built as the series R is, as its head times the one term 1 x 1.
     """
     if rep.spec.family not in ("B", "Bq"):
         raise SpecError("the parity R-matrix lives on the graded families")
     _require_integer_grade_shift(rep)
-    one = _slot(rep, rep.generator)
-    return RMatrix(family="B_r0", matrix=np.diag(_head(one, one)),
+    return RMatrix(family="B_r0", op=_series_r(rep, None),
                    branch_note={"head": "parity projector"}, rep=rep, branch=None)
 
 
@@ -320,15 +322,14 @@ def build_r(rep: FockRep, branch: BranchChoice | None = None) -> RMatrix:
         branch = BQ_DEFAULT if fam == "Bq" else BBARQ_DEFAULT
     if fam == "Bq":
         _require_integer_grade_shift(rep)
-    one = _slot(rep, rep.generator)
     note = branch.note()
     note["matches_printed_factors"] = (fam == "Bq")
     if fam == "Bbarq":
         note["printed_factor_deviation"] = (
             "prefactor exponent sign and dressing rate corrected; the "
             "printed factors fail every branch (see diagnose_branches)")
-    matrix = _series_r(rep, branch, one, one, level_sectors(rep.dim, 2)).to_dense()
-    return RMatrix(family=fam, matrix=matrix, branch_note=note, rep=rep, branch=branch)
+    return RMatrix(family=fam, op=_series_r(rep, branch), branch_note=note, rep=rep,
+                   branch=branch)
 
 
 def check_quasitriangularity(r: RMatrix, tables: HopfTables,
@@ -339,25 +340,15 @@ def check_quasitriangularity(r: RMatrix, tables: HopfTables,
     dim = r.dim
     if tables.rep.dim != dim:
         raise SpecError("R-matrix and Hopf tables disagree on the dimension")
-    rop = _sector_operator(r.matrix, level_sectors(dim, 2))
     out = []
     for name in tables.generator_names():
-        r_delta = rop @ tables.delta_image(name)
+        r_delta = r.op @ tables.delta_image(name)
         out.append(windowed_row(r.rep.spec, dim, f"rmatrix.quasitriangular.{name}",
                                 "Delta^T(g) R = R Delta(g)",
-                                tables.delta_image(name, transpose=True) @ rop - r_delta,
+                                tables.delta_image(name, transpose=True) @ r.op - r_delta,
                                 tol, 1, r_delta, family=r.family,
                                 branch_note=dict(r.branch_note)))
     return out
-
-
-def _level_operator(r: RMatrix) -> SectorOperator:
-    """R as one two-site sector operator of shift 0; an R with an entry that
-    moves the total level is refused, not dropped from the level blocks."""
-    rop = _sector_operator(r.matrix, level_sectors(r.dim, 2))
-    if rop.shift:
-        raise RepresentationError("R must keep the total level")
-    return rop
 
 
 def _level_row(r: RMatrix, identity: str, reference: str, levels,
@@ -384,17 +375,21 @@ def _levels_top_first(dim: int):
 
 def _site_pairs(r: RMatrix, sites: tuple, pairs=("12", "13", "23")) -> tuple:
     """The blocks at one column level of three sites of R on each slot pair
-    of ``pairs`` (R12, R13 and R23 by default), gathered straight from R's
-    entries: ``sites`` holds the level's states' level on each site
+    of ``pairs`` (R12, R13 and R23 by default), read in place from R's level
+    blocks: ``sites`` holds the level's states' level on each site
     (LevelSectors.site_levels).  R acts on its pair, and an entry whose
-    third site changes is 0."""
-    matrix, dim = r.matrix, r.dim
+    third site changes is 0; the others lie in the column's pair level."""
+    blocks, sec = r.op.blocks, r.op.sectors
+    _, rows, cols = blocks.shape
     out = []
     for pair in pairs:
         first, second = int(pair[0]) - 1, int(pair[1]) - 1
-        index = sites[first] * dim + sites[second]
+        index = sites[first] * sec.dim + sites[second]
         third = sites[3 - first - second]
-        out.append(np.where(third[:, None] == third, matrix[index[:, None], index], 0))
+        position = sec.position[index]
+        block = blocks.take((sec.level[index] * rows + position[:, None]) * cols + position)
+        block[third[:, None] != third] = 0
+        out.append(block)
     return tuple(out)
 
 
@@ -408,9 +403,7 @@ def check_ybe(r: RMatrix, tol: float = DEFAULT_R_TOL) -> CheckReport:
     right to left, and the residual and scale blocks are normed and dropped
     before the next level is gathered.
     """
-    _level_operator(r)
-    dim = r.dim
-    sectors = level_sectors(dim, 3)
+    dim, sectors = r.dim, level_sectors(r.dim, 3)
 
     def levels():
         for level in _levels_top_first(dim):
@@ -459,8 +452,7 @@ def _fusion_row(r: RMatrix, slots: tuple, pairs: tuple, identity: str,
     return _level_row(r, identity, reference, levels(), tol)
 
 
-def _inverse_row(r: RMatrix, left: _Slot, right: _Slot, rop: SectorOperator,
-                 tol: float) -> CheckReport:
+def _inverse_row(r: RMatrix, left: _Slot, right: _Slot, tol: float) -> CheckReport:
     """((S x id) R) R = I x I, level by level of the two-site window, with
     the S images in the ``left`` slot.
 
@@ -489,8 +481,10 @@ def _inverse_row(r: RMatrix, left: _Slot, right: _Slot, rop: SectorOperator,
                   * ((coeffs.take(term, mode="clip") * lowering.entries(term, i1, i1))
                      * middle[known, i0 * dim + i1[:, None]]))
             size = sectors.size[level]
-            r_block = rop.blocks[level, :size, :size]
-            yield sr @ r_block - np.eye(size), abs(sr) @ abs(r_block)
+            r_block = r.op.blocks[level, :size, :size]
+            residual = sr @ r_block
+            residual.flat[::size + 1] -= 1   # minus the level's identity block
+            yield residual, abs(sr) @ abs(r_block)
 
     return _level_row(r, "rmatrix.inverse", "((S x id) R) R = I x I", levels(), tol)
 
@@ -509,14 +503,13 @@ def check_r_axioms(r: RMatrix, tables: HopfTables,
     row is built and normed one level at a time.
     """
     rep = r.rep
-    rop = _level_operator(r)
     one = _slot(rep, rep.generator)
     delta = _slot(rep, tables.delta_image, 2)
     return [_fusion_row(r, (delta, one), ("13", "23"), "rmatrix.fusion-left",
                         "(Delta x id) R = R13 R23", tol),
             _fusion_row(r, (one, delta), ("13", "12"), "rmatrix.fusion-right",
                         "(id x Delta) R = R13 R12", tol),
-            _inverse_row(r, _slot(rep, tables.antipode), one, rop, tol)]
+            _inverse_row(r, _slot(rep, tables.antipode), one, tol)]
 
 
 def check_trivial_r(tables: HopfTables, tol: float = 1e-12) -> CheckReport:
@@ -571,20 +564,19 @@ def diagnose_branches(rep: FockRep, tables: HopfTables,
     return rows, "\n".join(lines)
 
 
-def run_r_checks(rep: FockRep, tables: HopfTables,
+def run_r_checks(rep: FockRep, tables: HopfTables, ybe_rep: FockRep,
                  tol: float = DEFAULT_R_TOL) -> list:
     """The full R-matrix suite for one deformed rep.
 
     Quasitriangularity and the fusion/inverse axioms at the rep's own
-    dimension, plus Yang-Baxter at min(dim, YBE_DIM), the same dimension as
-    the "ybe" suite.  As soon as any row fails, every failed row carries
-    the branch diagnosis table in branch_note.
+    dimension, plus Yang-Baxter on ``ybe_rep`` (the CLI's rmatrix and ybe
+    suites both pass the point's rep of at most YBE_DIM levels).  As soon as
+    any row fails, every failed row carries the branch diagnosis table in
+    branch_note.
     """
     r = build_r(rep)
     out = check_quasitriangularity(r, tables, tol)
     out.extend(check_r_axioms(r, tables, tol))
-    ybe_dim = min(rep.dim, YBE_DIM)
-    ybe_rep = rep if rep.dim == ybe_dim else build_rep(rep.spec, ybe_dim)
     out.append(check_ybe(build_r(ybe_rep), tol))
     if any(not rp.passed for rp in out):
         _, table = diagnose_branches(rep, tables, tol)

@@ -15,7 +15,7 @@ from bosonhopf import (AlgebraSpec, build_rep, build_tables,
 from bosonhopf import expr as ex
 from bosonhopf.cli import main as cli_main
 from bosonhopf.fock import windowed_norm
-from bosonhopf.rmatrix import (build_r, build_r0, check_r_axioms, check_ybe,
+from bosonhopf.rmatrix import (YBE_DIM, build_r, build_r0, check_r_axioms, check_ybe,
                                diagnose_branches, run_r_checks)
 from bosonhopf.tensor import spectral_norm, total_window_projector
 from bosonhopf import structure as structure_mod
@@ -64,11 +64,11 @@ def test_criterion_04_quasitriangularity():
     for family, params in grids:
         rep = build_rep(AlgebraSpec(family, params), 8)
         tables = build_tables(rep)
-        failures += _collect(run_r_checks(rep, tables, 1e-8))
+        failures += _collect(run_r_checks(rep, tables, build_rep(rep.spec, YBE_DIM), 1e-8))
     # failure path: a forced failure must surface the branch-diagnosis table
     rep = build_rep(AlgebraSpec("Bbarq", (1, 2, 0.7)), 6)
     tables = build_tables(rep)
-    forced = [r for r in run_r_checks(rep, tables, tol=1e-30) if not r.passed]
+    forced = [r for r in run_r_checks(rep, tables, rep, tol=1e-30) if not r.passed]
     if not forced or any("diagnosis" not in r.branch_note for r in forced):
         failures.append("branch-diagnosis table missing on failure")
     _, table = diagnose_branches(rep, tables)
@@ -94,8 +94,8 @@ def test_criterion_05_yang_baxter():
 def test_criterion_06_classical_limit():
     """|R(q) - R0| at D = 6 falls along q = 1.1, 1.01, 1.001 and ends below 0.05."""
     reps = [build_rep(AlgebraSpec("Bq", (1, 1, q)), 6) for q in (1.1, 1.01, 1.001)]
-    r0 = build_r0(reps[0]).matrix
-    gaps = [spectral_norm(build_r(rep).matrix - r0) for rep in reps]
+    r0 = build_r0(reps[0]).op
+    gaps = [spectral_norm(build_r(rep).op - r0) for rep in reps]
     failures = []
     if not (gaps[0] > gaps[1] > gaps[2]):
         failures.append(f"gaps not monotone: {gaps}")

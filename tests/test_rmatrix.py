@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from bosonhopf import AlgebraSpec, build_rep, build_tables, hopf
-from bosonhopf.fock import RepresentationError, SpecError
+from bosonhopf.fock import RepresentationError, SpecError, _sector_operator
 from bosonhopf.hopf import Term
-from bosonhopf.rmatrix import (BBARQ_DEFAULT, BBARQ_PRINTED, BQ_DEFAULT,
+from bosonhopf.rmatrix import (BBARQ_DEFAULT, BBARQ_PRINTED, BQ_DEFAULT, YBE_DIM,
                                BranchChoice, _head, _head_exponent, _ladder_coeff,
                                _site_pairs, branch_lattice, build_r, build_r0,
                                check_r_axioms, check_quasitriangularity,
                                check_trivial_r, check_ybe, diagnose_branches,
                                run_r_checks)
-from bosonhopf.tensor import (embed_two_site, level_sectors, spectral_norm,
+from bosonhopf.tensor import (SectorOperator, embed_two_site, level_sectors, spectral_norm,
                               total_window_projector, windowed_norm)
 from grids import BBARQ_GRID, BBAR_GRID, BQ_INTEGER_GRID
 
@@ -24,12 +24,17 @@ def _setup(family, params, dim=8):
     return rep, build_tables(rep)
 
 
+def _ybe_rep(rep):
+    """The rep the CLI's rmatrix suite runs Yang-Baxter on: at most YBE_DIM levels."""
+    return rep if rep.dim <= YBE_DIM else build_rep(rep.spec, YBE_DIM)
+
+
 # -- the graded series --------------------------------------------------------
 
 def test_bq_full_suite_on_integer_grid():
     for params in BQ_INTEGER_GRID:
         rep, tables = _setup("Bq", params)
-        for report in run_r_checks(rep, tables, 1e-8):
+        for report in run_r_checks(rep, tables, _ybe_rep(rep), 1e-8):
             assert report.passed, report.summary()
 
 
@@ -60,7 +65,7 @@ def test_bq_misread_bracket_base_fails():
 def test_bbarq_full_suite_on_grid():
     for params in BBARQ_GRID:
         rep, tables = _setup("Bbarq", params)
-        for report in run_r_checks(rep, tables, 1e-8):
+        for report in run_r_checks(rep, tables, _ybe_rep(rep), 1e-8):
             assert report.passed, report.summary()
 
 
@@ -80,10 +85,9 @@ def test_bbarq_default_branch_is_unique_passer():
     passing = [b for b, res in rows if res < 1e-8]
     assert BBARQ_DEFAULT in passing
     # any other passing branch is a reparameterization of the same matrix
-    reference = build_r(rep).matrix
+    reference = build_r(rep).op
     for branch in passing:
-        assert np.abs(build_r(rep, branch=branch).matrix
-                      - reference).max() < 1e-8
+        assert np.abs((build_r(rep, branch=branch).op - reference).blocks).max() < 1e-8
     assert "branch diagnosis" in table
 
 
@@ -107,7 +111,7 @@ def test_branch_scan_gathers_the_delta_images_once(monkeypatch):
 
 def test_diagnosis_table_attached_on_failure():
     rep, tables = _setup("Bbarq", (1, 2, 0.7), dim=6)
-    reports = run_r_checks(rep, tables, tol=1e-30)   # force failures
+    reports = run_r_checks(rep, tables, rep, tol=1e-30)   # force failures
     failed = [rp for rp in reports if not rp.passed]
     assert failed
     assert all("diagnosis" in rp.branch_note for rp in failed)
@@ -187,11 +191,11 @@ def _dense_residuals(r, tables):
     matrices, windowed by the dense projector.  (Delta x id) R and
     (id x Delta) R are dense Kronecker sums on every column, with the Delta
     images from tables.delta_matrix."""
-    dim = r.dim
+    dim, dense = r.dim, r.op.to_dense()
     one, delta = r.rep.generator, tables.delta_matrix
     eye = np.eye(dim)
-    r12, r23 = np.kron(r.matrix, eye), np.kron(eye, r.matrix)
-    r13 = embed_two_site(r.matrix, (0, 2), 3, dim)
+    r12, r23 = np.kron(dense, eye), np.kron(eye, dense)
+    r13 = embed_two_site(dense, (0, 2), 3, dim)
     proj = total_window_projector(dim, 3, 0)
     out = {}
     for slots, tgt, ident in (((delta, one), r13 @ r23, "rmatrix.fusion-left"),
@@ -199,8 +203,8 @@ def _dense_residuals(r, tables):
         full = _dense_series_r(r, *slots)
         out[ident] = windowed_norm(full - tgt, proj) / max(1.0, windowed_norm(tgt, proj))
     sr, proj2 = _dense_antipode_r(r, tables), total_window_projector(dim, 2, 0)
-    out["rmatrix.inverse"] = (windowed_norm(sr @ r.matrix - np.eye(dim * dim), proj2)
-                              / max(1.0, windowed_norm(np.abs(sr) @ np.abs(r.matrix), proj2)))
+    out["rmatrix.inverse"] = (windowed_norm(sr @ dense - np.eye(dim * dim), proj2)
+                              / max(1.0, windowed_norm(np.abs(sr) @ np.abs(dense), proj2)))
     lhs, rhs = r12 @ r13 @ r23, r23 @ r13 @ r12
     scale = np.abs(r12) @ np.abs(r13) @ np.abs(r23)
     out["rmatrix.ybe"] = windowed_norm(lhs - rhs, proj) / max(1.0, windowed_norm(scale, proj))
@@ -232,16 +236,16 @@ def test_window_column_residuals_match_the_dense_matrices(family, params, wrong,
                                             ("B", (2, 2))])
 def test_r_site_pairs_match_the_dense_embeddings(family, params):
     """At every column level of three sites, the blocks of R12, R13 and R23
-    gathered straight from R's entries equal the level's blocks of
+    read from R's level blocks equal the level's blocks of
     np.kron(R, I), embed_two_site(R, (0, 2), 3, D) and np.kron(I, R), entry
     for entry (D = 6; R0 for B)."""
     dim = 6
     rep = build_rep(AlgebraSpec(family, params), dim)
     r = build_r0(rep) if family == "B" else build_r(rep)
     sectors = level_sectors(dim, 3)
-    eye = np.eye(dim)
-    dense = (np.kron(r.matrix, eye), embed_two_site(r.matrix, (0, 2), 3, dim),
-             np.kron(eye, r.matrix))
+    eye, matrix = np.eye(dim), r.op.to_dense()
+    dense = (np.kron(matrix, eye), embed_two_site(matrix, (0, 2), 3, dim),
+             np.kron(eye, matrix))
     for level in range(sectors.size.size):
         states = sectors.states(level)
         for got, ref in zip(_site_pairs(r, sectors.site_levels(level)), dense):
@@ -338,9 +342,10 @@ def test_fusion_rows_see_r_perturbed_at_the_top_window_level(family, params):
     r = build_r0(rep) if family == "B" else build_r(rep)
     fusion = lambda rows: {rp.identity: rp for rp in rows if rp.identity in FUSION_ROWS}
     assert all(rp.passed for rp in fusion(check_r_axioms(r, tables)).values())
-    perturbed = r.matrix.copy()
+    perturbed = r.op.to_dense()
     perturbed[(r.dim - 1) * r.dim] *= 1 + 1e-6
-    rows = fusion(check_r_axioms(dataclasses.replace(r, matrix=perturbed), tables))
+    op = SectorOperator.from_dense(perturbed, r.op.sectors)
+    rows = fusion(check_r_axioms(dataclasses.replace(r, op=op), tables))
     assert len(rows) == 2
     for rp in rows.values():
         assert not rp.passed and rp.residual > 1e-7, rp.summary()
@@ -361,29 +366,27 @@ def test_quasitriangularity_sees_a_perturbed_coproduct(family, params):
 
 
 def test_quasitriangularity_rejects_an_r_that_moves_the_level():
-    """R is taken as one shift-0 sector operator; an entry that moves the
-    total level cannot be, and is reported instead of dropped."""
-    rep, tables = _setup("Bq", (2, 4, 1.3), dim=4)
-    r = build_r(rep)
-    bad = r.matrix.copy()
+    """check_quasitriangularity multiplies R's shift-0 sector operator, the
+    only form R takes; a dense R with an entry that moves the total level
+    has none, and fock._sector_operator refuses it instead of dropping the
+    entry."""
+    r = build_r(build_rep(AlgebraSpec("Bq", (2, 4, 1.3)), 4))
+    bad = r.op.to_dense()
     bad[0, 1] = 1e-3
     with pytest.raises(RepresentationError, match="total level"):
-        check_quasitriangularity(dataclasses.replace(r, matrix=bad), tables)
+        _sector_operator(bad, r.op.sectors)
 
 
 def test_level_rows_reject_an_r_that_moves_the_level():
     """The fusion, inverse and Yang-Baxter rows read R level block by level
-    block, where an entry that moves the total level has no place: such an
-    R is refused, not dropped from the blocks."""
-    rep, tables = _setup("Bq", (2, 4, 1.3), dim=4)
-    r = build_r(rep)
-    bad = r.matrix.copy()
-    bad[0, 1] = 1e-3
-    bad_r = dataclasses.replace(r, matrix=bad)
+    block, where an entry that moves the total level has no place: a dense
+    R0 with an entry from the top level's state (D - 1, 0) to (0, 0) has no
+    sector operator, and is refused instead of dropped from the blocks."""
+    r = build_r0(build_rep(AlgebraSpec("B", (2, 2)), 4))
+    bad = r.op.to_dense()
+    bad[0, (r.dim - 1) * r.dim] = 1e-3
     with pytest.raises(RepresentationError, match="total level"):
-        check_r_axioms(bad_r, tables)
-    with pytest.raises(RepresentationError, match="total level"):
-        check_ybe(bad_r)
+        _sector_operator(bad, r.op.sectors)
 
 
 @pytest.mark.xfail(strict=True, reason="loose backward-error scale |S R| |R|: a negated "
@@ -433,11 +436,12 @@ def _largest_level_block(dim: int) -> int:
 
 def test_the_r_axioms_hold_only_the_operators_a_row_needs():
     """check_r_axioms builds each row one column level at a time and holds
-    no windowed three-site operator: its traced peak stays within 3 padded
-    window operators at D = 8 (it reads about 2.1), and within 18 blocks of
-    the largest level at D = 12 (about 17: the series' stacked factors, the
-    Delta slot's dense diagonal images and one level's blocks)."""
-    for dim, unit, bound in ((8, WINDOW_OPERATOR_D8, 3), (12, _largest_level_block(12), 18)):
+    no windowed three-site operator: its traced peak stays within 2 padded
+    window operators at D = 8 (it reads about 1.6), and within 14 blocks of
+    the largest level at D = 12 (about 12.9: the series' stacked factors and
+    one level's blocks; the Delta slot's diagonals are read from its sector
+    blocks, never from a dense image)."""
+    for dim, unit, bound in ((8, WINDOW_OPERATOR_D8, 2), (12, _largest_level_block(12), 14)):
         rep, tables = _setup("Bq", (2, 4, 1.3), dim)
         r = build_r(rep)
         assert _working_set(lambda: check_r_axioms(r, tables)) <= bound * unit, dim
@@ -457,11 +461,30 @@ def test_ybe_holds_each_product_only_until_its_last_use():
 
 def test_r0_matrix_values():
     rep = build_rep(AlgebraSpec("B", (2, 2)), 4)
-    r0 = build_r0(rep).matrix
+    r0 = build_r0(rep).op.to_dense()
     # diagonal: -1 on odd x odd level pairs, +1 elsewhere
     signs = np.array([(-1.0) ** (i * j) for i in range(1, 5)
                       for j in range(1, 5)])
     assert np.allclose(np.diag(r0), signs)
+
+
+@pytest.mark.parametrize("dim", [4, 9])
+@pytest.mark.parametrize("family, params", [("B", (2, 2)), ("B", (1, 3)),
+                                            ("Bq", (2, 4, 0.7)), ("Bq", (1, 2, 1.3))])
+def test_r0_is_the_parity_head_on_the_diagonal(family, params, dim):
+    """build_r0's operator, built as the series R is, is the parity head
+    (1/2)(1 + g_r + g_l - g_l g_r) on the diagonal, bit for bit, and exactly
+    zero elsewhere (B, and Bq with integer beta/alpha)."""
+    rep = build_rep(AlgebraSpec(family, params), dim)
+    op = build_r0(rep).op
+    g = rep.generator("g").diagonal()
+    gl, gr = g[:, None], g[None, :]
+    head = 0.5 * (np.ones((dim, dim)) + gr + gl - gl * gr).reshape(-1)
+    dense = op.to_dense()
+    assert op.shift == 0
+    assert np.array_equal(dense.diagonal(), head)
+    np.fill_diagonal(dense, 0)
+    assert not dense.any() and not op.blocks[op.sectors.plan(0).pad].any()
 
 
 def test_r0_axioms_and_ybe():
@@ -523,8 +546,8 @@ def test_trivial_r_sees_an_asymmetric_coproduct():
 def test_classical_limit_bq():
     """|R(q) - R0| at D = 6 falls along q = 1.1, 1.01, 1.001 and ends below 0.05."""
     reps = [build_rep(AlgebraSpec("Bq", (1, 1, q)), 6) for q in (1.1, 1.01, 1.001)]
-    r0 = build_r0(reps[0]).matrix
-    gaps = [spectral_norm(build_r(rep).matrix - r0) for rep in reps]
+    r0 = build_r0(reps[0]).op
+    gaps = [spectral_norm(build_r(rep).op - r0) for rep in reps]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] < 0.05, gaps
 

@@ -9,6 +9,10 @@ image.
 The dense builders (`delta_matrix` and `terms_matrix` among them) stay in
 `tensor.py` and `hopf.py` for the tests' references; this guard keeps them,
 and `np.linalg.matrix_power`, out of those checks.
+
+R itself is held only as its level blocks (`RMatrix.op`), and every diagonal
+and identity the R rows need is read from or gathered into blocks, so
+`rmatrix.py` also names no `to_dense`, `np.diag` or `np.eye`.
 """
 
 import ast
@@ -17,6 +21,9 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "bosonhopf"
 BANNED = {"kron", "kron_all", "kron_columns", "embed_two_site", "terms_matrix",
           "delta_matrix", "matrix_power"}
+# the dense forms of an operator: a sector operator's scatter, a diagonal
+# matrix and a dense identity
+DENSE_FORMS = {"to_dense", "diag", "eye"}
 
 
 def dense_builders(tree) -> list:
@@ -31,6 +38,18 @@ def dense_builders(tree) -> list:
             found.append((node.lineno, node.attr))
         elif isinstance(node, ast.ImportFrom):
             found += [(node.lineno, a.name) for a in node.names if a.name in BANNED]
+    return sorted(found)
+
+
+def dense_forms(tree) -> list:
+    """(line, name) of every attribute (``op.to_dense``, ``np.diag``,
+    ``np.eye``) or imported name of DENSE_FORMS under ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in DENSE_FORMS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in DENSE_FORMS]
     return sorted(found)
 
 
@@ -62,10 +81,29 @@ def test_the_guard_sees_every_spelling():
         2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13]
 
 
+def test_the_dense_form_guard_sees_every_spelling():
+    source = ("import numpy as np\n"
+              "from numpy import eye\n"
+              "a = r.op.to_dense()\n"
+              "b = np.diag(x)\n"
+              "c = np.eye(n)\n"
+              "d = mat.diagonal()\n"
+              "diag = x\n"
+              "e = SectorOperator.identity(sectors)\n"
+              "f = np.linalg.eye\n")
+    assert [line for line, _ in dense_forms(ast.parse(source))] == [2, 3, 4, 5, 9]
+
+
 def test_the_r_checks_and_coassociativity_build_no_dense_product():
     rmatrix = ast.parse((SRC / "rmatrix.py").read_text())
     coassoc = _method(ast.parse((SRC / "hopf.py").read_text()),
                       "HopfTables", "check_coassociativity")
     offenders = ([f"rmatrix.py:{line}: {name}" for line, name in dense_builders(rmatrix)]
                  + [f"hopf.py:{line}: {name}" for line, name in dense_builders(coassoc)])
+    assert not offenders, offenders
+
+
+def test_rmatrix_holds_no_dense_form_of_an_operator():
+    rmatrix = ast.parse((SRC / "rmatrix.py").read_text())
+    offenders = [f"rmatrix.py:{line}: {name}" for line, name in dense_forms(rmatrix)]
     assert not offenders, offenders

@@ -347,30 +347,30 @@ def _on_window(mat, sec, shift, top):
 @settings(max_examples=100, deadline=None)
 def test_window_sector_operators_match_dense_on_their_columns(
         dim, sites, shifts, top, density, seed):
-    """Operators held on the column sectors up to a top level only.  Their
-    product holds the column sectors whose image the left factor holds, and
-    there it, its norm, and its sum with an all-zero operator of another
-    shift (padded to another width) match the dense results to 1e-13
-    relative; it holds nothing on the other columns."""
+    """Operators held on the column sectors up to a top level only.  The
+    product of a full operator and such a right factor holds the right
+    factor's column sectors, and there it and its norm match the dense
+    results to 1e-13 relative; it holds nothing on the other columns.  The
+    sum of a window operator and an all-zero one of another shift (padded to
+    another width) is the window operator."""
     rng = np.random.default_rng(seed)
     sec = level_sectors(dim, sites)
     levels = sec.size.size
     top = int(top * (levels - 1))
     a, b = (_graded(rng, sec, s, density) for s in shifts)
-    op_a, op_b = (_on_window(m, sec, s, top) for m, s in zip((a, b), shifts))
+    op_a, op_b = _on_window(a, sec, shifts[0], levels - 1), _on_window(b, sec, shifts[1], top)
     prod = op_a @ op_b
-    expect = top + 1 if top + 1 == levels else max(0, min(top + 1, top + 1 - shifts[1]))
-    assert len(prod.blocks) == expect
-    known = sec.level < expect
+    assert len(prod.blocks) == top + 1
+    known = sec.level <= top
     ref = (a @ b)[:, known]
     got = prod.to_dense()
     assert _close(got[:, known], ref, (np.abs(a) @ np.abs(b)).max())
     assert not got[:, ~known].any()
     norm = float(np.linalg.norm(ref, 2)) if ref.size else 0.0
     assert abs(prod.norm() - norm) <= 1e-13 * norm
-    zero = op_b - op_b
-    assert np.array_equal((op_a + zero).to_dense(), op_a.to_dense())
-    assert np.array_equal((zero - op_a).to_dense(), -op_a.to_dense())
+    window_a, zero = _on_window(a, sec, shifts[0], top), op_b - op_b
+    assert np.array_equal((window_a + zero).to_dense(), window_a.to_dense())
+    assert np.array_equal((zero - window_a).to_dense(), -window_a.to_dense())
 
 
 def _batched_norm(op, top):
@@ -473,7 +473,7 @@ def test_a_three_site_window_gather_above_8192_plan_entries_reads_each_factor_en
     block entry equals R0[(i, k), (i', k')] * [j == j'] at its row and column
     states, read through the level sectors of an np.ndindex enumeration."""
     dim = 26
-    r0 = build_r0(build_rep(AlgebraSpec("B", (2, 2)), dim)).matrix
+    r0 = build_r0(build_rep(AlgebraSpec("B", (2, 2)), dim)).op.to_dense()
     sectors = level_sectors(dim, 3)
     top = dim - 1
     r13 = SectorOperator.gather([(r0, (0, 2)), (np.eye(dim), (1,))], sectors, top=top)
