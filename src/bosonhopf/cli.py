@@ -34,8 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from . import GRAMMAR_VERSION, __version__
-from .fock import (FAMILIES, PARAM_NAMES, AlgebraSpec, SpecError, build_rep,
-                   check_defining_relations)
+from .fock import (FAMILIES, NONINTEGER_GRADE_SHIFT, PARAM_NAMES, AlgebraSpec,
+                   SpecError, build_rep, check_defining_relations)
 from .report import check_report, skipped_report
 from .tensor import level_sectors, spectral_norm
 
@@ -58,8 +58,6 @@ FAMILY_PROVISOS = {
 # The graded R-matrices carry the parity head R0, which needs the grade
 # element to square to I.
 PARITY_HEAD_FAMILIES = ("B", "Bq")
-PARITY_HEAD_SKIP = ("(-1)^(2*Ntilde) = I requires beta/alpha to be an "
-                    "integer")
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,8 @@ class Suite:
     reports; it imports the check functions from their module when it runs,
     so a run loads only the modules its suites use.  Families without a runner are skipped with
     ``skip_reason``.  With ``parity_head``, the graded families
-    are skipped where beta/alpha is not an integer.  ``ids`` maps each
+    are skipped where beta/alpha is not an integer
+    (:attr:`AlgebraSpec.integer_grade_shift`).  ``ids`` maps each
     report id prefix to the identity it names.
     """
 
@@ -84,8 +83,8 @@ class Suite:
         if spec.family not in self.runners:
             return self.skip_reason
         if self.parity_head and spec.family in PARITY_HEAD_FAMILIES:
-            if not float(spec.grade_shift).is_integer():
-                return PARITY_HEAD_SKIP
+            if not spec.integer_grade_shift:
+                return NONINTEGER_GRADE_SHIFT
         return ""
 
     def skipped(self, family: str, params: dict, dim: int, reason: str) -> list:
@@ -569,8 +568,7 @@ def _cmd_list_identities(args) -> int:
         if others:
             notes.append(f"{', '.join(others)}: {suite.skip_reason}")
         if suite.parity_head:
-            notes.append(f"{', '.join(PARITY_HEAD_FAMILIES)}: "
-                         f"{PARITY_HEAD_SKIP}")
+            notes.append(f"{', '.join(PARITY_HEAD_FAMILIES)}: {NONINTEGER_GRADE_SHIFT}")
         notes.append("any family: a point that violates a family proviso")
         catalog[f"{suite.name}.skipped"] = "; ".join(notes)
     width = max(len(k) for k in catalog)

@@ -52,6 +52,10 @@ PARAM_NAMES = {
     "H": ("delta", "nu", "rho"),
 }
 
+# Why a graded point whose grade shift is not an integer
+# (AlgebraSpec.integer_grade_shift) has no parity head.
+NONINTEGER_GRADE_SHIFT = "(-1)^(2*Ntilde) = I requires beta/alpha to be an integer"
+
 DEFAULT_DIM = 16
 DEFAULT_TOL = 1e-10
 
@@ -129,6 +133,13 @@ class AlgebraSpec:
         if self.family in ("Bbar", "Bbarq"):
             return self.tau / self.sigma if self.sigma != 0 else None
         return (self.nu - self.delta + 1.0) / (2.0 * self.delta) + 0.5
+
+    @property
+    def integer_grade_shift(self) -> bool:
+        """Whether the grade shift is an integer to 1e-12 (0.3/0.1 is 3), so
+        that (-1)^(2 Nt) = I, as the parity head R0 needs."""
+        shift = self.grade_shift
+        return shift is not None and abs(shift - round(shift)) <= 1e-12
 
     @property
     def number_shift(self) -> float:

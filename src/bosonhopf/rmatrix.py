@@ -24,18 +24,19 @@ tables therefore shows in these rows.  The parity R0 is its head times the
 one term 1 x 1, built by the same code as the series R.
 
 The slot images and each ladder power (the previous one times the image)
-are level-sector operators (tensor.SectorOperator), and R's terms are
-gathered from them into R's only form, its shift-0 two-site sector operator
-(RMatrix.op).  Every operator of the fusion, inverse and Yang-Baxter
-identities is then block diagonal over the window's column levels, and
-those rows are built one level at a time: at each level, R12, R13 and R23
-are read from R's blocks and the series terms gathered straight into that
-level's block, which holds its real states only, their products are formed
-there, and the residual and scale blocks are normed as they come
-(tensor.StreamedNorm) and dropped.  Term l of a series moves each slot's
-level by l, so each entry of a level block lies in one term, the one of its
-left slot's rise, and is read from the stacked terms (tensor.SectorStack).
-No operator on the whole three-site window is ever built.
+are level-sector operators (tensor.SectorOperator), stacked term by term
+(tensor.SectorStack).  Term l of a series moves each slot's level by l, so
+each entry of a level block lies in one term, the one of its left slot's
+rise, and one function (_series_block) forms every level block of a series
+from that term's factors alone: R's blocks on two sites, which are R's only
+form (RMatrix.op, its shift-0 two-site sector operator), and the blocks of
+(Delta x id) R and (id x Delta) R on three.  R keeps the total level, so
+every operator of the fusion, inverse and Yang-Baxter identities is block
+diagonal over the window's column levels, and those rows are built one
+level at a time: at each level, R12, R13 and R23 are read from R's blocks
+by the reader the series' terms use, their products are formed there, and
+the residual and scale blocks are normed as they come (tensor.StreamedNorm)
+and dropped.  No operator on the whole three-site window is ever built.
 
 Printed sources for such series are notoriously convention-sensitive; every
 sign and root choice is captured in a BranchChoice and recorded in the
@@ -51,7 +52,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockRep, RepresentationError, SpecError, _sector_operator
+from .fock import (NONINTEGER_GRADE_SHIFT, FockRep, RepresentationError, SpecError,
+                   _sector_operator)
 from .hopf import HopfTables
 from .report import CheckReport, check_report, windowed_row
 from .scalars import bracket_factorial, phase_pow
@@ -153,11 +155,8 @@ def _ladder_coeff(rep: FockRep, l: int, branch: BranchChoice) -> complex:
 
 
 def _require_integer_grade_shift(rep: FockRep):
-    shift = rep.spec.grade_shift
-    if abs(shift - round(shift)) > 1e-12:
-        raise SpecError(
-            "the parity head needs (-1)^(2 Nt) = I, which requires an integer "
-            f"number-operator shift; got {shift}")
+    if not rep.spec.integer_grade_shift:
+        raise SpecError(f"{NONINTEGER_GRADE_SHIFT}; got {rep.spec.grade_shift}")
 
 
 @dataclass(frozen=True)
@@ -249,15 +248,6 @@ def _series(rep: FockRep, branch: BranchChoice | None, left: _Slot, right: _Slot
             _ladder_series(rep, branch, left, right))
 
 
-def _scaled(coeff, op: SectorOperator) -> SectorOperator:
-    """``coeff * op`` for a freshly gathered ``op``: written into its blocks
-    in the same operand order when their dtype holds the product."""
-    if np.result_type(coeff, op.blocks) != op.blocks.dtype:
-        return coeff * op
-    np.multiply(coeff, op.blocks, out=op.blocks)
-    return op
-
-
 def _term_stacks(terms, levels: int) -> tuple:
     """The coefficients of the series ``terms``, (c_l, raising_l, lowering_l),
     as an array, and its raising and lowering factors on their column
@@ -276,23 +266,40 @@ def _term_stacks(terms, levels: int) -> tuple:
     return np.array(coeffs), raising, lowering
 
 
-def _series_r(rep: FockRep, branch: BranchChoice | None) -> SectorOperator:
-    """R (R0 without a branch), gathered on every two-site column sector.
+def _series_stacks(rep: FockRep, branch: BranchChoice | None, left: _Slot,
+                   right: _Slot) -> tuple:
+    """R's head diagonal and its series on the slots' images as
+    (head, coefficients, raising stack, lowering stack), each dressing
+    scaled into its raising factor: what :func:`_series_block` reads."""
+    head, series = _series(rep, branch, left, right)
+    return (head, *_term_stacks(((coeff, raise_l.scale_rows(dress), right_l)
+                                 for coeff, dress, raise_l, right_l in series), rep.dim))
 
-    Each slot holds the rep's images, so every term keeps its order:
-    head . (d_l (ad)^l x q^{-rate l Nt} a^l).  The terms are summed in
-    order, each into the running sum's blocks.
-    """
+
+def _series_block(series: tuple, sectors, states: np.ndarray) -> np.ndarray:
+    """The block of R's series (:func:`_series_stacks`) on the basis indices
+    ``states`` of ``sectors`` (a level's, or a stack of them), the left slot
+    on as many first sites as its images span.  Each slot holds images
+    under an algebra map (the rep, or Delta), so every term keeps its order,
+    head . (d_l (ad)^l x right), and each entry, in the one term of its left
+    slot's rise, is that term's c_l (left x right) times the head."""
+    head, coeffs, raising, lowering = series
+    left, right = np.divmod(states, sectors.dim ** (sectors.sites - raising.sectors.sites))
+    rise = raising.sectors.level[left]
+    term = rise[..., :, None] - rise[..., None, :]
+    return (coeffs.take(term, mode="clip")
+            * (raising.entries(term, left, left) * lowering.entries(term, right, right))
+            * head[states][..., :, None])
+
+
+def _series_r(rep: FockRep, branch: BranchChoice | None) -> SectorOperator:
+    """R (R0 without a branch) on every two-site column sector: the level
+    blocks of :func:`_series_block` on every level's states at once, each
+    slot holding the rep's images, with the padding zeroed."""
     one, sectors = _slot(rep, rep.generator), level_sectors(rep.dim, 2)
-    head, series = _series(rep, branch, one, one)
-    terms = (_scaled(coeff, SectorOperator.gather([(raise_l.scale_rows(dress), (0,)),
-                                                   (right_l, (1,))], sectors))
-             for coeff, dress, raise_l, right_l in series)
-    total = next(terms)
-    for term in terms:
-        total += term
-        del term   # hold no term while the next one is gathered
-    return total.scale_rows(head)
+    blocks = _series_block(_series_stacks(rep, branch, one, one), sectors, sectors.index)
+    np.putmask(blocks, sectors.plan(0).pad, 0)
+    return SectorOperator(sectors, 0, blocks)
 
 
 def build_r0(rep: FockRep) -> RMatrix:
@@ -375,22 +382,14 @@ def _levels_top_first(dim: int):
 
 def _site_pairs(r: RMatrix, sites: tuple, pairs=("12", "13", "23")) -> tuple:
     """The blocks at one column level of three sites of R on each slot pair
-    of ``pairs`` (R12, R13 and R23 by default), read in place from R's level
-    blocks: ``sites`` holds the level's states' level on each site
-    (LevelSectors.site_levels).  R acts on its pair, and an entry whose
-    third site changes is 0; the others lie in the column's pair level."""
-    blocks, sec = r.op.blocks, r.op.sectors
-    _, rows, cols = blocks.shape
-    out = []
-    for pair in pairs:
-        first, second = int(pair[0]) - 1, int(pair[1]) - 1
-        index = sites[first] * sec.dim + sites[second]
-        third = sites[3 - first - second]
-        position = sec.position[index]
-        block = blocks.take((sec.level[index] * rows + position[:, None]) * cols + position)
-        block[third[:, None] != third] = 0
-        out.append(block)
-    return tuple(out)
+    of ``pairs`` (R12, R13 and R23 by default), read from R's level blocks
+    by :meth:`SectorStack.entries`: ``sites`` holds the level's states'
+    level on each site (LevelSectors.site_levels).  R acts on its pair; an
+    entry whose third site changes lies outside R's pair level, where the
+    read is 0."""
+    stack = SectorStack([r.op])
+    index = [sites[int(pair[0]) - 1] * r.dim + sites[int(pair[1]) - 1] for pair in pairs]
+    return tuple(stack.entries(0, i, i) for i in index)
 
 
 def check_ybe(r: RMatrix, tol: float = DEFAULT_R_TOL) -> CheckReport:
@@ -419,35 +418,17 @@ def _fusion_row(r: RMatrix, slots: tuple, pairs: tuple, identity: str,
     """The fusion row of R on the Delta ``slots`` against the product of R
     on the slot ``pairs``, level by level of the three-site window.
 
-    Each slot holds images under an algebra map (the rep itself, or Delta),
-    so every term keeps its order: head . (d_l (ad)^l x right factor).
-    Term l raises the left slot's level by l, so each entry of a level
-    block lies in one term, the one of its left slot's rise: the series
-    block is gathered entry by entry from that term's factors,
-    c_l (left x right) times the head, and the pairs' blocks are multiplied
-    into the target's.
+    The series block is built as R's own (:func:`_series_block`), and the
+    pairs' blocks are multiplied into the target's.
     """
     dim, sectors = r.dim, level_sectors(r.dim, 3)
-    head, series = _series(r.rep, r.branch, *slots)
-    split = 1 + (slots[0].nt.size > dim)   # a Delta image spans two sites
-    coeffs, raising, lowering = _term_stacks(
-        ((coeff, raise_l.scale_rows(dress), right_l) for coeff, dress, raise_l, right_l in series),
-        dim)
+    series = _series_stacks(r.rep, r.branch, *slots)
 
     def levels():
         for level in _levels_top_first(dim):
-            sites = sectors.site_levels(level)
-            left = sites[0] * dim + sites[1] if split == 2 else sites[0]
-            right = sites[1] * dim + sites[2] if split == 1 else sites[2]
-            rise = sum(sites[:split])
-            term = rise[:, None] - rise
-            series_block = (coeffs.take(term, mode="clip")
-                            * (raising.entries(term, left, left)
-                               * lowering.entries(term, right, right))
-                            * head[sectors.states(level)][:, None])
-            first, second = _site_pairs(r, sites, pairs)
+            first, second = _site_pairs(r, sectors.site_levels(level), pairs)
             target = first @ second
-            yield series_block - target, target
+            yield _series_block(series, sectors, sectors.states(level)) - target, target
 
     return _level_row(r, identity, reference, levels(), tol)
 

@@ -439,7 +439,7 @@ def run_structure_checks(rep: FockRep, tables: HopfTables | None = None,
     if spec.family == "B":
         # S(g) = g^-1, so the grade extension is antipode-fixed only
         # when the grade squares to the identity
-        lam4 = LAM4 if float(spec.beta / spec.alpha).is_integer() else 0.0
+        lam4 = LAM4 if spec.integer_grade_shift else 0.0
         elem = build_L(rep, LAM1, lam4)
         if tables is not None:
             out.extend(check_L_properties(elem, rep, tables, tol))

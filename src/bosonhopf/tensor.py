@@ -20,17 +20,18 @@ shift's plan keeps per slot tuple.  Products, sums, functional calculus on
 a diagonal and the norm then work on the blocks, between sector operators
 only.  The norm is the largest singular value over the blocks, found by
 factoring them one at a time in descending order of a certified bound
-until no bound left exceeds it: the value one batched SVD of all the
-blocks gives, bit for bit, at the cost of one or a few small SVDs.  An
-operator built one column level at a time, never whole, is normed as its
-blocks come (:class:`StreamedNorm`), with the same bound deciding which
-blocks to factor; a series whose term t moves the level by t is read at any
-entry of a block from its stacked terms (:class:`SectorStack`).  A
-dense matrix that mixes level shifts (an ``eval`` expression such as
-``a + ad``) has no blocks: its norm is the SVD of its nonzero rows and window
-columns.  The dense products (kron_all, embed_two_site, swap_matrix, and
-kron, which the expression language also calls) and the dense window oracle
-(total_window_projector, windowed_norm) serve the tests and trace targets.
+until no bound left exceeds it (:class:`StreamedNorm`): the value one
+batched SVD of all the blocks gives, bit for bit, at the cost of one or a
+few small SVDs.  An operator built one column level at a time, never whole,
+is normed as its blocks come, by the same :class:`StreamedNorm`.  A series
+whose term t moves the level by t is read at any entries of a block from
+its stacked terms by one ``take`` (:class:`SectorStack`), as R's slot pairs
+are from R's blocks.  A dense matrix that mixes level shifts (an ``eval``
+expression such as ``a + ad``) has no blocks: its norm is the SVD of its
+nonzero rows and window columns.  The dense products (kron_all,
+embed_two_site, swap_matrix, and kron, which the expression language also
+calls) and the dense window oracle (total_window_projector, windowed_norm)
+serve the tests and trace targets.
 """
 
 from __future__ import annotations
@@ -287,18 +288,15 @@ class SectorOperator:
 
         ``factors`` lists ``(matrix, slots)`` pairs that cover each site
         once: a one-site matrix on ``(s,)`` or a two-site one on a slot pair
-        ``(s, t)`` (R13 is R on ``(0, 2)`` beside the identity on ``(1,)``),
-        or a sector operator, taken as its dense scatter.  Each block entry
-        is the product of the factors' entries at their sites' row and
-        column indices, in the order of ``factors``: the product
-        :func:`kron_all` forms, so scattered back it is bit-identical to it.
-        Scale by a coefficient on the side the dense sum did: complex
+        ``(s, t)`` (R13 is R on ``(0, 2)`` beside the identity on ``(1,)``).
+        Each block entry is the product of the factors' entries at their
+        sites' row and column indices, in the order of ``factors``: the
+        product :func:`kron_all` forms, so scattered back it is bit-identical
+        to it.  Scale by a coefficient on the side the dense sum did: complex
         products round through fused multiply-adds, so ``c * x`` and
         ``x * c`` may differ in the last bit.  A factor whose entries mix
         level shifts has no blocks and is refused.
         """
-        factors = [(mat.to_dense() if isinstance(mat, SectorOperator) else mat, slots)
-                   for mat, slots in factors]
         shifts = [_level_shift(mat, sectors.dim, len(slots)) for mat, slots in factors]
         if None in shifts:
             raise ValueError("a gathered factor must shift the total level by one amount")
@@ -426,11 +424,12 @@ class SectorOperator:
         the geometric mean of its largest column and row abs-sums; that
         bound, inflated by 1e-12 relative so that rounding never lets it
         fall below a computed singular value, orders the blocks.  They are
-        factored one at a time, largest bound first, until the largest
-        singular value found is at least the next bound: no block left can
-        exceed it.  Each SVD is the LAPACK call a batched SVD makes on that
-        padded block, so the result is the same value, bit for bit, as the
-        largest singular value of one SVD over all the blocks.
+        fed to a :class:`StreamedNorm` as one stack: it factors them largest
+        bound first, and only while the bound exceeds the largest singular
+        value found, since no block left can exceed it then.  Each SVD is
+        the LAPACK call a batched SVD makes on that padded block, so the
+        result is the same value, bit for bit, as the largest singular value
+        of one SVD over all the blocks.
         """
         # the live column sectors L: held, in the window, and L + shift a level
         sec, shift = self.sectors, self.shift
@@ -442,16 +441,9 @@ class SectorOperator:
             return float(np.abs(self.blocks[lo:hi, 0, 0]).max())
         width_in = sec.size[lo:hi].max()
         width_out = sec.size[lo + shift:hi + shift].max()
-        blocks = self.blocks[lo:hi, :width_out, :width_in]
-        if not blocks.any():
-            return 0.0
-        bound = _bound(blocks)
-        best = 0.0
-        for i in np.argsort(-bound, kind="stable"):
-            if best >= bound[i]:   # an all-zero block's bound is 0: it ends here too
-                break
-            best = max(best, np.linalg.svd(blocks[i], compute_uv=False)[0])
-        return float(best)
+        norm = StreamedNorm()
+        norm.add(self.blocks[lo:hi, :width_out, :width_in])
+        return norm.value
 
 
 def _bound(blocks: np.ndarray) -> np.ndarray:
@@ -466,20 +458,28 @@ def _bound(blocks: np.ndarray) -> np.ndarray:
 
 class StreamedNorm:
     """The spectral norm of a block-diagonal operator whose blocks are fed
-    one at a time and not kept.
+    one at a time, or a stack at a time, and not kept.
 
     ``value`` is the largest singular value over the blocks fed so far.
-    :meth:`add` factors a block only when its bound (:func:`_bound`)
-    exceeds ``value``, so blocks fed largest first mostly cost no SVD, and
+    :meth:`add` factors the blocks it is fed largest bound (:func:`_bound`)
+    first, and only while the bound exceeds ``value``: no block left can
+    exceed it then.  Blocks fed largest first mostly cost no SVD, and
     ``value`` stays exactly 0.0 while every block fed is zero.
     """
 
     def __init__(self):
         self.value = 0.0
 
-    def add(self, block: np.ndarray) -> None:
-        if block.size and _bound(block) > self.value:
-            self.value = max(self.value, float(np.linalg.svd(block, compute_uv=False)[0]))
+    def add(self, blocks: np.ndarray) -> None:
+        """Feed one block, or a stack of them over the leading axis."""
+        if not blocks.any():   # an all-zero or empty block has no singular value
+            return
+        bound = _bound(blocks).reshape(-1)
+        blocks = blocks.reshape(bound.size, *blocks.shape[-2:])
+        for i in np.argsort(-bound, kind="stable"):
+            if bound[i] <= self.value:
+                break
+            self.value = max(self.value, float(np.linalg.svd(blocks[i], compute_uv=False)[0]))
 
 
 class SectorStack:
@@ -493,21 +493,29 @@ class SectorStack:
     def __init__(self, ops):
         self.sectors = ops[0].sectors
         self.shifts = np.array([op.shift for op in ops])
-        self.blocks = np.stack([op.blocks for op in ops])
+        # one operator's blocks (R's, for its slot pairs) are read in place
+        self.blocks = ops[0].blocks[None] if len(ops) == 1 else np.stack([op.blocks for op in ops])
 
-    def entries(self, term: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Entry ``(i, j)`` of term ``term[i, j]``'s dense matrix at row
-        ``rows[i]`` and column ``cols[j]``: 0 where ``term[i, j]`` names no
-        term or that term holds nothing there."""
+    def entries(self, term, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Entry ``(i, j)`` of term ``term[i, j]``'s dense matrix (of term
+        ``term`` everywhere for an int) at row ``rows[i]`` and column
+        ``cols[j]``: 0 where ``term[i, j]`` names no term or that term holds
+        nothing there; leading axes of ``rows`` and ``cols`` stack such
+        blocks.  One ``take`` of each entry's flat (term, level, row, col)
+        index reads them all, clipped where nothing is held, and the held
+        mask zeroes those reads."""
         sec, (count, levels, width_out, width_in) = self.sectors, self.blocks.shape
+        rows, cols = rows[..., :, None], cols[..., None, :]
         known = np.minimum(np.maximum(term, 0), count - 1)
         col_level = sec.level[cols]
-        held = ((known == term) & (col_level < levels)
-                & (sec.level[rows][:, None] == col_level + self.shifts[known]))
-        # clipped where nothing is held, so that every read is in bounds
-        return np.where(held, self.blocks[known, np.minimum(col_level, levels - 1),
-                                          np.minimum(sec.position[rows], width_out - 1)[:, None],
-                                          np.minimum(sec.position[cols], width_in - 1)], 0)
+        empty = ((known != term) | (col_level >= levels)
+                 | (sec.level[rows] != col_level + self.shifts[known]))
+        # the row offset is added last: with one term, one n x n index is made
+        out = self.blocks.take(sec.position[rows] * width_in
+                               + ((known * levels + col_level) * (width_out * width_in)
+                                  + sec.position[cols]), mode="clip")
+        out[empty] = 0
+        return out
 
 
 def _window_levels(top: int | None) -> int | None:

@@ -800,6 +800,23 @@ def test_r_suite_builds_ybe_at_the_ybe_suite_dimension(tmp_path):
     assert {r["dim"] for r in rows} == {4}
 
 
+def test_a_grade_shift_that_rounds_to_an_integer_runs_the_parity_head_suites(tmp_path):
+    """At B (0.1, 0.3), beta/alpha evaluates to 2.9999999999999996: an
+    integer to 1e-12, as build_r0 takes it, so the rmatrix and ybe suites
+    run R0's rows rather than skipping the point, and every row passes."""
+    assert 0.3 / 0.1 != 3.0
+    path = tmp_path / "near.ini"
+    path.write_text("[scenario near]\nfamily = B\nalpha = 0.1\nbeta = 0.3\n"
+                    "dim = 6\nsuites = rmatrix, ybe\n")
+    out = tmp_path / "near.json"
+    assert _run(path, out) == 0
+    rows = json.loads(out.read_text())["reports"]
+    assert sorted((r["suite"], r["identity"]) for r in rows) == [
+        ("rmatrix", "rmatrix.fusion-left"), ("rmatrix", "rmatrix.fusion-right"),
+        ("rmatrix", "rmatrix.inverse"), ("ybe", "rmatrix.ybe")]
+    assert all(r["passed"] and not r["skipped"] for r in rows)
+
+
 CATALOG_CONFIG = """
 [scenario graded]
 family = B

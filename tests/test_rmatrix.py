@@ -232,6 +232,21 @@ def test_window_column_residuals_match_the_dense_matrices(family, params, wrong,
             assert abs(rows[ident] - ref) <= max(1e-12 * ref, 1e-15), (ident, branch)
 
 
+@pytest.mark.parametrize("family, params", [("Bq", (2, 4, 1.3)), ("Bq", (4, 8, 1.3)),
+                                            ("Bbarq", (1, 1, 0.7)), ("Bbarq", (2, 0, 1.3)),
+                                            ("B", (2, 2)), ("B", (1, 3))])
+def test_r_matches_the_dense_series(family, params):
+    """R's level blocks, under every branch of the family's lattice, and
+    R0's on B, equal the dense Kronecker sum over the series on the rep's
+    own images to 1e-14 relative to R's largest entry (D = 6)."""
+    rep = build_rep(AlgebraSpec(family, params), 6)
+    one = rep.generator
+    for r in ([build_r0(rep)] if family == "B"
+              else [build_r(rep, branch=b) for b in branch_lattice(family)]):
+        ref = _dense_series_r(r, one, one)
+        assert np.abs(r.op.to_dense() - ref).max() <= 1e-14 * np.abs(ref).max(), r.branch
+
+
 @pytest.mark.parametrize("family, params", [("Bq", (2, 4, 1.3)), ("Bbarq", (1, 1, 0.7)),
                                             ("B", (2, 2))])
 def test_r_site_pairs_match_the_dense_embeddings(family, params):
@@ -437,8 +452,8 @@ def _largest_level_block(dim: int) -> int:
 def test_the_r_axioms_hold_only_the_operators_a_row_needs():
     """check_r_axioms builds each row one column level at a time and holds
     no windowed three-site operator: its traced peak stays within 2 padded
-    window operators at D = 8 (it reads about 1.6), and within 14 blocks of
-    the largest level at D = 12 (about 12.9: the series' stacked factors and
+    window operators at D = 8 (it reads about 1.5), and within 14 blocks of
+    the largest level at D = 12 (about 11.5: the series' stacked factors and
     one level's blocks; the Delta slot's diagonals are read from its sector
     blocks, never from a dense image)."""
     for dim, unit, bound in ((8, WINDOW_OPERATOR_D8, 2), (12, _largest_level_block(12), 14)):
@@ -451,7 +466,7 @@ def test_ybe_holds_each_product_only_until_its_last_use():
     """check_ybe gathers R12, R13 and R23 one column level at a time and
     drops each level's blocks and products once they are normed: its traced
     peak stays within 2 padded window operators at D = 8 (it reads about
-    0.9), and within 8 blocks of the largest level at D = 12 (about 7.5)."""
+    0.9), and within 8 blocks of the largest level at D = 12 (about 7.1)."""
     for dim, unit, bound in ((8, WINDOW_OPERATOR_D8, 2), (12, _largest_level_block(12), 8)):
         r = build_r(build_rep(AlgebraSpec("Bq", (2, 4, 1.3)), dim))
         assert _working_set(lambda: check_ybe(r)) <= bound * unit, dim

@@ -12,7 +12,9 @@ and `np.linalg.matrix_power`, out of those checks.
 
 R itself is held only as its level blocks (`RMatrix.op`), and every diagonal
 and identity the R rows need is read from or gathered into blocks, so
-`rmatrix.py` also names no `to_dense`, `np.diag` or `np.eye`.
+`rmatrix.py` also names no `to_dense`, `np.diag` or `np.eye`.  Nor does
+`SectorOperator.gather`, which takes each factor's entries from the
+matrix it is given and scatters no sector operator back to dense.
 """
 
 import ast
@@ -106,4 +108,12 @@ def test_the_r_checks_and_coassociativity_build_no_dense_product():
 def test_rmatrix_holds_no_dense_form_of_an_operator():
     rmatrix = ast.parse((SRC / "rmatrix.py").read_text())
     offenders = [f"rmatrix.py:{line}: {name}" for line, name in dense_forms(rmatrix)]
+    assert not offenders, offenders
+
+
+def test_the_gather_scatters_no_operator_to_dense():
+    tensor = ast.parse((SRC / "tensor.py").read_text())
+    offenders = [f"SectorOperator.{method}:{line}: {name}"
+                 for method in ("gather", "_gathered")
+                 for line, name in dense_forms(_method(tensor, "SectorOperator", method))]
     assert not offenders, offenders
