@@ -14,7 +14,7 @@ them, load when a name of theirs is first used.
 from importlib import import_module
 
 __version__ = "0.1.0"
-GRAMMAR_VERSION = "1.1"   # of the expression language in expr
+GRAMMAR_VERSION = "1.2"   # of the expression language in expr
 
 # Each exported name -> the module that defines it.
 _EXPORTS = {
@@ -26,8 +26,7 @@ _EXPORTS = {
     **dict.fromkeys(("bracket_factorial", "phase_pow", "q_bracket"), "scalars"),
     **dict.fromkeys(("BranchChoice", "RMatrix", "build_r", "build_r0",
                      "run_r_checks"), "rmatrix"),
-    **dict.fromkeys(("StructureElement", "build_L", "build_M",
-                     "build_realization"), "structure"),
+    **dict.fromkeys(("build_realization", "run_structure_checks"), "structure"),
     **dict.fromkeys(("EvalContext", "evaluate", "evaluate_text", "parse",
                      "print_expr"), "expr"),
 }

@@ -35,6 +35,7 @@ import math
 import os
 import sys
 import time
+from collections import UserDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -72,7 +73,8 @@ class Suite:
     ``skip_reason``.  With ``parity_head``, the graded families
     are skipped where beta/alpha is not an integer
     (:attr:`AlgebraSpec.integer_grade_shift`).  ``ids`` maps each
-    report id prefix to the identity it names.
+    report id prefix to the identity it names; the structure, casimir and
+    iso suites read theirs from the identity corpus (:class:`_CorpusIds`).
     """
 
     name: str
@@ -163,9 +165,8 @@ def _run_r0_ybe(pt, tol):
 
 
 def _run_casimir(pt, tol):
-    from .structure import build_realization, casimir_spectrum
-    return [casimir_spectrum(build_realization(pt.rep, target), pt.rep, which, tol)
-            for target, which in (("osp12", "osp_i2"), ("sl2", "sl2_c2"))]
+    from .structure import casimir_spectrum
+    return casimir_spectrum(pt.rep, tol)
 
 
 def _run_structure(pt, tol):
@@ -188,11 +189,25 @@ def _run_iso_phi_prime(pt, tol):
     return iso_phi_prime(h_spec, pt.rep, tol=tol)
 
 
+class _CorpusIds(UserDict):
+    """The id of each corpus row and map that starts with ``prefix``, with
+    its text (a row's reference, or the references of the maps an id names),
+    read on first use: the registry is built without reading the corpus."""
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+
+    @cached_property
+    def data(self) -> dict:
+        from .corpus import statements
+        ids = {}
+        for st in statements():
+            if st.kind in ("row", "map") and st.ident.startswith(self.prefix):
+                ids[st.ident] = "; ".join(filter(None, (ids.get(st.ident), st.reference)))
+        return ids
+
+
 _YBE_IDS = {"rmatrix.ybe": "R12 R13 R23 = R23 R13 R12"}
-_CASIMIR_IDS = {
-    "structure.casimir-osp": "osp quadratic Casimir is the constant beta^2/(4 alpha^2) - beta/(4 alpha)",
-    "structure.casimir-sl2": "sl2 Casimir is constant on each parity sector, matching the closed form",
-}
 
 SUITES = {suite.name: suite for suite in (
     Suite("relations",
@@ -221,27 +236,11 @@ SUITES = {suite.name: suite for suite in (
     Suite("ybe", _YBE_IDS,
           {"Bq": _run_ybe_series, "Bbarq": _run_ybe_series, "B": _run_r0_ybe},
           "no Yang-Baxter content for this family", parity_head=True),
-    Suite("casimir", _CASIMIR_IDS, {"B": _run_casimir},
+    Suite("casimir", _CorpusIds("structure.casimir"), {"B": _run_casimir},
           "closed-form Casimir spectra are stated for the undeformed graded "
           "family"),
-    Suite("structure",
-          {"structure.anticommute": "{L, a} = {L, ad} = 0 (grade-odd structure element)",
-           "structure.delta-closed-form": "homomorphic Delta(L+) matches its closed form",
-           "structure.antipode-fixed": "S(L+) = L+ and eps(L+) = lambda1*alpha/4 + lambda4",
-           "structure.characteristic": "C(C + (alpha/2 - beta)) + (alpha/4 - beta/2)^2 = eta/lambda1^2, C = ad*a - alpha*N/2",
-           "structure.bh-form": "[a, ad] = -(2/lambda1) L + alpha/2",
-           "structure.m-element": "[M, b] = -b and [M, bd] = bd for M = bd*b/delta + nu*K/(2 delta) + rho",
-           "structure.com": "{b, bd} = 2*delta*M + delta*(1 - 2*rho)",
-           "structure.realization": "target (super)algebra relations hold for the embedded generators",
-           **_CASIMIR_IDS},
-          dict.fromkeys(FAMILIES, _run_structure)),
-    Suite("iso",
-          {"iso.phi": "phi(a)=b, phi(ad)=bd, phi(N)=2/alpha bd b + nu/alpha K + (delta-beta)/alpha preserves the B relations iff alpha = 2 delta",
-           "iso.phi-prime": "phi'(b)=a, phi'(bd)=ad, phi'(K)=-2/nu ad a + alpha/nu N + (beta-delta)/nu preserves the H relations iff alpha = 2 delta",
-           "iso.roundtrip": "phi' after phi is the identity on generators",
-           "iso.phi-L": "phi(L) = -(lambda1 nu / 2) K",
-           "iso.phi-prime-M": "phi'(M) = N + (beta - delta)/(2 delta) + rho"},
-          {"H": _run_iso_phi, "B": _run_iso_phi_prime},
+    Suite("structure", _CorpusIds("structure."), dict.fromkeys(FAMILIES, _run_structure)),
+    Suite("iso", _CorpusIds("iso."), {"H": _run_iso_phi, "B": _run_iso_phi_prime},
           "the generator maps relate the graded and reflection families only"),
 )}
 

@@ -25,6 +25,7 @@ roots of the weights, nonnegative at every admissible point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -124,6 +125,13 @@ class FockRep:
             raise RepresentationError(f"generator {name!r} unavailable for {self.spec.describe()}")
         return mat
 
+    @cached_property
+    def sector_images(self) -> dict:
+        """The generator images and I as one-site sector operators, built once."""
+        sectors = level_sectors(self.dim, 1)
+        return {name: SectorOperator.from_dense(x, sectors)
+                for name, x in rep_generator_images(self).items()}
+
     def generator_names(self) -> tuple:
         if self.spec.family == "H":
             names = ["M", "K", "b", "bd"]
@@ -170,14 +178,6 @@ def build_rep(spec: AlgebraSpec, dim: int = DEFAULT_DIM) -> FockRep:
     return FockRep(spec=spec, dim=dim, lowering=lowering, raising=raising,
                    number=number, grade_plus=grade_plus, grade_minus=grade_minus,
                    k_op=k_op)
-
-
-def comm(x, y):
-    return x @ y - y @ x
-
-
-def acomm(x, y):
-    return x @ y + y @ x
 
 
 def diag_function(values_fn, diag_source: np.ndarray) -> np.ndarray:
@@ -230,10 +230,10 @@ def relation_residuals(spec: AlgebraSpec, gens: dict, sectors: LevelSectors,
     out = []
     for entry in load_corpus():
         if entry.family == spec.family and entry.program.names <= leaves.keys():
-            residual, scale = entry.program.run(leaves, anti)
-            out.append((f"{entry.family}.{entry.ident}", f"{entry.text} = 0", residual,
+            residual, scale = entry.run(leaves, anti)
+            out.append((f"{entry.family}.{entry.ident}", entry.reference, residual,
                         entry.raise_degree,
-                        abs(scale) if np.isscalar(scale) else spectral_norm(scale)))
+                        scale if isinstance(scale, float) else spectral_norm(scale)))
     return out
 
 
@@ -251,4 +251,4 @@ def check_defining_relations(rep: FockRep, tol: float = DEFAULT_TOL):
     return [windowed_row(rep.spec, rep.dim, f"relations.{ident}", ref, residual, tol,
                          degree, scale)
             for ident, ref, residual, degree, scale in relation_residuals(
-                rep.spec, rep_generator_images(rep), level_sectors(rep.dim, 1))]
+                rep.spec, rep.sector_images, level_sectors(rep.dim, 1))]

@@ -240,11 +240,10 @@ class SectorOperator:
     ``sectors``, padded as in :class:`LevelSectors`; padding, and the blocks
     whose row sector is not a level, are zero.  One gathered for a window
     holds, and is known on, the column sectors up to its top level only, and
-    is a right factor of ``@`` only.  ``@``, ``+``, ``-``, ``abs`` and scalar
-    ``*`` work block by block, on sector operators only; a sum of nonzero
-    operators of different shifts raises ValueError.  ``+=`` adds into the
-    left operand's blocks when they hold the sum, as ``+=`` on an ndarray
-    does.  ``shape`` is the dense shape.
+    is a right factor of ``@`` only.  ``@``, ``+``, ``-`` and scalar ``*``
+    work block by block, on sector operators only; a sum of nonzero
+    operators of different shifts raises ValueError.  ``shape`` is the dense
+    shape.
     """
 
     sectors: LevelSectors
@@ -369,31 +368,28 @@ class SectorOperator:
     def __add__(self, other):
         return self._combine(other, np.add)
 
-    def __iadd__(self, other):
-        """``self + other`` written into self's blocks where it fits them
-        (the same shift, padded shape and dtype); ``+`` otherwise."""
-        if (isinstance(other, SectorOperator) and other.shift == self.shift
-                and other.blocks.shape == self.blocks.shape
-                and np.result_type(self.blocks, other.blocks) == self.blocks.dtype):
-            self.blocks += other.blocks
-            return self
-        return NotImplemented
-
     def __sub__(self, other):
         return self._combine(other, np.subtract)
 
-    def __abs__(self):
-        return self._like(self.shift, np.abs(self.blocks))
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
+    def __mul__(self, scalar):   # an isinstance test: np.isscalar costs a microsecond
+        if not isinstance(scalar, (int, float, complex, np.number)):
             return NotImplemented
         return self._like(self.shift, self.blocks * scalar)
 
     def __rmul__(self, scalar):
-        if not np.isscalar(scalar):
+        if not isinstance(scalar, (int, float, complex, np.number)):
             return NotImplemented
         return self._like(self.shift, scalar * self.blocks)
+
+    @staticmethod
+    def pair(left, right) -> "SectorOperator":
+        """left (x) right on the two-site space of one-site sector operators,
+        None standing for I, gathered from their dense matrices."""
+        ops = [x for x in (left, right) if x is not None]
+        eye = np.eye(ops[0].sectors.dim, dtype=complex)
+        factors = [(eye if x is None else x.to_dense(), (s,)) for s, x in enumerate((left, right))]
+        return SectorOperator._gathered(factors, level_sectors(ops[0].sectors.dim, 2),
+                                        sum(x.shift for x in ops))
 
     def diagonal_map(self, fn) -> "SectorOperator":
         """``fn`` applied at once to the array of diagonal entries of a

@@ -111,11 +111,10 @@ def test_criterion_07_casimir_spectra():
                 (4.0, 1.0): (-3 / 64, 7 / 64, 15 / 64)}
     for params, (i2, c_even, c_odd) in expected.items():
         rep = build_rep(AlgebraSpec("B", params), 12)
-        osp = structure_mod.casimir_spectrum(
-            structure_mod.build_realization(rep, "osp12"), rep, "osp_i2",
-            1e-10)
-        sl2 = structure_mod.casimir_spectrum(
-            structure_mod.build_realization(rep, "sl2"), rep, "sl2_c2", 1e-10)
+        osp, sl2 = structure_mod.casimir_spectrum(rep, 1e-10)
+        if (osp.identity, sl2.identity) != ("structure.casimir-osp",
+                                            "structure.casimir-sl2"):
+            failures.append(f"Casimir rows at {params}: {osp.identity}, {sl2.identity}")
         failures += _collect([osp, sl2])
         if abs(osp.branch_note["i2"] - i2) > 1e-10:
             failures.append(f"i2 at {params}: {osp.branch_note['i2']}")
@@ -129,21 +128,20 @@ def test_criterion_07_casimir_spectra():
 
 def test_criterion_08_structure_elements():
     failures = []
-    for params in B_GRID:
-        rep = build_rep(AlgebraSpec("B", params), 12)
-        tables = build_tables(rep)
-        lam4 = 0.5 if rep.spec.integer_grade_shift else 0.0
-        elem = structure_mod.build_L(rep, 1.0, lam4)
-        failures += _collect(
-            structure_mod.check_L_properties(elem, rep, tables, 1e-10))
-        failures += _collect(
-            [structure_mod.characteristic_identity_residual(rep, 1.0, 1e-10),
-             structure_mod.bh_form_check(rep, 1.0, 1e-10)])
-    for params in H_GRID:
-        rep = build_rep(AlgebraSpec("H", params), 12)
-        _, ladder = structure_mod.build_M(rep)
-        failures += _collect(ladder)
-        failures += _collect([structure_mod.com_check(rep, 1e-10)])
+    element_rows = {"B": ("structure.anticommute.low", "structure.anticommute.raise",
+                          "structure.delta-closed-form", "structure.antipode-fixed",
+                          "structure.characteristic", "structure.bh-form"),
+                    "H": ("structure.m-element.low", "structure.m-element.raise",
+                          "structure.com")}
+    for family, grid in (("B", B_GRID), ("H", H_GRID)):
+        for params in grid:
+            rep = build_rep(AlgebraSpec(family, params), 12)
+            tables = build_tables(rep) if family == "B" else None
+            rows = [r for r in structure_mod.run_structure_checks(rep, tables, 1e-10)
+                    if r.identity in element_rows[family]]
+            if tuple(r.identity for r in rows) != element_rows[family]:
+                failures.append(f"{family}{params}: rows {[r.identity for r in rows]}")
+            failures += _collect(rows)
     _verdict(8, "structure elements L, M, commutator forms, D=12, tol 1e-10",
              failures)
 

@@ -171,6 +171,27 @@ def test_scalar_promotion_and_errors():
     assert np.allclose(ex.evaluate_text("sigma * I", bound), 3.0 * np.eye(4))
 
 
+def test_division_scalar_powers_and_embeddings():
+    """/ divides by a scalar, a scalar's ^ takes a scalar exponent, qbracket
+    takes a scalar, and left(x), right(x) are x (x) I and I (x) x (their
+    product the Kronecker product); each prints and parses back."""
+    from bosonhopf.scalars import q_bracket
+    ctx = _ctx("Bq", (2, 1, 1.3), 4)
+    rep = ctx.rep
+    assert np.allclose(ex.evaluate_text("N/2", ctx), rep.number / 2)
+    assert np.allclose(ex.evaluate_text("q^(alpha/2)*I", ctx), 1.3 * np.eye(4))
+    assert np.allclose(ex.evaluate_text("qbracket(alpha, q)*I", ctx),
+                       q_bracket(2.0, 1.3) * np.eye(4))
+    assert np.allclose(ex.evaluate_text("left(a)*right(ad)", ctx),
+                       np.kron(rep.lowering, rep.raising))
+    assert np.allclose(ex.evaluate_text("right(N)", ctx), np.kron(np.eye(4), rep.number))
+    for text in ("N/2", "q^alpha", "q^(alpha/2)", "left(a)*right(ad)"):
+        assert ex.parse(ex.print_expr(ex.parse(text))) == ex.parse(text)
+    for text in ("a/N", "a^alpha", "left(tensor(a, a))"):
+        with pytest.raises(ex.EvalError):
+            ex.evaluate_text(text, ctx)
+
+
 def test_power_is_matrix_power():
     ctx = _ctx("B", (2, 1), 6)
     a2 = ex.evaluate_text("a ^ 2", ctx)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bosonhopf import AlgebraSpec, build_rep, check_defining_relations, weight
 from bosonhopf import expr as ex
-from bosonhopf.fock import (RepresentationError, SpecError, acomm, comm,
+from bosonhopf.fock import (RepresentationError, SpecError,
                             diag_function, rep_generator_images, windowed_norm)
 from bosonhopf.hopf import HopfTables
 from bosonhopf.tensor import total_window_projector
@@ -15,6 +15,14 @@ from grids import (B_GRID, BBAR_GRID, BBARQ_GRID, BQ_GRID, FULL_GRID,
 
 params_pos = st.floats(min_value=0.25, max_value=4.0)
 levels = st.integers(min_value=1, max_value=12)
+
+
+def comm(x, y):
+    return x @ y - y @ x
+
+
+def acomm(x, y):
+    return x @ y + y @ x
 
 
 # -- ladder weights -----------------------------------------------------------
