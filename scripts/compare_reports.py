@@ -9,9 +9,13 @@ that key are paired in report order.  The script prints the row counts, the
 rows present in only one report, every verdict flip (passed or skipped
 changed) and the largest absolute and the largest relative residual change,
 each with its row key and the two residuals, so that a large relative
-change on a rounding-level residual shows as such.  It exits 1
-on any flip, any unmatched row or any residual change above RESIDUAL_TOL,
-and 0 otherwise.  Residuals are already normalised, so the bound is absolute.
+change on a rounding-level residual shows as such.  The row order is part
+of a report's contract (scenarios in config order, each scenario's points
+in grid order, each point's suites in config order), so the script also
+names the first row, of those both reports hold, that NEW places
+elsewhere than BASE.  It exits 1 on any flip, any unmatched row, any row
+out of place or any residual change above RESIDUAL_TOL, and 0 otherwise.
+Residuals are already normalised, so the bound is absolute.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 RESIDUAL_TOL = 1e-12
 
@@ -29,13 +33,36 @@ def row_key(row: dict) -> tuple:
             json.dumps(row["params"], sort_keys=True), row["dim"], row["suite"])
 
 
-def keyed_rows(path: str) -> dict:
+def load_rows(path: str) -> list:
     with open(path) as fh:
-        rows = json.load(fh)["reports"]
+        return json.load(fh)["reports"]
+
+
+def keyed_rows(rows: list) -> dict:
     out = defaultdict(list)
     for row in rows:
         out[row_key(row)].append(row)
     return out
+
+
+def first_out_of_place(base: list, new: list):
+    """(position, key in NEW, key in BASE) at the first place where the keys
+    that both reports hold (as many times as both hold them) come in another
+    order, or None when they come in the same order."""
+    common = Counter(map(row_key, base)) & Counter(map(row_key, new))
+
+    def shared(rows):
+        left, keys = Counter(common), []
+        for key in map(row_key, rows):
+            if left[key]:
+                left[key] -= 1
+                keys.append(key)
+        return keys
+
+    for position, (was, now) in enumerate(zip(shared(base), shared(new))):
+        if was != now:
+            return position, now, was
+    return None
 
 
 def residual_change(a, b) -> float:
@@ -78,8 +105,10 @@ def main(argv=None) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    base, new = keyed_rows(argv[0]), keyed_rows(argv[1])
+    base_rows, new_rows = load_rows(argv[0]), load_rows(argv[1])
+    base, new = keyed_rows(base_rows), keyed_rows(new_rows)
     unmatched, flips, largest_abs, largest_rel = compare(base, new)
+    misplaced = first_out_of_place(base_rows, new_rows)
     print(f"rows: base {sum(map(len, base.values()))}, "
           f"new {sum(map(len, new.values()))}")
     for side, key in unmatched:
@@ -87,6 +116,11 @@ def main(argv=None) -> int:
     for key, was, now in flips:
         print(f"verdict flip: {key} (passed, skipped) {was} -> {now}")
     print(f"verdict flips: {len(flips)}, unmatched rows: {len(unmatched)}")
+    if misplaced:
+        position, now, was = misplaced
+        print(f"row out of place: shared row {position} is {now} in new, {was} in base")
+    else:
+        print("row order: same")
     for kind, largest in (("absolute", largest_abs), ("relative", largest_rel)):
         if largest is None:
             print(f"largest {kind} residual change: 0")
@@ -95,7 +129,7 @@ def main(argv=None) -> int:
             print(f"largest {kind} residual change: {change:.3e} at {key} "
                   f"({was!r} -> {now!r})")
     max_abs = largest_abs[0] if largest_abs else 0.0
-    return 1 if unmatched or flips or max_abs > RESIDUAL_TOL else 0
+    return 1 if unmatched or flips or misplaced or max_abs > RESIDUAL_TOL else 0
 
 
 if __name__ == "__main__":

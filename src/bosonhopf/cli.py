@@ -17,11 +17,23 @@ never as failures; numerical residual breaches are failures.  Exit codes:
 0 all passed or skipped, 1 at least one failed check, 2 usage or config
 error.
 
+A run's job is one scenario's grid points, or at ``--jobs N`` one of at
+most N contiguous chunks of them, each on one worker.  Its points run in
+grid order, each point's suites in config order.  A suite whose runner has
+a batch form runs its one-site corpus lines once for all of the job's
+points, on the direct sum of their Fock spaces
+(:meth:`tensor.SectorOperator.direct_sum`), and each point gets its own
+rows; lines that read two-site values, and the other suites, run point by
+point.  A row's ``wall_time`` is its suite's time at its point over its
+row count; for a batched suite, the batch's time over its batched rows
+stands for each of them.
+
 This module imports the standard library and :mod:`spec` alone.  Parsing
 and checking a config, expanding its grids, ``list-identities``, ``--help``
 and every usage error load no numpy; the numerical modules load where they
-compute: a run at its first job (or before it starts a ``--jobs N`` pool,
-whose forked workers inherit them), ``eval`` once its arguments are checked.
+compute: a run at its first job (or, every module its suites use, before
+it starts a ``--jobs N`` pool, whose forked workers inherit them),
+``eval`` once its arguments are checked.
 """
 
 from __future__ import annotations
@@ -69,12 +81,15 @@ class Suite:
 
     A runner maps a grid point (:class:`Point`) and a tolerance to a list of
     reports; it imports the check functions from their module when it runs,
-    so a run loads only the modules its suites use.  Families without a runner are skipped with
-    ``skip_reason``.  With ``parity_head``, the graded families
-    are skipped where beta/alpha is not an integer
-    (:attr:`AlgebraSpec.integer_grade_shift`).  ``ids`` maps each
-    report id prefix to the identity it names; the structure, casimir and
-    iso suites read theirs from the identity corpus (:class:`_CorpusIds`).
+    so a run loads only the modules its suites use, the ``modules`` of the
+    package it names.  A runner with a batch form (:data:`_BATCHED`) also
+    runs a list of points of one family and dim at once, and returns the
+    lines that give each point's rows (:func:`report.rows_at`).  Families
+    without a runner are skipped with ``skip_reason``.  With
+    ``parity_head``, the graded families are skipped where beta/alpha is
+    not an integer (:attr:`AlgebraSpec.integer_grade_shift`).  ``ids`` maps
+    each report id prefix to the identity it names; the structure, casimir
+    and iso suites read theirs from the identity corpus (:class:`_CorpusIds`).
     """
 
     name: str
@@ -82,6 +97,11 @@ class Suite:
     runners: dict
     skip_reason: str = ""
     parity_head: bool = False
+    modules: tuple = ()
+
+    def batch_runner(self, family: str):
+        """The batch form of ``family``'s runner, or None when it has none."""
+        return _BATCHED.get(self.runners.get(family))
 
     def reason_to_skip(self, spec: AlgebraSpec) -> str:
         if spec.family not in self.runners:
@@ -102,8 +122,9 @@ class Suite:
 @dataclass
 class Point:
     """One grid point: its spec and dim, and the Fock rep and Hopf tables
-    its suites share, each built on first use.  A build that raises is not
-    kept, so the next suite to read it builds it again."""
+    its suites share (and the batches of its chunk read), each built on
+    first use.  A build that raises is not kept, so the next suite to read
+    it builds it again."""
 
     spec: AlgebraSpec
     dim: int
@@ -117,6 +138,11 @@ class Point:
     def tables(self):
         from .hopf import build_tables
         return build_tables(self.rep)
+
+    def release(self) -> None:
+        """Free the tables (and their two-site images) now: they are not read again."""
+        if "tables" in self.__dict__:
+            self.tables.release()
 
     def rep_up_to(self, dim: int):
         """The point's rep if it has at most ``dim`` levels, else one of ``dim``."""
@@ -177,16 +203,57 @@ def _run_structure(pt, tol):
 
 # The partner algebra of the generator maps: beta = 1 for B, nu = 1 and
 # rho = 0 for H.
+def _b_partner(spec):
+    return AlgebraSpec("B", (2.0 * spec.delta, 1.0))
+
+
+def _h_partner(spec):
+    return AlgebraSpec("H", (spec.alpha / 2.0, 1.0, 0.0))
+
+
 def _run_iso_phi(pt, tol):
     from .structure import iso_phi
-    b_spec = AlgebraSpec("B", (2.0 * pt.spec.delta, 1.0))
-    return iso_phi(b_spec, pt.rep, tol)
+    return iso_phi(_b_partner(pt.spec), pt.rep, tol)
 
 
 def _run_iso_phi_prime(pt, tol):
     from .structure import iso_phi_prime
-    h_spec = AlgebraSpec("H", (pt.spec.alpha / 2.0, 1.0, 0.0))
-    return iso_phi_prime(h_spec, pt.rep, tol=tol)
+    return iso_phi_prime(_h_partner(pt.spec), pt.rep, tol=tol)
+
+
+def _batch_relations(pts, tol):
+    from .fock import check_defining_relations_batch
+    return check_defining_relations_batch([pt.rep for pt in pts], tol)
+
+
+def _batch_delta_hom(pts, tol):
+    from .hopf import check_delta_homomorphism_batch
+    return check_delta_homomorphism_batch([pt.tables for pt in pts], tol)
+
+
+def _batch_casimir(pts, tol):
+    from .structure import casimir_spectrum_batch
+    return casimir_spectrum_batch([pt.rep for pt in pts], tol)
+
+
+def _batch_structure(pts, tol):
+    from .structure import run_structure_checks_batch
+    tables = [pt.tables for pt in pts] if pts[0].spec.family == "B" else None
+    return run_structure_checks_batch([pt.rep for pt in pts], tables, tol)
+
+
+def _batch_iso(partner):
+    def run(pts, tol):
+        from .structure import iso_batch
+        return iso_batch([partner(pt.spec) for pt in pts], [pt.rep for pt in pts], tol)
+    return run
+
+
+# The runners whose suites run all of a chunk's points at once: their one-site
+# corpus lines run on the direct sums of the points' images.
+_BATCHED = {_run_relations: _batch_relations, _run_delta_hom: _batch_delta_hom,
+            _run_casimir: _batch_casimir, _run_structure: _batch_structure,
+            _run_iso_phi: _batch_iso(_b_partner), _run_iso_phi_prime: _batch_iso(_h_partner)}
 
 
 class _CorpusIds(UserDict):
@@ -212,17 +279,17 @@ _YBE_IDS = {"rmatrix.ybe": "R12 R13 R23 = R23 R13 R12"}
 SUITES = {suite.name: suite for suite in (
     Suite("relations",
           {"relations": "defining relations of the family, including grade-element relations"},
-          dict.fromkeys(FAMILIES, _run_relations)),
+          dict.fromkeys(FAMILIES, _run_relations), modules=("fock", "expr")),
     Suite("hopf",
           {"hopf.coassoc": "(Delta x id) Delta(g) = (id x Delta) Delta(g)",
            "hopf.counit": "(eps x id) Delta(g) = g = (id x eps) Delta(g)",
            "hopf.antipode": "m (S x id) Delta(g) = eps(g) I = m (id x S) Delta(g)",
            "hopf.antipode-inverse": "m (S^-1 x id) Delta^T(g) = eps(g) I = m (id x S^-1) Delta^T(g)"},
-          dict.fromkeys(FAMILIES, _run_hopf)),
+          dict.fromkeys(FAMILIES, _run_hopf), modules=("hopf",)),
     Suite("delta-hom",
           {"hopf.delta-hom": "defining relations survive g -> Delta(g) on the two-site space",
            "hopf.s-antihom": "defining relations survive reversal + antipode images"},
-          dict.fromkeys(FAMILIES, _run_delta_hom)),
+          dict.fromkeys(FAMILIES, _run_delta_hom), modules=("hopf", "expr")),
     Suite("rmatrix",
           {"rmatrix.quasitriangular": "Delta^T(g) R = R Delta(g) per generator",
            "rmatrix.fusion-left": "(Delta x id) R = R13 R23",
@@ -232,16 +299,18 @@ SUITES = {suite.name: suite for suite in (
            "rmatrix.trivial": "R = I x I intertwines the primitive coproducts (undeformed Bbar)"},
           {"Bq": _run_r_series, "Bbarq": _run_r_series, "B": _run_r0_axioms,
            "Bbar": _run_trivial_r},
-          "no universal R-matrix for this family", parity_head=True),
+          "no universal R-matrix for this family", parity_head=True, modules=("rmatrix",)),
     Suite("ybe", _YBE_IDS,
           {"Bq": _run_ybe_series, "Bbarq": _run_ybe_series, "B": _run_r0_ybe},
-          "no Yang-Baxter content for this family", parity_head=True),
+          "no Yang-Baxter content for this family", parity_head=True, modules=("rmatrix",)),
     Suite("casimir", _CorpusIds("structure.casimir"), {"B": _run_casimir},
           "closed-form Casimir spectra are stated for the undeformed graded "
-          "family"),
-    Suite("structure", _CorpusIds("structure."), dict.fromkeys(FAMILIES, _run_structure)),
+          "family", modules=("structure",)),
+    Suite("structure", _CorpusIds("structure."), dict.fromkeys(FAMILIES, _run_structure),
+          modules=("structure",)),
     Suite("iso", _CorpusIds("iso."), {"H": _run_iso_phi, "B": _run_iso_phi_prime},
-          "the generator maps relate the graded and reflection families only"),
+          "the generator maps relate the graded and reflection families only",
+          modules=("structure",)),
 )}
 
 
@@ -392,11 +461,15 @@ def grid_expand(scenario: Scenario) -> list:
 
 # -- suite execution ----------------------------------------------------------
 
-def run_suite(scenario: Scenario, point: Point, suite: str) -> list:
-    """The reports of ``suite`` at ``point``, or its one skip row."""
+def run_suite(scenario: Scenario, point, suite: str) -> list:
+    """The reports of ``suite`` at ``point``, or its one skip row.  Given a
+    list of points that the suite does not skip, its batch runner's lines
+    for them instead (:meth:`Suite.batch_runner`)."""
     entry = SUITES.get(suite)
     if entry is None:
         raise ConfigError(f"unknown suite {suite!r}")
+    if isinstance(point, list):
+        return entry.batch_runner(scenario.family)(point, scenario.tol_for(suite))
     spec = point.spec
     reason = entry.reason_to_skip(spec)
     if reason:
@@ -404,34 +477,116 @@ def run_suite(scenario: Scenario, point: Point, suite: str) -> list:
     return entry.runners[spec.family](point, scenario.tol_for(suite))
 
 
-def _run_job(job) -> list:
-    """One grid point, as the records (:func:`_records`) of its scenario's
-    suites in config order, which share the point's rep and Hopf tables
-    until the job ends.  An exception in a suite (building the rep or tables
-    included), or a row the report encoder cannot write, becomes that
-    suite's one failed ``<suite>.error`` row; the later suites still run."""
-    scenario, params, spec, skip_reason = job
-    point, records = Point(spec, scenario.dim), []
-    for suite in scenario.suites:
+class _Batch:
+    """A suite run at once at the points of a chunk that it does not skip:
+    its lines (:func:`report.rows_at`), which give a point's rows at its
+    turn, and the batch's time over the rows of its :class:`WindowedLine`
+    lines, the lines it ran for every point at once."""
+
+    def __init__(self, lines: list, index: dict, row_seconds: float):
+        self.lines, self.index, self.row_seconds = lines, index, row_seconds
+
+    @classmethod
+    def run(cls, scenario: Scenario, suite: str, points: list):
+        """The batch of ``suite`` at ``points`` (None where a point is
+        skipped by the grid), or None when the suite has no batch runner for
+        the family, skips every point, or raises: then each point runs it
+        alone."""
+        from .report import WindowedLine
+        entry = SUITES[suite]
+        live = [i for i, pt in enumerate(points)
+                if pt is not None and not entry.reason_to_skip(pt.spec)]
+        if not live or entry.batch_runner(scenario.family) is None:
+            return None
         start = time.perf_counter()
         try:
-            reports = (SUITES[suite].skipped(scenario.family, params, scenario.dim, skip_reason)
-                       if skip_reason else run_suite(scenario, point, suite))
-            records += _records(scenario, suite, start, reports)
-        except Exception as exc:   # per-check errors must not abort the run
-            from .report import check_report
-            records += _records(scenario, suite, start, [check_report(
-                spec, scenario.dim, f"{suite}.error", str(exc), float("inf"),
-                scenario.tol_for(suite),
-                branch_note={"error": f"{type(exc).__name__}: {exc}"})])
-    return records
+            lines = run_suite(scenario, [points[i] for i in live], suite)
+        except Exception:   # rerun point by point: each point keeps its own error row
+            return None
+        rows = len(live) * sum(isinstance(line, WindowedLine) for line in lines)
+        return cls(lines, {i: k for k, i in enumerate(live)},
+                   (time.perf_counter() - start) / max(1, rows))
+
+    def records(self, scenario: Scenario, suite: str, index: int):
+        """The records of point ``index`` (:func:`_records`), its two-site
+        lines run now, or None when the batch does not hold the point or
+        they raise: then the point runs the suite alone."""
+        from .report import WindowedLine, rows_at
+        if index not in self.index:
+            return None
+        start = time.perf_counter()
+        try:
+            reports = rows_at(self.lines, self.index[index])
+            seconds = time.perf_counter() - start + self.row_seconds * sum(
+                isinstance(line, WindowedLine) for line in self.lines)
+            return _records(scenario, suite, seconds, reports)
+        except Exception:
+            return None
 
 
-def _records(scenario: Scenario, suite: str, start: float, reports: list) -> list:
-    """Each report of a suite that began at ``start`` as ``(passed, skipped,
-    line)``, the line the row encoded by the report encoder, so no row
-    outlives its job.  Each row carries the suite's time over its row count."""
-    wall_time = (time.perf_counter() - start) / max(1, len(reports))
+def _point_records(scenario: Scenario, suite: str, params: dict, point, skip_reason: str) -> list:
+    """The records of ``suite`` run at one point alone, or of its skip rows
+    where the grid skips the point.  An exception (building the rep or
+    tables included), or a row the report encoder cannot write, becomes the
+    suite's one failed ``<suite>.error`` row."""
+    start = time.perf_counter()
+    try:
+        reports = (SUITES[suite].skipped(scenario.family, params, scenario.dim, skip_reason)
+                   if skip_reason else run_suite(scenario, point, suite))
+        return _records(scenario, suite, time.perf_counter() - start, reports)
+    except Exception as exc:   # per-check errors must not abort the run
+        from .report import check_report
+        return _records(scenario, suite, time.perf_counter() - start, [check_report(
+            point.spec, scenario.dim, f"{suite}.error", str(exc), float("inf"),
+            scenario.tol_for(suite), branch_note={"error": f"{type(exc).__name__}: {exc}"})])
+
+
+def _run_job(job) -> list:
+    """One chunk of a scenario's grid points (a list of :func:`grid_expand`
+    entries), as the records (:func:`_records`) of each point's suites in
+    config order, point after point (:func:`_job_points`)."""
+    return [record for records in _job_points(job) for record in records]
+
+
+def _job_points(job):
+    """The records of each point of a job (:func:`_run_job`) in turn, one
+    list per point, each yielded once the point's suites are done.
+
+    A suite with a batch runner runs at once at every point of the chunk
+    that it does not skip, when the first point reaches it (:class:`_Batch`);
+    its two-site lines still run at their own point's turn.  The other
+    suites run point by point.  A point's suites share its rep and Hopf
+    tables, which are dropped, two-site images and all, once its suites are
+    done.  An exception in a suite, or a row the encoder cannot write,
+    becomes that suite's one failed ``<suite>.error`` row at that point and
+    the later suites still run: a batch that raises reruns its suite point
+    by point, so only the points at fault get error rows.
+    """
+    scenario, entries = job
+    points = [spec and Point(spec, scenario.dim) for _, spec, _ in entries]
+    batches = {}
+    for i, (params, _, skip_reason) in enumerate(entries):
+        records = []
+        for suite in scenario.suites:
+            if not skip_reason and suite not in batches:
+                batches[suite] = _Batch.run(scenario, suite, points)
+            batch = batches.get(suite)
+            rows = batch.records(scenario, suite, i) if batch else None
+            records += rows if rows is not None else _point_records(
+                scenario, suite, params, points[i], skip_reason)
+        if points[i] is not None:
+            points[i].release()
+            points[i] = None
+        yield records
+
+
+def _records(scenario: Scenario, suite: str, seconds: float, reports: list) -> list:
+    """Each report of a suite at one point that took ``seconds`` as
+    ``(passed, skipped, line)``, the line the row encoded by the report
+    encoder, so no row outlives its job.  Each row carries that time over
+    the row count: the suite's time at the point, or for a batch, the
+    batch's time over its rows (plus the point's own two-site lines)."""
+    wall_time = seconds / max(1, len(reports))
     records = []
     for rp in reports:
         row = rp.to_dict()
@@ -442,15 +597,25 @@ def _records(scenario: Scenario, suite: str, start: float, reports: list) -> lis
     return records
 
 
+def _jobs(config: ScenarioConfig, jobs: int):
+    """Each scenario's grid points in :func:`grid_expand` order, cut into at
+    most ``jobs`` contiguous chunks of near-equal size: the jobs of a run."""
+    for scenario in config.scenarios:
+        entries = grid_expand(scenario)
+        count = min(jobs, len(entries))
+        for k in range(count):
+            yield scenario, entries[k * len(entries) // count:(k + 1) * len(entries) // count]
+
+
 def run_config(config: ScenarioConfig, out_path: str, jobs: int) -> int:
-    """Run each grid point of ``config`` as one job (:func:`_run_job`, on
-    one worker at ``jobs > 1``) and write the report to ``out_path`` (or
-    stdout), each job's rows as soon as that job ends: scenarios in config
-    order, each scenario's points in :func:`grid_expand` order, each point's
-    suites in config order.  Only the counts outlive a job."""
-    points = ((scenario, params, spec, skip_reason)
-              for scenario in config.scenarios
-              for params, spec, skip_reason in grid_expand(scenario))
+    """Run each scenario of ``config`` as one job per chunk of its grid
+    points (:func:`_jobs`, :func:`_run_job`): one chunk at ``jobs`` 1, at
+    most ``jobs`` chunks, each on one worker, at ``jobs > 1``.  Write the
+    report to ``out_path`` (or stdout) in run order: scenarios in config
+    order, each scenario's points in :func:`grid_expand` order, each
+    point's suites in config order.  Each point's rows are written as soon
+    as its suites are done at ``jobs`` 1, each job's as soon as it ends at
+    ``jobs > 1``.  Only the counts outlive a job."""
     metadata = {
         "artifact_version": __version__,
         "grammar_version": GRAMMAR_VERSION,
@@ -462,13 +627,18 @@ def run_config(config: ScenarioConfig, out_path: str, jobs: int) -> int:
             # imported here: multiprocessing costs every --jobs 1 run its import time
             from concurrent.futures import ProcessPoolExecutor
 
-            # every job needs these; loaded once here, each forked worker
-            # inherits them instead of importing numpy again
-            from . import fock, report  # noqa: F401
+            # the modules the config's suites use, loaded once here (by the
+            # import statement's path, which -X importtime reports): each
+            # forked worker inherits them instead of importing them again
+            for module in sorted({"fock", "report", *(m for sc in config.scenarios
+                                                      for suite in sc.suites
+                                                      for m in SUITES[suite].modules)}):
+                __import__(f"{__package__}.{module}")
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                counts = write_report(metadata, pool.map(_run_job, points), fh)
+                counts = write_report(metadata, pool.map(_run_job, _jobs(config, jobs)), fh)
         else:
-            counts = write_report(metadata, map(_run_job, points), fh)
+            counts = write_report(metadata, itertools.chain.from_iterable(
+                map(_job_points, _jobs(config, 1))), fh)
     print(f"{counts['passed']} passed, {counts['failed']} failed, "
           f"{counts['skipped']} skipped", file=sys.stderr)
     return 1 if counts["failed"] else 0
@@ -477,7 +647,7 @@ def run_config(config: ScenarioConfig, out_path: str, jobs: int) -> int:
 def write_report(metadata: dict, job_records, fh) -> dict:
     """Write the report document as JSON and return its counts: the
     ``"metadata"``, then the ``"reports"`` list, one encoded row per line,
-    each job's records (:func:`_records`) as ``job_records`` yields them,
+    each list of records (:func:`_records`) as ``job_records`` yields them,
     then the ``"counts"`` of passed, failed and skipped rows.
 
     No string of the whole document is built, and no row is kept.
@@ -488,7 +658,7 @@ def write_report(metadata: dict, job_records, fh) -> dict:
     for records in job_records:
         for passed, skipped, _ in records:
             counts["skipped" if skipped else "passed" if passed else "failed"] += 1
-        if records:   # one write per job: no string per row beyond its line
+        if records:   # one write per list: no string per row beyond its line
             fh.write(sep + ",\n".join(line for *_, line in records))
             sep = ",\n"
     fh.write('\n], "counts": ' + _encode(counts) + "}\n")

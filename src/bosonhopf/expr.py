@@ -14,7 +14,12 @@ generator images of an EvalContext's representation as dense matrices:
 the ``eval`` command, where a sum may mix level shifts (``a + ad``) and
 ``tensor`` is a Kronecker product.  The rows of the identity corpus
 (:class:`Identities`) run on sector operators (:class:`tensor.SectorOperator`).
-``^k`` is repeated ``@``.  A corpus line may also read a definition, apply
+``^k`` is repeated ``@``.  A program also runs once for several grid points
+of one family and level count (:meth:`Program.run_points`): its operator
+leaves are the direct sums of the points' images
+(:meth:`tensor.SectorOperator.direct_sum`), each scalar step runs per point
+on that point's values, and a scalar meets an operator as the array of its
+points' values.  A corpus line may also read a definition, apply
 a map (``osp12(I2)``: I2 of osp12 on the map's images of e, f and h), and
 read the Hopf tables' images ``Delta(x)``, ``S(x)`` and ``eps(x)``, leaves
 the caller passes by those names; definitions and map images are expanded
@@ -31,7 +36,7 @@ import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -315,7 +320,8 @@ class Program:
     Value 0 is the leaf table: generator images and parameter values by
     name.  Step i, ``(fn, args)``, computes value i + 1 from the one or two
     values ``args``; ``outputs`` are the compiled trees' values and ``names`` the
-    leaves they read.  Equal subtrees are computed once, so a product that a
+    leaves they read.  ``sites[i]`` is 0 where value i is a scalar, else its
+    site count.  Equal subtrees are computed once, so a product that a
     residual and its scale both form is formed once.  ``fn`` None is a
     product of two operators, which :meth:`run` forms reversed with
     ``anti``.
@@ -323,6 +329,12 @@ class Program:
     steps: tuple
     outputs: tuple
     names: frozenset
+    sites: tuple
+
+    @cached_property
+    def two_site(self) -> bool:
+        """Whether a value is a two-site operator (a Delta image, left or right)."""
+        return max(self.sites[1:], default=0) > 1
 
     def run(self, leaves: dict, anti: bool = False) -> list:
         """The outputs' values: numbers, or operators of the leaves' type."""
@@ -336,20 +348,51 @@ class Program:
                 append(fn(values[args[0]]))
         return [values[i] for i in self.outputs]
 
+    def run_points(self, scalars: list, ops: dict, anti: bool = False) -> list:
+        """The outputs' values at several grid points at once: ``scalars[p]``
+        holds point p's scalar leaves and ``ops`` the direct sums of the
+        points' one-site operator leaves.  A scalar step runs once per point
+        on that point's values, so a scalar output is the list of them; an
+        operator step runs once on the direct sums, a scalar operand taken as
+        the array of its points' values."""
+        matmul = _reversed_matmul if anti else operator.matmul
+        values, arrays = [None], {}
+
+        def operand(i):
+            if self.sites[i]:
+                return values[i]
+            if i not in arrays:
+                arrays[i] = np.array(values[i], dtype=complex)
+            return arrays[i]
+
+        for (fn, args), sites in zip(self.steps, self.sites[1:]):
+            if args == (0,):   # a leaf or a number
+                values.append(fn(ops) if sites else [fn(leaves) for leaves in scalars])
+            elif not sites:
+                values.append([fn(*point) for point in zip(*(values[a] for a in args))])
+            elif len(args) == 2:
+                values.append((fn or matmul)(operand(args[0]), operand(args[1])))
+            else:
+                values.append(fn(operand(args[0])))
+        return [values[i] for i in self.outputs]
+
 
 def _reversed_matmul(x, y):
     return y @ x
 
 
 def _identity_like(x):
-    return (SectorOperator.identity(x.sectors, complex) if isinstance(x, SectorOperator)
-            else np.eye(x.shape[0], dtype=complex))
+    if isinstance(x, SectorOperator):
+        return SectorOperator(x.sectors, 0, SectorOperator.identity(x.sectors, complex).blocks,
+                              x.summands)
+    return np.eye(x.shape[0], dtype=complex)
 
 
 def _diagonal_map(fn: str, x, values_fn):
     """``values_fn`` on the diagonal of a diagonal operator: entry by entry
     on a dense matrix (:func:`fock.diag_function`), on the whole diagonal
-    at once on a sector operator (:meth:`SectorOperator.diagonal_map`)."""
+    at once on a sector operator, or a list of one function per summand of
+    a direct sum (:meth:`SectorOperator.diagonal_map`)."""
     if isinstance(x, SectorOperator):
         try:
             return x.diagonal_map(values_fn)
@@ -377,11 +420,15 @@ def _pair(x, y):
 
 
 def _qbracket(x, q):
-    if q.imag != 0:
+    """[x]_q of a scalar, or of a diagonal operator; of a direct sum, ``q``
+    is the array of its summands' bases, each mapping its own summand."""
+    bases = q.tolist() if isinstance(q, np.ndarray) else [q]
+    if any(base.imag != 0 for base in bases):
         raise EvalError("the deformation base of qbracket must be real")
     if np.isscalar(x):
         return q_bracket(x, q.real)
-    return _diagonal_map("qbracket", x, lambda v: q_bracket(v, q.real))
+    fns = [lambda v, base=base.real: q_bracket(v, base) for base in bases]
+    return _diagonal_map("qbracket", x, fns if isinstance(q, np.ndarray) else fns[0])
 
 
 # Where the compiler looks a name up: the definitions and maps of
@@ -427,8 +474,10 @@ class _Compiler:
         if op == "/":
             if sb:
                 raise EvalError("the divisor of / must be a scalar")
-            return self.emit(("/", a, b), sa, (lambda x, y: (1.0 / y) * x) if sa
-                             else operator.truediv, a, b)
+            if not sa:
+                return self.emit(("/", a, b), 0, operator.truediv, a, b)
+            # an operator over y is (1/y) times it, the reciprocal a scalar step
+            return self.combine("*", self.emit(("1/", b), 0, lambda y: 1.0 / y, b), a)
         # additive ops require matching arity; a bare scalar is not an operator
         if bool(sa) != bool(sb):
             raise EvalError(f"cannot apply {op!r} between a scalar and an "
@@ -541,7 +590,8 @@ def compile_trees(*trees: Expr, corpus=None, scope: _Scope = _Scope()) -> Progra
     in ``scope``, the definitions and maps of a family by default."""
     compiler = _Compiler(corpus)
     outputs = tuple(compiler(tree, scope) for tree in trees)
-    return Program(tuple(compiler.steps), outputs, frozenset(compiler.names))
+    return Program(tuple(compiler.steps), outputs, frozenset(compiler.names),
+                   tuple(compiler.sites))
 
 
 def evaluate(e: Expr, ctx: EvalContext) -> np.ndarray:
@@ -586,6 +636,14 @@ class CorpusEntry:
         operator, or a number's modulus."""
         *parts, scale = [abs(x) if isinstance(x, (int, float, complex)) else x
                          for x in self.program.run(leaves, anti)]
+        return parts[0] if len(parts) == 1 else tuple(parts), scale
+
+    def run_points(self, scalars: list, ops: dict, anti: bool = False) -> tuple:
+        """:meth:`run` at several grid points at once
+        (:meth:`Program.run_points`): operators are direct sums over the
+        points, and a scalar output is the list of its points' moduli."""
+        *parts, scale = [[abs(v) for v in x] if isinstance(x, list) else x
+                         for x in self.program.run_points(scalars, ops, anti)]
         return parts[0] if len(parts) == 1 else tuple(parts), scale
 
 

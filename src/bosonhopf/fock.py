@@ -15,7 +15,10 @@ generators is exact on the levels up to D - 1 - k, the window's top level.
 Every generator image shifts the level by one fixed amount, so the relation
 residuals are formed and normed on level-sector operators
 (:class:`tensor.SectorOperator`), on one site or on the tensor power the
-images act on.
+images act on.  The one-site relation rows of several grid points of one
+family and level count run at once (:func:`check_defining_relations_batch`):
+each image is the direct sum of the points' images, so one program run
+serves every point, each point keeping its own parameters and its own row.
 
 Which points exist is stated once, by :class:`spec.AlgebraSpec`; every
 rep is built in the normalized basis, whose ladder entries are the square
@@ -29,10 +32,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .report import windowed_row
+from .report import WindowedLine, rows_at, windowed_values
 from .scalars import phase_pow, q_bracket
 from .spec import AlgebraSpec, SpecError
-from .tensor import LevelSectors, SectorOperator, level_sectors, spectral_norm
+from .tensor import LevelSectors, SectorOperator, level_sectors
 # bound here only so that the benchmark's trace target fock.windowed_norm
 # resolves; nothing in the package calls it
 from .tensor import windowed_norm  # noqa: F401
@@ -202,39 +205,59 @@ def _sector_operator(x, sectors: LevelSectors) -> SectorOperator:
     return op
 
 
-def relation_residuals(spec: AlgebraSpec, gens: dict, sectors: LevelSectors,
-                       anti: bool = False) -> list:
+def direct_sum_images(images: list) -> dict:
+    """The direct sum over several points of each one-site image, given one
+    dict of sector operators per point; the points must name the same images."""
+    names = images[0].keys()
+    if any(point.keys() != names for point in images):
+        raise RepresentationError("the points do not have the same generator images")
+    return {name: SectorOperator.direct_sum([point[name] for point in images]) for name in names}
+
+
+def relation_residuals(specs: list, gens: dict, anti: bool = False) -> list:
     """The family's defining relations, the lines of the identity corpus
-    (``data/identities.txt``), evaluated on arbitrary generator images.
+    (``data/identities.txt``), evaluated on generator images at one or
+    several points of one family.
 
-    ``gens`` maps generator names to square matrices (or sector operators)
-    of a common size (any site count); "I" must be present.  A line that
-    names an image ``gens`` lacks is left out (the grade relations without
-    "g").  With ``anti`` the products are reversed, the form the relations
-    take after an anti-homomorphism such as the antipode.  The parameters
-    are the spec's.  Returns (identity id, reference, residual, raise
-    degree, scale) per line: the reference is the line's residual set to
-    zero and the scale the norm of its scale operator (or a number's
-    modulus).  Norms are reported relative to max(1, scale) because
-    q-bracket entries grow exponentially with the level and double
-    precision cannot deliver small absolute residuals against huge operands.
-
-    ``sectors`` is the level-sector index of the images' space.  Each image
-    is taken as its sector operator (:class:`tensor.SectorOperator`), so a
-    residual comes back as one; an image whose entries mix level shifts is
-    refused.  Each product of two images is formed once (:class:`expr.Program`).
+    ``gens`` maps generator names to sector operators
+    (:class:`tensor.SectorOperator`): one point's images on any number of
+    sites, or the direct sums of several points' one-site images
+    (:func:`direct_sum_images`); "I" must be present.  Each point reads its
+    own parameters.  A line that names an image ``gens`` lacks is left out
+    (the grade relations without "g").  With ``anti`` the products are
+    reversed, the form the relations take after an anti-homomorphism such
+    as the antipode.  Each product of two images is formed once
+    (:class:`expr.Program`).  Returns (identity id, reference, residual,
+    raise degree, scales) per line: the reference is the line's residual
+    set to zero, the residual an operator (a direct sum) or the list of its
+    points' moduli, and the scales each point's norm of the line's scale
+    operator (or a number's modulus).  Norms are reported relative to
+    max(1, scale) because q-bracket entries grow exponentially with the
+    level and double precision cannot deliver small absolute residuals
+    against huge operands.
     """
     from .expr import load_corpus   # loaded by the first relation row
-    leaves = {**spec.param_dict,
-              **{name: _sector_operator(x, sectors) for name, x in gens.items()}}
+    scalars = [spec.param_dict for spec in specs]
+    names = scalars[0].keys() | gens.keys()
     out = []
     for entry in load_corpus():
-        if entry.family == spec.family and entry.program.names <= leaves.keys():
-            residual, scale = entry.run(leaves, anti)
+        if entry.family == specs[0].family and entry.program.names <= names:
+            residual, scale = entry.run_points(scalars, gens, anti)
             out.append((f"{entry.family}.{entry.ident}", entry.reference, residual,
                         entry.raise_degree,
-                        scale if isinstance(scale, float) else spectral_norm(scale)))
+                        scale if isinstance(scale, list) else scale.summand_norms()))
     return out
+
+
+def relation_lines(specs: list, dim: int, gens: dict, tol: float, kind: str = "relations",
+                   images: str = "", anti: bool = False) -> list:
+    """The rows of :func:`relation_residuals` as the lines of a batch
+    (:func:`report.rows_at`): row ids ``kind.family.relation``, each
+    reference prefixed by ``images``, each row on the window of its
+    relation's raise degree."""
+    return [WindowedLine(specs, dim, f"{kind}.{ident}", f"{images}: {ref}" if images else ref,
+                         windowed_values(len(specs), dim, residual, degree, scales), tol, degree)
+            for ident, ref, residual, degree, scales in relation_residuals(specs, gens, anti)]
 
 
 def rep_generator_images(rep: FockRep) -> dict:
@@ -248,7 +271,12 @@ def check_defining_relations(rep: FockRep, tol: float = DEFAULT_TOL):
 
     An identity of raising degree k holds on the levels up to dim - 1 - k.
     """
-    return [windowed_row(rep.spec, rep.dim, f"relations.{ident}", ref, residual, tol,
-                         degree, scale)
-            for ident, ref, residual, degree, scale in relation_residuals(
-                rep.spec, rep.sector_images, level_sectors(rep.dim, 1))]
+    return rows_at(check_defining_relations_batch([rep], tol), 0)
+
+
+def check_defining_relations_batch(reps: list, tol: float = DEFAULT_TOL) -> list:
+    """:func:`check_defining_relations` at reps of one family and dim at
+    once, on the direct sums of their images: the lines of the batch
+    (:func:`report.rows_at`)."""
+    return relation_lines([rep.spec for rep in reps], reps[0].dim,
+                          direct_sum_images([rep.sector_images for rep in reps]), tol)

@@ -11,17 +11,21 @@ HopfTables.delta_terms).  Coassociativity is decided on the terms first:
 both expansions are reduced to Sweedler normal forms (group-like inverse
 pairs cancelled, like terms merged, :func:`normal_form`), and only when the
 forms differ are both sides gathered on the validity window's column
-sectors and normed.  The dense delta_matrix is a test oracle.
+sectors and normed.  The antipode's relation rows, on one site, run for
+several grid points at once on the direct sums of their antipode images
+(:func:`check_delta_homomorphism_batch`); the coproduct's, on two sites,
+run point by point.  The dense delta_matrix is a test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockRep, relation_residuals
-from .report import windowed_row
+from .fock import FockRep, _sector_operator, direct_sum_images, relation_lines
+from .report import PointCalls, rows_at, windowed_row
 from .spec import SpecError
 from .tensor import SectorOperator, kron_all, level_sectors
 
@@ -293,6 +297,14 @@ class HopfTables:
         self.atoms["a"] = a
         self.atoms["ad"] = ad
 
+    def release(self) -> None:
+        """Drop the atoms and the held images.  Each atom's coproduct terms
+        name the atom, a reference cycle that only a full garbage
+        collection frees; cleared here, the tables are freed when dropped."""
+        for atom in self.atoms.values():
+            atom.delta = None
+        self.atoms, self._delta_images = {}, {}
+
     # -- accessors -----------------------------------------------------------
     def generator_names(self) -> tuple:
         """The generators whose Hopf images are part of the structure tables."""
@@ -338,6 +350,14 @@ class HopfTables:
 
     def antipode(self, name: str) -> np.ndarray:
         return self.atom(name).s
+
+    def antipode_images(self) -> dict:
+        """S(x) of each generator x, and I, as one-site sector operators; an
+        image that mixes level shifts is refused."""
+        sectors = level_sectors(self.rep.dim, 1)
+        images = {name: self.antipode(name) for name in self.generator_names()}
+        images["I"] = self.rep.identity
+        return {name: _sector_operator(x, sectors) for name, x in images.items()}
 
     # -- axiom checks --------------------------------------------------------
     def check_coassociativity(self, tol: float = DEFAULT_TOL) -> list:
@@ -424,22 +444,30 @@ class HopfTables:
         (:meth:`delta_image`); no dense two-site image is formed.  An image
         that mixes level shifts is refused.
         """
-        dim = self.rep.dim
-        delta_gens = {name: self.delta_image(name) for name in self.generator_names()}
-        delta_gens["I"] = terms_operator([Term(1.0, ((), ()))], dim)
-        s_gens = {name: self.antipode(name) for name in self.generator_names()}
-        s_gens["I"] = self.rep.identity
-        return [windowed_row(self.spec, dim, f"hopf.{kind}.{ident}", f"{images}: {ref}",
-                             residual, tol, degree, scale)
-                for kind, images, gens, sites, anti in (
-                    ("delta-hom", "Delta images", delta_gens, 2, False),
-                    ("s-antihom", "antipode images", s_gens, 1, True))
-                for ident, ref, residual, degree, scale in relation_residuals(
-                    self.spec, gens, level_sectors(dim, sites), anti)]
+        return rows_at(check_delta_homomorphism_batch([self], tol), 0)
+
+    def delta_hom_rows(self, tol: float = DEFAULT_TOL) -> list:
+        """The rows of the defining relations on the Delta images."""
+        gens = {name: self.delta_image(name) for name in self.generator_names()}
+        gens["I"] = terms_operator([Term(1.0, ((), ()))], self.rep.dim)
+        return rows_at(relation_lines([self.spec], self.rep.dim, gens, tol, "hopf.delta-hom",
+                                      "Delta images"), 0)
 
     def run_axiom_checks(self, tol: float = DEFAULT_TOL) -> list:
         return (self.check_coassociativity(tol) + self.check_counit(tol)
                 + self.check_antipode(tol) + self.check_antipode_inverse(tol))
+
+
+def check_delta_homomorphism_batch(tables: list, tol: float = DEFAULT_TOL) -> list:
+    """:meth:`HopfTables.check_delta_homomorphism` at the tables of several
+    points of one family and dim, as the lines of the batch
+    (:func:`report.rows_at`): first its Delta rows, run at each point alone,
+    then its antipode rows, run at once on the direct sums of the points'
+    antipode images."""
+    return [PointCalls([functools.partial(t.delta_hom_rows, tol) for t in tables]),
+            *relation_lines([t.spec for t in tables], tables[0].rep.dim,
+                            direct_sum_images([t.antipode_images() for t in tables]), tol,
+                            "hopf.s-antihom", "antipode images", anti=True)]
 
 
 def build_tables(rep: FockRep) -> HopfTables:

@@ -2,12 +2,16 @@
 
 Every numerical verification in the package produces a CheckReport; the CLI
 serializes them to JSON.  A report is self-contained: family, parameters,
-dimension and window degree are enough to re-run it.
+dimension and window degree are enough to re-run it.  A line run at several
+grid points at once (on the direct sums of their images) gives one report
+per point, each normed on its own point's window (:func:`windowed_values`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +92,75 @@ def windowed_row(spec, dim: int, identity: str, reference: str, residual,
     value = max(part if np.isscalar(part) else spectral_norm(part, sectors, top) / scale
                 for part in (parts if isinstance(parts, tuple) else (parts,)))
     return check_report(spec, dim, identity, reference, value, tol, degree, **fields)
+
+
+def windowed_values(count: int, dim: int, residual, degree: int = 0, scale=1.0) -> list:
+    """The value :func:`windowed_row` reads at each of ``count`` points of
+    one dim, for a residual run at all of them at once: pass it as that
+    point's residual.
+
+    ``residual`` and ``scale`` are direct sums over the points
+    (:meth:`tensor.SectorOperator.direct_sum`), each summand normed on its
+    own window, or lists of one number per point taken as they stand; a
+    residual may be a tuple of them, and a scale a number.  Each value is
+    the one windowed_row gives its point alone; None where the window is
+    empty, as windowed_row then skips the row unread.
+    """
+    top = dim - 1 - degree
+    if top < 0:
+        return [None] * count
+    scales = ([scale] * count if np.isscalar(scale)
+              else scale if isinstance(scale, list) else scale.summand_norms(top))
+    parts = [(part, True) if isinstance(part, list) else (part.summand_norms(top), False)
+             for part in (residual if isinstance(residual, tuple) else (residual,))]
+    values = []
+    for p in range(count):
+        point_scale = max(1.0, scales[p])
+        values.append(max(norms[p] if as_is else norms[p] / point_scale for norms, as_is in parts))
+    return values
+
+
+class WindowedLine(NamedTuple):
+    """A line run at several points at once, as its values
+    (:func:`windowed_values`): ``line(p)`` builds point p's row by ``row``
+    (windowed_row) only when asked for, so a batch holds no report of a
+    point not yet reached.  ``notes`` gives each point's branch_note."""
+
+    specs: list
+    dim: int
+    identity: str
+    reference: str
+    values: list
+    tol: float
+    degree: int = 0
+    notes: list | None = None
+    row: Callable = windowed_row
+
+    def __call__(self, p: int) -> list:
+        extra = {} if self.notes is None else {"branch_note": self.notes[p]}
+        return [self.row(self.specs[p], self.dim, self.identity, self.reference,
+                         self.values[p], self.tol, self.degree, **extra)]
+
+
+class PointCalls:
+    """A line run at each point alone (a two-site line): one function per
+    point that returns the point's rows.  ``line(p)`` calls point p's
+    function once and drops it, and with it what it holds."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, calls: list):
+        self.calls = calls
+
+    def __call__(self, p: int) -> list:
+        call, self.calls[p] = self.calls[p], None
+        return call()
+
+
+def rows_at(lines: list, p: int) -> list:
+    """Point p's rows of a batch's lines in order: each line is a
+    :class:`WindowedLine` or :class:`PointCalls`."""
+    return [rp for line in lines for rp in line(p)]
 
 
 def skipped_report(identity: str, reference: str, family: str, params: dict,

@@ -26,9 +26,17 @@ few small SVDs.  An operator built one column level at a time, never whole,
 is normed as its blocks come, by the same :class:`StreamedNorm`.  A series
 whose term t moves the level by t is read at any entries of a block from
 its stacked terms by one ``take`` (:class:`SectorStack`), as R's slot pairs
-are from R's blocks.  A dense matrix that mixes level shifts (an ``eval``
-expression such as ``a + ad``) has no blocks: its norm is the SVD of its
-nonzero rows and window columns.  The dense products (kron_all,
+are from R's blocks.  One-site operators of several grid points with one
+level count concatenate into their direct sum
+(:meth:`SectorOperator.direct_sum`): a one-site operator on all their
+levels, block diagonal, on which ``@``, ``+`` and ``-`` run unchanged.  A
+scalar multiplies it as one value per summand (an array), functional
+calculus maps each summand's diagonal with that summand's function, and
+each summand is normed on its own window
+(:meth:`SectorOperator.summand_norms`): every entry and norm is the one
+the summand gives alone, bit for bit.  A dense matrix that mixes level
+shifts (an ``eval`` expression such as ``a + ad``) has no blocks: its norm
+is the SVD of its nonzero rows and window columns.  The dense products (kron_all,
 embed_two_site, swap_matrix, and kron, which the expression language also
 calls) and the dense window oracle (total_window_projector, windowed_norm)
 serve the tests and trace targets.
@@ -124,6 +132,17 @@ class LevelSectors:
         """The level on each site of the states of total level ``level``, in
         the order of :meth:`states`: one array per site."""
         return np.unravel_index(self.states(level), (self.dim,) * self.sites)
+
+    def block_shape(self, shift: int, levels: int) -> tuple:
+        """The shape of the padded blocks of level shift ``shift`` on the
+        column sectors below ``levels``: the plan's (:meth:`plan`), which
+        this does not build."""
+        n = self.size.size
+        levels = min(levels, n)
+        lo, hi = max(0, -shift), min(levels, n - shift)   # the columns whose row sector is a level
+        width = int(max(self.size[:levels].max(initial=1),
+                        self.size[lo + shift:max(lo, hi) + shift].max(initial=1)))
+        return (levels, width, width)
 
     def plan(self, shift: int, levels: int | None = None) -> "_ShiftPlan":
         """The gather pattern of level shift ``shift`` on column levels below ``levels``."""
@@ -243,12 +262,15 @@ class SectorOperator:
     is a right factor of ``@`` only.  ``@``, ``+``, ``-`` and scalar ``*``
     work block by block, on sector operators only; a sum of nonzero
     operators of different shifts raises ValueError.  ``shape`` is the dense
-    shape.
+    shape.  A one-site operator with ``summands`` > 1 is the direct sum of
+    that many one-site operators of equal level counts (:meth:`direct_sum`);
+    its results keep the count.
     """
 
     sectors: LevelSectors
     shift: int
     blocks: np.ndarray
+    summands: int = 1
 
     __array_ufunc__ = None   # an ndarray operand raises TypeError, never broadcasts
 
@@ -272,6 +294,25 @@ class SectorOperator:
         if shift is None:
             return None
         return cls._gathered([(mat, tuple(range(sectors.sites)))], sectors, shift, top)
+
+    @classmethod
+    def direct_sum(cls, ops) -> "SectorOperator":
+        """The direct sum of one-site operators of one level count, each
+        held on all its column sectors: their blocks concatenated, a
+        one-site operator on all their levels in order.
+
+        A summand's blocks that leave its own levels are zero, so every
+        product and sum of direct sums stays block diagonal and equals, on
+        each summand, the product or sum of the summands alone.  An all-zero
+        summand has every shift; nonzero summands of different shifts raise
+        ValueError.
+        """
+        shifts = {op.shift for op in ops if op.blocks.any()} or {ops[0].shift}
+        if len(shifts) > 1:
+            raise ValueError(f"direct summands of level shifts {sorted(shifts)}")
+        sectors = level_sectors(sum(op.sectors.dim for op in ops), 1)
+        return cls(sectors, shifts.pop(), np.concatenate([op.blocks for op in ops]),
+                   sum(op.summands for op in ops))
 
     @classmethod
     def identity(cls, sectors: LevelSectors, dtype=float) -> "SectorOperator":
@@ -334,7 +375,11 @@ class SectorOperator:
         return self._like(self.shift, self.blocks * diag[self._plan().rows][:, :, None])
 
     def _like(self, shift: int, blocks: np.ndarray) -> "SectorOperator":
-        return SectorOperator(self.sectors, shift, blocks)
+        return SectorOperator(self.sectors, shift, blocks, self.summands)
+
+    def _per_level(self, values: np.ndarray) -> np.ndarray:
+        """One value per summand, repeated over each summand's column sectors."""
+        return np.repeat(values, len(self.blocks) // self.summands)[:, None, None]
 
     def __matmul__(self, other):
         if not isinstance(other, SectorOperator):
@@ -342,7 +387,7 @@ class SectorOperator:
         # other's column sector L maps into sector L + s, whose columns self
         # holds: a window operator is a right factor only
         s, n, levels = other.shift, self.sectors.size.size, len(other.blocks)
-        out = np.zeros(self.sectors.plan(self.shift + s, levels).ok.shape,
+        out = np.zeros(self.sectors.block_shape(self.shift + s, levels),
                        dtype=np.result_type(self.blocks, other.blocks))
         lo, hi = max(0, -s), min(levels, n - s)
         if lo < hi:
@@ -372,11 +417,15 @@ class SectorOperator:
         return self._combine(other, np.subtract)
 
     def __mul__(self, scalar):   # an isinstance test: np.isscalar costs a microsecond
+        if isinstance(scalar, np.ndarray):   # one value per summand
+            return self._like(self.shift, self.blocks * self._per_level(scalar))
         if not isinstance(scalar, (int, float, complex, np.number)):
             return NotImplemented
         return self._like(self.shift, self.blocks * scalar)
 
     def __rmul__(self, scalar):
+        if isinstance(scalar, np.ndarray):
+            return self._like(self.shift, self._per_level(scalar) * self.blocks)
         if not isinstance(scalar, (int, float, complex, np.number)):
             return NotImplemented
         return self._like(self.shift, scalar * self.blocks)
@@ -394,19 +443,24 @@ class SectorOperator:
     def diagonal_map(self, fn) -> "SectorOperator":
         """``fn`` applied at once to the array of diagonal entries of a
         diagonal operator: functional calculus, as ``fock.diag_function``.
+        On a direct sum, to each summand's diagonal apart, and ``fn`` may be
+        a list of one function per summand.
 
         An off-diagonal entry above 1e-12 * max(1, largest |diagonal entry|)
-        rejects the operator, as there.
+        of its summand rejects the operator, as there.
         """
+        fns = fn if isinstance(fn, list) else [fn] * self.summands
         lev, i = np.nonzero(self.sectors.valid)
         diag = self.blocks[lev, i, i] if self.shift == 0 else np.zeros(0)
         off = self.blocks.copy()
         if self.shift == 0:
             off[lev, i, i] = 0
-        if np.abs(off).max() > 1e-12 * max(1.0, np.abs(diag).max(initial=0.0)):
-            raise ValueError("functional calculus requires a diagonal operator")
+        for part, part_off in zip(np.split(diag, self.summands), np.split(off, self.summands)):
+            if np.abs(part_off).max() > 1e-12 * max(1.0, np.abs(part).max(initial=0.0)):
+                raise ValueError("functional calculus requires a diagonal operator")
         out = np.zeros(self.blocks.shape, dtype=complex)
-        out[lev, i, i] = fn(diag)
+        out[lev, i, i] = (fns[0](diag) if self.summands == 1 else
+                          np.concatenate([f(part) for f, part in zip(fns, np.split(diag, self.summands))]))
         return self._like(0, out)
 
     def norm(self, top: int | None = None) -> float:
@@ -440,6 +494,21 @@ class SectorOperator:
         norm = StreamedNorm()
         norm.add(self.blocks[lo:hi, :width_out, :width_in])
         return norm.value
+
+
+    def summand_norms(self, top: int | None = None) -> list:
+        """The norm (:meth:`norm`) of each summand of a one-site direct
+        sum on its own window of levels up to ``top``: the largest modulus
+        of its live blocks, or 0.0 when it has none.  An operator that is
+        no direct sum, on any number of sites, is its one summand."""
+        if self.summands == 1:
+            return [self.norm(top)]
+        dim = len(self.blocks) // self.summands
+        levels = dim if top is None else min(dim, _window_levels(top))
+        lo, hi = max(0, -self.shift), min(levels, dim - self.shift)
+        if lo >= hi:
+            return [0.0] * self.summands
+        return np.abs(self.blocks[:, 0, 0].reshape(self.summands, dim)[:, lo:hi]).max(axis=1).tolist()
 
 
 def _bound(blocks: np.ndarray) -> np.ndarray:

@@ -299,38 +299,55 @@ def test_report_file_parses_to_the_report_document(mixed_config, tmp_path, monke
         "counts": {"passed": 0, "failed": 0, "skipped": 0}}
 
 
-def test_each_jobs_rows_are_written_before_the_next_job_starts(mixed_config, monkeypatch):
-    """The report streams, one job per grid point: when a point's job
-    starts, the output holds the rows of every earlier point and no more,
-    a job returns the rows of all its point's suites, and the counts follow
-    the last row."""
+def test_each_points_rows_are_written_before_the_next_point_runs(mixed_config, monkeypatch):
+    """At --jobs 1 a run is one job per scenario, and the report streams
+    point by point: when a job hands over a point's rows, the output holds
+    the rows of every earlier point and no more; each point's rows are its
+    own, its suites in config order; and the counts follow the last row."""
     output = io.StringIO()
     monkeypatch.setattr(sys, "stdout", output)
-    run_job, written, returned, started = cli._run_job, [], [], []
+    job_points, started, written, returned = cli._job_points, [], [], []
 
     def job(args):
-        written.append(output.getvalue().count("\n{"))   # one row per line
-        started.append((args[0].name, args[1]))
-        records = run_job(args)
-        returned.append(len(records))
-        return records
+        scenario, entries = args
+        started.append((scenario.name, [params for params, _, _ in entries]))
+        for records in job_points(args):
+            written.append(output.getvalue().count("\n{"))   # one row per line
+            returned.append((scenario.name, len(records)))
+            yield records
 
-    monkeypatch.setattr(cli, "_run_job", job)
+    monkeypatch.setattr(cli, "_job_points", job)
     assert main(["run", "--config", str(mixed_config), "--jobs", "1"]) == 1
     config = parse_config(str(mixed_config))
-    assert started == [(sc.name, params) for sc in config.scenarios
-                       for params, _, _ in grid_expand(sc)]
-    assert len(written) > 2 and all(returned)
-    assert written == [sum(returned[:k]) for k in range(len(returned))]
+    assert started == [(sc.name, [params for params, _, _ in grid_expand(sc)])
+                       for sc in config.scenarios]
+    counts = [n for _, n in returned]
+    assert len(written) > 2 and all(counts)
+    assert written == [sum(counts[:k]) for k in range(len(counts))]
     rows = json.loads(output.getvalue())["reports"]
+    points = [(sc.name, params) for sc in config.scenarios for params, _, _ in grid_expand(sc)]
     suites = {sc.name: list(sc.suites) for sc in config.scenarios}
-    for k, (name, params) in enumerate(started):
-        mine = rows[written[k]:written[k] + returned[k]]
+    for k, (name, params) in enumerate(points):
+        mine = rows[written[k]:written[k] + counts[k]]
         assert all((r["scenario"], r["params"]) == (name, params) for r in mine)
         assert list(dict.fromkeys(r["suite"] for r in mine)) == suites[name]
     text = output.getvalue()
-    assert text.count("\n{") == sum(returned)
+    assert text.count("\n{") == sum(counts)
     assert text.rindex('"counts"') > text.rindex("\n{")
+
+
+def test_jobs_cut_each_scenario_into_contiguous_chunks(mixed_config):
+    """--jobs N cuts each scenario's points, in grid order, into at most N
+    contiguous chunks of near-equal size; --jobs 1 runs each scenario as one."""
+    config = parse_config(str(mixed_config))
+    config.scenarios[0].param_grid["beta"] = [1.0, 2.0, 3.0]   # six points: alpha 2, 0
+    for jobs in (1, 2, 4, 9):
+        chunks = list(cli._jobs(config, jobs))
+        for sc in config.scenarios:
+            mine = [entries for scenario, entries in chunks if scenario is sc]
+            assert [e for chunk in mine for e in chunk] == grid_expand(sc)
+            assert len(mine) == min(jobs, len(grid_expand(sc)))
+            assert max(map(len, mine)) - min(map(len, mine)) <= 1
 
 
 UNENCODABLE_CONFIG = """
@@ -510,6 +527,26 @@ def test_parallel_run_matches_serial_run(tmp_path):
         docs.append(doc)
     assert docs[0]["counts"]["passed"] > 0
     assert docs[0] == docs[1]
+
+
+def test_a_parallel_run_loads_each_module_once_before_its_workers_fork(tmp_path):
+    """--jobs 2 loads the modules the config's suites use in the parent,
+    before the pool forks, so no worker imports one again: under
+    ``python -X importtime`` each is imported once."""
+    path = tmp_path / "points.ini"
+    path.write_text(EACH_POINT_ONCE_CONFIG)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "bosonhopf.cli", "run",
+                           "--config", str(path), "--jobs", "2",
+                           "--out", str(tmp_path / "out.json")],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line]
+    for module in ("numpy", "fock", "report", "expr", "hopf", "rmatrix", "structure"):
+        name = module if module == "numpy" else f"bosonhopf.{module}"
+        assert imported.count(name) == 1, (name, imported.count(name))
 
 
 EACH_POINT_ONCE_CONFIG = """

@@ -41,14 +41,32 @@ def test_identical_reports_and_rounding_noise_pass(tmp_path, capsys):
     assert "rows: base 5, new 5" in capsys.readouterr().out
 
 
-def test_row_order_does_not_matter(tmp_path, capsys):
+def test_rows_are_matched_by_key_and_a_row_out_of_place_fails(tmp_path, capsys):
     """Rows are matched by key, not position: the same rows in another order
-    (a report written in run order against one sorted by key) compare equal."""
+    match and keep their residuals, but the order is part of the report's
+    contract, so the run fails and names the first row out of place."""
     new = copy.deepcopy(BASE)
     new["reports"].reverse()
-    assert _compare(tmp_path, new) == 0
+    assert _compare(tmp_path, new) == 1
     out = capsys.readouterr().out
     assert "rows: base 5, new 5" in out and "largest absolute residual change: 0" in out
+    assert "unmatched rows: 0" in out
+    assert "row out of place: shared row 0 is ('relations.skipped'" in out
+    assert "in new, ('hopf.coassoc.a'" in out
+
+
+def test_a_row_out_of_place_is_named_among_the_rows_both_hold(tmp_path, capsys):
+    """A missing row does not shift the order check: the rows both reports
+    hold are compared in order, and the first swapped pair is named."""
+    new = copy.deepcopy(BASE)
+    rows = new["reports"]
+    del rows[0]
+    assert _compare(tmp_path, new) == 1
+    assert "row order: same" in capsys.readouterr().out
+    rows[1], rows[2] = rows[2], rows[1]   # the rmatrix and ybe suites' rows swapped
+    assert _compare(tmp_path, new) == 1
+    out = capsys.readouterr().out
+    assert "row out of place: shared row 1 is ('rmatrix.ybe'" in out and "'ybe') in new" in out
 
 
 def test_largest_changes_name_their_rows(tmp_path, capsys):

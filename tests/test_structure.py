@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -237,14 +238,18 @@ def test_casimir_fixed_values():
             assert formula == pytest.approx(value, abs=1e-12)
 
 
-def _scaled_image(target, source, name, factor):
-    """The corpus with the image of ``name`` under ``target <- source`` scaled by ``factor``."""
+def _changed_image(target, source, name, change):
+    """The corpus with the image text t of ``name`` under ``target <- source`` made ``change(t)``."""
     lines = tuple(
-        st._replace(texts=tuple((n, f"{factor!r}*({t})" if n == name else t)
-                                            for n, t in st.texts))
+        st._replace(texts=tuple((n, change(t) if n == name else t) for n, t in st.texts))
         if st.kind == "map" and (st.target, st.family) == (target, source) else st
         for st in ex.identities().lines)
     return ex.Identities(lines)
+
+
+def _scaled_image(target, source, name, factor):
+    """The corpus with the image of ``name`` under ``target <- source`` scaled by ``factor``."""
+    return _changed_image(target, source, name, lambda t: f"{factor!r}*({t})")
 
 
 @pytest.mark.parametrize("params", B_GRID + [(4.0, 3.0)])
@@ -368,3 +373,74 @@ def test_a_scaled_weight_breaches_the_representation_rows(family, params):
     assert len(breached) == {"B": 12, "Bq": 1, "Bbar": 1, "Bbarq": 1, "H": 12}[family]
     clean = run_structure_checks(rep, build_tables(rep) if family == "B" else None, 1e-10)
     assert all(r.passed for r in clean)
+
+
+# -- a wrong map image breaches the rows no wrong rep can reach ----------------
+
+# (family, points, target, the image scaled by 1 + 1e-6, the rows it must
+# breach): h scaled breaks [h, e] and [h, f]; phi'(M) scaled breaks
+# [M, b] + b and [M, bd] - bd.
+MAP_CONTROLS = [
+    ("B", B_GRID, "osp12", "h", ["structure.realization.osp12.he", "structure.realization.osp12.hf"]),
+    ("B", B_GRID, "sl2", "h", ["structure.realization.sl2.he", "structure.realization.sl2.hf"]),
+    ("Bq", BQ_GRID[:4], "ospq12", "h",
+     ["structure.realization.ospq12.he", "structure.realization.ospq12.hf"]),
+    ("Bbar", BBAR_GRID, "sl2", "h", ["structure.realization.sl2.he", "structure.realization.sl2.hf"]),
+    ("Bbarq", BBARQ_GRID[:4], "slq2", "h",
+     ["structure.realization.slq2.he", "structure.realization.slq2.hf"]),
+    ("B", B_GRID, "H", "M", ["iso.phi-prime.H.number-low", "iso.phi-prime.H.number-raise"]),
+]
+
+
+def _batch_rows(reps, target, tol=1e-10):
+    """Each rep's structure rows, or its iso rows for the target H, run as one batch."""
+    from bosonhopf.report import rows_at
+    if target == "H":
+        partners = [AlgebraSpec("H", (rep.spec.alpha / 2.0, 1.0, 0.0)) for rep in reps]
+        lines = structure.iso_batch(partners, reps, tol)
+    else:
+        lines = structure.run_structure_checks_batch(reps, None, tol)
+    return [{r.identity: r for r in rows_at(lines, p)} for p in range(len(reps))]
+
+
+@pytest.mark.parametrize("family, grid, target, name, idents", MAP_CONTROLS,
+                         ids=[f"{c[0]}-{c[2]}-{c[3]}" for c in MAP_CONTROLS])
+def test_a_scaled_map_image_breaches_the_rows_no_wrong_rep_reaches(family, grid, target, name,
+                                                                   idents, monkeypatch):
+    """Negative control for the rows that hold for any ladder weights (see
+    WEIGHT_FREE): one map image scaled by 1 + 1e-6 makes each of them
+    breach 1e-10 at every point of a batch, run once on the direct sum of
+    the points' images (structure's batch runners), while the right corpus
+    passes them there."""
+    reps = [_rep(family, params, 8) for params in grid]
+    for point in _batch_rows(reps, target):
+        assert all(point[ident].passed for ident in idents)
+    monkeypatch.setattr(structure, "identities",
+                        lambda corpus=_scaled_image(target, family, name, 1 + 1e-6): corpus)
+    for rep, point in zip(reps, _batch_rows(reps, target)):
+        for ident in idents:
+            assert not point[ident].passed and point[ident].residual > 1e-8, (
+                rep.spec, ident, point[ident].residual)
+
+
+def test_reflection_number_refuses_every_image_that_could_breach_it(monkeypatch):
+    """iso.phi-prime.H.reflection-number, [K, M] = 0, has no scaled-image
+    control: phi'(K) and phi'(M) are diagonal however any image is scaled,
+    and diagonal operators commute.  Only an image that mixes level shifts
+    could breach it, and the lab refuses those: with phi'(K) moved off the
+    diagonal by 1e-6 (a + ad), the batch raises, and a run's iso suite
+    writes a failed iso.error row at each point instead of passing it."""
+    from bosonhopf import cli
+    reps = [_rep("B", params, 8) for params in B_GRID]
+    monkeypatch.setattr(structure, "identities",
+                        lambda corpus=_scaled_image("H", "B", "K", 1 + 1e-6): corpus)
+    for point in _batch_rows(reps, "H"):
+        assert point["iso.phi-prime.H.reflection-number"].passed
+    monkeypatch.setattr(structure, "identities", lambda corpus=_changed_image(
+        "H", "B", "K", lambda t: f"{t} + 1e-6*(a + ad)"): corpus)
+    with pytest.raises(ValueError, match="level shifts"):
+        _batch_rows(reps, "H")
+    scenario = cli.Scenario("iso", "B", {"alpha": [2.0, 4.0], "beta": [1.0, 2.0]}, dim=8,
+                            suites=("iso",))
+    rows = [json.loads(line) for _, _, line in cli._run_job((scenario, cli.grid_expand(scenario)))]
+    assert [(r["identity"], r["passed"]) for r in rows] == [("iso.error", False)] * 4

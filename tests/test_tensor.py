@@ -548,3 +548,47 @@ def test_a_sector_stack_reads_each_terms_dense_entries(sites):
             held = 0 <= t < dim and sectors.level[cols[j]] < dim
             expect = powers[t].to_dense()[rows[i], cols[j]] if held else 0
             assert got[i, j] == expect, (i, j, t)
+
+
+@given(dim=st.integers(2, 6), count=st.integers(1, 4), shift=st.integers(-2, 2),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_a_direct_sum_holds_each_summand_bit_for_bit(dim, count, shift, seed):
+    """The direct sum of one-site operators of one shift: products, sums,
+    per-summand scalars and per-summand diagonal maps of direct sums equal,
+    on each summand, the same operations on the summand alone, entry for
+    entry; each summand is normed on its own window as it is alone."""
+    rng = np.random.default_rng(seed)
+    sec = level_sectors(dim, 1)
+
+    def op(k):
+        mat = np.diag(rng.normal(size=dim - abs(k)) + 1j * rng.normal(size=dim - abs(k)), k)
+        return SectorOperator.from_dense(mat, sec)
+
+    xs, ys, diags = ([op(shift) for _ in range(count)], [op(-shift) for _ in range(count)],
+                     [op(0) for _ in range(count)])
+    cs = rng.normal(size=count) + 1j * rng.normal(size=count)
+    x, y, d = (SectorOperator.direct_sum(ops) for ops in (xs, ys, diags))
+    assert (x.summands, x.sectors.dim) == (count, count * dim)
+    fns = [lambda v, c=c: np.exp(c * v) for c in cs]
+    together = (x @ y, y @ x, x @ y - y @ x, cs * (x @ y), (y @ x) * cs,
+                (x @ y + d).diagonal_map(fns))
+    for p in range(count):
+        alone = (xs[p] @ ys[p], ys[p] @ xs[p], xs[p] @ ys[p] - ys[p] @ xs[p],
+                 cs[p] * (xs[p] @ ys[p]), (ys[p] @ xs[p]) * cs[p],
+                 (xs[p] @ ys[p] + diags[p]).diagonal_map(fns[p]))
+        for t, a in zip(together, alone):
+            assert np.array_equal(t.blocks[p * dim:(p + 1) * dim], a.blocks)
+        for top in range(dim):
+            assert x.summand_norms(top)[p] == xs[p].norm(top)
+        assert x.summand_norms()[p] == xs[p].norm()
+
+
+def test_a_direct_sum_refuses_summands_of_two_shifts():
+    """Summands must share their level shift, but an all-zero one has any."""
+    sec = level_sectors(4, 1)
+    lower, raise_ = (SectorOperator.from_dense(np.eye(4, k=k), sec) for k in (1, -1))
+    zero = SectorOperator.from_dense(np.zeros((4, 4)), sec)
+    with pytest.raises(ValueError, match="level shifts"):
+        SectorOperator.direct_sum([lower, raise_])
+    assert SectorOperator.direct_sum([zero, raise_]).shift == raise_.shift == 1
