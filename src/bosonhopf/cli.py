@@ -152,17 +152,8 @@ class Point:
         return build_rep(self.spec, dim)
 
 
-def _run_relations(pt, tol):
-    from .fock import check_defining_relations
-    return check_defining_relations(pt.rep, tol)
-
-
 def _run_hopf(pt, tol):
     return pt.tables.run_axiom_checks(tol)
-
-
-def _run_delta_hom(pt, tol):
-    return pt.tables.check_delta_homomorphism(tol)
 
 
 def _run_r_series(pt, tol):
@@ -190,70 +181,62 @@ def _run_r0_ybe(pt, tol):
     return [check_ybe(build_r0(pt.rep_up_to(4)), tol)]
 
 
-def _run_casimir(pt, tol):
-    from .structure import casimir_spectrum
-    return casimir_spectrum(pt.rep, tol)
+# Each runner of a suite that batches, and the runner of a list of points it
+# runs as a batch of one (:func:`_batched`).
+_BATCHED = {}
 
 
-def _run_structure(pt, tol):
-    from .structure import run_structure_checks
-    tables = pt.tables if pt.spec.family == "B" else None
-    return run_structure_checks(pt.rep, tables, tol)
+def _batched(run_points):
+    """The runner of one point for ``run_points``, a runner of a list of
+    points of one family and dim that returns the lines of their batch
+    (:func:`report.rows_at`): it runs its point as a batch of one, and
+    :data:`_BATCHED` maps it to ``run_points``."""
+    def run(pt, tol):
+        from .report import rows_at
+        return rows_at(run_points([pt], tol), 0)
+    _BATCHED[run] = run_points
+    return run
 
 
-# The partner algebra of the generator maps: beta = 1 for B, nu = 1 and
-# rho = 0 for H.
-def _b_partner(spec):
-    return AlgebraSpec("B", (2.0 * spec.delta, 1.0))
-
-
-def _h_partner(spec):
-    return AlgebraSpec("H", (spec.alpha / 2.0, 1.0, 0.0))
-
-
-def _run_iso_phi(pt, tol):
-    from .structure import iso_phi
-    return iso_phi(_b_partner(pt.spec), pt.rep, tol)
-
-
-def _run_iso_phi_prime(pt, tol):
-    from .structure import iso_phi_prime
-    return iso_phi_prime(_h_partner(pt.spec), pt.rep, tol=tol)
-
-
-def _batch_relations(pts, tol):
+@_batched
+def _run_relations(pts, tol):
     from .fock import check_defining_relations_batch
     return check_defining_relations_batch([pt.rep for pt in pts], tol)
 
 
-def _batch_delta_hom(pts, tol):
+@_batched
+def _run_delta_hom(pts, tol):
     from .hopf import check_delta_homomorphism_batch
     return check_delta_homomorphism_batch([pt.tables for pt in pts], tol)
 
 
-def _batch_casimir(pts, tol):
+@_batched
+def _run_casimir(pts, tol):
     from .structure import casimir_spectrum_batch
     return casimir_spectrum_batch([pt.rep for pt in pts], tol)
 
 
-def _batch_structure(pts, tol):
+@_batched
+def _run_structure(pts, tol):
     from .structure import run_structure_checks_batch
     tables = [pt.tables for pt in pts] if pts[0].spec.family == "B" else None
     return run_structure_checks_batch([pt.rep for pt in pts], tables, tol)
 
 
-def _batch_iso(partner):
-    def run(pts, tol):
-        from .structure import iso_batch
-        return iso_batch([partner(pt.spec) for pt in pts], [pt.rep for pt in pts], tol)
-    return run
+# The partner algebra of the generator maps: beta = 1 for B, nu = 1 and
+# rho = 0 for H.
+@_batched
+def _run_iso_phi(pts, tol):
+    from .structure import iso_batch
+    return iso_batch([AlgebraSpec("B", (2.0 * pt.spec.delta, 1.0)) for pt in pts],
+                     [pt.rep for pt in pts], tol)
 
 
-# The runners whose suites run all of a chunk's points at once: their one-site
-# corpus lines run on the direct sums of the points' images.
-_BATCHED = {_run_relations: _batch_relations, _run_delta_hom: _batch_delta_hom,
-            _run_casimir: _batch_casimir, _run_structure: _batch_structure,
-            _run_iso_phi: _batch_iso(_b_partner), _run_iso_phi_prime: _batch_iso(_h_partner)}
+@_batched
+def _run_iso_phi_prime(pts, tol):
+    from .structure import iso_batch
+    return iso_batch([AlgebraSpec("H", (pt.spec.alpha / 2.0, 1.0, 0.0)) for pt in pts],
+                     [pt.rep for pt in pts], tol)
 
 
 class _CorpusIds(UserDict):

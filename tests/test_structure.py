@@ -379,7 +379,8 @@ def test_a_scaled_weight_breaches_the_representation_rows(family, params):
 
 # (family, points, target, the image scaled by 1 + 1e-6, the rows it must
 # breach): h scaled breaks [h, e] and [h, f]; phi'(M) scaled breaks
-# [M, b] + b and [M, bd] - bd.
+# [M, b] + b and [M, bd] - bd; phi'(b) scaled breaks H(Mk) and the round
+# trip (which read Mk, not phi'(M)); phi(N) scaled breaks phi(L).
 MAP_CONTROLS = [
     ("B", B_GRID, "osp12", "h", ["structure.realization.osp12.he", "structure.realization.osp12.hf"]),
     ("B", B_GRID, "sl2", "h", ["structure.realization.sl2.he", "structure.realization.sl2.hf"]),
@@ -389,14 +390,19 @@ MAP_CONTROLS = [
     ("Bbarq", BBARQ_GRID[:4], "slq2", "h",
      ["structure.realization.slq2.he", "structure.realization.slq2.hf"]),
     ("B", B_GRID, "H", "M", ["iso.phi-prime.H.number-low", "iso.phi-prime.H.number-raise"]),
+    ("B", B_GRID, "H", "b", ["iso.phi-prime-M", "iso.roundtrip"]),
+    ("H", H_GRID, "B", "N", ["iso.phi-L"]),
 ]
 
 
 def _batch_rows(reps, target, tol=1e-10):
-    """Each rep's structure rows, or its iso rows for the target H, run as one batch."""
+    """Each rep's structure rows, or its iso rows for the target H or B, run as one batch."""
     from bosonhopf.report import rows_at
     if target == "H":
         partners = [AlgebraSpec("H", (rep.spec.alpha / 2.0, 1.0, 0.0)) for rep in reps]
+        lines = structure.iso_batch(partners, reps, tol)
+    elif target == "B":
+        partners = [AlgebraSpec("B", (2.0 * rep.spec.delta, 1.0)) for rep in reps]
         lines = structure.iso_batch(partners, reps, tol)
     else:
         lines = structure.run_structure_checks_batch(reps, None, tol)
@@ -408,10 +414,10 @@ def _batch_rows(reps, target, tol=1e-10):
 def test_a_scaled_map_image_breaches_the_rows_no_wrong_rep_reaches(family, grid, target, name,
                                                                    idents, monkeypatch):
     """Negative control for the rows that hold for any ladder weights (see
-    WEIGHT_FREE): one map image scaled by 1 + 1e-6 makes each of them
-    breach 1e-10 at every point of a batch, run once on the direct sum of
-    the points' images (structure's batch runners), while the right corpus
-    passes them there."""
+    WEIGHT_FREE; structure.delta-closed-form has its own control): one map
+    image scaled by 1 + 1e-6 makes each of them breach 1e-10 at every point
+    of a batch, run once on the direct sum of the points' images
+    (structure's batch runners), while the right corpus passes them there."""
     reps = [_rep(family, params, 8) for params in grid]
     for point in _batch_rows(reps, target):
         assert all(point[ident].passed for ident in idents)
