@@ -36,10 +36,10 @@ each summand is normed on its own window
 (:meth:`SectorOperator.summand_norms`): every entry and norm is the one
 the summand gives alone, bit for bit.  A dense matrix that mixes level
 shifts (an ``eval`` expression such as ``a + ad``) has no blocks: its norm
-is the SVD of its nonzero rows and window columns.  The dense products (kron_all,
-embed_two_site, swap_matrix, and kron, which the expression language also
-calls) and the dense window oracle (total_window_projector, windowed_norm)
-serve the tests and trace targets.
+is the SVD of its nonzero rows and window columns.  The dense products
+(kron_all, embed_two_site, swap_matrix, and kron, which the expression
+language also calls) and the dense window oracle (total_window_projector,
+windowed_norm) serve the tests and trace targets.
 """
 
 from __future__ import annotations
@@ -459,8 +459,9 @@ class SectorOperator:
             if np.abs(part_off).max() > 1e-12 * max(1.0, np.abs(part).max(initial=0.0)):
                 raise ValueError("functional calculus requires a diagonal operator")
         out = np.zeros(self.blocks.shape, dtype=complex)
+        parts = np.split(diag, self.summands)
         out[lev, i, i] = (fns[0](diag) if self.summands == 1 else
-                          np.concatenate([f(part) for f, part in zip(fns, np.split(diag, self.summands))]))
+                          np.concatenate([f(part) for f, part in zip(fns, parts)]))
         return self._like(0, out)
 
     def norm(self, top: int | None = None) -> float:
@@ -508,7 +509,8 @@ class SectorOperator:
         lo, hi = max(0, -self.shift), min(levels, dim - self.shift)
         if lo >= hi:
             return [0.0] * self.summands
-        return np.abs(self.blocks[:, 0, 0].reshape(self.summands, dim)[:, lo:hi]).max(axis=1).tolist()
+        moduli = np.abs(self.blocks[:, 0, 0].reshape(self.summands, dim)[:, lo:hi])
+        return moduli.max(axis=1).tolist()
 
 
 def _bound(blocks: np.ndarray) -> np.ndarray:

@@ -239,7 +239,8 @@ def test_casimir_fixed_values():
 
 
 def _changed_image(target, source, name, change):
-    """The corpus with the image text t of ``name`` under ``target <- source`` made ``change(t)``."""
+    """The corpus with the image text t of ``name`` under ``target <- source``
+    made ``change(t)``."""
     lines = tuple(
         st._replace(texts=tuple((n, change(t) if n == name else t) for n, t in st.texts))
         if st.kind == "map" and (st.target, st.family) == (target, source) else st
@@ -381,14 +382,14 @@ def test_a_scaled_weight_breaches_the_representation_rows(family, params):
 # breach): h scaled breaks [h, e] and [h, f]; phi'(M) scaled breaks
 # [M, b] + b and [M, bd] - bd; phi'(b) scaled breaks H(Mk) and the round
 # trip (which read Mk, not phi'(M)); phi(N) scaled breaks phi(L).
+_HE_HF = {target: [f"structure.realization.{target}.{row}" for row in ("he", "hf")]
+          for target in ("osp12", "sl2", "ospq12", "slq2")}
 MAP_CONTROLS = [
-    ("B", B_GRID, "osp12", "h", ["structure.realization.osp12.he", "structure.realization.osp12.hf"]),
-    ("B", B_GRID, "sl2", "h", ["structure.realization.sl2.he", "structure.realization.sl2.hf"]),
-    ("Bq", BQ_GRID[:4], "ospq12", "h",
-     ["structure.realization.ospq12.he", "structure.realization.ospq12.hf"]),
-    ("Bbar", BBAR_GRID, "sl2", "h", ["structure.realization.sl2.he", "structure.realization.sl2.hf"]),
-    ("Bbarq", BBARQ_GRID[:4], "slq2", "h",
-     ["structure.realization.slq2.he", "structure.realization.slq2.hf"]),
+    ("B", B_GRID, "osp12", "h", _HE_HF["osp12"]),
+    ("B", B_GRID, "sl2", "h", _HE_HF["sl2"]),
+    ("Bq", BQ_GRID[:4], "ospq12", "h", _HE_HF["ospq12"]),
+    ("Bbar", BBAR_GRID, "sl2", "h", _HE_HF["sl2"]),
+    ("Bbarq", BBARQ_GRID[:4], "slq2", "h", _HE_HF["slq2"]),
     ("B", B_GRID, "H", "M", ["iso.phi-prime.H.number-low", "iso.phi-prime.H.number-raise"]),
     ("B", B_GRID, "H", "b", ["iso.phi-prime-M", "iso.roundtrip"]),
     ("H", H_GRID, "B", "N", ["iso.phi-L"]),
