@@ -82,9 +82,10 @@ class Suite:
     A runner maps a grid point (:class:`Point`) and a tolerance to a list of
     reports; it imports the check functions from their module when it runs,
     so a run loads only the modules its suites use, the ``modules`` of the
-    package it names.  A runner with a batch form (:data:`_BATCHED`) also
-    runs a list of points of one family and dim at once, and returns the
-    lines that give each point's rows (:func:`report.rows_at`).  Families
+    package it names.  The runner of a suite that batches is made by
+    :func:`_batched` from its batch form (:data:`_BATCHED`), which runs a
+    list of points of one family and dim at once and returns the lines that
+    give each point's rows (:func:`report.rows_at`).  Families
     without a runner are skipped with ``skip_reason``.  With
     ``parity_head``, the graded families are skipped where beta/alpha is
     not an integer (:attr:`AlgebraSpec.integer_grade_shift`).  ``ids`` maps
