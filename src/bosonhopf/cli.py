@@ -19,14 +19,14 @@ error.
 
 A run's job is one scenario's grid points, or at ``--jobs N`` one of at
 most N contiguous chunks of them, each on one worker.  Its points run in
-grid order, each point's suites in config order.  A suite whose runner has
-a batch form runs its one-site corpus lines once for all of the job's
-points, on the direct sum of their Fock spaces
-(:meth:`tensor.SectorOperator.direct_sum`), and each point gets its own
-rows; lines that read two-site values, and the other suites, run point by
-point.  A row's ``wall_time`` is its suite's time at its point over its
-row count; for a batched suite, the batch's time over its batched rows
-stands for each of them.
+grid order, each point's suites in config order.  Every suite runs once for
+all of the job's points that it does not skip, as one batch (a point run
+alone is a batch of one): its one-site corpus lines run on the direct sum
+of the points' Fock spaces (:meth:`tensor.SectorOperator.direct_sum`), and
+each point gets its own rows at its turn; the lines that read two-site
+values, and the ``hopf``, ``rmatrix`` and ``ybe`` checks, run at their
+point's turn.  A row's ``wall_time`` is the time its point spent on its
+suite's rows, and its share of the batch's, over its row count.
 
 This module imports the standard library and :mod:`spec` alone.  Parsing
 and checking a config, expanding its grids, ``list-identities``, ``--help``
@@ -49,7 +49,7 @@ import sys
 import time
 from collections import UserDict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import GRAMMAR_VERSION, __version__
 from .spec import FAMILIES, NONINTEGER_GRADE_SHIFT, PARAM_NAMES, AlgebraSpec, SpecError
@@ -79,18 +79,17 @@ PARITY_HEAD_FAMILIES = ("B", "Bq")
 class Suite:
     """One check suite: a runner per family and the report ids it emits.
 
-    A runner maps a grid point (:class:`Point`) and a tolerance to a list of
-    reports; it imports the check functions from their module when it runs,
+    A runner maps a list of grid points (:class:`Point`) of one family and
+    dim and a tolerance to the lines of their batch, which give each
+    point's rows (:func:`report.rows_at`); a point run alone is a batch of
+    one.  It imports the check functions from their module when it runs,
     so a run loads only the modules its suites use, the ``modules`` of the
-    package it names.  The runner of a suite that batches is made by
-    :func:`_batched` from its batch form (:data:`_BATCHED`), which runs a
-    list of points of one family and dim at once and returns the lines that
-    give each point's rows (:func:`report.rows_at`).  Families
-    without a runner are skipped with ``skip_reason``.  With
-    ``parity_head``, the graded families are skipped where beta/alpha is
-    not an integer (:attr:`AlgebraSpec.integer_grade_shift`).  ``ids`` maps
-    each report id prefix to the identity it names; the structure, casimir
-    and iso suites read theirs from the identity corpus (:class:`_CorpusIds`).
+    package it names.  Families without a runner are skipped with
+    ``skip_reason``.  With ``parity_head``, the graded families are skipped
+    where beta/alpha is not an integer
+    (:attr:`AlgebraSpec.integer_grade_shift`).  ``ids`` maps each report id
+    prefix to the identity it names; the structure, casimir and iso suites
+    read theirs from the identity corpus (:class:`_CorpusIds`).
     """
 
     name: str
@@ -99,10 +98,6 @@ class Suite:
     skip_reason: str = ""
     parity_head: bool = False
     modules: tuple = ()
-
-    def batch_runner(self, family: str):
-        """The batch form of ``family``'s runner, or None when it has none."""
-        return _BATCHED.get(self.runners.get(family))
 
     def reason_to_skip(self, spec: AlgebraSpec) -> str:
         if spec.family not in self.runners:
@@ -153,71 +148,66 @@ class Point:
         return build_rep(self.spec, dim)
 
 
+def _per_point(run):
+    """The runner of a list of points whose one line (a
+    :class:`report.PointCalls`) gives each point the reports of
+    ``run(point, tol)``, called at the point's turn."""
+    def runner(pts, tol):
+        from .report import PointCalls
+        return [PointCalls([partial(run, pt, tol) for pt in pts])]
+    return runner
+
+
+@_per_point
 def _run_hopf(pt, tol):
     return pt.tables.run_axiom_checks(tol)
 
 
+@_per_point
 def _run_r_series(pt, tol):
     from .rmatrix import YBE_DIM, run_r_checks
     return run_r_checks(pt.rep, pt.tables, pt.rep_up_to(YBE_DIM), tol)
 
 
+@_per_point
 def _run_r0_axioms(pt, tol):
     from .rmatrix import build_r0, check_r_axioms
     return check_r_axioms(build_r0(pt.rep), pt.tables, tol)
 
 
+@_per_point
 def _run_trivial_r(pt, tol):
     from .rmatrix import check_trivial_r
     return [check_trivial_r(pt.tables, tol)]
 
 
+@_per_point
 def _run_ybe_series(pt, tol):
     from .rmatrix import YBE_DIM, build_r, check_ybe
     return [check_ybe(build_r(pt.rep_up_to(YBE_DIM)), tol)]
 
 
+@_per_point
 def _run_r0_ybe(pt, tol):
     from .rmatrix import build_r0, check_ybe
     return [check_ybe(build_r0(pt.rep_up_to(4)), tol)]
 
 
-# Each runner of a suite that batches, and the runner of a list of points it
-# runs as a batch of one (:func:`_batched`).
-_BATCHED = {}
-
-
-def _batched(run_points):
-    """The runner of one point for ``run_points``, a runner of a list of
-    points of one family and dim that returns the lines of their batch
-    (:func:`report.rows_at`): it runs its point as a batch of one, and
-    :data:`_BATCHED` maps it to ``run_points``."""
-    def run(pt, tol):
-        from .report import rows_at
-        return rows_at(run_points([pt], tol), 0)
-    _BATCHED[run] = run_points
-    return run
-
-
-@_batched
 def _run_relations(pts, tol):
     from .fock import check_defining_relations_batch
     return check_defining_relations_batch([pt.rep for pt in pts], tol)
 
 
-@_batched
 def _run_delta_hom(pts, tol):
     from .hopf import check_delta_homomorphism_batch
     return check_delta_homomorphism_batch([pt.tables for pt in pts], tol)
 
 
-@_batched
 def _run_casimir(pts, tol):
     from .structure import casimir_spectrum_batch
     return casimir_spectrum_batch([pt.rep for pt in pts], tol)
 
 
-@_batched
 def _run_structure(pts, tol):
     from .structure import run_structure_checks_batch
     tables = [pt.tables for pt in pts] if pts[0].spec.family == "B" else None
@@ -226,14 +216,12 @@ def _run_structure(pts, tol):
 
 # The partner algebra of the generator maps: beta = 1 for B, nu = 1 and
 # rho = 0 for H.
-@_batched
 def _run_iso_phi(pts, tol):
     from .structure import iso_batch
     return iso_batch([AlgebraSpec("B", (2.0 * pt.spec.delta, 1.0)) for pt in pts],
                      [pt.rep for pt in pts], tol)
 
 
-@_batched
 def _run_iso_phi_prime(pts, tol):
     from .structure import iso_batch
     return iso_batch([AlgebraSpec("H", (pt.spec.alpha / 2.0, 1.0, 0.0)) for pt in pts],
@@ -445,81 +433,54 @@ def grid_expand(scenario: Scenario) -> list:
 
 # -- suite execution ----------------------------------------------------------
 
-def run_suite(scenario: Scenario, point, suite: str) -> list:
-    """The reports of ``suite`` at ``point``, or its one skip row.  Given a
-    list of points that the suite does not skip, its batch runner's lines
-    for them instead (:meth:`Suite.batch_runner`)."""
+def run_suite(scenario: Scenario, points: list, suite: str) -> list:
+    """The lines (:func:`report.rows_at`) of ``suite`` at ``points``, grid
+    points of the scenario that the suite does not skip."""
     entry = SUITES.get(suite)
     if entry is None:
         raise ConfigError(f"unknown suite {suite!r}")
-    if isinstance(point, list):
-        return entry.batch_runner(scenario.family)(point, scenario.tol_for(suite))
-    spec = point.spec
-    reason = entry.reason_to_skip(spec)
-    if reason:
-        return entry.skipped(spec.family, spec.param_dict, point.dim, reason)
-    return entry.runners[spec.family](point, scenario.tol_for(suite))
+    return entry.runners[scenario.family](points, scenario.tol_for(suite))
 
 
 class _Batch:
-    """A suite run at once at the points of a chunk that it does not skip:
-    its lines (:func:`report.rows_at`), which give a point's rows at its
-    turn, and the batch's time over the rows of its :class:`WindowedLine`
-    lines, the lines it ran for every point at once."""
+    """A suite run at once at the points of a job that it does not skip:
+    its lines (:func:`run_suite`), or None when they raised, the index of
+    each such point's rows in them, and the batch's time over those points,
+    each point's ``share``."""
 
-    def __init__(self, lines: list, index: dict, row_seconds: float):
-        self.lines, self.index, self.row_seconds = lines, index, row_seconds
-
-    @classmethod
-    def run(cls, scenario: Scenario, suite: str, points: list):
-        """The batch of ``suite`` at ``points`` (None where a point is
-        skipped by the grid), or None when the suite has no batch runner for
-        the family, skips every point, or raises: then each point runs it
-        alone."""
-        from .report import WindowedLine
+    def __init__(self, scenario: Scenario, suite: str, points: list):
         entry = SUITES[suite]
         live = [i for i, pt in enumerate(points)
                 if pt is not None and not entry.reason_to_skip(pt.spec)]
-        if not live or entry.batch_runner(scenario.family) is None:
-            return None
+        self.index = {i: k for k, i in enumerate(live)}
         start = time.perf_counter()
         try:
-            lines = run_suite(scenario, [points[i] for i in live], suite)
-        except Exception:   # rerun point by point: each point keeps its own error row
-            return None
-        rows = len(live) * sum(isinstance(line, WindowedLine) for line in lines)
-        return cls(lines, {i: k for k, i in enumerate(live)},
-                   (time.perf_counter() - start) / max(1, rows))
-
-    def records(self, scenario: Scenario, suite: str, index: int):
-        """The records of point ``index`` (:func:`_records`), its two-site
-        lines run now, or None when the batch does not hold the point or
-        they raise: then the point runs the suite alone."""
-        from .report import WindowedLine, rows_at
-        if index not in self.index:
-            return None
-        start = time.perf_counter()
-        try:
-            reports = rows_at(self.lines, self.index[index])
-            seconds = time.perf_counter() - start + self.row_seconds * sum(
-                isinstance(line, WindowedLine) for line in self.lines)
-            return _records(scenario, suite, seconds, reports)
-        except Exception:
-            return None
+            self.lines = run_suite(scenario, [points[i] for i in live], suite) if live else []
+        except Exception:   # each point runs the suite as a batch of one
+            self.lines = None
+        self.share = (time.perf_counter() - start) / max(1, len(live))
 
 
-def _point_records(scenario: Scenario, suite: str, params: dict, point, skip_reason: str) -> list:
-    """The records of ``suite`` run at one point alone, or of its skip rows
-    where the grid skips the point.  An exception (building the rep or
-    tables included), or a row the report encoder cannot write, becomes the
-    suite's one failed ``<suite>.error`` row."""
-    start = time.perf_counter()
+def _suite_records(scenario: Scenario, suite: str, batch: _Batch, index: int, params: dict,
+                   point, skip_reason: str) -> list:
+    """The records (:func:`_records`) of ``suite`` at point ``index`` of a
+    job: its skip rows where the grid or the suite skips the point, else its
+    rows of the job's ``batch``, or where the batch raised, of the suite run
+    at the point as a batch of one.  An exception (building the rep or
+    tables included), or a row the report encoder cannot write, becomes
+    the suite's one failed ``<suite>.error`` row."""
+    from .report import check_report, rows_at
+    entry, start, shared = SUITES[suite], time.perf_counter(), 0.0
     try:
-        reports = (SUITES[suite].skipped(scenario.family, params, scenario.dim, skip_reason)
-                   if skip_reason else run_suite(scenario, point, suite))
-        return _records(scenario, suite, time.perf_counter() - start, reports)
+        reason = skip_reason or entry.reason_to_skip(point.spec)
+        if reason:
+            reports = entry.skipped(scenario.family, params, scenario.dim, reason)
+        elif batch.lines is None:
+            reports = rows_at(run_suite(scenario, [point], suite), 0)
+        else:
+            reports, shared = rows_at(batch.lines, batch.index[index]), batch.share
+        return _records(scenario, suite, time.perf_counter() - start + shared, reports)
     except Exception as exc:   # per-check errors must not abort the run
-        from .report import check_report
         return _records(scenario, suite, time.perf_counter() - start, [check_report(
             point.spec, scenario.dim, f"{suite}.error", str(exc), float("inf"),
             scenario.tol_for(suite), branch_note={"error": f"{type(exc).__name__}: {exc}"})])
@@ -536,15 +497,15 @@ def _job_points(job):
     """The records of each point of a job (:func:`_run_job`) in turn, one
     list per point, each yielded once the point's suites are done.
 
-    A suite with a batch runner runs at once at every point of the chunk
-    that it does not skip, when the first point reaches it (:class:`_Batch`);
-    its two-site lines still run at their own point's turn.  The other
-    suites run point by point.  A point's suites share its rep and Hopf
-    tables, which are dropped, two-site images and all, once its suites are
-    done.  An exception in a suite, or a row the encoder cannot write,
-    becomes that suite's one failed ``<suite>.error`` row at that point and
-    the later suites still run: a batch that raises reruns its suite point
-    by point, so only the points at fault get error rows.
+    Each suite runs once at every point of the job that it does not skip,
+    as one batch built when the first point reaches it (:class:`_Batch`),
+    and each point takes its rows at its turn (:func:`_suite_records`).  A
+    point's suites share its rep and Hopf tables, which are dropped,
+    two-site images and all, once its suites are done.  An exception in a
+    suite, or a row the encoder cannot write, becomes that suite's one
+    failed ``<suite>.error`` row at that point and the later suites still
+    run: a batch that raises runs its suite at each point as a batch of
+    one, so only the points at fault get error rows.
     """
     scenario, entries = job
     points = [spec and Point(spec, scenario.dim) for _, spec, _ in entries]
@@ -553,11 +514,9 @@ def _job_points(job):
         records = []
         for suite in scenario.suites:
             if not skip_reason and suite not in batches:
-                batches[suite] = _Batch.run(scenario, suite, points)
-            batch = batches.get(suite)
-            rows = batch.records(scenario, suite, i) if batch else None
-            records += rows if rows is not None else _point_records(
-                scenario, suite, params, points[i], skip_reason)
+                batches[suite] = _Batch(scenario, suite, points)
+            records += _suite_records(scenario, suite, batches.get(suite), i, params,
+                                      points[i], skip_reason)
         if points[i] is not None:
             points[i].release()
             points[i] = None
@@ -568,8 +527,7 @@ def _records(scenario: Scenario, suite: str, seconds: float, reports: list) -> l
     """Each report of a suite at one point that took ``seconds`` as
     ``(passed, skipped, line)``, the line the row encoded by the report
     encoder, so no row outlives its job.  Each row carries that time over
-    the row count: the suite's time at the point, or for a batch, the
-    batch's time over its rows (plus the point's own two-site lines)."""
+    the row count (:func:`_suite_records` times it)."""
     wall_time = seconds / max(1, len(reports))
     records = []
     for rp in reports:

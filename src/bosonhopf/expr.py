@@ -14,12 +14,12 @@ generator images of an EvalContext's representation as dense matrices:
 the ``eval`` command, where a sum may mix level shifts (``a + ad``) and
 ``tensor`` is a Kronecker product.  The rows of the identity corpus
 (:class:`Identities`) run on sector operators (:class:`tensor.SectorOperator`).
-``^k`` is repeated ``@``.  A program also runs once for several grid points
-of one family and level count (:meth:`Program.run_points`): its operator
-leaves are the direct sums of the points' images
-(:meth:`tensor.SectorOperator.direct_sum`), each scalar step runs per point
-on that point's values, and a scalar meets an operator as the array of its
-points' values.  A corpus line may also read a definition, apply
+``^k`` is repeated ``@``.  A program runs at a list of grid points of one
+family and level count (:meth:`Program.run`), a point alone as a list of
+one: at several, its operator leaves are the direct sums of the points'
+images (:meth:`tensor.SectorOperator.direct_sum`), each scalar step runs
+per point on that point's values, and a scalar meets an operator as the
+array of its points' values.  A corpus line may also read a definition, apply
 a map (``osp12(I2)``: I2 of osp12 on the map's images of e, f and h), and
 read the Hopf tables' images ``Delta(x)``, ``S(x)`` and ``eps(x)``, leaves
 the caller passes by those names; definitions and map images are expanded
@@ -317,14 +317,15 @@ class EvalContext:
 class Program:
     """Trees compiled to straight-line steps over a table of leaves.
 
-    Value 0 is the leaf table: generator images and parameter values by
-    name.  Step i, ``(fn, args)``, computes value i + 1 from the one or two
-    values ``args``; ``outputs`` are the compiled trees' values and ``names`` the
+    Value 0 stands for the leaves: the operator leaves (generator images)
+    and each point's scalar leaves (parameter values), by name.  Step i,
+    ``(fn, args)``, computes value i + 1 from the one or two values
+    ``args``; ``outputs`` are the compiled trees' values and ``names`` the
     leaves they read.  ``sites[i]`` is 0 where value i is a scalar, else its
     site count.  Equal subtrees are computed once, so a product that a
     residual and its scale both form is formed once.  ``fn`` None is a
     product of two operators, which :meth:`run` forms reversed with
-    ``anti``.
+    ``anti``.  A point run alone is a batch of one (:meth:`run`).
     """
     steps: tuple
     outputs: tuple
@@ -336,33 +337,22 @@ class Program:
         """Whether a value is a two-site operator (a Delta image, left or right)."""
         return max(self.sites[1:], default=0) > 1
 
-    def run(self, leaves: dict, anti: bool = False) -> list:
-        """The outputs' values: numbers, or operators of the leaves' type."""
+    def run(self, scalars: list, ops: dict, anti: bool = False) -> list:
+        """The outputs' values at one or several grid points at once:
+        ``scalars[p]`` holds point p's scalar leaves and ``ops`` the operator
+        leaves, of one point or the direct sums of several points' one-site
+        images.  A scalar step runs once per point on that point's values,
+        so a scalar output is the list of them; an operator step runs once,
+        a scalar operand taken as the array of its points' values, or at one
+        point as its one value."""
         matmul = _reversed_matmul if anti else operator.matmul
-        values = [leaves]
-        append = values.append
-        for fn, args in self.steps:
-            if len(args) == 2:
-                append((fn or matmul)(values[args[0]], values[args[1]]))
-            else:
-                append(fn(values[args[0]]))
-        return [values[i] for i in self.outputs]
-
-    def run_points(self, scalars: list, ops: dict, anti: bool = False) -> list:
-        """The outputs' values at several grid points at once: ``scalars[p]``
-        holds point p's scalar leaves and ``ops`` the direct sums of the
-        points' one-site operator leaves.  A scalar step runs once per point
-        on that point's values, so a scalar output is the list of them; an
-        operator step runs once on the direct sums, a scalar operand taken as
-        the array of its points' values."""
-        matmul = _reversed_matmul if anti else operator.matmul
-        values, arrays = [None], {}
+        values, arrays, alone = [None], {}, len(scalars) == 1
 
         def operand(i):
             if self.sites[i]:
                 return values[i]
             if i not in arrays:
-                arrays[i] = np.array(values[i], dtype=complex)
+                arrays[i] = values[i][0] if alone else np.array(values[i], dtype=complex)
             return arrays[i]
 
         for (fn, args), sites in zip(self.steps, self.sites[1:]):
@@ -603,8 +593,10 @@ def evaluate(e: Expr, ctx: EvalContext) -> np.ndarray:
     if missing:
         raise EvalError(f"family {ctx.rep.spec.family} has no generator or bound "
                         f"parameter {', '.join(missing)}")
-    (value,) = program.run(leaves)   # a copy: the value may be one of the rep's own images
-    return value * ctx.rep.identity if np.isscalar(value) else np.array(value, dtype=complex)
+    (value,) = program.run([leaves], leaves)
+    if isinstance(value, list):   # a scalar, at the one point
+        return value[0] * ctx.rep.identity
+    return np.array(value, dtype=complex)   # a copy: it may be one of the rep's own images
 
 
 def evaluate_text(text: str, ctx: EvalContext) -> np.ndarray:
@@ -619,7 +611,9 @@ class CorpusEntry:
     residuals (``tree`` the first; ``text`` as written, ``reference`` set to
     zero) vanish on the validity window of ``raise_degree`` and are normed
     over max(1, the norm of its scale); ``program`` computes them and the
-    scale.  ``notes`` names the corpus scalars the program reads."""
+    scale, and :meth:`run` runs it at a list of grid points, one point
+    alone as a list of one.  ``notes`` names the corpus scalars the program
+    reads."""
     family: str
     ident: str
     raise_degree: int
@@ -630,20 +624,13 @@ class CorpusEntry:
     reference: str
     notes: tuple = ()
 
-    def run(self, leaves: dict, anti: bool = False) -> tuple:
-        """(residual, scale) on ``leaves``: the residual one operator, or a
-        tuple of operators and scalar residuals' moduli; the scale an
-        operator, or a number's modulus."""
-        *parts, scale = [abs(x) if isinstance(x, (int, float, complex)) else x
-                         for x in self.program.run(leaves, anti)]
-        return parts[0] if len(parts) == 1 else tuple(parts), scale
-
-    def run_points(self, scalars: list, ops: dict, anti: bool = False) -> tuple:
-        """:meth:`run` at several grid points at once
-        (:meth:`Program.run_points`): operators are direct sums over the
-        points, and a scalar output is the list of its points' moduli."""
+    def run(self, scalars: list, ops: dict, anti: bool = False) -> tuple:
+        """(residual, scale) at the points of :meth:`Program.run`: the
+        residual one operator, or a tuple of operators and of scalar
+        residuals, each the list of its points' moduli; the scale an
+        operator, or such a list."""
         *parts, scale = [[abs(v) for v in x] if isinstance(x, list) else x
-                         for x in self.program.run_points(scalars, ops, anti)]
+                         for x in self.program.run(scalars, ops, anti)]
         return parts[0] if len(parts) == 1 else tuple(parts), scale
 
 
@@ -698,7 +685,7 @@ class Identities:
         leaves = dict(params)
         for name, (fam, tree) in self.scalars.items():
             if fam == family:
-                (leaves[name],) = self.compile(tree, family=family).run(leaves)
+                ((leaves[name],),) = self.compile(tree, family=family).run([leaves], {})
         return {name: leaves[name] for name, (fam, _) in self.scalars.items() if fam == family}
 
 

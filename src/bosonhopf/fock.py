@@ -242,7 +242,7 @@ def relation_residuals(specs: list, gens: dict, anti: bool = False) -> list:
     out = []
     for entry in load_corpus():
         if entry.family == specs[0].family and entry.program.names <= names:
-            residual, scale = entry.run_points(scalars, gens, anti)
+            residual, scale = entry.run(scalars, gens, anti)
             out.append((f"{entry.family}.{entry.ident}", entry.reference, residual,
                         entry.raise_degree,
                         scale if isinstance(scale, list) else scale.summand_norms()))

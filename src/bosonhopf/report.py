@@ -9,7 +9,6 @@ per point, each normed on its own point's window (:func:`windowed_values`).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -121,10 +120,10 @@ def windowed_values(count: int, dim: int, residual, degree: int = 0, scale=1.0) 
 
 
 class WindowedLine(NamedTuple):
-    """A line run at several points at once, as its values
-    (:func:`windowed_values`): ``line(p)`` builds point p's row by ``row``
-    (windowed_row) only when asked for, so a batch holds no report of a
-    point not yet reached.  ``notes`` gives each point's branch_note."""
+    """A line run at one or several points at once, as its values
+    (:func:`windowed_values`): ``line(p)`` builds point p's row by
+    :func:`windowed_row` only when asked for, so a batch holds no report of
+    a point not yet reached.  ``notes`` gives each point's branch_note."""
 
     specs: list
     dim: int
@@ -134,12 +133,11 @@ class WindowedLine(NamedTuple):
     tol: float
     degree: int = 0
     notes: list | None = None
-    row: Callable = windowed_row
 
     def __call__(self, p: int) -> list:
         extra = {} if self.notes is None else {"branch_note": self.notes[p]}
-        return [self.row(self.specs[p], self.dim, self.identity, self.reference,
-                         self.values[p], self.tol, self.degree, **extra)]
+        return [windowed_row(self.specs[p], self.dim, self.identity, self.reference,
+                             self.values[p], self.tol, self.degree, **extra)]
 
 
 class PointCalls:

@@ -17,8 +17,9 @@ The lines of one suite run for several grid points of one family and dim
 at once (the ``*_batch`` functions): the one-site images are the direct
 sums of the points' images, so each line and map runs once for all the
 points, and each point reads its own parameters and scalars and gets its
-own row.  A line that reads a two-site value (``Delta(L+)``) runs point by
-point instead, when its point's rows are taken (:func:`report.rows_at`).
+own row.  A line that reads a two-site value (``Delta(L+)``) runs at each
+point as a batch of one instead, when its point's rows are taken
+(:func:`report.rows_at`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import functools
 from .expr import identities
 from .fock import DEFAULT_TOL, FockRep, direct_sum_images
 from .hopf import HopfTables
-from .report import PointCalls, WindowedLine, rows_at, windowed_row, windowed_values
+from .report import PointCalls, WindowedLine, rows_at, windowed_values
 from .spec import AlgebraSpec, SpecError
 from .tensor import SectorOperator, level_sectors
 
@@ -66,45 +67,39 @@ def _leaves(rep: FockRep, tables: HopfTables | None = None,
     return scalars, ops
 
 
-def build_realization(rep: FockRep, target: str, partner: AlgebraSpec | None = None,
-                      leaves: tuple | None = None) -> dict:
+def build_realization(rep: FockRep, target: str, partner: AlgebraSpec | None = None) -> dict:
     """The images of ``target``'s generators under the corpus map
     ``target <- rep's family``, as sector operators; ``partner`` gives the
     target's parameters where it is a lab family (phi and phi')."""
     corpus, family = identities(), rep.spec.family
     if (target, family) not in corpus.bindings:
         raise SpecError(f"the corpus has no map {target} <- {family}")
-    scalars, ops = leaves or _leaves(rep, partner=partner)
+    scalars, ops = _leaves(rep, partner=partner)
     return dict(zip(corpus.bindings[target, family],
-                    corpus.images(target, family).run({**scalars, **ops})))
+                    corpus.images(target, family).run([scalars], ops)))
 
 
-def _point_row(rep: FockRep, ident: str, reference: str, entry, tol: float,
-               tables: HopfTables | None, partner: AlgebraSpec | None) -> list:
-    """The row of a compiled corpus line at one point, on all its leaves
-    (:func:`_leaves`), none when it reads a leaf they lack."""
+def _two_site_rows(rep: FockRep, ident: str, reference: str, entry, tol: float,
+                   tables: HopfTables | None, partner: AlgebraSpec | None) -> list:
+    """The rows of a corpus line at one point, run as a batch of one on all
+    its leaves (:func:`_leaves`), two-site images included."""
     scalars, ops = _leaves(rep, tables, partner)
-    leaves = {**scalars, **ops}
-    if not entry.program.names <= leaves.keys():
-        return []
-    residual, scale = entry.run(leaves)
-    notes = {name: complex(leaves[name]).real for name in entry.notes}
-    return [windowed_row(rep.spec, rep.dim, ident, reference, residual, tol,
-                         entry.raise_degree, scale, branch_note=notes)]
+    return rows_at(_lines([rep.spec], rep.dim, ident, reference, entry, [scalars], ops, tol), 0)
 
 
 def _lines(specs: list, dim: int, ident: str, reference: str, entry, scalars: list,
            ops: dict, tol: float) -> list:
-    """A one-site corpus line's row at each point, run once on the direct
-    sums ``ops``; none when it reads a leaf they lack."""
+    """A corpus line's row at each point, run once on ``ops``, the direct
+    sums of the points' one-site leaves or one point's leaves; none when
+    it reads a leaf they lack."""
     if not entry.program.names <= scalars[0].keys() | ops.keys():
         return []
-    residual, scale = entry.run_points(scalars, ops)
+    residual, scale = entry.run(scalars, ops)
     return [WindowedLine(specs, dim, ident, reference,
                          windowed_values(len(specs), dim, residual, entry.raise_degree, scale),
                          tol, entry.raise_degree,
                          [{name: complex(leaves[name]).real for name in entry.notes}
-                          for leaves in scalars], windowed_row)]
+                          for leaves in scalars])]
 
 
 def _rows_batch(reps: list, prefix: str, tol: float, tables: list | None = None,
@@ -124,14 +119,15 @@ def _rows_batch(reps: list, prefix: str, tol: float, tables: list | None = None,
         if st.family != family or not st.ident.startswith(prefix):
             continue
         if st.kind == "row" and corpus.entry(st).program.two_site:
-            lines.append(PointCalls([functools.partial(_point_row, rep, st.ident, st.reference,
-                                                       corpus.entry(st), tol, table, partner)
+            lines.append(PointCalls([functools.partial(_two_site_rows, rep, st.ident,
+                                                       st.reference, corpus.entry(st), tol,
+                                                       table, partner)
                                      for rep, table, partner in zip(reps, tables, partners)]))
         elif st.kind == "row":
             lines += _lines(specs, dim, st.ident, st.reference, corpus.entry(st), scalars, ops, tol)
         elif st.kind == "map":
             images = dict(zip(corpus.bindings[st.target, family],
-                              corpus.images(st.target, family).run_points(scalars, ops)),
+                              corpus.images(st.target, family).run(scalars, ops)),
                           I=ops["I"])
             for entry in corpus.relations(st.target):
                 lines += _lines(specs, dim, f"{st.ident}.{st.target}.{entry.ident}",

@@ -9,16 +9,18 @@ import pytest
 from bosonhopf import cli, hopf
 from bosonhopf.cli import Scenario, grid_expand
 
-# Each family's scenario.  B: beta/alpha is an integer at some points only,
-# so the points differ in lam4 and the parity-head rmatrix suite skips some
-# of them.  Bq and Bbarq: q on both sides of q_bracket's switch between its
-# sinh form (|log q| < 0.1: q = 0.95, 1.05) and its difference form.  Bbar:
-# sigma = 0 points are skipped by the grid, between points that run.
+# Each family's scenario; together they run every suite.  B: beta/alpha is
+# an integer at some points only, so the points differ in lam4 and the
+# parity-head rmatrix and ybe suites skip some of them.  Bq and Bbarq: q on
+# both sides of q_bracket's switch between its sinh form (|log q| < 0.1:
+# q = 0.95, 1.05) and its difference form.  Bbar: sigma = 0 points are
+# skipped by the grid, between points that run.
 SCENARIOS = [
     Scenario("graded", "B", {"alpha": [2.0, 4.0], "beta": [1.0, 2.0, 4.0]}, dim=8,
-             suites=("relations", "delta-hom", "casimir", "structure", "iso", "rmatrix")),
+             suites=("relations", "delta-hom", "casimir", "structure", "iso", "rmatrix",
+                     "hopf", "ybe")),
     Scenario("graded-deformed", "Bq", {"alpha": [2.0], "beta": [2.0, 4.0], "q": [0.95, 1.3]},
-             dim=8, suites=("relations", "delta-hom", "structure", "hopf")),
+             dim=8, suites=("relations", "delta-hom", "structure", "hopf", "rmatrix", "ybe")),
     Scenario("ungraded", "Bbar", {"sigma": [0.0, 1.0, 2.0], "tau": [0.0, 1.0]}, dim=8,
              suites=("relations", "delta-hom", "structure", "rmatrix")),
     Scenario("ungraded-deformed", "Bbarq",
@@ -27,6 +29,10 @@ SCENARIOS = [
     Scenario("reflection", "H", {"delta": [0.5, 1.0], "nu": [0.5, 2.0], "rho": [0.0, 0.25]},
              dim=8, suites=("relations", "delta-hom", "structure", "iso")),
 ]
+
+
+def test_the_scenarios_run_every_suite():
+    assert {suite for scenario in SCENARIOS for suite in scenario.suites} == set(cli.SUITES)
 
 
 def _rows(records):
@@ -73,6 +79,35 @@ def test_a_batch_holds_more_than_one_point():
     # the relations and the antipode rows on the direct sum of the four
     # live points, then each point's Delta rows on its own two-site space
     assert seen == [(4, 4, 1, 4 * 8)] * 2 + [(1, 1, 2, 2 * 8 - 1)] * 4
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS[:2], ids=lambda sc: sc.family)
+def test_a_job_never_holds_two_points_delta_images(scenario, monkeypatch):
+    """Every suite that reads the two-site Delta images runs them at its
+    point's turn, and the point's tables release them once its suites are
+    done: at most one point of a multi-point job holds its images at once."""
+    holding, most = [], [0]
+    delta_image, release = hopf.HopfTables.delta_image, hopf.HopfTables.release
+
+    def spy_image(self, *args, **kwargs):
+        if not any(t is self for t in holding):
+            holding.append(self)
+            most[0] = max(most[0], len(holding))
+        return delta_image(self, *args, **kwargs)
+
+    def spy_release(self):
+        holding[:] = [t for t in holding if t is not self]
+        release(self)
+
+    monkeypatch.setattr(hopf.HopfTables, "delta_image", spy_image)
+    monkeypatch.setattr(hopf.HopfTables, "release", spy_release)
+    scenario = Scenario(scenario.name, scenario.family, scenario.param_grid, scenario.dim,
+                        suites=("hopf", "delta-hom", "rmatrix", "ybe", "structure"))
+    entries = grid_expand(scenario)
+    assert len(entries) > 1
+    rows = _rows(cli._run_job((scenario, entries)))
+    assert all(row["passed"] or row["skipped"] for row in rows)
+    assert most == [1]
 
 
 def _failing_at(monkeypatch, cls, name, bad):

@@ -129,7 +129,7 @@ def test_grid_expand_tags_proviso_violations():
 def test_run_suite_unknown_raises():
     scen = Scenario(name="g", family="B", param_grid={})
     with pytest.raises(ConfigError):
-        run_suite(scen, cli.Point(AlgebraSpec("B", (2, 1)), 8), "bogus")
+        run_suite(scen, [cli.Point(AlgebraSpec("B", (2, 1)), 8)], "bogus")
 
 
 # -- end-to-end runs ----------------------------------------------------------
@@ -370,7 +370,7 @@ def test_a_row_the_encoder_cannot_write_becomes_its_jobs_error_row(tmp_path, mon
         return [check_report(point.spec, point.dim, "relations.noted", "a noted row", 0.0,
                              tol, branch_note={"note": note})]
 
-    monkeypatch.setitem(cli.SUITES["relations"].runners, "B", runner)
+    monkeypatch.setitem(cli.SUITES["relations"].runners, "B", cli._per_point(runner))
     path, out = tmp_path / "notes.ini", tmp_path / "notes.json"
     path.write_text(UNENCODABLE_CONFIG)
     assert _run(path, out) == 1

@@ -143,7 +143,7 @@ def test_tensor_refuses_sector_operator_leaves():
               for name, x in rep_generator_images(rep).items()}
     program = ex.compile_trees(ex.parse("tensor(a, ad)"))
     with pytest.raises(ex.EvalError, match="dense images of eval only"):
-        program.run(leaves)
+        program.run([{}], leaves)
 
 
 def test_additive_homomorphism_is_exact():

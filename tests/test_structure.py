@@ -22,7 +22,7 @@ def _corpus_value(rep, text, partner=None):
     """A corpus expression on rep, with the corpus's definitions and maps, as a dense matrix."""
     scalars, ops = structure._leaves(rep, partner=partner)
     (value,) = ex.identities().compile(ex.parse(text, None), family=rep.spec.family).run(
-        {**scalars, **ops})
+        [scalars], ops)
     return value.to_dense() if hasattr(value, "to_dense") else value
 
 
@@ -37,7 +37,7 @@ def test_lambda_constraints():
     corpus = ex.identities()
 
     def scalar(name, **leaves):
-        (value,) = corpus.compile(corpus.scalars[name][1], family="B").run(leaves)
+        ((value,),) = corpus.compile(corpus.scalars[name][1], family="B").run([leaves], {})
         return value
 
     assert scalar("lam2", alpha=2.0, beta=1.0, lam1=1.0) == pytest.approx(-1.0)
@@ -136,9 +136,10 @@ def test_com_check_grid():
 def test_com_check_builds_only_its_own_row(monkeypatch):
     """The reflection family's structure suite builds each of its rows once:
     the com row shares the rebuilt M with the m-element rows, not their rows."""
+    from bosonhopf import report
     built = []
-    row = structure.windowed_row
-    monkeypatch.setattr(structure, "windowed_row",
+    row = report.windowed_row
+    monkeypatch.setattr(report, "windowed_row",
                         lambda spec, dim, ident, *args, **kw:
                         built.append(ident) or row(spec, dim, ident, *args, **kw))
     run_structure_checks(_rep("H", (1.0, 0.5, 0.0)))
