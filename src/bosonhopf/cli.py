@@ -354,6 +354,9 @@ def parse_config(path: str) -> ScenarioConfig:
     out = ""
     for section in cp.sections():
         if section == "run":
+            unknown = sorted(set(cp["run"]) - {"out"})
+            if unknown:
+                raise ConfigError(f"[run] has unknown key {unknown[0]!r}")
             out = cp.get("run", "out", fallback="")
             continue
         if not section.startswith("scenario"):

@@ -595,8 +595,8 @@ def evaluate(e: Expr, ctx: EvalContext) -> np.ndarray:
                         f"parameter {', '.join(missing)}")
     (value,) = program.run([leaves], leaves)
     if isinstance(value, list):   # a scalar, at the one point
-        return value[0] * ctx.rep.identity
-    return np.array(value, dtype=complex)   # a copy: it may be one of the rep's own images
+        return value[0] * leaves["I"]
+    return np.asarray(value, dtype=complex)
 
 
 def evaluate_text(text: str, ctx: EvalContext) -> np.ndarray:

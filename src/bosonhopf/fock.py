@@ -12,13 +12,16 @@ validity windows, subspaces low enough that no monomial of the identity
 reaches the cutoff: an identity whose monomials hold at most k raising
 generators is exact on the levels up to D - 1 - k, the window's top level.
 
-Every generator image shifts the level by one fixed amount, so the relation
-residuals are formed and normed on level-sector operators
-(:class:`tensor.SectorOperator`), on one site or on the tensor power the
-images act on.  The one-site relation rows of several grid points of one
-family and level count run at once (:func:`check_defining_relations_batch`):
-each image is the direct sum of the points' images, so one program run
-serves every point, each point keeping its own parameters and its own row.
+Every generator image shifts the level by one fixed amount, and is built
+as the one-site level-sector operator (:class:`tensor.SectorOperator`) of
+its weight or diagonal vector, the only form the lab holds it in: the
+relation residuals are formed and normed on sector operators, on one site
+or on the tensor power the images act on.  ``eval`` alone reads the images
+as dense matrices (:func:`rep_generator_images`).  The one-site relation
+rows of several grid points of one family and level count run at once
+(:func:`check_defining_relations_batch`): each image is the direct sum of
+the points' images, so one program run serves every point, each point
+keeping its own parameters and its own row.
 
 Which points exist is stated once, by :class:`spec.AlgebraSpec`; every
 rep is built in the normalized basis, whose ladder entries are the square
@@ -35,7 +38,7 @@ import numpy as np
 from .report import WindowedLine, rows_at, windowed_values
 from .scalars import phase_pow, q_bracket
 from .spec import AlgebraSpec, SpecError
-from .tensor import LevelSectors, SectorOperator, level_sectors
+from .tensor import SectorOperator, level_sectors
 # bound here only so that the benchmark's trace target fock.windowed_norm
 # resolves; nothing in the package calls it
 from .tensor import windowed_norm  # noqa: F401
@@ -85,33 +88,34 @@ def weight(spec: AlgebraSpec, n: int) -> float:
 
 @dataclass(frozen=True)
 class FockRep:
-    """Matrix images of one algebra instance on D truncated levels."""
+    """The images of one algebra instance on D truncated levels, as one-site
+    sector operators."""
 
     spec: AlgebraSpec
     dim: int
-    lowering: np.ndarray = field(repr=False)
-    raising: np.ndarray = field(repr=False)
-    number: np.ndarray = field(repr=False)          # number-like generator (N, or M for H)
-    grade_plus: np.ndarray | None = field(repr=False, default=None)
-    grade_minus: np.ndarray | None = field(repr=False, default=None)
-    k_op: np.ndarray | None = field(repr=False, default=None)  # H family only
+    lowering: SectorOperator = field(repr=False)
+    raising: SectorOperator = field(repr=False)
+    number: SectorOperator = field(repr=False)      # number-like generator (N, or M for H)
+    grade_plus: SectorOperator | None = field(repr=False, default=None)
+    grade_minus: SectorOperator | None = field(repr=False, default=None)
+    k_op: SectorOperator | None = field(repr=False, default=None)  # H family only
 
-    @property
-    def identity(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex)
+    @cached_property
+    def identity(self) -> SectorOperator:
+        return SectorOperator.identity(level_sectors(self.dim, 1), complex)
 
     @property
     def levels(self) -> np.ndarray:
         return np.arange(self.dim, dtype=float)
 
-    def require_grade(self) -> np.ndarray:
+    def require_grade(self) -> SectorOperator:
         if self.grade_plus is None:
             raise RepresentationError(
                 f"{self.spec.describe()} has no grade element (undefined exponent shift)"
             )
         return self.grade_plus
 
-    def generator(self, name: str) -> np.ndarray:
+    def generator(self, name: str) -> SectorOperator:
         """Look up a generator image by its ASCII name."""
         fam = self.spec.family
         if fam == "H":
@@ -128,12 +132,11 @@ class FockRep:
             raise RepresentationError(f"generator {name!r} unavailable for {self.spec.describe()}")
         return mat
 
-    @cached_property
-    def sector_images(self) -> dict:
-        """The generator images and I as one-site sector operators, built once."""
-        sectors = level_sectors(self.dim, 1)
-        return {name: SectorOperator.from_dense(x, sectors)
-                for name, x in rep_generator_images(self).items()}
+    def images(self) -> dict:
+        """The generator images and I, by name."""
+        gens = {name: self.generator(name) for name in self.generator_names()}
+        gens["I"] = self.identity
+        return gens
 
     def generator_names(self) -> tuple:
         if self.spec.family == "H":
@@ -146,41 +149,40 @@ class FockRep:
 
 
 def build_rep(spec: AlgebraSpec, dim: int = DEFAULT_DIM) -> FockRep:
-    """Assemble the truncated matrices for one algebra instance.
+    """Assemble the truncated images for one algebra instance, each the
+    one-site sector operator of its vector (:meth:`SectorOperator.one_site`).
 
-    The basis is the normalized one, the only one built: lowering has the
-    entries sqrt(w(n)) and raising is its conjugate transpose.  Which points
+    The basis is the normalized one, the only one built: lowering maps |n>
+    to sqrt(w(n))|n-1> and raising is its conjugate transpose.  Which points
     exist and which a run skips is stated in :mod:`spec`; a negative
     weight, which no admissible spec has, is refused.
     """
     if dim < 2:
         raise RepresentationError(f"need dim >= 2, got {dim}")
-    lowering = np.zeros((dim, dim), dtype=complex)
-    raising = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        w = weight(spec, n)
+    weights = [weight(spec, n) for n in range(1, dim)]
+    for n, w in enumerate(weights, 1):
         if w < 0:
             raise RepresentationError(
                 f"no normalized basis for {spec.describe()}: weight({n}) = {w:g} < 0")
-        lowering[n - 1, n] = raising[n, n - 1] = np.sqrt(w)
+    ladder = np.sqrt(weights).astype(complex)
     levels = np.arange(dim, dtype=float)
-    number = np.diag((levels + spec.number_shift).astype(complex))
+    number = SectorOperator.one_site((levels + spec.number_shift).astype(complex), 0)
 
     shift = spec.grade_shift
     grade_plus = grade_minus = None
     if shift is not None:
         phases = np.array([phase_pow(n + shift) for n in levels])
-        grade_plus = np.diag(phases)
-        grade_minus = np.diag(1.0 / phases)
+        grade_plus = SectorOperator.one_site(phases, 0)
+        grade_minus = SectorOperator.one_site(1.0 / phases, 0)
 
     k_op = None
     if spec.family == "H":
         k_diag = (spec.nu - spec.delta + 1.0) / spec.nu * (-1.0) ** np.arange(dim)
-        k_op = np.diag(k_diag.astype(complex))
+        k_op = SectorOperator.one_site(k_diag.astype(complex), 0)
 
-    return FockRep(spec=spec, dim=dim, lowering=lowering, raising=raising,
-                   number=number, grade_plus=grade_plus, grade_minus=grade_minus,
-                   k_op=k_op)
+    return FockRep(spec=spec, dim=dim, lowering=SectorOperator.one_site(ladder, -1),
+                   raising=SectorOperator.one_site(ladder, 1), number=number,
+                   grade_plus=grade_plus, grade_minus=grade_minus, k_op=k_op)
 
 
 def diag_function(values_fn, diag_source: np.ndarray) -> np.ndarray:
@@ -195,14 +197,6 @@ def diag_function(values_fn, diag_source: np.ndarray) -> np.ndarray:
     if np.abs(off).max() > 1e-12 * max(1.0, np.abs(diag).max()):
         raise ValueError("functional calculus requires a diagonal operator")
     return np.diag(np.array([values_fn(v) for v in diag], dtype=complex))
-
-
-def _sector_operator(x, sectors: LevelSectors) -> SectorOperator:
-    """x as a sector operator of ``sectors``; an image that mixes level shifts has none."""
-    op = x if isinstance(x, SectorOperator) else SectorOperator.from_dense(x, sectors)
-    if op is None:
-        raise RepresentationError("the operator shifts the total level by different amounts")
-    return op
 
 
 def direct_sum_images(images: list) -> dict:
@@ -261,9 +255,8 @@ def relation_lines(specs: list, dim: int, gens: dict, tol: float, kind: str = "r
 
 
 def rep_generator_images(rep: FockRep) -> dict:
-    gens = {name: rep.generator(name) for name in rep.generator_names()}
-    gens["I"] = rep.identity
-    return gens
+    """The generator images and I as dense matrices, the leaves of ``eval``."""
+    return {name: x.to_dense() for name, x in rep.images().items()}
 
 
 def check_defining_relations(rep: FockRep, tol: float = DEFAULT_TOL):
@@ -279,4 +272,4 @@ def check_defining_relations_batch(reps: list, tol: float = DEFAULT_TOL) -> list
     once, on the direct sums of their images: the lines of the batch
     (:func:`report.rows_at`)."""
     return relation_lines([rep.spec for rep in reps], reps[0].dim,
-                          direct_sum_images([rep.sector_images for rep in reps]), tol)
+                          direct_sum_images([rep.images() for rep in reps]), tol)

@@ -3,6 +3,9 @@
 Coproduct images are stored as explicit Sweedler sums: lists of terms, each
 a scalar coefficient times a tuple of slot words, where a word is a product
 of atoms (generator images, grade elements, diagonal group-like factors).
+Each atom's algebra, S and S^-1 images are one-site level-sector operators
+(:class:`tensor.SectorOperator`), formed once from the rep's images, and a
+word's image is their product.
 The term form is the source of truth: the counit and antipode contractions
 m(S x id)Delta(g) cannot be computed from a bare tensor matrix.  Multi-site
 images, R's Delta slots among them, are gathered from the terms as sector
@@ -14,7 +17,8 @@ forms differ are both sides gathered on the validity window's column
 sectors and normed.  The antipode's relation rows, on one site, run for
 several grid points at once on the direct sums of their antipode images
 (:func:`check_delta_homomorphism_batch`); the coproduct's, on two sites,
-run point by point.  The dense delta_matrix is a test oracle.
+run point by point.  The dense Term.matrix, terms_matrix and delta_matrix
+are oracles for the tests and the benchmark's trace, which no check calls.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockRep, _sector_operator, direct_sum_images, relation_lines
+from .fock import FockRep, direct_sum_images, relation_lines
 from .report import PointCalls, rows_at, windowed_row
 from .spec import SpecError
 from .tensor import SectorOperator, kron_all, level_sectors
@@ -42,15 +46,15 @@ class Atom:
     """
 
     name: str
-    matrix: np.ndarray = field(repr=False)
+    matrix: SectorOperator = field(repr=False)
     eps: complex = 1.0
-    s: np.ndarray | None = field(repr=False, default=None)
-    s_inv: np.ndarray | None = field(repr=False, default=None)
+    s: SectorOperator | None = field(repr=False, default=None)
+    s_inv: SectorOperator | None = field(repr=False, default=None)
     delta: list | None = field(repr=False, default=None)
     inverse: str | None = None
 
 
-def grouplike(name: str, matrix: np.ndarray, inverse: np.ndarray,
+def grouplike(name: str, matrix: SectorOperator, inverse: SectorOperator,
               inverse_name: str) -> Atom:
     """Group-like atom: Delta(u) = u x u, eps(u) = 1, S(u) = u^-1, where
     ``inverse`` is the image of u^-1 and ``inverse_name`` its atom."""
@@ -73,12 +77,12 @@ class Term:
 
     def matrix(self, dim: int) -> np.ndarray:
         """The dense Kronecker product of the slot words, times the coefficient."""
-        # not in place: a one-slot product is its word's image, which may be an atom's own
-        return kron_all(*(word_image(w, dim) for w in self.words)) * self.coeff
+        return kron_all(*(word_image(w, dim).to_dense() for w in self.words)) * self.coeff
 
 
 def word_image(word: tuple, dim: int, image: str = "matrix"):
-    """Image of a product of atoms under one slot map, named by its Atom field.
+    """Image of a product of atoms under one slot map, named by its Atom
+    field, as a one-site sector operator.
 
     ``"matrix"`` is the algebra image and ``"eps"`` the scalar counit; the
     anti-homomorphisms ``"s"`` and ``"s_inv"`` reverse the factors,
@@ -96,7 +100,7 @@ def word_image(word: tuple, dim: int, image: str = "matrix"):
         if img is None:
             raise ValueError(f"atom {atom.name!r} has no {image} image")
         out = img if out is None else out @ img
-    return np.eye(dim, dtype=complex) if out is None else out
+    return SectorOperator.identity(level_sectors(dim, 1), complex) if out is None else out
 
 
 def delta_of_word(word: tuple) -> list:
@@ -170,9 +174,7 @@ def terms_operator(terms: list, dim: int, top: int | None = None):
     sectors = level_sectors(dim, terms[0].slots)
     total = None
     for t in terms:
-        op = SectorOperator.gather([(word_image(w, dim), (site,))
-                                    for site, w in enumerate(t.words)],
-                                   sectors, top) * t.coeff
+        op = SectorOperator.gather([word_image(w, dim) for w in t.words], sectors, top) * t.coeff
         total = op if total is None else total + op
     return total
 
@@ -196,10 +198,10 @@ class HopfTables:
 
     # -- construction --------------------------------------------------------
     def _build_atoms(self):
+        """Each atom's images as products of the rep's one-site sector operators."""
         rep, spec = self.rep, self.spec
         fam = spec.family
-        dim = rep.dim
-        eye = rep.identity
+        unit = rep.identity
         levels = rep.levels
 
         if fam == "H":
@@ -207,7 +209,7 @@ class HopfTables:
             gi = grouplike("ginv", rep.grade_minus, rep.grade_plus, "g")
             d, nu, rho = spec.delta, spec.nu, spec.rho
             m = Atom("M", rep.number, eps=rho - 0.5,
-                     s=-rep.number + (2 * rho - 1) * eye)
+                     s=-rep.number + (2 * rho - 1) * unit)
             m.s_inv = m.s
             m.delta = [Term(1.0, ((m,), ())), Term(1.0, ((), (m,))),
                        Term(0.5 - rho, ((), ()))]
@@ -233,7 +235,7 @@ class HopfTables:
         shift = c2 / c1
 
         n_atom = Atom("N", rep.number, eps=-shift,
-                      s=-rep.number - 2 * shift * eye)
+                      s=-rep.number - 2 * shift * unit)
         n_atom.s_inv = n_atom.s
         n_atom.delta = [Term(1.0, ((n_atom,), ())), Term(1.0, ((), (n_atom,))),
                         Term(shift, ((), ()))]
@@ -266,8 +268,9 @@ class HopfTables:
             return
 
         q = spec.q
-        half = np.diag(np.power(q, (c1 * levels + c2) / 2.0).astype(complex))
-        half_inv = np.diag(np.power(q, -(c1 * levels + c2) / 2.0).astype(complex))
+        exponent = (c1 * levels + c2) / 2.0
+        half = SectorOperator.one_site(np.power(q, exponent).astype(complex), 0)
+        half_inv = SectorOperator.one_site(np.power(q, -exponent).astype(complex), 0)
         qp = grouplike("qhalf", half, half_inv, "qhalfinv")   # q^{(c1 N + c2)/2}
         qm = grouplike("qhalfinv", half_inv, half, "qhalf")
         self.atoms["qhalf"] = qp
@@ -327,20 +330,14 @@ class HopfTables:
 
     def delta_image(self, name: str, transpose: bool = False) -> SectorOperator:
         """Delta(name), or Delta^T, as a two-site sector operator gathered
-        from its Sweedler terms (:func:`terms_operator`) once per tables and
-        terms: a changed coefficient, or another atom in a word, gathers it
-        anew.  Its blocks are read-only, since every row of the point shares
-        it."""
-        terms = self.delta_terms(name, transpose)
-        # atoms by identity; the held terms keep them, and so their ids, alive
-        signature = [(t.coeff, [[id(atom) for atom in word] for word in t.words])
-                     for t in terms]
-        held = self._delta_images.get((name, transpose))
-        if held is None or held[0] != signature:
-            image = terms_operator(terms, self.rep.dim)
+        from its Sweedler terms (:func:`terms_operator`) once per tables.
+        Its blocks are read-only, since every row of the point shares it."""
+        image = self._delta_images.get((name, transpose))
+        if image is None:
+            image = terms_operator(self.delta_terms(name, transpose), self.rep.dim)
             image.blocks.flags.writeable = False
-            held = self._delta_images[name, transpose] = (signature, image, terms)
-        return held[1]
+            self._delta_images[name, transpose] = image
+        return image
 
     def delta_matrix(self, name: str) -> np.ndarray:
         return terms_matrix(self.delta_terms(name), self.rep.dim)
@@ -348,16 +345,14 @@ class HopfTables:
     def counit(self, name: str) -> complex:
         return self.atom(name).eps
 
-    def antipode(self, name: str) -> np.ndarray:
+    def antipode(self, name: str) -> SectorOperator:
         return self.atom(name).s
 
     def antipode_images(self) -> dict:
-        """S(x) of each generator x, and I, as one-site sector operators; an
-        image that mixes level shifts is refused."""
-        sectors = level_sectors(self.rep.dim, 1)
+        """S(x) of each generator x, and I, as one-site sector operators."""
         images = {name: self.antipode(name) for name in self.generator_names()}
         images["I"] = self.rep.identity
-        return {name: _sector_operator(x, sectors) for name, x in images.items()}
+        return images
 
     # -- axiom checks --------------------------------------------------------
     def check_coassociativity(self, tol: float = DEFAULT_TOL) -> list:
@@ -397,12 +392,12 @@ class HopfTables:
         antipode of the opposite Hopf algebra, whose coproduct is Delta^T.
         """
         dim = self.rep.dim
-        total = 0
+        total = None
         for t in self.delta_terms(name, transpose):
             w1, w2 = t.words
             left, right = t.coeff * word_image(w1, dim, x), word_image(w2, dim, y)
-            total = total + (left @ right if np.ndim(left) and np.ndim(right)
-                             else left * right)
+            term = left * right if np.isscalar(left) or np.isscalar(right) else left @ right
+            total = term if total is None else total + term
         return total
 
     def _contraction_rows(self, check: str, ref: str, image: str, target,

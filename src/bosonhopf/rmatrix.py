@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockRep, RepresentationError, _sector_operator
+from .fock import FockRep, RepresentationError
 from .hopf import HopfTables
 from .report import CheckReport, check_report, windowed_row
 from .scalars import bracket_factorial, phase_pow
@@ -178,16 +178,15 @@ def _diagonal(op: SectorOperator, what: str) -> np.ndarray:
     return diag
 
 
-def _slot(rep: FockRep, image: Callable, sites: int = 1) -> _Slot:
-    """Slot images under ``image`` (rep.generator, tables.antipode or Delta's
-    Sweedler sums, on ``sites`` sites) as sector operators of one shift each;
-    an image that mixes level shifts is refused.
+def _slot(rep: FockRep, image: Callable) -> _Slot:
+    """Slot images under ``image`` (rep.generator, tables.antipode, or
+    tables.delta_image on two sites), the sector operators those return.
 
     Nt maps to image(N) + shift under all three, since Delta(1) = 1 x 1 and
     S(1) = 1.
     """
     graded = rep.spec.family in ("B", "Bq")
-    images = {name: _sector_operator(image(name), level_sectors(rep.dim, sites))
+    images = {name: image(name)
               for name in (("N", "g", "ad", "a") if graded else ("N", "ad", "a"))}
     return _Slot(_diagonal(images["N"], "N").real + rep.spec.grade_shift,
                  _diagonal(images["g"], "g") if graded else None, images)
@@ -485,7 +484,7 @@ def check_r_axioms(r: RMatrix, tables: HopfTables,
     """
     rep = r.rep
     one = _slot(rep, rep.generator)
-    delta = _slot(rep, tables.delta_image, 2)
+    delta = _slot(rep, tables.delta_image)
     return [_fusion_row(r, (delta, one), ("13", "23"), "rmatrix.fusion-left",
                         "(Delta x id) R = R13 R23", tol),
             _fusion_row(r, (one, delta), ("13", "12"), "rmatrix.fusion-right",

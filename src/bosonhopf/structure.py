@@ -46,11 +46,11 @@ def _one_site_leaves(rep: FockRep, tables: HopfTables | None = None,
         if "lam4" in values and not spec.integer_grade_shift:
             values = {**values, "lam4": 0.0}   # S(g) = ginv: only g^2 = I keeps L+ S-fixed
         scalars.update(spec.param_dict, **values)
-    ops = dict(rep.sector_images)
+    ops = rep.images()
     if tables:
         ops["S(I)"], scalars["eps(I)"] = ops["I"], 1.0
         for x in tables.generator_names():
-            ops[f"S({x})"] = SectorOperator.from_dense(tables.antipode(x), ops["I"].sectors)
+            ops[f"S({x})"] = tables.antipode(x)
             scalars[f"eps({x})"] = tables.counit(x)
     return scalars, ops
 

@@ -11,32 +11,33 @@ exactly-zero residual reports 0.0 without an SVD.  Given the level-sector
 index of its space (:func:`level_sectors`), an operator whose nonzero
 entries all shift the total level by one amount is block diagonal up to a
 permutation: column sector L maps into row sector L + shift only.
-:class:`SectorOperator` keeps such an operator as those blocks, built from a
-dense matrix or gathered straight from the factors of a tensor product on
-any number of sites (one factor may act on a slot pair, as R13 does),
-optionally on the column sectors up to a window's top level only: each
-factor's entries for all blocks are one ``take`` of a flat index that the
-shift's plan keeps per slot tuple.  Products, sums, functional calculus on
-a diagonal and the norm then work on the blocks, between sector operators
-only.  The norm is the largest singular value over the blocks, found by
-factoring them one at a time in descending order of a certified bound
-until no bound left exceeds it (:class:`StreamedNorm`): the value one
+:class:`SectorOperator` keeps such an operator as those blocks.  A one-site
+operator is built from its vector of entries
+(:meth:`SectorOperator.one_site`); a tensor product of one-site operators on
+any number of sites is gathered straight from their blocks, optionally on
+the column sectors up to a window's top level only, each factor's entries
+read at the column site levels of the shift's plan and kept where the row
+site levels differ from them by its shift.  Products, sums, functional
+calculus on a diagonal and the norm then work on the blocks, between sector
+operators only.  The norm is the largest singular value over the blocks,
+found by factoring them one at a time in descending order of a certified
+bound until no bound left exceeds it (:class:`StreamedNorm`): the value one
 batched SVD of all the blocks gives, bit for bit, at the cost of one or a
 few small SVDs.  An operator built one column level at a time, never whole,
 is normed as its blocks come, by the same :class:`StreamedNorm`.  A series
-whose term t moves the level by t is read at any entries of a block from
-its stacked terms by one ``take`` (:class:`SectorStack`), as R's slot pairs
-are from R's blocks.  One-site operators of several grid points with one
-level count concatenate into their direct sum
-(:meth:`SectorOperator.direct_sum`): a one-site operator on all their
-levels, block diagonal, on which ``@``, ``+`` and ``-`` run unchanged.  A
-scalar multiplies it as one value per summand (an array), functional
-calculus maps each summand's diagonal with that summand's function, and
-each summand is normed on its own window
-(:meth:`SectorOperator.summand_norms`): every entry and norm is the one
-the summand gives alone, bit for bit.  A dense matrix that mixes level
-shifts (an ``eval`` expression such as ``a + ad``) has no blocks: its norm
-is the SVD of its nonzero rows and window columns.  The dense products
+whose term t moves the level by t is read at any entries of a block from its
+stacked terms by one ``take`` (:class:`SectorStack`), as R's slot pairs are
+from R's blocks.  One-site operators of several grid points with one level
+count concatenate into their direct sum (:meth:`SectorOperator.direct_sum`):
+a one-site operator on all their levels, block diagonal, on which ``@``,
+``+`` and ``-`` run unchanged.  A scalar multiplies it as one value per
+summand (an array), functional calculus maps each summand's diagonal with
+that summand's function, and each summand is normed on its own window
+(:meth:`SectorOperator.summand_norms`): every entry and norm is the one the
+summand gives alone, bit for bit.  Dense matrices serve ``eval`` and the
+tests only: :meth:`SectorOperator.from_dense` reads one into blocks, and one
+that mixes level shifts (an expression such as ``a + ad``) has none, so its
+norm is the SVD of its nonzero rows and window columns.  The dense products
 (kron_all, embed_two_site, swap_matrix, and kron, which the expression
 language also calls) and the dense window oracle (total_window_projector,
 windowed_norm) serve the tests and trace targets.
@@ -164,7 +165,7 @@ class _ShiftPlan:
     sides and ``pad`` the others; ``flat_rows``/``flat_cols`` are the dense
     positions of the ``ok`` entries, in the order ``blocks[ok]`` lists them.
     ``row_sites[s]``/``col_sites[s]`` are the block entries' row and column
-    indices on site ``s``.
+    levels on site ``s``.
     """
 
     rows: np.ndarray
@@ -175,7 +176,6 @@ class _ShiftPlan:
     flat_cols: np.ndarray
     row_sites: tuple
     col_sites: tuple
-    _flat: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(cls, sectors: LevelSectors, shift: int, levels: int) -> "_ShiftPlan":
@@ -198,23 +198,6 @@ class _ShiftPlan:
                    tuple(x[:, :, None] for x in np.unravel_index(rows, site_shape)),
                    tuple(x[:, None, :] for x in np.unravel_index(cols, site_shape)))
 
-    def flat_index(self, slots: tuple, dim: int) -> np.ndarray:
-        """The flat position, in a matrix on the sites ``slots`` of ``dim``
-        levels each, of every block entry's row and column indices on those
-        sites: ``matrix.take`` of it reads a factor's entries for all blocks
-        at once.  Built once per slot tuple and kept in the smallest integer
-        type that holds it: the plans live as long as their level-sector
-        index, and take reads such an index nearly as fast as a native one."""
-        index = self._flat.get(slots)
-        if index is None:
-            row = col = 0
-            for site in slots:
-                row = row * dim + self.row_sites[site]
-                col = col * dim + self.col_sites[site]
-            index = row * dim ** len(slots) + col
-            index = self._flat[slots] = index.astype(np.min_scalar_type(index.max(initial=0)))
-        return index
-
 
 @lru_cache(maxsize=32)
 def level_sectors(dim: int, sites: int) -> LevelSectors:
@@ -236,15 +219,13 @@ def level_sectors(dim: int, sites: int) -> LevelSectors:
     return LevelSectors(dim, sites, total, index, size, valid, position)
 
 
-def _level_shift(mat: np.ndarray, dim: int, sites: int):
-    """The level shift of every nonzero entry of a matrix on ``sites`` sites
-    (0 when it has none), or None when they differ: the offsets between the
-    total levels of each nonzero entry's row and column (on one site, the
-    row and column themselves)."""
+def _level_shift(mat: np.ndarray, sectors: LevelSectors):
+    """The level shift of every nonzero entry of a dense matrix of
+    ``sectors``' space (0 when it has none), or None when they differ: the
+    offsets between the total levels of each nonzero entry's row and column."""
     rows, cols = mat.nonzero()
-    if sites > 1:
-        level = level_sectors(dim, sites).level
-        rows, cols = level[rows], level[cols]
+    if sectors.sites > 1:
+        rows, cols = sectors.level[rows], sectors.level[cols]
     offsets = rows - cols
     shift = int(offsets[0]) if offsets.size else 0
     return shift if (offsets == shift).all() else None
@@ -284,16 +265,31 @@ class SectorOperator:
 
     @classmethod
     def from_dense(cls, mat: np.ndarray, sectors: LevelSectors, top: int | None = None):
-        """The sector operator of mat, or of its window of column sectors up
-        to ``top``: :meth:`gather` of mat as the one factor on every site,
-        or None when those columns' nonzero entries shift the total level by
-        more than one amount."""
+        """The sector operator of a dense matrix, or of its window of column
+        sectors up to ``top``, read at the shift plan's entries; None when
+        those columns' nonzero entries shift the total level by more than
+        one amount.  The lab builds every operator it checks as a sector
+        operator: this reads the dense input of ``eval`` and the tests."""
         if top is not None:
             mat = np.where(sectors.level <= top, mat, 0)
-        shift = _level_shift(mat, sectors.dim, sectors.sites)
+        shift = _level_shift(mat, sectors)
         if shift is None:
             return None
-        return cls._gathered([(mat, tuple(range(sectors.sites)))], sectors, shift, top)
+        plan = sectors.plan(shift, _window_levels(top))
+        blocks = np.zeros(plan.ok.shape, dtype=mat.dtype)
+        blocks[plan.ok] = mat[plan.flat_rows, plan.flat_cols]
+        return cls(sectors, shift, blocks)
+
+    @classmethod
+    def one_site(cls, values: np.ndarray, shift: int) -> "SectorOperator":
+        """The one-site operator that maps level n to level n + shift with
+        the entry ``values[k]`` at the k-th column n whose row is a level: a
+        diagonal at shift 0, a ladder image at shift -1 or +1.  It has
+        ``len(values) + |shift|`` levels."""
+        dim = len(values) + abs(shift)
+        blocks = np.zeros((dim, 1, 1), dtype=np.asarray(values).dtype)
+        blocks[max(0, -shift):dim - max(0, shift), 0, 0] = values
+        return cls(level_sectors(dim, 1), shift, blocks)
 
     @classmethod
     def direct_sum(cls, ops) -> "SectorOperator":
@@ -316,46 +312,43 @@ class SectorOperator:
 
     @classmethod
     def identity(cls, sectors: LevelSectors, dtype=float) -> "SectorOperator":
-        """The identity, gathered from the one-site identity on every site."""
-        eye = np.eye(sectors.dim, dtype=dtype)
-        return cls.gather([(eye, (site,)) for site in range(sectors.sites)], sectors)
+        """The identity: on one site its diagonal of ones, on more the
+        gather of that on every site."""
+        one = cls.one_site(np.ones(sectors.dim, dtype=dtype), 0)
+        return one if sectors.sites == 1 else cls.gather([one] * sectors.sites, sectors)
 
     @classmethod
     def gather(cls, factors, sectors: LevelSectors, top: int | None = None):
-        """The tensor product of ``factors`` on the sites of ``sectors``,
-        gathered straight from the factors' entries on the column sectors of
-        total level up to ``top`` (every level by default).
+        """The tensor product of the one-site operators ``factors``, factor
+        ``s`` on site ``s`` of ``sectors``, gathered straight from their
+        blocks on the column sectors of total level up to ``top`` (every
+        level by default).
 
-        ``factors`` lists ``(matrix, slots)`` pairs that cover each site
-        once: a one-site matrix on ``(s,)`` or a two-site one on a slot pair
-        ``(s, t)`` (R13 is R on ``(0, 2)`` beside the identity on ``(1,)``).
-        Each block entry is the product of the factors' entries at their
-        sites' row and column indices, in the order of ``factors``: the
-        product :func:`kron_all` forms, so scattered back it is bit-identical
-        to it.  Scale by a coefficient on the side the dense sum did: complex
-        products round through fused multiply-adds, so ``c * x`` and
-        ``x * c`` may differ in the last bit.  A factor whose entries mix
-        level shifts has no blocks and is refused.
+        Its shift is the sum of the factors' shifts.  Each block entry is
+        the product of the factors' entries at their sites' row and column
+        levels (the shift plan's ``row_sites`` and ``col_sites``), in the
+        order of ``factors``: a factor's entry is its block at the column
+        where the row is the column plus its shift, and 0 elsewhere, so the
+        product is read at the columns alone and then masked.  That
+        is the product :func:`kron_all` forms of the factors' dense
+        matrices, so scattered back it is bit-identical to it.  Scale by a
+        coefficient on the side the dense sum did: complex products round
+        through fused multiply-adds, so ``c * x`` and ``x * c`` may differ
+        in the last bit.
         """
-        shifts = [_level_shift(mat, sectors.dim, len(slots)) for mat, slots in factors]
-        if None in shifts:
-            raise ValueError("a gathered factor must shift the total level by one amount")
-        return cls._gathered(factors, sectors, sum(shifts), top)
-
-    @classmethod
-    def _gathered(cls, factors, sectors: LevelSectors, shift: int, top=None):
+        shift = sum(factor.shift for factor in factors)
         plan = sectors.plan(shift, _window_levels(top))
-        blocks = None
-        for mat, slots in factors:
-            entries = mat.take(plan.flat_index(slots, sectors.dim))
-            if blocks is None:
-                blocks = entries
-            elif np.result_type(blocks, entries) == blocks.dtype:
-                blocks *= entries   # the product blocks * entries, in the array take made
-            else:
-                blocks = blocks * entries
-        np.putmask(blocks, plan.pad, 0)
-        return cls(sectors, shift, blocks)
+        entries, keep = None, plan.ok
+        for site, factor in enumerate(factors):
+            # the entry where the row is the column plus the shift: a value
+            # of the column alone, masked below
+            values = factor.blocks[:, 0, 0].take(plan.col_sites[site])
+            entries = values if entries is None else entries * values
+            # the block's rows and columns differ by the total shift, so the
+            # last site's offset is its shift wherever every other site's is
+            if site < len(factors) - 1:
+                keep = keep & (plan.row_sites[site] - plan.col_sites[site] == factor.shift)
+        return cls(sectors, shift, np.where(keep, entries, 0))
 
     def to_dense(self) -> np.ndarray:
         plan = self._plan()
@@ -430,15 +423,17 @@ class SectorOperator:
             return NotImplemented
         return self._like(self.shift, scalar * self.blocks)
 
+    def __neg__(self):
+        return self._like(self.shift, -self.blocks)
+
     @staticmethod
     def pair(left, right) -> "SectorOperator":
         """left (x) right on the two-site space of one-site sector operators,
-        None standing for I, gathered from their dense matrices."""
-        ops = [x for x in (left, right) if x is not None]
-        eye = np.eye(ops[0].sectors.dim, dtype=complex)
-        factors = [(eye if x is None else x.to_dense(), (s,)) for s, x in enumerate((left, right))]
-        return SectorOperator._gathered(factors, level_sectors(ops[0].sectors.dim, 2),
-                                        sum(x.shift for x in ops))
+        None standing for I, gathered from their blocks."""
+        one = (left if left is not None else right).sectors
+        eye = SectorOperator.identity(one, complex)
+        return SectorOperator.gather([eye if x is None else x for x in (left, right)],
+                                     level_sectors(one.dim, 2))
 
     def diagonal_map(self, fn) -> "SectorOperator":
         """``fn`` applied at once to the array of diagonal entries of a

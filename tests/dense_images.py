@@ -7,12 +7,23 @@ image).  ``test_structure.py`` checks every map's images, and L, L+, C and
 the rebuilt number element, against these.
 """
 
+from types import SimpleNamespace
+
 from bosonhopf.scalars import q_bracket
+
+
+def _dense(rep):
+    """rep's images as dense matrices, under the names of its fields."""
+    names = ("lowering", "raising", "number", "identity", "grade_plus", "k_op")
+    return SimpleNamespace(spec=rep.spec, **{
+        name: None if getattr(rep, name) is None else getattr(rep, name).to_dense()
+        for name in names})
 
 
 def grade_odd(rep, lam1=1.0, lam4=0.0):
     """lam1 (ad a - (alpha/2) N + (alpha/4 - beta/2) I) + lam4 g on a graded rep."""
     alpha, beta = rep.spec.alpha, rep.spec.beta
+    rep = _dense(rep)
     mat = lam1 * (rep.raising @ rep.lowering - (alpha / 2.0) * rep.number
                   + (alpha / 4.0 - beta / 2.0) * rep.identity)
     return mat + lam4 * rep.grade_plus
@@ -20,12 +31,13 @@ def grade_odd(rep, lam1=1.0, lam4=0.0):
 
 def casimir_base(rep):
     """C = ad a - (alpha/2) N on a graded rep."""
+    rep = _dense(rep)
     return rep.raising @ rep.lowering - (rep.spec.alpha / 2.0) * rep.number
 
 
 def number_element(rep):
     """bd b / delta + nu K / (2 delta) + rho I on a reflection-family rep."""
-    spec = rep.spec
+    spec, rep = rep.spec, _dense(rep)
     return (rep.raising @ rep.lowering / spec.delta + spec.nu * rep.k_op / (2.0 * spec.delta)
             + spec.rho * rep.identity)
 
@@ -33,6 +45,7 @@ def number_element(rep):
 def realization(rep, target):
     """e, f, h of ``target`` in rep: e the raising image, f carries the
     product of the two normalization constants."""
+    rep = _dense(rep)
     spec, fam, eye = rep.spec, rep.spec.family, rep.identity
     ad, a = rep.raising, rep.lowering
     if fam in ("B", "Bq", "Bbar", "Bbarq"):
@@ -61,7 +74,7 @@ def realization(rep, target):
 def phi(b_spec, h_rep):
     """The graded family's a, ad and N inside a reflection-family rep."""
     alpha, beta = b_spec.alpha, b_spec.beta
-    h = h_rep.spec
+    h, h_rep = h_rep.spec, _dense(h_rep)
     n_img = ((2.0 / alpha) * h_rep.raising @ h_rep.lowering + (h.nu / alpha) * h_rep.k_op
              + ((h.delta - beta) / alpha) * h_rep.identity)
     return {"a": h_rep.lowering, "ad": h_rep.raising, "N": n_img}
@@ -70,7 +83,7 @@ def phi(b_spec, h_rep):
 def phi_prime(h_spec, b_rep):
     """The reflection family's b, bd, K and M inside a graded-family rep."""
     delta, nu, rho = h_spec.delta, h_spec.nu, h_spec.rho
-    b = b_rep.spec
+    b, b_rep = b_rep.spec, _dense(b_rep)
     k_img = (-(2.0 / nu) * b_rep.raising @ b_rep.lowering + (b.alpha / nu) * b_rep.number
              + ((b.beta - delta) / nu) * b_rep.identity)
     m_img = ((1.0 / delta) * b_rep.raising @ b_rep.lowering + (nu / (2.0 * delta)) * k_img

@@ -75,12 +75,16 @@ def test_parse_config_errors(tmp_path):
                       "color = red\n",
         "missing.ini": "[scenario x]\nfamily = B\nalpha = 2\n",
         "empty.ini": "",
+        "runkey.ini": "[run]\nouput = r.json\n[scenario x]\nfamily = B\nalpha = 2\n"
+                      "beta = 1\n",
     }
     for name, text in cases.items():
         path = tmp_path / name
         path.write_text(text)
         with pytest.raises(ConfigError):
             parse_config(str(path))
+    with pytest.raises(ConfigError, match="\\[run\\] has unknown key 'ouput'"):
+        parse_config(str(tmp_path / "runkey.ini"))
     with pytest.raises(ConfigError):
         parse_config(str(tmp_path / "does-not-exist.ini"))
 
@@ -771,7 +775,8 @@ def test_eval_degree_zero_windows_multi_site_expressions(capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     rep = build_rep(AlgebraSpec("B", (2, 1)), 4)
-    expect = windowed_norm(kron(rep.raising, rep.raising),
+    ad = rep.raising.to_dense()
+    expect = windowed_norm(kron(ad, ad),
                            total_window_projector(4, 2, 0))
     assert expect == pytest.approx(np.sqrt(6.0))
     assert lines[0] == f"windowed norm (degree 0): {expect:.6e}"

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bosonhopf import AlgebraSpec, build_rep
-from bosonhopf.fock import _sector_operator, rep_generator_images, windowed_norm
+from bosonhopf.fock import rep_generator_images, windowed_norm
 from bosonhopf.spec import PARAM_NAMES
-from bosonhopf.tensor import level_sectors, total_window_projector
+from bosonhopf.tensor import total_window_projector
 from bosonhopf import expr as ex
 from grids import FULL_GRID
 
@@ -130,17 +130,14 @@ def test_phase_values():
 def test_tensor_evaluation():
     ctx = _ctx("B", (2, 2), 4)
     mat = ex.evaluate_text("tensor(g, g)", ctx)
-    g = ctx.rep.require_grade()
+    g = ctx.rep.require_grade().to_dense()
     assert np.allclose(mat, np.kron(g, g))
 
 
 def test_tensor_refuses_sector_operator_leaves():
     """The relation rows' leaves are sector operators; tensor is the eval
     path's dense Kronecker product and says so instead of failing inside it."""
-    rep = build_rep(AlgebraSpec("B", (2, 1)), 4)
-    sectors = level_sectors(rep.dim, 1)
-    leaves = {name: _sector_operator(x, sectors)
-              for name, x in rep_generator_images(rep).items()}
+    leaves = build_rep(AlgebraSpec("B", (2, 1)), 4).images()
     program = ex.compile_trees(ex.parse("tensor(a, ad)"))
     with pytest.raises(ex.EvalError, match="dense images of eval only"):
         program.run([{}], leaves)
@@ -177,14 +174,14 @@ def test_division_scalar_powers_and_embeddings():
     product the Kronecker product); each prints and parses back."""
     from bosonhopf.scalars import q_bracket
     ctx = _ctx("Bq", (2, 1, 1.3), 4)
-    rep = ctx.rep
-    assert np.allclose(ex.evaluate_text("N/2", ctx), rep.number / 2)
+    gens = rep_generator_images(ctx.rep)
+    assert np.allclose(ex.evaluate_text("N/2", ctx), gens["N"] / 2)
     assert np.allclose(ex.evaluate_text("q^(alpha/2)*I", ctx), 1.3 * np.eye(4))
     assert np.allclose(ex.evaluate_text("qbracket(alpha, q)*I", ctx),
                        q_bracket(2.0, 1.3) * np.eye(4))
     assert np.allclose(ex.evaluate_text("left(a)*right(ad)", ctx),
-                       np.kron(rep.lowering, rep.raising))
-    assert np.allclose(ex.evaluate_text("right(N)", ctx), np.kron(np.eye(4), rep.number))
+                       np.kron(gens["a"], gens["ad"]))
+    assert np.allclose(ex.evaluate_text("right(N)", ctx), np.kron(np.eye(4), gens["N"]))
     for text in ("N/2", "q^alpha", "q^(alpha/2)", "left(a)*right(ad)"):
         assert ex.parse(ex.print_expr(ex.parse(text))) == ex.parse(text)
     for text in ("a/N", "a^alpha", "left(tensor(a, a))"):
@@ -195,7 +192,8 @@ def test_division_scalar_powers_and_embeddings():
 def test_power_is_matrix_power():
     ctx = _ctx("B", (2, 1), 6)
     a2 = ex.evaluate_text("a ^ 2", ctx)
-    assert np.allclose(a2, ctx.rep.lowering @ ctx.rep.lowering)
+    a = ctx.rep.lowering.to_dense()
+    assert np.allclose(a2, a @ a)
     assert np.allclose(ex.evaluate_text("a ^ 0", ctx), np.eye(6))
 
 

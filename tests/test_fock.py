@@ -9,6 +9,7 @@ from bosonhopf import expr as ex
 from bosonhopf.fock import (RepresentationError, SpecError,
                             diag_function, rep_generator_images, windowed_norm)
 from bosonhopf.hopf import HopfTables
+from bosonhopf.scalars import phase_pow
 from bosonhopf.tensor import total_window_projector
 from grids import (B_GRID, BBAR_GRID, BBARQ_GRID, BQ_GRID, FULL_GRID,
                       H_GRID)
@@ -137,7 +138,7 @@ def test_admissible_specs_build(spec, dim):
     past the spec's own positivity check."""
     assert all(weight(spec, n) >= 0 for n in range(1, dim))
     rep = build_rep(spec, dim)
-    assert np.array_equal(rep.raising, rep.lowering.conj().T)
+    assert np.array_equal(rep.raising.to_dense(), rep.lowering.to_dense().conj().T)
     tables = HopfTables(rep)
     assert set(tables.generator_names()) <= set(tables.atoms)
 
@@ -158,31 +159,62 @@ def test_defining_relations_full_grid():
             assert report.passed, report.summary()
 
 
+@pytest.mark.parametrize("family, params", [("B", (2, 3)), ("B", (2, 1)), ("Bbar", (1, 2)),
+                                            ("Bq", (2, 4, 1.3)), ("Bbarq", (1, 2, 0.7)),
+                                            ("H", (1, 2, 0.25))])
+def test_images_are_the_matrices_of_their_vectors(family, params):
+    """Each image is the one-site sector operator of its weight or diagonal
+    vector: scattered to dense it is, bit for bit, the matrix with
+    sqrt(w(n)) at (n - 1, n) (lowering) and at (n, n - 1) (raising), or the
+    diagonal of the levels, the grade phases (complex at B (2, 1)), their
+    inverses and K's signs; each moves the level by its own amount."""
+    dim = 7
+    spec = AlgebraSpec(family, params)
+    rep = build_rep(spec, dim)
+    roots = np.sqrt([weight(spec, n) for n in range(1, dim)]).astype(complex)
+    levels = np.arange(dim, dtype=float)
+    expect = {"a": np.diag(roots, 1), "ad": np.diag(roots, -1),
+              "N": np.diag(levels + spec.number_shift + 0j), "I": np.eye(dim, dtype=complex)}
+    if spec.grade_shift is not None:
+        phases = np.array([phase_pow(n + spec.grade_shift) for n in levels])
+        expect.update(g=np.diag(phases), ginv=np.diag(1.0 / phases))
+    if family == "H":
+        signs = (spec.nu - spec.delta + 1.0) / spec.nu * (-1.0) ** np.arange(dim)
+        expect.update(b=expect.pop("a"), bd=expect.pop("ad"), M=expect.pop("N"),
+                      K=np.diag(signs + 0j))
+    images = rep.images()
+    assert images.keys() == expect.keys()
+    for name, mat in expect.items():
+        assert np.array_equal(images[name].to_dense(), mat), name
+        assert images[name].shift == {"a": -1, "b": -1, "ad": 1, "bd": 1}.get(name, 0), name
+
+
 def test_number_operator_diagonal():
     rep = build_rep(AlgebraSpec("B", (2, 1)), 8)
-    assert np.allclose(np.diag(rep.number), np.arange(8))
+    assert np.allclose(np.diag(rep.number.to_dense()), np.arange(8))
 
 
 def test_h_number_operator_shift():
     rep = build_rep(AlgebraSpec("H", (1, 0.5, -0.25)), 8)
     shift = (0.5 - 1 + 1) / 2 + (-0.25)
-    assert np.allclose(np.diag(rep.number), np.arange(8) + shift)
+    assert np.allclose(np.diag(rep.number.to_dense()), np.arange(8) + shift)
 
 
 def test_grade_element_squares():
     # integer grade shift: g^2 = I exactly
     rep = build_rep(AlgebraSpec("B", (2, 2)), 8)
-    g = rep.require_grade()
-    assert np.allclose(g @ g, rep.identity, atol=1e-12)
+    gens = rep_generator_images(rep)
+    g = gens["g"]
+    assert np.allclose(g @ g, gens["I"], atol=1e-12)
     # anticommutes with the ladder on the window
     win = total_window_projector(rep.dim, 1, 1)
-    assert windowed_norm(acomm(g, rep.raising), win) < 1e-12
+    assert windowed_norm(acomm(g, gens["ad"]), win) < 1e-12
 
 
 def test_k_operator_values():
     rep = build_rep(AlgebraSpec("H", (1, 0.5, -0.25)), 6)
     expected = ((0.5 - 1 + 1) / 0.5) * (-1.0) ** np.arange(6)
-    assert np.allclose(np.diag(rep.k_op), expected)
+    assert np.allclose(np.diag(rep.k_op.to_dense()), expected)
 
 
 def test_generator_lookup_family_checked():
@@ -212,7 +244,7 @@ def test_truncation_artifact_outside_window():
     """{a, ad} - (alpha N + beta) is nonzero only on the top level."""
     rep = build_rep(AlgebraSpec("B", (2, 1)), 8)
     gens = rep_generator_images(rep)
-    res = acomm(gens["a"], gens["ad"]) - (2 * rep.number + rep.identity)
+    res = acomm(gens["a"], gens["ad"]) - (2 * gens["N"] + gens["I"])
     assert abs(res[7, 7]) > 1.0                      # the cutoff artifact
     assert windowed_norm(res, total_window_projector(rep.dim, 1, 1)) < 1e-12
 

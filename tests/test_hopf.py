@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bosonhopf import AlgebraSpec, build_rep, build_tables, check_defining_relations, hopf
-from bosonhopf.fock import RepresentationError, windowed_norm
+from bosonhopf.fock import windowed_norm
 from bosonhopf.hopf import (Atom, Term, expand_slot, normal_form, terms_matrix,
                             terms_operator, word_image)
 from bosonhopf.tensor import (SectorOperator, kron, kron_all, level_sectors,
@@ -66,9 +66,9 @@ def test_counit_values():
 
 def test_grouplike_grade():
     tb = _tables("B", (2, 2))
-    g = tb.atom("g").matrix
+    g = tb.atom("g").matrix.to_dense()
     assert np.allclose(tb.delta_matrix("g"), kron(g, g))
-    assert np.allclose(tb.antipode("g"), tb.atom("ginv").matrix)
+    assert np.allclose(tb.antipode("g").to_dense(), tb.atom("ginv").matrix.to_dense())
 
 
 def test_bq_coproduct_closed_form():
@@ -77,9 +77,8 @@ def test_bq_coproduct_closed_form():
     rep = build_rep(AlgebraSpec("Bq", (alpha, beta, q)), 8)
     tb = build_tables(rep)
     expo = np.diag(q ** ((alpha * np.arange(8) + beta) / 2.0))
-    g = rep.require_grade()
-    expect = (kron(rep.lowering, expo)
-              + kron(g @ np.linalg.inv(expo), rep.lowering))
+    g, a = rep.require_grade().to_dense(), rep.lowering.to_dense()
+    expect = kron(a, expo) + kron(g @ np.linalg.inv(expo), a)
     assert np.abs(tb.delta_matrix("a") - expect).max() < 1e-12
 
 
@@ -88,11 +87,10 @@ def test_bbar_primitive_coproduct():
     sigma, tau = 1.0, 2.0
     rep = build_rep(AlgebraSpec("Bbar", (sigma, tau)), 6)
     tb = build_tables(rep)
-    eye = rep.identity
-    expect = (kron(rep.number, eye) + kron(eye, rep.number)
-              + (tau / sigma) * kron(eye, eye))
+    eye, n, a = (x.to_dense() for x in (rep.identity, rep.number, rep.lowering))
+    expect = kron(n, eye) + kron(eye, n) + (tau / sigma) * kron(eye, eye)
     assert np.abs(tb.delta_matrix("N") - expect).max() < 1e-12
-    expect_a = kron(rep.lowering, eye) + kron(eye, rep.lowering)
+    expect_a = kron(a, eye) + kron(eye, a)
     assert np.abs(tb.delta_matrix("a") - expect_a).max() < 1e-12
 
 
@@ -101,12 +99,12 @@ def test_bq_antipode_inverse_closed_forms():
     alpha, beta, q = 2.0, 2.0, 1.3
     rep = build_rep(AlgebraSpec("Bq", (alpha, beta, q)), 8)
     tb = build_tables(rep)
-    g = rep.require_grade()
+    g = rep.require_grade().to_dense()
     ginv = np.linalg.inv(g)
-    expect_a = q ** (alpha / 2.0) * ginv @ rep.lowering
-    expect_ad = -q ** (-alpha / 2.0) * rep.raising @ g
-    assert np.abs(tb.atom("a").s_inv - expect_a).max() < 1e-12
-    assert np.abs(tb.atom("ad").s_inv - expect_ad).max() < 1e-12
+    expect_a = q ** (alpha / 2.0) * ginv @ rep.lowering.to_dense()
+    expect_ad = -q ** (-alpha / 2.0) * rep.raising.to_dense() @ g
+    assert np.abs(tb.atom("a").s_inv.to_dense() - expect_a).max() < 1e-12
+    assert np.abs(tb.atom("ad").s_inv.to_dense() - expect_ad).max() < 1e-12
 
 
 @pytest.mark.parametrize("family, params", [("Bq", (2.0, 2.0, 1.3)),
@@ -125,8 +123,8 @@ def test_term_matrix_on_columns_is_bit_identical(family, params):
     for term in two + three:
         sectors = level_sectors(dim, term.slots)
         kept = sectors.level <= top
-        factors = [(word_image(w, dim), (site,)) for site, w in enumerate(term.words)]
-        full = term.coeff * kron_all(*(m for m, _ in factors))
+        factors = [word_image(w, dim) for w in term.words]
+        full = term.coeff * kron_all(*(m.to_dense() for m in factors))
         assert np.array_equal(term.matrix(dim), full)
         window = (SectorOperator.gather(factors, sectors, top) * term.coeff).to_dense()
         assert np.array_equal(window[:, kept], full[:, kept])
@@ -283,7 +281,7 @@ def test_antipode_inverse_needs_the_opposite_coproduct(family, params):
 
     def residuals(name, transpose):
         target = tb.counit(name) * tb.rep.identity
-        return [windowed_norm(tb.contract(name, x, y, transpose) - target, proj)
+        return [windowed_norm((tb.contract(name, x, y, transpose) - target).to_dense(), proj)
                 for x, y in (("s_inv", "matrix"), ("matrix", "s_inv"))]
 
     for name in (("b", "bd") if family == "H" else ("a", "ad")):
@@ -294,10 +292,11 @@ def test_antipode_inverse_needs_the_opposite_coproduct(family, params):
 @pytest.mark.parametrize("family, params", CONTRACTION_CONTROLS)
 def test_delta_hom_rows_see_a_perturbed_coproduct(family, params):
     """Negative control: one Sweedler coefficient of Delta of the raising
-    generator scaled by 1 + 1e-6 breaches a hopf.delta-hom row."""
-    tb = _tables(family, params)
+    generator scaled by 1 + 1e-6 breaches a hopf.delta-hom row (on fresh
+    tables: each holds its Delta images once gathered)."""
     name = "bd" if family == "H" else "ad"
-    assert all(r.passed for r in tb.check_delta_homomorphism(1e-10))
+    assert all(r.passed for r in _tables(family, params).check_delta_homomorphism(1e-10))
+    tb = _tables(family, params)
     tb.atom(name).delta[0].coeff *= 1 + 1e-6
     failed = [r.identity for r in tb.check_delta_homomorphism(1e-10) if not r.passed]
     assert failed and all(i.startswith("hopf.delta-hom.") for i in failed), failed
@@ -316,31 +315,12 @@ def test_delta_hom_rows_see_an_off_shift_entry(family, params):
     dim = tb.rep.dim
     name = "bd" if family == "H" else "ad"
     last = np.flatnonzero(level_sectors(dim, 2).level <= dim - 1 - 2)[-1]
-    units = []
-    for level in divmod(last, dim):
-        unit = np.zeros((dim, dim), dtype=complex)
-        unit[level, level] = 1.0
-        units.append(Atom(f"E{level}", unit))
+    units = [Atom(f"E{level}", SectorOperator.one_site(np.eye(dim, dtype=complex)[level], 0))
+             for level in divmod(last, dim)]
     size = 1e-6 * np.abs(tb.delta_matrix(name)).max()
     tb.atom(name).delta.append(Term(size, ((units[0],), (units[1],))))
     assert terms_matrix(tb.delta_terms(name), dim)[last, last] == size
     with pytest.raises(ValueError, match="have no common blocks"):
-        tb.check_delta_homomorphism(1e-10)
-
-
-def test_delta_hom_check_refuses_an_antipode_image_off_its_level_shift():
-    """Negative control: S(ad) plus one diagonal entry, 1e-6 times its
-    largest entry, on the top level of the degree-2 window.  That image
-    moves one level by 0 and every other by +1: it has no sector blocks, so
-    the s-antihom rows refuse it rather than norm one shift's blocks and
-    miss the entry."""
-    tb = _tables("Bq", (2, 4, 1.3))
-    atom = tb.atom("ad")
-    top = tb.rep.dim - 1 - 2
-    bad = atom.s.copy()
-    bad[top, top] += 1e-6 * np.abs(atom.s).max()
-    atom.s = bad
-    with pytest.raises(RepresentationError, match="different amounts"):
         tb.check_delta_homomorphism(1e-10)
 
 
@@ -370,9 +350,8 @@ def test_s_antihom_rows_see_a_perturbed_antipode(family, params):
 
 
 def test_delta_image_is_gathered_once_per_sweedler_sum(monkeypatch):
-    """Each Delta and Delta^T image is gathered once and shared read-only,
-    bit-identical to its terms' sector operator; a changed coefficient
-    gathers it anew."""
+    """Each Delta and Delta^T image is gathered once per tables and shared
+    read-only, bit-identical to its terms' sector operator."""
     tb = _tables("Bq", (2, 4, 1.3))
     calls = []
     gather = hopf.terms_operator
@@ -390,7 +369,3 @@ def test_delta_image_is_gathered_once_per_sweedler_sum(monkeypatch):
             assert np.array_equal(
                 image.blocks, gather(tb.delta_terms(name, transpose), tb.rep.dim).blocks)
     assert len(calls) == 2 * len(tb.generator_names())
-    old = tb.delta_image("a")
-    tb.atom("a").delta[0].coeff *= 1 + 1e-6
-    assert tb.delta_image("a") is not old
-    assert len(calls) == 2 * len(tb.generator_names()) + 1

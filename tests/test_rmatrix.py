@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bosonhopf import AlgebraSpec, build_rep, build_tables, hopf
-from bosonhopf.fock import RepresentationError, SpecError, _sector_operator
+from bosonhopf.fock import RepresentationError, SpecError
 from bosonhopf.hopf import Term
 from bosonhopf.rmatrix import (BBARQ_DEFAULT, BBARQ_PRINTED, BQ_DEFAULT, YBE_DIM,
                                BranchChoice, _head, _head_exponent, _ladder_coeff,
@@ -79,6 +79,22 @@ def test_bbarq_printed_branch_fails_everywhere():
     assert "printed_factor_deviation" in r_good.branch_note
 
 
+def test_the_printed_bbarq_factors_breach_the_ladder_rows():
+    """Negative control for build_r's note that the printed factors fail:
+    at Bbarq (1, 1, 0.7), D = 8, R built on BBARQ_PRINTED breaches
+    rmatrix.quasitriangular.a and .ad (0.253 and 0.251 against 1e-8), while
+    .N reads exactly 0.0, as Delta(N) and Delta^T(N) are the same diagonal
+    of the total level, which R keeps; on the default branch all three pass."""
+    rep, tables = _setup("Bbarq", (1, 1, 0.7))
+    printed = build_r(rep, branch=BBARQ_PRINTED)
+    rows = {rp.identity: rp for rp in check_quasitriangularity(printed, tables)}
+    assert rows["rmatrix.quasitriangular.N"].residual == 0.0
+    for name in ("a", "ad"):
+        row = rows[f"rmatrix.quasitriangular.{name}"]
+        assert not row.passed and row.residual > 0.2, row.summary()
+    assert all(rp.passed for rp in check_quasitriangularity(build_r(rep), tables))
+
+
 def test_bbarq_default_branch_is_unique_passer():
     rep, tables = _setup("Bbarq", (1, 2, 0.7), dim=6)
     rows, table = diagnose_branches(rep, tables)
@@ -123,6 +139,11 @@ def test_diagnosis_table_attached_on_failure():
 # reversed, the ungraded series with its printed factors
 DEFORMED_CASES = [("Bq", (2, 4, 1.3), BranchChoice(phase_sign=-1)),
                   ("Bbarq", (1, 1, 0.7), BBARQ_PRINTED)]
+
+
+def _dense(image):
+    """``image(name)``, a sector operator, as the dense matrix the oracles read."""
+    return lambda name: image(name).to_dense()
 
 
 def _dense_slots(r, left, right):
@@ -178,12 +199,12 @@ def _dense_antipode_r(r, tables):
     sum_l c_l (S(ad)^l x I) diag(m_l) (I x q^{-rate l Nt} a^l), with m_l the
     dressing's S image times the head on the S images: S reverses each left
     word h d_l (ad)^l."""
-    dim, one = r.dim, r.rep.generator
-    head = _dense_head(r, tables.antipode, one).reshape(dim, dim)
+    dim, one, antipode = r.dim, _dense(r.rep.generator), _dense(tables.antipode)
+    head = _dense_head(r, antipode, one).reshape(dim, dim)
     eye = np.eye(dim)
     return sum(coeff * np.kron(raise_l, eye) @ np.diag((dress[:, None] * head).reshape(-1))
                @ np.kron(eye, right_l)
-               for coeff, dress, raise_l, right_l in _dense_terms(r, tables.antipode, one))
+               for coeff, dress, raise_l, right_l in _dense_terms(r, antipode, one))
 
 
 def _dense_residuals(r, tables):
@@ -192,7 +213,7 @@ def _dense_residuals(r, tables):
     (id x Delta) R are dense Kronecker sums on every column, with the Delta
     images from tables.delta_matrix."""
     dim, dense = r.dim, r.op.to_dense()
-    one, delta = r.rep.generator, tables.delta_matrix
+    one, delta = _dense(r.rep.generator), tables.delta_matrix
     eye = np.eye(dim)
     r12, r23 = np.kron(dense, eye), np.kron(eye, dense)
     r13 = embed_two_site(dense, (0, 2), 3, dim)
@@ -240,7 +261,7 @@ def test_r_matches_the_dense_series(family, params):
     R0's on B, equal the dense Kronecker sum over the series on the rep's
     own images to 1e-14 relative to R's largest entry (D = 6)."""
     rep = build_rep(AlgebraSpec(family, params), 6)
-    one = rep.generator
+    one = _dense(rep.generator)
     for r in ([build_r0(rep)] if family == "B"
               else [build_r(rep, branch=b) for b in branch_lattice(family)]):
         ref = _dense_series_r(r, one, one)
@@ -294,7 +315,7 @@ def _delta_negated(atom):
 
 def _antipode_plus_one(atom):
     """S(x) + 1e-3."""
-    return "s", atom.s + 1e-3 * np.eye(len(atom.s))
+    return "s", atom.s + 1e-3 * SectorOperator.identity(atom.s.sectors)
 
 
 # (family, params, generator, wrong image, rows that must breach)
@@ -375,6 +396,7 @@ def test_quasitriangularity_sees_a_perturbed_coproduct(family, params):
     rep, tables = _setup(family, params)
     r = build_r(rep)
     assert all(rp.passed for rp in check_quasitriangularity(r, tables))
+    tables = build_tables(rep)   # fresh: tables hold each Delta image once gathered
     tables.atom("a").delta[0].coeff *= 1 + 1e-6
     failed = [rp.identity for rp in check_quasitriangularity(r, tables) if not rp.passed]
     assert failed == ["rmatrix.quasitriangular.a"]
@@ -383,25 +405,24 @@ def test_quasitriangularity_sees_a_perturbed_coproduct(family, params):
 def test_quasitriangularity_rejects_an_r_that_moves_the_level():
     """check_quasitriangularity multiplies R's shift-0 sector operator, the
     only form R takes; a dense R with an entry that moves the total level
-    has none, and fock._sector_operator refuses it instead of dropping the
-    entry."""
+    has none: SectorOperator.from_dense reports None instead of dropping
+    the entry."""
     r = build_r(build_rep(AlgebraSpec("Bq", (2, 4, 1.3)), 4))
     bad = r.op.to_dense()
     bad[0, 1] = 1e-3
-    with pytest.raises(RepresentationError, match="total level"):
-        _sector_operator(bad, r.op.sectors)
+    assert SectorOperator.from_dense(bad, r.op.sectors) is None
 
 
 def test_level_rows_reject_an_r_that_moves_the_level():
     """The fusion, inverse and Yang-Baxter rows read R level block by level
     block, where an entry that moves the total level has no place: a dense
     R0 with an entry from the top level's state (D - 1, 0) to (0, 0) has no
-    sector operator, and is refused instead of dropped from the blocks."""
+    sector operator (SectorOperator.from_dense reports None), rather than
+    one with the entry dropped from the blocks."""
     r = build_r0(build_rep(AlgebraSpec("B", (2, 2)), 4))
     bad = r.op.to_dense()
     bad[0, (r.dim - 1) * r.dim] = 1e-3
-    with pytest.raises(RepresentationError, match="total level"):
-        _sector_operator(bad, r.op.sectors)
+    assert SectorOperator.from_dense(bad, r.op.sectors) is None
 
 
 @pytest.mark.xfail(strict=True, reason="loose backward-error scale |S R| |R|: a negated "
@@ -492,7 +513,7 @@ def test_r0_is_the_parity_head_on_the_diagonal(family, params, dim):
     zero elsewhere (B, and Bq with integer beta/alpha)."""
     rep = build_rep(AlgebraSpec(family, params), dim)
     op = build_r0(rep).op
-    g = rep.generator("g").diagonal()
+    g = rep.generator("g").to_dense().diagonal()
     gl, gr = g[:, None], g[None, :]
     head = 0.5 * (np.ones((dim, dim)) + gr + gl - gl * gr).reshape(-1)
     dense = op.to_dense()
@@ -511,26 +532,32 @@ def test_r0_axioms_and_ybe():
     assert ybe.passed, ybe.summary()
 
 
+def _with_entry_negated(op, level):
+    """A copy of a one-site diagonal sector operator with its entry at
+    (level, level) negated."""
+    blocks = op.blocks.copy()
+    blocks[level] *= -1
+    return SectorOperator(op.sectors, op.shift, blocks)
+
+
 def test_r0_axioms_see_a_flipped_phase(monkeypatch):
     """Negative controls: one flipped phase in the first word of Delta(g)
     breaches both fusion rows (2.0 on each); one flipped phase of S(g)
     breaches the inverse row.  The inverse row does not involve Delta, so
-    Delta(g) cannot reach it."""
+    Delta(g) cannot reach it.  Each half has its own tables, since tables
+    hold each Delta image once gathered."""
     rep, tables = _setup("B", (2, 2), dim=6)
     r0 = build_r0(rep)
     g = tables.atom("g")
-    flipped = dataclasses.replace(g, matrix=g.matrix.copy())
-    flipped.matrix[0, 0] *= -1
+    flipped = dataclasses.replace(g, matrix=_with_entry_negated(g.matrix, 0))
     monkeypatch.setattr(g, "delta", [Term(1.0, ((flipped,), (g,)))])
     rows = {rp.identity: rp for rp in check_r_axioms(r0, tables, 1e-12)}
     assert not rows["rmatrix.fusion-left"].passed
     assert not rows["rmatrix.fusion-right"].passed
     assert rows["rmatrix.inverse"].passed
-    monkeypatch.undo()
+    tables = build_tables(rep)
     g = tables.atom("g")
-    flipped_s = g.s.copy()
-    flipped_s[1, 1] *= -1
-    monkeypatch.setattr(g, "s", flipped_s)
+    monkeypatch.setattr(g, "s", _with_entry_negated(g.s, 1))
     rows = {rp.identity: rp for rp in check_r_axioms(r0, tables, 1e-12)}
     assert not rows["rmatrix.inverse"].passed
     assert rows["rmatrix.fusion-left"].passed and rows["rmatrix.fusion-right"].passed
@@ -551,6 +578,7 @@ def test_trivial_r_sees_an_asymmetric_coproduct():
     at D = 8, against the 1e-12 bound."""
     rep, tables = _setup("Bbar", (1, 2))
     assert check_trivial_r(tables).residual == 0.0
+    tables = build_tables(rep)   # fresh: tables hold each Delta image once gathered
     tables.atom("a").delta[0].coeff *= 1 + 1e-6
     report = check_trivial_r(tables)
     assert not report.passed and report.residual > 1e-6, report.summary()

@@ -13,12 +13,22 @@ and `np.linalg.matrix_power`, out of those checks.
 R itself is held only as its level blocks (`RMatrix.op`), and every diagonal
 and identity the R rows need is read from or gathered into blocks, so
 `rmatrix.py` also names no `to_dense`, `np.diag` or `np.eye`.  Nor does
-`SectorOperator.gather`, which takes each factor's entries from the
-matrix it is given and scatters no sector operator back to dense.
+`SectorOperator.gather`, which reads each one-site factor's entries from
+its blocks and scatters no sector operator back to dense.
+
+Each one-site image is built once, as a sector operator: `fock.build_rep`
+forms the rep's images from their weight and diagonal vectors and
+`HopfTables._build_atoms` the atoms' images as their products, so neither
+names `diag`, `eye` or `from_dense`.  A run of every suite reads no dense
+matrix into a sector operator and scans none for its level shift.
 """
 
 import ast
+import json
 import pathlib
+
+from bosonhopf import cli, tensor
+from bosonhopf.spec import PARAM_NAMES
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "bosonhopf"
 BANNED = {"kron", "kron_all", "kron_columns", "embed_two_site", "terms_matrix",
@@ -26,20 +36,23 @@ BANNED = {"kron", "kron_all", "kron_columns", "embed_two_site", "terms_matrix",
 # the dense forms of an operator: a sector operator's scatter, a diagonal
 # matrix and a dense identity
 DENSE_FORMS = {"to_dense", "diag", "eye"}
+# what builds an image densely: a diagonal matrix, a dense identity, or a
+# dense matrix read into blocks
+DENSE_IMAGES = {"diag", "eye", "from_dense"}
 
 
-def dense_builders(tree) -> list:
-    """(line, name) of every reference to a dense builder under ``tree``:
-    a bare name, an attribute (``np.kron``, ``tensor.kron_all``) or an
-    imported name."""
+def dense_builders(tree, names) -> list:
+    """(line, name) of every reference to one of ``names`` (BANNED, the
+    dense builders, or DENSE_IMAGES) under ``tree``: a bare name, an
+    attribute (``np.kron``, ``tensor.kron_all``) or an imported name."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id in BANNED:
+        if isinstance(node, ast.Name) and node.id in names:
             found.append((node.lineno, node.id))
-        elif isinstance(node, ast.Attribute) and node.attr in BANNED:
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             found.append((node.lineno, node.attr))
         elif isinstance(node, ast.ImportFrom):
-            found += [(node.lineno, a.name) for a in node.names if a.name in BANNED]
+            found += [(node.lineno, a.name) for a in node.names if a.name in names]
     return sorted(found)
 
 
@@ -53,6 +66,13 @@ def dense_forms(tree) -> list:
         elif isinstance(node, ast.ImportFrom):
             found += [(node.lineno, a.name) for a in node.names if a.name in DENSE_FORMS]
     return sorted(found)
+
+
+def _function(tree, name: str):
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return node
+    raise LookupError(name)
 
 
 def _method(tree, cls: str, name: str):
@@ -79,7 +99,7 @@ def test_the_guard_sees_every_spelling():
               "h = _slot(rep, tables.delta_matrix)\n"
               "i = terms_matrix\n"
               "j = tables.delta_terms(name) @ np.linalg.matrix_rank(x)\n")
-    assert [line for line, _ in dense_builders(ast.parse(source))] == [
+    assert [line for line, _ in dense_builders(ast.parse(source), BANNED)] == [
         2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13]
 
 
@@ -100,8 +120,8 @@ def test_the_r_checks_and_coassociativity_build_no_dense_product():
     rmatrix = ast.parse((SRC / "rmatrix.py").read_text())
     coassoc = _method(ast.parse((SRC / "hopf.py").read_text()),
                       "HopfTables", "check_coassociativity")
-    offenders = ([f"rmatrix.py:{line}: {name}" for line, name in dense_builders(rmatrix)]
-                 + [f"hopf.py:{line}: {name}" for line, name in dense_builders(coassoc)])
+    offenders = ([f"rmatrix.py:{line}: {name}" for line, name in dense_builders(rmatrix, BANNED)]
+                 + [f"hopf.py:{line}: {name}" for line, name in dense_builders(coassoc, BANNED)])
     assert not offenders, offenders
 
 
@@ -112,8 +132,63 @@ def test_rmatrix_holds_no_dense_form_of_an_operator():
 
 
 def test_the_gather_scatters_no_operator_to_dense():
-    tensor = ast.parse((SRC / "tensor.py").read_text())
-    offenders = [f"SectorOperator.{method}:{line}: {name}"
-                 for method in ("gather", "_gathered")
-                 for line, name in dense_forms(_method(tensor, "SectorOperator", method))]
+    source = ast.parse((SRC / "tensor.py").read_text())
+    offenders = [f"SectorOperator.gather:{line}: {name}"
+                 for line, name in dense_forms(_method(source, "SectorOperator", "gather"))]
     assert not offenders, offenders
+
+
+def test_the_image_guard_sees_every_spelling():
+    source = ("import numpy as np\n"
+              "from numpy import diag\n"
+              "a = np.diag(x)\n"
+              "b = SectorOperator.from_dense(m, s)\n"
+              "eye = rep.identity\n"
+              "c = np.eye(n)\n"
+              "d = SectorOperator.one_site(v, 0)\n"
+              "e = mat.diagonal()\n")
+    found = dense_builders(ast.parse(source), DENSE_IMAGES)
+    assert [line for line, _ in found] == [2, 3, 4, 5, 6]
+
+
+def test_the_rep_and_the_atoms_build_their_images_as_sector_operators():
+    builders = {"fock.build_rep": _function(ast.parse((SRC / "fock.py").read_text()),
+                                            "build_rep"),
+                "HopfTables._build_atoms": _method(ast.parse((SRC / "hopf.py").read_text()),
+                                                   "HopfTables", "_build_atoms")}
+    offenders = [f"{where}:{line}: {name}" for where, tree in builders.items()
+                 for line, name in dense_builders(tree, DENSE_IMAGES)]
+    assert not offenders, offenders
+
+
+# one point of each family; B's and Bq's have an integer beta/alpha, so
+# their rmatrix and ybe suites run
+ONE_POINT = {"B": (2.0, 2.0), "Bq": (2.0, 4.0, 1.3), "Bbar": (1.0, 2.0),
+             "Bbarq": (1.0, 1.0, 0.7), "H": (1.0, 0.5, 0.25)}
+
+
+def test_a_run_of_every_suite_reads_no_dense_matrix(monkeypatch):
+    """One point of every family through every suite (those that do not
+    apply skip), with SectorOperator.from_dense and tensor._level_shift
+    made to raise: neither is called, and every row passes or skips, with
+    no error row."""
+    calls = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} on the run path")
+        return call
+
+    monkeypatch.setattr(tensor.SectorOperator, "from_dense", refuse("from_dense"))
+    monkeypatch.setattr(tensor, "_level_shift", refuse("_level_shift"))
+    rows = []
+    for family, params in ONE_POINT.items():
+        grid = {name: [value] for name, value in zip(PARAM_NAMES[family], params)}
+        scenario = cli.Scenario(family, family, grid, dim=8, suites=tuple(cli.SUITES))
+        rows += [json.loads(line)
+                 for _, _, line in cli._run_job((scenario, cli.grid_expand(scenario)))]
+    assert calls == []
+    assert {row["suite"] for row in rows if not row["skipped"]} == set(cli.SUITES)
+    bad = [row["identity"] for row in rows if not (row["passed"] or row["skipped"])]
+    assert bad == [], bad

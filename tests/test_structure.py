@@ -9,6 +9,7 @@ from bosonhopf import AlgebraSpec, build_rep, build_tables
 from bosonhopf import expr as ex
 from bosonhopf import structure
 from bosonhopf.spec import SpecError
+from bosonhopf.tensor import SectorOperator
 from bosonhopf.structure import (build_realization, casimir_spectrum, iso_phi,
                                  iso_phi_prime, run_structure_checks)
 from grids import (B_GRID, BBARQ_GRID, BBAR_GRID, BQ_GRID, H_GRID)
@@ -90,8 +91,8 @@ def test_delta_closed_form_sees_a_perturbed_coproduct():
     1 + 1e-6 breaches structure.delta-closed-form on B (2, 3) at D = 8
     (1.1e-6 against 1e-10) and leaves every other row passing."""
     rep = _rep("B", (2, 3), dim=8)
-    tables = build_tables(rep)
-    assert all(r.passed for r in run_structure_checks(rep, tables, 1e-10))
+    assert all(r.passed for r in run_structure_checks(rep, build_tables(rep), 1e-10))
+    tables = build_tables(rep)   # fresh: tables hold each Delta image once gathered
     tables.atom("ad").delta[0].coeff *= 1 + 1e-6
     failed = [r.identity for r in run_structure_checks(rep, tables, 1e-10) if not r.passed]
     assert failed == ["structure.delta-closed-form"]
@@ -118,7 +119,7 @@ def test_bh_form_grid():
 def test_build_M_matches_number_operator():
     for params in H_GRID:
         rep = _rep("H", params)
-        assert np.abs(_corpus_value(rep, "Mk") - rep.number).max() < 1e-10
+        assert np.abs(_corpus_value(rep, "Mk") - rep.number.to_dense()).max() < 1e-10
         reports = _rows(run_structure_checks(rep), "structure.m-element")
         assert [r.identity for r in reports] == ["structure.m-element.low",
                                                  "structure.m-element.raise"]
@@ -169,13 +170,15 @@ def test_realization_normalization_products():
     """The whole normalization product sits on f: 2/alpha for osp12 and
     -1/alpha^2 for sl2 from B (2, 1), 1/delta for osp12 from H (1, 0.5, 0)."""
     rep = _rep("B", (2, 1))
+    a, ad = rep.lowering.to_dense(), rep.raising.to_dense()
     osp = build_realization(rep, "osp12")
-    assert np.allclose(osp["e"].to_dense(), rep.raising)
-    assert np.allclose(osp["f"].to_dense(), 1.0 * rep.lowering)
+    assert np.allclose(osp["e"].to_dense(), ad)
+    assert np.allclose(osp["f"].to_dense(), 1.0 * a)
     sl2 = build_realization(rep, "sl2")
-    assert np.allclose(sl2["f"].to_dense(), -0.25 * rep.lowering @ rep.lowering)
+    assert np.allclose(sl2["f"].to_dense(), -0.25 * a @ a)
     hrep = _rep("H", (1, 0.5, 0.0))
-    assert np.allclose(build_realization(hrep, "osp12")["f"].to_dense(), 1.0 * hrep.lowering)
+    assert np.allclose(build_realization(hrep, "osp12")["f"].to_dense(),
+                       1.0 * hrep.lowering.to_dense())
 
 
 def test_realization_rejects_family_mismatch():
@@ -332,9 +335,10 @@ PERTURBED_POINTS = [("B", (2.0, 2.0)), ("Bq", (2.0, 4.0, 1.3)), ("Bbar", (1.0, 1
 
 def _with_scaled_weight(rep, level=3, factor=1 + 1e-6):
     """rep with the ladder weight w(level) scaled by ``factor``."""
-    lowering, raising = rep.lowering.copy(), rep.raising.copy()
-    lowering[level - 1, level] *= np.sqrt(factor)
-    raising[level, level - 1] *= np.sqrt(factor)
+    lowering, raising = (SectorOperator(x.sectors, x.shift, x.blocks.copy())
+                         for x in (rep.lowering, rep.raising))
+    lowering.blocks[level] *= np.sqrt(factor)       # entry (level - 1, level)
+    raising.blocks[level - 1] *= np.sqrt(factor)    # entry (level, level - 1)
     return dataclasses.replace(rep, lowering=lowering, raising=raising)
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from bosonhopf import AlgebraSpec, build_rep, build_tables, tensor
 from bosonhopf.hopf import expand_slot, terms_matrix, terms_operator, word_image
-from bosonhopf.rmatrix import build_r0
 from bosonhopf.tensor import (SectorOperator, SectorStack, StreamedNorm, embed_two_site,
                               kron, kron_all, level_sectors, spectral_norm, swap_matrix,
                               total_window_projector, windowed_norm)
@@ -62,8 +61,8 @@ def test_gather_is_bit_identical_to_kron_on_sweedler_terms(family, params):
             sectors = level_sectors(dim, terms[0].slots)
             kept = sectors.level <= dim - 3
             for term in terms:
-                mats = [word_image(w, dim) for w in term.words]
-                factors = [(m, (site,)) for site, m in enumerate(mats)]
+                factors = [word_image(w, dim) for w in term.words]
+                mats = [m.to_dense() for m in factors]
                 full = SectorOperator.gather(factors, sectors)
                 assert np.array_equal(full.to_dense(), kron_all(*mats)), (name, term)
                 assert np.array_equal((full * term.coeff).to_dense(), term.matrix(dim))
@@ -74,18 +73,13 @@ def test_gather_is_bit_identical_to_kron_on_sweedler_terms(family, params):
                                   terms_matrix(terms, dim)), name
 
 
-def test_gather_refuses_a_mixed_shift_factor():
-    """A factor whose entries mix level shifts has no sector blocks: the
-    gather refuses it, on one site or on a slot pair, and from_dense of
-    such a matrix reports None."""
-    sectors = level_sectors(3, 3)
+def test_a_mixed_shift_matrix_has_no_sector_operator():
+    """A dense matrix whose entries mix level shifts has no sector blocks:
+    from_dense of it reports None, on one site and on three."""
     mixed = np.eye(3) + np.diag(np.ones(2), -1)
     eye = np.eye(3)
-    for factors in ([(mixed, (0,)), (eye, (1,)), (eye, (2,))],
-                    [(kron(mixed, eye), (0, 2)), (eye, (1,))]):
-        with pytest.raises(ValueError, match="one amount"):
-            SectorOperator.gather(factors, sectors)
-    assert SectorOperator.from_dense(kron_all(mixed, eye, eye), sectors) is None
+    assert SectorOperator.from_dense(mixed, level_sectors(3, 1)) is None
+    assert SectorOperator.from_dense(kron_all(mixed, eye, eye), level_sectors(3, 3)) is None
 
 
 @pytest.mark.parametrize("family, params", FAMILY_POINTS)
@@ -97,7 +91,7 @@ def test_kron_all_is_bit_identical_to_numpy_kron(family, params):
     for name in tables.generator_names():
         terms = tables.delta_terms(name)
         for term in terms + expand_slot(terms, 0):
-            mats = [word_image(w, 6) for w in term.words]
+            mats = [word_image(w, 6).to_dense() for w in term.words]
             expect = mats[0]
             for m in mats[1:]:
                 expect = np.kron(expect, m)
@@ -191,10 +185,10 @@ def test_an_empty_window_is_refused():
     sec = level_sectors(3, 2)
     mat = np.eye(sec.level.size)
     op = SectorOperator.from_dense(mat, sec)
+    one = SectorOperator.identity(level_sectors(3, 1))
     for call in (lambda: spectral_norm(mat, sec, -1), lambda: op.norm(-1),
                  lambda: spectral_norm(op, top=-1),
-                 lambda: SectorOperator.gather([(np.eye(3), (0,)), (np.eye(3), (1,))],
-                                               sec, top=-1)):
+                 lambda: SectorOperator.gather([one, one], sec, top=-1)):
         with pytest.raises(ValueError, match="empty"):
             call()
     assert spectral_norm(mat, sec, 0) == 1.0 and op.norm(0) == 1.0
@@ -455,9 +449,10 @@ def test_sector_operator_of_a_sweedler_term_is_bit_identical_to_kron(family, par
     for name in tables.generator_names():
         for term in tables.delta_terms(name):
             x, y = (word_image(w, dim) for w in term.words)
-            op = SectorOperator.gather([(x, (0,)), (y, (1,))], sec) * term.coeff
+            op = SectorOperator.gather([x, y], sec) * term.coeff
             assert isinstance(op, SectorOperator), (name, term)
-            assert np.array_equal(op.to_dense(), np.kron(x, y) * term.coeff), (name, term)
+            expect = np.kron(x.to_dense(), y.to_dense()) * term.coeff
+            assert np.array_equal(op.to_dense(), expect), (name, term)
         total = terms_operator(tables.delta_terms(name), dim)
         assert np.array_equal(total.to_dense(), tables.delta_matrix(name)), name
         opposite = terms_operator(tables.delta_terms(name, transpose=True), dim)
@@ -467,25 +462,31 @@ def test_sector_operator_of_a_sweedler_term_is_bit_identical_to_kron(family, par
 
 
 def test_a_three_site_window_gather_above_8192_plan_entries_reads_each_factor_entry():
-    """R13 of the B parity R0 at D = 26, gathered on the three-site window
-    of total level <= D - 1 (26 * 351 plan row entries, above the 8192 where
-    numpy's unravel_index of an array with a length-1 axis went wrong): each
-    block entry equals R0[(i, k), (i', k')] * [j == j'] at its row and column
-    states, read through the level sectors of an np.ndindex enumeration."""
+    """Three one-site factors at D = 26 (random ladder entries raising site
+    0, a random diagonal on site 1, random ladder entries lowering site 2),
+    gathered on the three-site window of total level <= D - 1 (26 * 351
+    plan row entries, above the 8192 where numpy's unravel_index of an
+    array with a length-1 axis went wrong): each block entry equals
+    A[i, i'] * B[j, j'] * C[k, k'] of the factors' dense matrices at its
+    row and column states, read through the level sectors of an np.ndindex
+    enumeration."""
     dim = 26
-    r0 = build_r0(build_rep(AlgebraSpec("B", (2, 2)), dim)).op.to_dense()
+    rng = np.random.default_rng(26)
+    factors = [SectorOperator.one_site(rng.normal(size=dim - abs(shift)), shift)
+               for shift in (1, 0, -1)]
+    a, b, c = (f.to_dense() for f in factors)
     sectors = level_sectors(dim, 3)
     top = dim - 1
-    r13 = SectorOperator.gather([(r0, (0, 2)), (np.eye(dim), (1,))], sectors, top=top)
+    op = SectorOperator.gather(factors, sectors, top=top)
     states = np.array(list(np.ndindex(dim, dim, dim)))
     level = states.sum(axis=1)
-    assert r13.shift == 0 and len(r13.blocks) == top + 1
+    assert op.shift == 0 and len(op.blocks) == top + 1
     for total in range(top + 1):
         i, j, k = states[level == total].T   # the sector's states, in basis order
         n = i.size
-        expected = r0[np.ix_(i * dim + k, i * dim + k)] * (j[:, None] == j[None, :])
-        assert np.array_equal(r13.blocks[total, :n, :n], expected), total
-        assert not r13.blocks[total, n:].any() and not r13.blocks[total, :, n:].any()
+        expected = a[np.ix_(i, i)] * b[np.ix_(j, j)] * c[np.ix_(k, k)]
+        assert np.array_equal(op.blocks[total, :n, :n], expected), total
+        assert not op.blocks[total, n:].any() and not op.blocks[total, :, n:].any()
 
 
 @pytest.mark.parametrize("dim", [6, 8])
@@ -530,7 +531,7 @@ def test_a_sector_stack_reads_each_terms_dense_entries(sites):
     rep = build_rep(AlgebraSpec("Bq", (2, 4, 1.3)), dim)
     sectors = level_sectors(dim, sites)
     if sites == 1:
-        images = [SectorOperator.from_dense(rep.generator(n), sectors) for n in ("ad", "a")]
+        images = [rep.generator(n) for n in ("ad", "a")]
     else:
         tables = build_tables(rep)
         images = [tables.delta_image(n) for n in ("ad", "a")]
