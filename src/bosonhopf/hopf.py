@@ -19,6 +19,26 @@ several grid points at once on the direct sums of their antipode images
 (:func:`check_delta_homomorphism_batch`); the coproduct's, on two sites,
 run point by point.  The dense Term.matrix, terms_matrix and delta_matrix
 are oracles for the tests and the benchmark's trace, which no check calls.
+
+One rule builds every family's atoms (Kassel, *Quantum Groups*, ch. III),
+over two flags: graded (B, Bq, H) and deformed (Bq, Bbarq).  A factor
+marked ? below is there only when its flag is on, and each q-power is 1
+when undeformed; c is alpha (B, Bq) or sigma (Bbar, Bbarq).
+
+- The number atom N (H's M) is primitive plus a central shift, c2/c1
+  (beta/alpha or tau/sigma; H's 1/2 - rho): Delta(N) = N x 1 + 1 x N +
+  shift, eps(N) = -shift, S(N) = S^-1(N) = -N - 2 shift.
+- The grade pair g, ginv (graded) and the pair qhalf = q^{(c N + c2)/2},
+  qhalfinv (deformed) are group-like (:func:`grouplike`).
+- The ladder pair lo, hi (a, ad; H's b, bd) is skew-primitive:
+  Delta(lo) = lo x qhalf? + g? qhalfinv? x lo, and Delta(hi) the same with
+  ginv for g.  S(lo) = -q^{-c/2} ginv? lo, S^-1(lo) = sign q^{c/2} ginv? lo,
+  S(hi) = sign q^{c/2} hi g? and S^-1(hi) = -q^{-c/2} hi g?, where sign is
+  +1 when graded and -1 when not.
+- H adds K, whose coproduct carries b and bd; S(K) = S^-1(K) = K.
+
+Each S and S^-1 of a non-group-like atom is stated as one-slot terms over
+the atoms and formed by :func:`word_sum`; no image is built by hand.
 """
 
 from __future__ import annotations
@@ -42,7 +62,9 @@ class Atom:
 
     ``delta`` is a list of two-slot Terms; group-like atoms use the canonical
     u -> u x u decomposition built by :func:`grouplike`, and name their
-    inverse atom in ``inverse``.
+    inverse atom in ``inverse``.  ``s`` and ``s_inv`` are images: a
+    group-like atom's is its inverse's image, any other's the
+    :func:`word_sum` of the terms the rule of the module docstring states.
     """
 
     name: str
@@ -86,8 +108,9 @@ def word_image(word: tuple, dim: int, image: str = "matrix"):
 
     ``"matrix"`` is the algebra image and ``"eps"`` the scalar counit; the
     anti-homomorphisms ``"s"`` and ``"s_inv"`` reverse the factors,
-    S(xy) = S(y) S(x).  The empty word is the identity, and a one-atom word
-    is the atom's own image, not a copy: callers must not write into it.
+    S(xy) = S(y) S(x).  The empty word is the identity, one shared per level
+    count, and a one-atom word is the atom's own image, not a copy: callers
+    must not write into either.
     """
     if image == "eps":
         out = 1.0 + 0j
@@ -100,7 +123,27 @@ def word_image(word: tuple, dim: int, image: str = "matrix"):
         if img is None:
             raise ValueError(f"atom {atom.name!r} has no {image} image")
         out = img if out is None else out @ img
-    return SectorOperator.identity(level_sectors(dim, 1), complex) if out is None else out
+    return _unit(dim) if out is None else out
+
+
+@functools.lru_cache(maxsize=32)
+def _unit(dim: int) -> SectorOperator:
+    """The one-site identity on ``dim`` levels, the image of every empty
+    word, built once per level count and shared read-only."""
+    unit = SectorOperator.identity(level_sectors(dim, 1), complex)
+    unit.blocks.flags.writeable = False
+    return unit
+
+
+def word_sum(terms: list, dim: int) -> SectorOperator:
+    """The one-site image of one-slot terms, given as (coefficient, word)
+    pairs: each coefficient times its word's :func:`word_image`, summed in
+    order.  Every S and S^-1 image of a non-group-like atom is one."""
+    total = None
+    for coeff, word in terms:
+        image = coeff * word_image(word, dim)
+        total = image if total is None else total + image
+    return total
 
 
 def delta_of_word(word: tuple) -> list:
@@ -192,113 +235,68 @@ class HopfTables:
             raise SpecError("coproduct tables for this family require sigma != 0")
         self.rep = rep
         self.spec = rep.spec
-        self.atoms: dict[str, Atom] = {}
         self._delta_images = {}
         self._build_atoms()
 
     # -- construction --------------------------------------------------------
     def _build_atoms(self):
-        """Each atom's images as products of the rep's one-site sector operators."""
+        """Every family's atoms by the one rule of the module docstring,
+        each S and S^-1 image formed from its one-slot terms by
+        :func:`word_sum`."""
         rep, spec = self.rep, self.spec
-        fam = spec.family
-        unit = rep.identity
-        levels = rep.levels
-
-        if fam == "H":
-            g = grouplike("g", rep.require_grade(), rep.grade_minus, "ginv")
-            gi = grouplike("ginv", rep.grade_minus, rep.grade_plus, "g")
-            d, nu, rho = spec.delta, spec.nu, spec.rho
-            m = Atom("M", rep.number, eps=rho - 0.5,
-                     s=-rep.number + (2 * rho - 1) * unit)
-            m.s_inv = m.s
-            m.delta = [Term(1.0, ((m,), ())), Term(1.0, ((), (m,))),
-                       Term(0.5 - rho, ((), ()))]
-            b = Atom("b", rep.lowering, eps=0.0, s=-gi.matrix @ rep.lowering,
-                     s_inv=gi.matrix @ rep.lowering)
-            bd = Atom("bd", rep.raising, eps=0.0, s=rep.raising @ g.matrix,
-                      s_inv=-rep.raising @ g.matrix)
-            b.delta = [Term(1.0, ((b,), ())), Term(1.0, ((g,), (b,)))]
-            bd.delta = [Term(1.0, ((bd,), ())), Term(1.0, ((gi,), (bd,)))]
-            k = Atom("K", rep.k_op, eps=-d / nu, s=rep.k_op, s_inv=rep.k_op)
-            k.delta = [Term(1.0, ((k,), ())), Term(1.0, ((), (k,))),
-                       Term(d / nu, ((), ())),
-                       Term(-2.0 / nu, ((gi, b), (bd,))),
-                       Term(2.0 / nu, ((g, bd), (b,)))]
-            self.atoms = {"M": m, "K": k, "b": b, "bd": bd, "g": g, "ginv": gi}
-            return
-
-        deformed = spec.is_deformed
-        if fam in ("B", "Bq"):
-            c1, c2 = spec.alpha, spec.beta
+        graded, deformed = spec.family in ("B", "Bq", "H"), spec.is_deformed
+        if spec.family == "H":
+            (number, lower, upper), shift = ("M", "b", "bd"), 0.5 - spec.rho
         else:
-            c1, c2 = spec.sigma, spec.tau
-        shift = c2 / c1
-
-        n_atom = Atom("N", rep.number, eps=-shift,
-                      s=-rep.number - 2 * shift * unit)
-        n_atom.s_inv = n_atom.s
-        n_atom.delta = [Term(1.0, ((n_atom,), ())), Term(1.0, ((), (n_atom,))),
-                        Term(shift, ((), ()))]
-        self.atoms["N"] = n_atom
-
-        graded = fam in ("B", "Bq")
+            c1, c2 = (spec.alpha, spec.beta) if graded else (spec.sigma, spec.tau)
+            (number, lower, upper), shift = ("N", "a", "ad"), c2 / c1
+        n = Atom(number, rep.number, eps=-shift)
+        lo = Atom(lower, rep.lowering, eps=0.0)
+        hi = Atom(upper, rep.raising, eps=0.0)
+        # g, gi, qm and tail are word fragments, empty when their flag is off
+        grades = qhalves = g = gi = qm = tail = ()
         if graded:
-            g = grouplike("g", rep.require_grade(), rep.grade_minus, "ginv")
-            gi = grouplike("ginv", rep.grade_minus, rep.grade_plus, "g")
-            self.atoms["g"] = g
-            self.atoms["ginv"] = gi
-
-        if not deformed:
-            if graded:
-                a = Atom("a", rep.lowering, eps=0.0,
-                         s=-gi.matrix @ rep.lowering, s_inv=gi.matrix @ rep.lowering)
-                ad = Atom("ad", rep.raising, eps=0.0,
-                          s=rep.raising @ g.matrix, s_inv=-rep.raising @ g.matrix)
-                a.delta = [Term(1.0, ((a,), ())), Term(1.0, ((g,), (a,)))]
-                ad.delta = [Term(1.0, ((ad,), ())), Term(1.0, ((gi,), (ad,)))]
-            else:
-                a = Atom("a", rep.lowering, eps=0.0,
-                         s=-rep.lowering, s_inv=-rep.lowering)
-                ad = Atom("ad", rep.raising, eps=0.0,
-                          s=-rep.raising, s_inv=-rep.raising)
-                a.delta = [Term(1.0, ((a,), ())), Term(1.0, ((), (a,)))]
-                ad.delta = [Term(1.0, ((ad,), ())), Term(1.0, ((), (ad,)))]
-            self.atoms["a"] = a
-            self.atoms["ad"] = ad
-            return
-
-        q = spec.q
-        exponent = (c1 * levels + c2) / 2.0
-        half = SectorOperator.one_site(np.power(q, exponent).astype(complex), 0)
-        half_inv = SectorOperator.one_site(np.power(q, -exponent).astype(complex), 0)
-        qp = grouplike("qhalf", half, half_inv, "qhalfinv")   # q^{(c1 N + c2)/2}
-        qm = grouplike("qhalfinv", half_inv, half, "qhalf")
-        self.atoms["qhalf"] = qp
-        self.atoms["qhalfinv"] = qm
-        if graded:
-            # S^-1 carries q^{+c1/2} on the lowering image and q^{-c1/2} on the
-            # raising image: the opposite choice fails S^-1(S(a)) = a because
-            # moving a ladder operator through the grade flips its sign while
-            # moving it through q^{(c1 N + c2)/2} scales it by q^{+-c1/2}.
-            a = Atom("a", rep.lowering, eps=0.0,
-                     s=-q ** (-c1 / 2.0) * (gi.matrix @ rep.lowering),
-                     s_inv=q ** (c1 / 2.0) * (gi.matrix @ rep.lowering))
-            ad = Atom("ad", rep.raising, eps=0.0,
-                      s=q ** (c1 / 2.0) * (rep.raising @ g.matrix),
-                      s_inv=-q ** (-c1 / 2.0) * (rep.raising @ g.matrix))
-            a.delta = [Term(1.0, ((a,), (qp,))), Term(1.0, ((g, qm), (a,)))]
-            ad.delta = [Term(1.0, ((ad,), (qp,))), Term(1.0, ((gi, qm), (ad,)))]
-        else:
-            a = Atom("a", rep.lowering, eps=0.0,
-                     s=-q ** (-c1 / 2.0) * rep.lowering,
-                     s_inv=-q ** (c1 / 2.0) * rep.lowering)
-            ad = Atom("ad", rep.raising, eps=0.0,
-                      s=-q ** (c1 / 2.0) * rep.raising,
-                      s_inv=-q ** (-c1 / 2.0) * rep.raising)
-            a.delta = [Term(1.0, ((a,), (qp,))), Term(1.0, ((qm,), (a,)))]
-            ad.delta = [Term(1.0, ((ad,), (qp,))), Term(1.0, ((qm,), (ad,)))]
-        self.atoms["a"] = a
-        self.atoms["ad"] = ad
+            grades = (grouplike("g", rep.require_grade(), rep.grade_minus, "ginv"),
+                      grouplike("ginv", rep.grade_minus, rep.grade_plus, "g"))
+            g, gi = (grades[0],), (grades[1],)
+        # S^-1 carries q^{+c1/2} on the lowering image and q^{-c1/2} on the
+        # raising image: the opposite choice fails S^-1(S(a)) = a because
+        # moving a ladder operator through the grade flips its sign while
+        # moving it through q^{(c1 N + c2)/2} scales it by q^{+-c1/2}.
+        up = down = 1.0
+        if deformed:
+            exponent = (c1 * rep.levels + c2) / 2.0
+            half = SectorOperator.one_site(np.power(spec.q, exponent).astype(complex), 0)
+            half_inv = SectorOperator.one_site(np.power(spec.q, -exponent).astype(complex), 0)
+            qhalves = (grouplike("qhalf", half, half_inv, "qhalfinv"),  # q^{(c1 N + c2)/2}
+                       grouplike("qhalfinv", half_inv, half, "qhalf"))
+            tail, qm = (qhalves[0],), (qhalves[1],)
+            up, down = spec.q ** (c1 / 2.0), spec.q ** (-c1 / 2.0)
+        sign = 1.0 if graded else -1.0
+        number_s = [(-1.0, (n,)), (-2.0 * shift, ())]
+        rule = [  # (atom, Delta terms, S terms, S^-1 terms)
+            (n, [Term(1.0, ((n,), ())), Term(1.0, ((), (n,))), Term(shift, ((), ()))],
+             number_s, number_s),
+            (lo, [Term(1.0, ((lo,), tail)), Term(1.0, ((*g, *qm), (lo,)))],
+             [(-down, (*gi, lo))], [(sign * up, (*gi, lo))]),
+            (hi, [Term(1.0, ((hi,), tail)), Term(1.0, ((*gi, *qm), (hi,)))],
+             [(sign * up, (hi, *g))], [(-down, (hi, *g))]),
+        ]
+        extra = ()
+        if spec.family == "H":
+            d, nu = spec.delta, spec.nu
+            k = Atom("K", rep.k_op, eps=-d / nu)
+            extra, k_s = (k,), [(1.0, (k,))]
+            rule.append((k, [Term(1.0, ((k,), ())), Term(1.0, ((), (k,))),
+                             Term(d / nu, ((), ())), Term(-2.0 / nu, ((*gi, lo), (hi,))),
+                             Term(2.0 / nu, ((*g, hi), (lo,)))], k_s, k_s))
+        for atom, delta, s, s_inv in rule:
+            atom.delta = delta
+            atom.s = word_sum(s, rep.dim)
+            atom.s_inv = atom.s if s_inv is s else word_sum(s_inv, rep.dim)
+        generators = (n, *extra, lo, hi, *grades)
+        self.atoms = {atom.name: atom for atom in generators + qhalves}
+        self._generators = tuple(atom.name for atom in generators)
 
     def release(self) -> None:
         """Drop the atoms and the held images.  Each atom's coproduct terms
@@ -310,12 +308,9 @@ class HopfTables:
 
     # -- accessors -----------------------------------------------------------
     def generator_names(self) -> tuple:
-        """The generators whose Hopf images are part of the structure tables."""
-        if self.spec.family == "H":
-            return ("M", "K", "b", "bd", "g", "ginv")
-        if self.spec.family in ("B", "Bq"):
-            return ("N", "a", "ad", "g", "ginv")
-        return ("N", "a", "ad")
+        """The generators whose Hopf images are part of the structure tables:
+        the rule's atoms less the qhalf pair, in the order it builds them."""
+        return self._generators
 
     def atom(self, name: str) -> Atom:
         if name not in self.atoms:

@@ -1,20 +1,26 @@
-"""The dense oracle of the corpus's definitions and maps.
+"""The dense oracle of the corpus's definitions and maps, and of the
+antipode images.
 
 Each image is formed by hand from a rep's dense generator matrices, as the
 lab formed them before the identity corpus stated them, with each
 realization's whole normalization product on f (e is the plain raising
 image).  ``test_structure.py`` checks every map's images, and L, L+, C and
-the rebuilt number element, against these.
+the rebuilt number element, against these.  :func:`antipode_images` forms
+each Hopf atom's S and S^-1 by hand, family by family, as the lab formed
+them before one rule stated them as words; ``test_hopf.py`` checks the
+tables' images against it.
 """
 
 from types import SimpleNamespace
+
+import numpy as np
 
 from bosonhopf.scalars import q_bracket
 
 
 def _dense(rep):
     """rep's images as dense matrices, under the names of its fields."""
-    names = ("lowering", "raising", "number", "identity", "grade_plus", "k_op")
+    names = ("lowering", "raising", "number", "identity", "grade_plus", "grade_minus", "k_op")
     return SimpleNamespace(spec=rep.spec, **{
         name: None if getattr(rep, name) is None else getattr(rep, name).to_dense()
         for name in names})
@@ -89,3 +95,39 @@ def phi_prime(h_spec, b_rep):
     m_img = ((1.0 / delta) * b_rep.raising @ b_rep.lowering + (nu / (2.0 * delta)) * k_img
              + rho * b_rep.identity)
     return {"b": b_rep.lowering, "bd": b_rep.raising, "K": k_img, "M": m_img}
+
+
+def antipode_images(rep):
+    """{atom name: (S image, S^-1 image)} of every Hopf atom of rep's
+    family, as dense matrices formed by hand."""
+    spec, fam, dim, rep = rep.spec, rep.spec.family, rep.dim, _dense(rep)
+    a, ad, n, unit = rep.lowering, rep.raising, rep.number, rep.identity
+    g, gi = rep.grade_plus, rep.grade_minus
+    if fam == "H":
+        s_m = -n + (2 * spec.rho - 1) * unit
+        return {"M": (s_m, s_m), "K": (rep.k_op, rep.k_op), "b": (-gi @ a, gi @ a),
+                "bd": (ad @ g, -ad @ g), "g": (gi, gi), "ginv": (g, g)}
+    c1, c2 = (spec.alpha, spec.beta) if fam in ("B", "Bq") else (spec.sigma, spec.tau)
+    s_n = -n - 2 * (c2 / c1) * unit
+    out = {"N": (s_n, s_n)}
+    graded = fam in ("B", "Bq")
+    if graded:
+        out.update(g=(gi, gi), ginv=(g, g))
+    if not spec.is_deformed:
+        if graded:
+            out.update(a=(-gi @ a, gi @ a), ad=(ad @ g, -ad @ g))
+        else:
+            out.update(a=(-a, -a), ad=(-ad, -ad))
+        return out
+    q = spec.q
+    exponent = (c1 * np.arange(dim, dtype=float) + c2) / 2.0
+    half = np.diag(np.power(q, exponent).astype(complex))
+    half_inv = np.diag(np.power(q, -exponent).astype(complex))
+    out.update(qhalf=(half_inv, half_inv), qhalfinv=(half, half))
+    if graded:
+        out.update(a=(-q ** (-c1 / 2.0) * (gi @ a), q ** (c1 / 2.0) * (gi @ a)),
+                   ad=(q ** (c1 / 2.0) * (ad @ g), -q ** (-c1 / 2.0) * (ad @ g)))
+    else:
+        out.update(a=(-q ** (-c1 / 2.0) * a, -q ** (c1 / 2.0) * a),
+                   ad=(-q ** (c1 / 2.0) * ad, -q ** (-c1 / 2.0) * ad))
+    return out

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dense_images as dense
 from bosonhopf import AlgebraSpec, build_rep, build_tables, check_defining_relations, hopf
 from bosonhopf.fock import windowed_norm
 from bosonhopf.hopf import (Atom, Term, expand_slot, normal_form, terms_matrix,
@@ -46,11 +47,12 @@ def test_delta_hom_rows_take_their_relations_windows(family, params):
 
 
 def test_generator_sets_per_family():
-    assert set(_tables("B", (2, 1)).generator_names()) == {
-        "N", "a", "ad", "g", "ginv"}
-    assert set(_tables("Bbar", (1, 2)).generator_names()) == {"N", "a", "ad"}
-    assert set(_tables("H", (1, 0.5, 0.0)).generator_names()) == {
-        "M", "K", "b", "bd", "g", "ginv"}
+    """The rule's generators in the order every report lists their rows."""
+    assert _tables("B", (2, 1)).generator_names() == ("N", "a", "ad", "g", "ginv")
+    assert _tables("Bq", (2, 2, 1.3)).generator_names() == ("N", "a", "ad", "g", "ginv")
+    assert _tables("Bbar", (1, 2)).generator_names() == ("N", "a", "ad")
+    assert _tables("Bbarq", (1, 1, 0.7)).generator_names() == ("N", "a", "ad")
+    assert _tables("H", (1, 0.5, 0.0)).generator_names() == ("M", "K", "b", "bd", "g", "ginv")
 
 
 def test_counit_values():
@@ -94,17 +96,20 @@ def test_bbar_primitive_coproduct():
     assert np.abs(tb.delta_matrix("a") - expect_a).max() < 1e-12
 
 
-def test_bq_antipode_inverse_closed_forms():
-    """S^-1(a) = q^(alpha/2) g^-1 a and S^-1(ad) = -q^(-alpha/2) ad g."""
-    alpha, beta, q = 2.0, 2.0, 1.3
-    rep = build_rep(AlgebraSpec("Bq", (alpha, beta, q)), 8)
+@pytest.mark.parametrize("family, params, dim", [
+    ("B", (2, 1), 8), ("Bbar", (1, 2), 8), ("Bq", (2, 2, 1.3), 8), ("Bbarq", (1, 1, 0.7), 8),
+    ("H", (1, 0.5, 0.25), 8), ("Bq", (4, 8, 0.7), 10)])
+def test_antipode_images_match_the_dense_oracle(family, params, dim):
+    """Every atom's S and S^-1 image, built from its words, is bit for bit
+    the one formed by hand (dense_images.antipode_images); at Bq (2, 2, 1.3)
+    that holds S^-1(a) = q^(alpha/2) g^-1 a and S^-1(ad) = -q^(-alpha/2) ad g."""
+    rep = build_rep(AlgebraSpec(family, params), dim)
     tb = build_tables(rep)
-    g = rep.require_grade().to_dense()
-    ginv = np.linalg.inv(g)
-    expect_a = q ** (alpha / 2.0) * ginv @ rep.lowering.to_dense()
-    expect_ad = -q ** (-alpha / 2.0) * rep.raising.to_dense() @ g
-    assert np.abs(tb.atom("a").s_inv.to_dense() - expect_a).max() < 1e-12
-    assert np.abs(tb.atom("ad").s_inv.to_dense() - expect_ad).max() < 1e-12
+    oracle = dense.antipode_images(rep)
+    assert set(oracle) == set(tb.atoms)
+    for name, (s, s_inv) in oracle.items():
+        assert np.array_equal(tb.atom(name).s.to_dense(), s), name
+        assert np.array_equal(tb.atom(name).s_inv.to_dense(), s_inv), name
 
 
 @pytest.mark.parametrize("family, params", [("Bq", (2.0, 2.0, 1.3)),

@@ -19,8 +19,10 @@ its blocks and scatters no sector operator back to dense.
 Each one-site image is built once, as a sector operator: `fock.build_rep`
 forms the rep's images from their weight and diagonal vectors and
 `HopfTables._build_atoms` the atoms' images as their products, so neither
-names `diag`, `eye` or `from_dense`.  A run of every suite reads no dense
-matrix into a sector operator and scans none for its level shift.
+names `diag`, `eye` or `from_dense`.  `_build_atoms` states every S and
+S^-1 as words (`hopf.word_sum`): it holds no `@` and no image formed by
+hand.  A run of every suite reads no dense matrix into a sector operator
+and scans none for its level shift.
 """
 
 import ast
@@ -65,6 +67,41 @@ def dense_forms(tree) -> list:
             found.append((node.lineno, node.attr))
         elif isinstance(node, ast.ImportFrom):
             found += [(node.lineno, a.name) for a in node.names if a.name in DENSE_FORMS]
+    return sorted(found)
+
+
+def _stated(value) -> bool:
+    """Whether an S or S^-1 image is a ``word_sum`` call, or another atom's
+    image (``.s``, ``.s_inv``), on every branch of a conditional."""
+    if isinstance(value, ast.IfExp):
+        return _stated(value.body) and _stated(value.orelse)
+    if isinstance(value, ast.Call):
+        func = value.func
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) \
+            == "word_sum"
+    return isinstance(value, ast.Attribute) and value.attr in ("s", "s_inv")
+
+
+def hand_built_images(tree) -> list:
+    """(line, what) of every ``@`` under ``tree``, and of every S or S^-1
+    image (an ``s=`` or ``s_inv=`` keyword, or an assignment to ``.s`` or
+    ``.s_inv``) that is not stated as words (:func:`_stated`); a tuple
+    assignment to one counts as not stated."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        if isinstance(node, ast.keyword) and node.arg in ("s", "s_inv"):
+            if not _stated(node.value):
+                found.append((node.value.lineno, f"{node.arg}="))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                parts = target.elts if isinstance(target, ast.Tuple) else [target]
+                named = [t.attr for t in parts
+                         if isinstance(t, ast.Attribute) and t.attr in ("s", "s_inv")]
+                if named and (len(parts) > 1 or isinstance(node, ast.AugAssign)
+                              or not _stated(node.value)):
+                    found.append((node.lineno, f".{named[0]} ="))
     return sorted(found)
 
 
@@ -151,13 +188,34 @@ def test_the_image_guard_sees_every_spelling():
     assert [line for line, _ in found] == [2, 3, 4, 5, 6]
 
 
+def test_the_antipode_guard_sees_every_spelling():
+    source = ("a = Atom('a', m, s=-gi.matrix @ low)\n"
+              "b = Atom('b', m, s=word_sum(t, dim), s_inv=-word_sum(t, dim))\n"
+              "atom.s = x.s\n"
+              "atom.s_inv = 2.0 * atom.s\n"
+              "atom.s, atom.s_inv = word_sum(t, dim), word_sum(u, dim)\n"
+              "atom.s_inv = atom.s if u is t else word_sum(u, dim)\n"
+              "atom.s_inv = atom.s if u is t else rep.lowering\n"
+              "atom.s *= g\n"
+              "c = hopf.word_sum(t, dim)\n"
+              "atom.matrix = x @ y\n")
+    assert hand_built_images(ast.parse(source)) == [
+        (1, "@"), (1, "s="), (2, "s_inv="), (4, ".s_inv ="), (5, ".s ="), (7, ".s_inv ="),
+        (8, ".s ="), (10, "@")]
+
+
 def test_the_rep_and_the_atoms_build_their_images_as_sector_operators():
+    """No dense image in the rep or the atoms; no ``@`` and no hand-built
+    S or S^-1 image in the atoms, whose antipodes are stated as words."""
+    hopf_tree = ast.parse((SRC / "hopf.py").read_text())
+    build_atoms = _method(hopf_tree, "HopfTables", "_build_atoms")
     builders = {"fock.build_rep": _function(ast.parse((SRC / "fock.py").read_text()),
                                             "build_rep"),
-                "HopfTables._build_atoms": _method(ast.parse((SRC / "hopf.py").read_text()),
-                                                   "HopfTables", "_build_atoms")}
+                "HopfTables._build_atoms": build_atoms}
     offenders = [f"{where}:{line}: {name}" for where, tree in builders.items()
                  for line, name in dense_builders(tree, DENSE_IMAGES)]
+    offenders += [f"HopfTables._build_atoms:{line}: {what}"
+                  for line, what in hand_built_images(build_atoms)]
     assert not offenders, offenders
 
 
